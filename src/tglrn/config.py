@@ -186,6 +186,12 @@ def _validate(cfg):
         raise ConfigError(f"dropout_rate must lie in [0, 1), got {cfg.dropout_rate}")
     if cfg.t_in < 1 or cfg.t_out < 1:
         raise ConfigError("t_in and t_out must be positive")
+    if not cfg.tau > 0.0:
+        raise ConfigError(f"tau must be positive, got {cfg.tau}")
+    if cfg.batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {cfg.batch_size}")
+    if cfg.levels < 1:
+        raise ConfigError(f"levels must be at least 1, got {cfg.levels}")
     if cfg.scaler_scope not in ("per_sensor", "global"):
         raise ConfigError(f"scaler_scope must be per_sensor or global, got {cfg.scaler_scope!r}")
     total = cfg.train_frac + cfg.val_frac + cfg.test_frac

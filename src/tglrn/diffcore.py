@@ -7,6 +7,17 @@ closure that maps the output gradient back onto the parents. Calling
 topological order and accumulates gradients into every reachable
 :class:`Parameter`.
 
+Backward consumes the tape as it walks it. Once a node's closure has run,
+the node drops its gradient, closure and parents, so each forward array
+and each interior gradient is freed as soon as its last consumer is done.
+Only leaf gradients (:class:`Parameter` and tracked leaf tensors) survive
+the call, and a second ``backward()`` through a consumed node raises
+:class:`StateError`. Gradient arrays are shared, not copied: a node keeps
+the first gradient it receives by reference, and later contributions
+accumulate out of place, so an array handed to several parents is never
+written. Only a :class:`Parameter` accumulates in place, into its own
+buffer.
+
 Everything is computed in 64-bit floats so that central finite
 differences with step 1e-5 resolve analytic gradients to relative
 errors well below 1e-4. Forward evaluation is bitwise deterministic for
@@ -26,6 +37,7 @@ __all__ = [
     "no_grad",
     "concat",
     "stack",
+    "swap_last2",
     "einsum2",
     "softmax",
     "safe_recip",
@@ -76,6 +88,22 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _is_basic_index(idx):
+    """True for indices made only of ints, slices, Ellipsis and None (no copies, no repeats)."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        i is None
+        or i is Ellipsis
+        or isinstance(i, slice)
+        or (isinstance(i, (int, np.integer)) and not isinstance(i, (bool, np.bool_)))
+        for i in items
+    )
+
+
+def _consumed(g):
+    raise StateError("backward through a tape node that an earlier backward() consumed")
+
+
 def _check_broadcast(op, a_shape, b_shape):
     try:
         return np.broadcast_shapes(a_shape, b_shape)
@@ -110,9 +138,9 @@ class Tensor:
         if not self._track:
             return
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g, dtype=np.float64)
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     # -- basic properties -----------------------------------------------------
 
@@ -233,10 +261,14 @@ class Tensor:
     def __getitem__(self, idx):
         a = self
         out_data = a.data[idx]
+        basic = _is_basic_index(idx)
 
         def bwd(g):
             buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
+            if basic:
+                buf[idx] += g  # each element is hit at most once: equals np.add.at bitwise
+            else:
+                np.add.at(buf, idx, g)
             a._acc(buf)
 
         return Tensor._from_op(out_data, (a,), bwd)
@@ -372,9 +404,15 @@ class Tensor:
     # -- backward pass ----------------------------------------------------------
 
     def backward(self):
-        """Populate gradients of every tracked tensor reachable from this scalar."""
+        """Populate gradients of every tracked leaf reachable from this scalar.
+
+        Consumes the tape: afterwards every interior node reachable from here
+        holds no gradient, closure or parents.
+        """
         if self.data.size != 1:
             raise StateError("backward requires a scalar loss tensor")
+        if self._bwd is _consumed:
+            raise StateError("backward twice: an earlier backward() already consumed this tape")
         if not self._track:
             raise StateError("backward before forward: no gradient tape recorded for this tensor")
 
@@ -395,9 +433,13 @@ class Tensor:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._bwd is not None:
                 node._bwd(node.grad)
+                node.grad = None
+                node._bwd = _consumed
+                node._parents = ()
 
 
 class Parameter(Tensor):
@@ -410,6 +452,9 @@ class Parameter(Tensor):
         self._track = True
         self.grad = np.zeros_like(self.data)
         self.name = name
+
+    def _acc(self, g):
+        self.grad += g
 
     def zero_grad(self):
         self.grad.fill(0.0)
@@ -480,6 +525,14 @@ def stack(tensors, axis=0):
             t._acc(np.take(g, i, axis=axis))
 
     return Tensor._from_op(out_data, tuple(tensors), bwd)
+
+
+def swap_last2(x):
+    """Transpose of the last two axes (the batched matrix transpose)."""
+    x = _ensure_tensor(x)
+    axes = list(range(x.ndim))
+    axes[-1], axes[-2] = axes[-2], axes[-1]
+    return x.transpose(axes)
 
 
 def einsum2(subscripts, a, b):

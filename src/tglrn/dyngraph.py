@@ -105,12 +105,6 @@ def gate(e, e_base, gate_linear):
     return e * gate_linear(e_base).sigmoid()
 
 
-def _swap_last2(t):
-    axes = list(range(t.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return t.transpose(axes)
-
-
 def edge_logits(e_st, e_ed, weight, bias):
     """Pairwise scores w[i, j] = linear(tanh([e_st_i ; e_ed_j])).
 
@@ -121,7 +115,7 @@ def edge_logits(e_st, e_ed, weight, bias):
     d = e_st.shape[-1]
     u = e_st.tanh() @ weight[:d]  # (..., N, 1)
     v = e_ed.tanh() @ weight[d:]  # (..., N, 1)
-    return u + _swap_last2(v) + bias
+    return u + dc.swap_last2(v) + bias
 
 
 def normalize_logits(w, alpha=1.0):

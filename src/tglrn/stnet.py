@@ -47,7 +47,7 @@ def diffusion_conv(x, a, theta, num_steps):
     a = a if isinstance(a, Tensor) else Tensor(a)
     x = x if isinstance(x, Tensor) else Tensor(x)
 
-    a_rev = _swap_last2(a)
+    a_rev = dc.swap_last2(a)
     p_fwd = a * dc.safe_recip(a.sum(axis=-1, keepdims=True))
     p_rev = a_rev * dc.safe_recip(a_rev.sum(axis=-1, keepdims=True))
 
@@ -106,12 +106,6 @@ def tpl(x, kernel, ks, scale, shift):
     gated = gtu_conv(x, kernel, ks)
     residual = x[..., ks - 1 : t_in, :, :]
     return layer_norm(gated + residual, scale, shift)
-
-
-def _swap_last2(t):
-    axes = list(range(t.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return t.transpose(axes)
 
 
 class OutputLayer:

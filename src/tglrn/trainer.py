@@ -151,12 +151,14 @@ def baseline_ha(dataset, mape_threshold=1.0):
 
 
 def _check_finite(loss_value, model):
-    if np.isfinite(loss_value):
-        return
+    """Raise NumericError naming the first parameter whose gradient is not finite."""
+    loss_ok = np.isfinite(loss_value)
     for name, p in model.parameters():
         if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite loss; first non-finite parameter gradient: {name}")
-    raise NumericError("non-finite loss with finite gradients")
+            what = "non-finite gradient behind a finite loss" if loss_ok else "non-finite loss"
+            raise NumericError(f"{what}; first non-finite parameter gradient: {name}")
+    if not loss_ok:
+        raise NumericError("non-finite loss with finite gradients")
 
 
 @dataclass
@@ -185,6 +187,8 @@ def train(model, train_ds, val_ds, settings, seed, batch_hook=None, epoch_hook=N
     """
     if len(train_ds) == 0:
         raise DataError("train: empty training split")
+    if len(val_ds) == 0:
+        raise DataError("train: empty validation split; early stopping needs val_frac > 0")
     ss = np.random.SeedSequence([seed, 0x7EA1])
     shuffle_rng, noise_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
 

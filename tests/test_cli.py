@@ -197,6 +197,32 @@ class TestErrors:
     def test_gamma_out_of_range_exits_2(self, capsys):
         assert run(["gradcheck", "--quick", "--set", "gamma=1.5"]) == 2
 
+    @pytest.mark.parametrize("setting", ["tau=0", "tau=-1", "batch_size=0", "levels=0"])
+    def test_bad_setting_exits_2_with_one_line(self, tmp_path, capsys, setting):
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        capsys.readouterr()
+        assert run(train_args(data_dir, tmp_path / "o", extra=[setting])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:2:") and len(err.splitlines()) == 1, err
+        assert setting.split("=")[0] in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_validation_split_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        from tglrn import cli as cli_mod
+
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        capsys.readouterr()
+        steps = []
+        monkeypatch.setattr(cli_mod.trainer.Adam, "step", lambda self: steps.append(self.t))
+        fracs = ["train_frac=0.8", "val_frac=0", "test_frac=0.2"]
+        assert run(train_args(data_dir, tmp_path / "o", extra=fracs)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:3:") and len(err.splitlines()) == 1, err
+        assert "validation" in err and "Traceback" not in err
+        assert steps == []
+
 
 class TestGradcheckCommand:
     def test_quick_suite_exit_zero(self, capsys):

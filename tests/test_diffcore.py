@@ -1,5 +1,7 @@
 """Engine-level checks: op correctness, gradient exactness, determinism."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -190,3 +192,100 @@ def test_max_relative_error_floor():
 def test_report_line_format():
     rep = GradCheckReport("layer/w", 1e-6, 1e-4)
     assert rep.passed and "PASS" in rep.line()
+
+
+# -- streaming backward -----------------------------------------------------------
+
+
+BASIC_INDICES = [
+    2,
+    -1,
+    np.int64(3),
+    slice(None, None, -2),
+    slice(4, 0, -1),
+    (Ellipsis, slice(1, 3)),
+    (None, slice(None), 2),
+    (slice(None), None, Ellipsis, -2),
+    (1, Ellipsis),
+    (slice(3, None, -1), 0, slice(None, None, 2)),
+]
+
+
+def _slice_grad(idx, seed):
+    """Gradient a tracked leaf receives from one slice (kept by reference), and the
+    np.add.at oracle for it."""
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((5, 4, 3)))
+    x._track = True
+    r = rng.standard_normal(x.data[idx].shape)
+    r.flat[0] = -0.0  # signed zeros must come through exactly as np.add.at gives them
+    (x[idx] * Tensor(r)).sum().backward()
+    oracle = np.zeros_like(x.data)
+    np.add.at(oracle, idx, r)
+    return x.grad, oracle
+
+
+@pytest.mark.parametrize("idx", BASIC_INDICES, ids=repr)
+def test_basic_slice_backward_matches_add_at_bitwise(idx):
+    assert dc._is_basic_index(idx)
+    grad, oracle = _slice_grad(idx, 11)
+    assert grad.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize(
+    "idx",
+    [np.array([0, 2, 0, 0]), (slice(None), [1, 1, 3]), ([4, 4], Ellipsis, [0, 0])],
+    ids=repr,
+)
+def test_advanced_index_backward_accumulates_duplicates(idx):
+    assert not dc._is_basic_index(idx)
+    grad, oracle = _slice_grad(idx, 12)
+    assert grad.tobytes() == oracle.tobytes()
+
+
+def test_boolean_scalar_index_is_not_basic():
+    assert not dc._is_basic_index(True)
+    assert not dc._is_basic_index((slice(None), np.bool_(False)))
+
+
+def test_shared_gradient_array_is_never_written():
+    # d's backward hands one array to both c and a; a then gets a second
+    # contribution from c. An in-place sum into a's first gradient would
+    # also change c's, and so what c passes on to b.
+    rng = np.random.default_rng(13)
+    p1 = Parameter(rng.standard_normal(4))
+    p2 = Parameter(rng.standard_normal(4))
+    w = rng.standard_normal(4)
+    a, b = p1 * 1.0, p2 * 1.0
+    c = a + b
+    d = c + a
+    (d * Tensor(w)).sum().backward()
+    np.testing.assert_array_equal(p1.grad, 2.0 * w)
+    np.testing.assert_array_equal(p2.grad, w)
+
+
+def test_backward_frees_interior_nodes_and_keeps_parameter_grads():
+    rng = np.random.default_rng(14)
+    p = Parameter(rng.standard_normal((3, 3)))
+    h = (p * 2.0).tanh()
+    h_data = weakref.ref(h.data)
+    loss = (h * h).sum()
+    expected = 2.0 * h.data * (1.0 - h.data**2) * 2.0
+    del h
+    loss.backward()
+    assert h_data() is None
+    assert loss.grad is None and loss._parents == ()
+    np.testing.assert_allclose(p.grad, expected, rtol=1e-15)
+
+
+def test_second_backward_is_state_error():
+    p = Parameter(np.arange(3.0))
+    h = p * 2.0
+    loss = (h * h).sum()
+    loss.backward()
+    first = p.grad.copy()
+    with pytest.raises(StateError, match="consumed"):
+        loss.backward()
+    with pytest.raises(StateError, match="consumed"):
+        (h + 1.0).sum().backward()  # a new graph over an already consumed node
+    np.testing.assert_array_equal(p.grad, first)
