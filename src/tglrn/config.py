@@ -179,19 +179,39 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
+# Widths, lengths and counts that must be at least 1.
+_AT_LEAST_ONE = (
+    "t_in",
+    "t_out",
+    "embed_dim",
+    "hop_dim",
+    "hidden_dim",
+    "levels",
+    "diff_steps",
+    "kernel_size",
+    "n_blocks",
+    "batch_size",
+    "max_epochs",
+    "synth_steps",
+    "synth_period",
+    "inspect_windows",
+)
+
+
 def _validate(cfg):
+    for key in _AT_LEAST_ONE:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if cfg.patience < 0:
+        raise ConfigError(f"patience must be at least 0, got {cfg.patience}")
     if not 0.0 <= cfg.gamma <= 1.0:
         raise ConfigError(f"gamma must lie in [0, 1], got {cfg.gamma}")
     if not 0.0 <= cfg.dropout_rate < 1.0:
         raise ConfigError(f"dropout_rate must lie in [0, 1), got {cfg.dropout_rate}")
-    if cfg.t_in < 1 or cfg.t_out < 1:
-        raise ConfigError("t_in and t_out must be positive")
     if not cfg.tau > 0.0:
         raise ConfigError(f"tau must be positive, got {cfg.tau}")
-    if cfg.batch_size < 1:
-        raise ConfigError(f"batch_size must be at least 1, got {cfg.batch_size}")
-    if cfg.levels < 1:
-        raise ConfigError(f"levels must be at least 1, got {cfg.levels}")
+    if not 0.0 < cfg.learning_rate < float("inf"):
+        raise ConfigError(f"learning_rate must be positive and finite, got {cfg.learning_rate}")
     if cfg.scaler_scope not in ("per_sensor", "global"):
         raise ConfigError(f"scaler_scope must be per_sensor or global, got {cfg.scaler_scope!r}")
     total = cfg.train_frac + cfg.val_frac + cfg.test_frac

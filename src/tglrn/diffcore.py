@@ -42,7 +42,9 @@ __all__ = [
     "softmax",
     "safe_recip",
     "rsqrt_or_zero",
+    "rsqrt_or_zero_array",
     "sigmoid",
+    "sigmoid_array",
     "tanh",
     "relu",
     "exp",
@@ -105,6 +107,8 @@ def _consumed(g):
 
 
 def _check_broadcast(op, a_shape, b_shape):
+    if a_shape == b_shape:
+        return a_shape
     try:
         return np.broadcast_shapes(a_shape, b_shape)
     except ValueError:
@@ -333,8 +337,7 @@ class Tensor:
 
     def sigmoid(self):
         a = self
-        z = np.exp(-np.abs(a.data))
-        out_data = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        out_data = sigmoid_array(a.data)
 
         def bwd(g):
             a._acc(g * out_data * (1.0 - out_data))
@@ -466,6 +469,12 @@ class Parameter(Tensor):
 # -- free functions ------------------------------------------------------------
 
 
+def sigmoid_array(x):
+    """Logistic function on a plain array, stable for large |x| (forward of ``Tensor.sigmoid``)."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+
+
 def sigmoid(x):
     return _ensure_tensor(x).sigmoid()
 
@@ -589,11 +598,16 @@ def safe_recip(x):
     return Tensor._from_op(out_data, (a,), bwd)
 
 
+def rsqrt_or_zero_array(x, threshold=0.0):
+    """Forward of :func:`rsqrt_or_zero` on a plain array."""
+    live = x > threshold
+    return np.where(live, 1.0 / np.sqrt(np.where(live, x, 1.0)), 0.0)
+
+
 def rsqrt_or_zero(x, threshold=0.0):
     """x**-0.5 where x > threshold, 0 elsewhere (gradient 0 on the zero branch)."""
     a = _ensure_tensor(x)
-    live = a.data > threshold
-    out_data = np.where(live, 1.0 / np.sqrt(np.where(live, a.data, 1.0)), 0.0)
+    out_data = rsqrt_or_zero_array(a.data, threshold)
 
     def bwd(g):
         a._acc(-0.5 * g * out_data ** 3)

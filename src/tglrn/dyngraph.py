@@ -6,8 +6,10 @@ embeddings). At every step the start/end embeddings are gated by
 per-step base embeddings, scored pairwise into edge logits, normalized
 to mean 0 / std alpha, squashed by a sigmoid, relaxed with
 logistic-Gumbel noise (training only), randomly thinned with keep
-probability gamma (training only), and finally pruned so that node i
-only keeps weights toward nodes within its selected hop radius.
+probability gamma (training only), and finally masked so that node i
+only keeps weights toward nodes within its selected hop radius. The
+stretch from normalization to the mask is one tape node (``edge_op``)
+whose backward recomputes the stages it does not store.
 
 Hard decisions (hop argmax) use a straight-through estimator: forward
 sees the hard one-hot, backward sees the relaxed softmax gradient.
@@ -33,11 +35,13 @@ __all__ = [
     "edge_logits",
     "normalize_logits",
     "bernoulli_means",
+    "logistic_noise",
     "gumbel_relax",
+    "keep_pattern",
     "edge_sample",
+    "edge_op",
     "hop_probs",
     "select_hops",
-    "prune",
 ]
 
 OMEGA_CLAMP = 1e-6
@@ -124,35 +128,95 @@ def normalize_logits(w, alpha=1.0):
     Degenerate inputs (all entries identical) map to all zeros, so the
     subsequent sigmoid emits maximally non-committal 0.5 weights.
     """
-    mu = w.mean(axis=(-2, -1), keepdims=True)
-    var = ((w - mu) ** 2).mean(axis=(-2, -1), keepdims=True)
-    spread = w.data.max(axis=(-2, -1), keepdims=True) - w.data.min(axis=(-2, -1), keepdims=True)
-    live = (spread > 0).astype(np.float64)
-    return (w - mu) * dc.rsqrt_or_zero(var) * (alpha * live)
+    return _normalize(w, alpha)[0]
+
+
+def _normalize(w, alpha):
+    """normalize_logits plus what its backward needs: (w_hat, w - mean, 1/std, alpha * live)."""
+    axes = (-2, -1)
+    inv_n = 1.0 / (w.shape[-2] * w.shape[-1])
+    centered = w - w.sum(axis=axes, keepdims=True) * inv_n
+    rstd = dc.rsqrt_or_zero_array((centered**2.0).sum(axis=axes, keepdims=True) * inv_n)
+    spread = w.max(axis=axes, keepdims=True) - w.min(axis=axes, keepdims=True)
+    scale = alpha * (spread > 0).astype(np.float64)
+    return centered * rstd * scale, centered, rstd, scale
 
 
 def bernoulli_means(w_hat):
     """Sigmoid of normalized logits, clamped away from {0, 1} to keep logits finite."""
-    return w_hat.sigmoid().clamp(OMEGA_CLAMP, 1.0 - OMEGA_CLAMP)
+    return np.clip(dc.sigmoid_array(w_hat), OMEGA_CLAMP, 1.0 - OMEGA_CLAMP)
 
 
-def gumbel_relax(w_bar, tau, delta):
+def logistic_noise(delta):
+    """logit(delta) for uniform draws delta, clipped away from {0, 1}."""
+    delta = np.clip(np.asarray(delta, dtype=np.float64), 1e-12, 1.0 - 1e-12)
+    return np.log(delta) - np.log1p(-delta)
+
+
+def gumbel_relax(w_bar, tau, noise):
     """Continuous relaxation of Bernoulli(w_bar) via logistic noise.
 
-    p = sigmoid((logit(delta) + logit(w_bar)) / tau) with delta ~ U(0, 1).
-    Differentiable in w_bar; p > 0.5 happens with probability w_bar.
+    p = sigmoid((logit(w_bar) + noise) / tau) with noise = logistic_noise(U(0, 1)).
+    p > 0.5 happens with probability w_bar.
     """
-    delta = np.clip(np.asarray(delta, dtype=np.float64), 1e-12, 1.0 - 1e-12)
-    noise = np.log(delta) - np.log1p(-delta)
-    logits = w_bar.log() - (1.0 - w_bar).log()
-    return ((logits + noise) * (1.0 / tau)).sigmoid()
+    return dc.sigmoid_array((np.log(w_bar) - np.log(1.0 - w_bar) + noise) * (1.0 / tau))
 
 
-def edge_sample(p, gamma, rho):
-    """Random edge thinning: keep each candidate weight with probability gamma."""
-    rho = np.maximum(np.asarray(rho, dtype=np.float64), 1e-300)
-    keep = (rho <= gamma).astype(np.float64)
+def keep_pattern(rho, gamma):
+    """Edge-thinning decisions for uniform draws rho: True with probability gamma."""
+    return np.maximum(np.asarray(rho, dtype=np.float64), 1e-300) <= gamma
+
+
+def edge_sample(p, keep):
+    """Random edge thinning: zero the weights whose ``keep`` entry is False."""
     return p * keep
+
+
+def edge_op(w, mask, alpha, tau, noise=None, keep=None):
+    """The per-step edge pipeline, from logits to adjacency, as one tape node.
+
+    Returns ``edge_sample(gumbel_relax(bernoulli_means(normalize_logits(w, alpha)), tau,
+    noise), keep) * mask``; the relaxation is skipped when ``noise`` is None and the
+    thinning when ``keep`` is None. The node keeps only ``w``, ``mask``, ``noise`` and
+    the boolean ``keep``: its backward recomputes every other stage, trading compute
+    for memory (Chen et al., arXiv 1604.06174).
+    """
+    p = bernoulli_means(normalize_logits(w.data, alpha))
+    if noise is not None:
+        p = gumbel_relax(p, tau, noise)
+    if keep is not None:
+        p = edge_sample(p, keep)
+    out = p * mask.data
+
+    def bwd(g):
+        w_hat, centered, rstd, scale = _normalize(w.data, alpha)
+        w_bar = bernoulli_means(w_hat)
+        del w_hat
+        p = w_bar if noise is None else gumbel_relax(w_bar, tau, noise)
+        if mask._track:
+            mask._acc(g * (p if keep is None else edge_sample(p, keep)))
+        if not w._track:
+            return
+        g = g * mask.data
+        if keep is not None:
+            g = g * keep
+        if noise is not None:
+            g = g * p * (1.0 - p) * (1.0 / tau)
+            g = g / w_bar + g / (1.0 - w_bar)
+        del p
+        # Inside the clamp w_bar is the sigmoid itself; outside it the gradient is zero.
+        inside = (w_bar > OMEGA_CLAMP) & (w_bar < 1.0 - OMEGA_CLAMP)
+        g = g * inside * w_bar * (1.0 - w_bar)
+        del w_bar, inside
+        # w_hat = centered * rstd * scale, and rstd depends on centered too.
+        axes = (-2, -1)
+        inv_n = 1.0 / (w.shape[-2] * w.shape[-1])
+        g = g * scale
+        dot = (g * centered).sum(axis=axes, keepdims=True)
+        g = g * rstd - centered * (rstd**3 * dot * inv_n)
+        w._acc(g - g.sum(axis=axes, keepdims=True) * inv_n)
+
+    return Tensor._from_op(out, (w, mask), bwd)
 
 
 def hop_probs(e_h, lin1, lin2):
@@ -187,22 +251,10 @@ def select_hops(p, tau, mode, rng=None, straight_through=True):
 
 def _rows_from_choices(masks, hop_choices):
     """Row i of S^{h[i]} for every leading index; ``hop_choices`` is 0-based."""
-    n = masks.shape[1]
+    levels, n = masks.shape[0], masks.shape[1]
+    if hop_choices.min() < 0 or hop_choices.max() >= levels:
+        raise ConfigError(f"hop choices must lie in [1, {levels}]")
     return masks[hop_choices, np.arange(n), :]
-
-
-def prune(a_raw, hop_choices, group):
-    """Mask row i of the adjacency by the reachability rows of its hop radius.
-
-    ``hop_choices`` holds 1-based radii in {1..L}, one per node (with any
-    leading batch axes).
-    """
-    hop_choices = np.asarray(hop_choices)
-    if hop_choices.min() < 1 or hop_choices.max() > group.L:
-        raise ConfigError(f"prune: hop choices must lie in [1, {group.L}]")
-    rows = _rows_from_choices(group.stacked(), hop_choices - 1)
-    a_raw = a_raw if isinstance(a_raw, Tensor) else Tensor(a_raw)
-    return a_raw * Tensor(rows)
 
 
 @dataclass
@@ -295,38 +347,31 @@ class GraphConstruction:
         hop_choices = np.zeros((b, self.t_in, n), dtype=np.int64)
         diag = GraphDiagnostics([], [], []) if want_diag else None
 
+        masks = Tensor(self.masks)
         for j in range(self.t_in):
             e_st = gate(emb_st[j], self.base_st[j], self.gate_st)
             e_ed = gate(emb_ed[j], self.base_ed[j], self.gate_ed)
             w = edge_logits(e_st, e_ed, self.edge_w, self.edge_b)
-            w_hat = normalize_logits(w, self.alpha)
-            w_bar = bernoulli_means(w_hat)
-
-            if training:
-                delta = rng.uniform(size=(b, n, n))
-                p = gumbel_relax(w_bar, self.tau, delta)
-            else:
-                p = w_bar
-            if sample_edges:
-                rho = rng.uniform(size=(b, n, n))
-                p = edge_sample(p, self.gamma, rho)
+            noise = logistic_noise(rng.uniform(size=(b, n, n))) if training else None
+            keep = keep_pattern(rng.uniform(size=(b, n, n)), self.gamma) if sample_edges else None
 
             probs = hop_probs(emb_h[j], self.hop_l1, self.hop_l2)
             if training:
                 h, mixing = select_hops(
                     probs, self.tau, "train", rng, straight_through=(hop_mode == "hard")
                 )
-                mask = dc.einsum2("bnl,lnj->bnj", mixing, Tensor(self.masks))
+                mask = dc.einsum2("bnl,lnj->bnj", mixing, masks)
             else:
                 h, _ = select_hops(probs, self.tau, "eval")
                 mask = Tensor(_rows_from_choices(self.masks, h))
-            a_t = p * mask
+            a_t = edge_op(w, mask, self.alpha, self.tau, noise, keep)
 
             adjacencies.append(a_t)
             hop_choices[:, j, :] = h + 1
             if want_diag:
-                diag.prenorm_logits.append(w_hat.data.copy())
-                diag.omega_bar.append(w_bar.data.copy())
+                w_hat = normalize_logits(w.data, self.alpha)
+                diag.prenorm_logits.append(w_hat)
+                diag.omega_bar.append(bernoulli_means(w_hat))
                 diag.support_masks.append(mask.data.copy())
 
         seq = GraphSequence(adjacencies=adjacencies, hop_choices=hop_choices)

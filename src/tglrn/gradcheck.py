@@ -154,31 +154,31 @@ def _check_edge_logits(seed):
 
 
 def _check_normalize_sigmoid(seed):
-    from .diffcore import Parameter
-    from .dyngraph import bernoulli_means, normalize_logits
+    from .diffcore import Parameter, Tensor
+    from .dyngraph import edge_op
 
     rng = np.random.default_rng([seed, 5])
     w = Parameter(rng.standard_normal((4, 4)), "w")
     r = rng.standard_normal((4, 4))
-    return finite_diff_check(
-        lambda: _weighted_sum(bernoulli_means(normalize_logits(w, 1.0)), r), [("w", w)]
-    )
+    ones = Tensor(np.ones((4, 4)))
+    return finite_diff_check(lambda: _weighted_sum(edge_op(w, ones, 1.0, 1.0), r), [("w", w)])
 
 
 def _check_gumbel_path(seed):
     from .diffcore import Parameter
-    from .dyngraph import bernoulli_means, gumbel_relax, normalize_logits
+    from .dyngraph import edge_op, keep_pattern, logistic_noise
 
     rng = np.random.default_rng([seed, 6])
     w = Parameter(rng.standard_normal((4, 4)), "w")
-    delta = rng.uniform(size=(4, 4))
+    noise = logistic_noise(rng.uniform(size=(4, 4)))
     r = rng.standard_normal((4, 4))
+    mask = Parameter(rng.uniform(size=(4, 4)), "mask")
+    keep = keep_pattern(rng.uniform(size=(4, 4)), 0.7)
 
     def build():
-        p = gumbel_relax(bernoulli_means(normalize_logits(w, 1.0)), 1.0, delta)
-        return _weighted_sum(p, r)
+        return _weighted_sum(edge_op(w, mask, 1.0, 1.0, noise, keep), r)
 
-    return finite_diff_check(build, [("w", w)])
+    return finite_diff_check(build, [("w", w), ("mask", mask)])
 
 
 def _check_hop_selector(seed):

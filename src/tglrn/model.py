@@ -10,7 +10,7 @@ through the prediction head. Predictions come back in normalized space;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,6 +45,10 @@ class ModelConfig:
     eval_sampling_override: bool = False
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 1:
+                raise ConfigError(f"{f.name} must be at least 1, got {value}")
         if self.in_features >= self.hidden_dim:
             raise ConfigError("input layer must lift features into a wider space")
         block_schedule(self.t_in, self.n_blocks, self.kernel_size)

@@ -2,12 +2,13 @@
 
 The spatial layer is a bidirectional diffusion convolution (powers of
 the out-degree-normalized adjacency and of the in-degree-normalized
-transpose) followed by a residual ReLU. The temporal layer is a valid
-1-D convolution along time whose channels split into a tanh/sigmoid
-gate pair, plus a residual over the surviving time slices and a
-LayerNorm over channels. Each block applies [spatial -> temporal]
-twice, then taps the block output through a time-compressing
-convolution whose kernel spans the remaining time axis.
+transpose, applied without forming either matrix) followed by a
+residual ReLU. The temporal layer is a valid 1-D convolution along time
+whose channels split into a tanh/sigmoid gate pair, plus a residual over
+the surviving time slices and a LayerNorm over channels. Each block
+applies [spatial -> temporal] twice, then taps the block output through
+a time-compressing convolution whose kernel spans the remaining time
+axis.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ def diffusion_conv(x, a, theta, num_steps):
     transition (rows of ``a`` divided by out-degree) and of the reverse
     transition (rows of the transpose divided by in-degree); rows with
     zero degree give zero transition rows rather than NaNs.
+
+    The transitions are never formed: P_fwd @ z is (a @ z) scaled per row
+    by 1/out-degree, and P_rev @ z is (a^T @ z) scaled by 1/in-degree, so
+    only the two degree vectors join ``a`` on the tape.
     """
     if theta.shape[0] < num_steps:
         raise ConfigError(f"diffusion_conv: theta holds {theta.shape[0]} steps, need {num_steps}")
@@ -48,14 +53,14 @@ def diffusion_conv(x, a, theta, num_steps):
     x = x if isinstance(x, Tensor) else Tensor(x)
 
     a_rev = dc.swap_last2(a)
-    p_fwd = a * dc.safe_recip(a.sum(axis=-1, keepdims=True))
-    p_rev = a_rev * dc.safe_recip(a_rev.sum(axis=-1, keepdims=True))
+    inv_out = dc.safe_recip(a.sum(axis=-1, keepdims=True))
+    inv_in = dc.safe_recip(a_rev.sum(axis=-1, keepdims=True))
 
     z_fwd, z_rev = x, x
     out = z_fwd @ theta[0, 0] + z_rev @ theta[0, 1]
     for k in range(1, num_steps):
-        z_fwd = p_fwd @ z_fwd
-        z_rev = p_rev @ z_rev
+        z_fwd = (a @ z_fwd) * inv_out
+        z_rev = (a_rev @ z_rev) * inv_in
         out = out + z_fwd @ theta[k, 0] + z_rev @ theta[k, 1]
     return out
 

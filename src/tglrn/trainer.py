@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import diffcore as dc
 from . import roadnet
 from .data import Scaler
-from .errors import CheckpointError, DataError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .model import ModelConfig, TGLRN
 
 __all__ = [
@@ -310,6 +310,40 @@ def checkpoint_save(path, model, extra_config=None):
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+# Value types a checkpoint header may give each ModelConfig field.
+_MODEL_TYPES = {
+    f.name: {"int": int, "float": (int, float), "bool": bool}[f.type] for f in fields(ModelConfig)
+}
+
+
+def _parse_header(header):
+    """(ModelConfig, Scaler, edges, symmetrize_hops, param specs, extra config) of a header."""
+    try:
+        m = dict(header["model"])
+        sc = header["scaler"]
+        scaler = Scaler(
+            mean=np.asarray(sc["mean"], dtype=np.float64).reshape(sc["mean_shape"]),
+            std=np.asarray(sc["std"], dtype=np.float64).reshape(sc["std_shape"]),
+            scope=sc["scope"],
+        )
+        edges = [(int(i), int(j)) for i, j in header["edges"]]
+        specs = [(str(name), [int(d) for d in shape]) for name, shape in header["params"]]
+        symmetrize = bool(header.get("symmetrize_hops", False))
+        extra = header.get("extra_config", {})
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CheckpointError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
+    unknown = sorted(set(m) - set(_MODEL_TYPES))
+    if unknown:
+        raise CheckpointError(f"corrupt checkpoint header: unknown model keys {unknown}")
+    if "num_nodes" not in m:
+        raise CheckpointError("corrupt checkpoint header: model section lacks num_nodes")
+    for key, value in m.items():
+        kind = _MODEL_TYPES[key]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise CheckpointError(f"corrupt checkpoint header: model key {key} = {value!r}")
+    return ModelConfig(**m), scaler, edges, symmetrize, specs, extra
+
+
 def checkpoint_load(path, expect_num_nodes=None):
     """Rebuild a model from a checkpoint; returns (model, extra_config)."""
     try:
@@ -331,9 +365,10 @@ def checkpoint_load(path, expect_num_nodes=None):
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
+        cfg, scaler, edges, symmetrize, specs, extra = _parse_header(header)
 
         payload = {}
-        for name, shape in header["params"]:
+        for name, shape in specs:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(8 * count)
             if len(raw) != 8 * count:
@@ -342,27 +377,16 @@ def checkpoint_load(path, expect_num_nodes=None):
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
 
-    m = header["model"]
-    if expect_num_nodes is not None and m["num_nodes"] != expect_num_nodes:
+    if expect_num_nodes is not None and cfg.num_nodes != expect_num_nodes:
         raise CheckpointError(
-            f"node count mismatch: checkpoint expects {m['num_nodes']}, data provides {expect_num_nodes}"
+            f"node count mismatch: checkpoint expects {cfg.num_nodes}, data provides {expect_num_nodes}"
         )
-    sc = header["scaler"]
-    scaler = Scaler(
-        mean=np.asarray(sc["mean"], dtype=np.float64).reshape(sc["mean_shape"]),
-        std=np.asarray(sc["std"], dtype=np.float64).reshape(sc["std_shape"]),
-        scope=sc["scope"],
-    )
-    cfg = ModelConfig(**m)
-    model = build_model(
-        cfg,
-        edges=[tuple(e) for e in header["edges"]],
-        scaler=scaler,
-        seed=0,
-        symmetrize_hops=bool(header.get("symmetrize_hops", False)),
-    )
-    model.load_state_arrays(payload)
-    return model, header.get("extra_config", {})
+    try:
+        model = build_model(cfg, edges=edges, scaler=scaler, seed=0, symmetrize_hops=symmetrize)
+        model.load_state_arrays(payload)
+    except ConfigError as e:
+        raise CheckpointError(f"checkpoint does not describe a loadable model: {e}") from None
+    return model, extra
 
 
 def build_model(cfg, edges, scaler, seed, symmetrize_hops=False):

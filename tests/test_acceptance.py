@@ -145,15 +145,15 @@ def test_criterion_3_stochastic_contracts():
     ok = True
 
     for gamma in (0.05, 0.1, 0.2, 0.3):
-        out = dg.edge_sample(Tensor(np.ones(n)), gamma, rng.uniform(size=n))
-        kept = float(np.mean(out.data != 0.0))
+        out = dg.edge_sample(np.ones(n), dg.keep_pattern(rng.uniform(size=n), gamma))
+        kept = float(np.mean(out != 0.0))
         sigma = np.sqrt(gamma * (1 - gamma) / n)
         ok &= abs(kept - gamma) < 3 * sigma
         details.append(f"keep({gamma})={kept:.4f}")
 
     for w_bar in (0.25, 0.5, 0.75):
-        p = dg.gumbel_relax(Tensor(np.full(n, w_bar)), 1.0, rng.uniform(size=n))
-        frac = float(np.mean(p.data > 0.5))
+        p = dg.gumbel_relax(np.full(n, w_bar), 1.0, dg.logistic_noise(rng.uniform(size=n)))
+        frac = float(np.mean(p > 0.5))
         sigma = np.sqrt(w_bar * (1 - w_bar) / n)
         ok &= abs(frac - w_bar) < 3 * sigma
         details.append(f"median({w_bar})={frac:.4f}")

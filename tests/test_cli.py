@@ -197,7 +197,26 @@ class TestErrors:
     def test_gamma_out_of_range_exits_2(self, capsys):
         assert run(["gradcheck", "--quick", "--set", "gamma=1.5"]) == 2
 
-    @pytest.mark.parametrize("setting", ["tau=0", "tau=-1", "batch_size=0", "levels=0"])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "tau=0",
+            "tau=-1",
+            "batch_size=0",
+            "levels=0",
+            "diff_steps=0",
+            "kernel_size=0",
+            "embed_dim=0",
+            "hop_dim=0",
+            "hidden_dim=-4",
+            "n_blocks=0",
+            "max_epochs=0",
+            "patience=-1",
+            "learning_rate=-1",
+            "learning_rate=0",
+            "learning_rate=inf",
+        ],
+    )
     def test_bad_setting_exits_2_with_one_line(self, tmp_path, capsys, setting):
         data_dir = tmp_path / "d"
         run(synth_args(data_dir))

@@ -129,73 +129,73 @@ class TestEdgeLogits:
 
 class TestNormalizeLogits:
     def test_constant_input_gives_half_weights(self):
-        w = Tensor(np.full((4, 4), 2.5))
+        w = np.full((4, 4), 2.5)
         out = dg.bernoulli_means(dg.normalize_logits(w))
-        np.testing.assert_array_equal(out.data, np.full((4, 4), 0.5))
+        np.testing.assert_array_equal(out, np.full((4, 4), 0.5))
 
     def test_closed_form_three_values(self):
-        w = Tensor(np.array([[1.0, 2.0, 3.0]]))
+        w = np.array([[1.0, 2.0, 3.0]])
         out = dg.normalize_logits(w, alpha=1.0)
         expected = np.array([[-1.224744871391589, 0.0, 1.224744871391589]])
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_moment_invariant(self, alpha):
         rng = np.random.default_rng(3)
-        w = Tensor(rng.standard_normal((2, 6, 6)) * 7.0 + 3.0)
-        out = dg.normalize_logits(w, alpha=alpha).data
+        w = rng.standard_normal((2, 6, 6)) * 7.0 + 3.0
+        out = dg.normalize_logits(w, alpha=alpha)
         for b in range(2):
             assert abs(out[b].mean()) < 1e-9
             assert abs(out[b].std() - alpha) < 1e-9
 
     def test_clamped_range(self):
-        w = Tensor(np.array([[-1e6, 1e6], [0.0, 0.0]]))
+        w = np.array([[-1e6, 1e6], [0.0, 0.0]])
         out = dg.bernoulli_means(dg.normalize_logits(w))
-        assert out.data.min() >= dg.OMEGA_CLAMP
-        assert out.data.max() <= 1.0 - dg.OMEGA_CLAMP
+        assert out.min() >= dg.OMEGA_CLAMP
+        assert out.max() <= 1.0 - dg.OMEGA_CLAMP
 
 
 class TestGumbelRelax:
     def test_neutral_point(self):
-        p = dg.gumbel_relax(Tensor(np.array(0.5)), 1.0, np.array(0.5))
+        p = dg.gumbel_relax(np.array(0.5), 1.0, dg.logistic_noise(np.array(0.5)))
         assert p.item() == 0.5
 
     def test_median_property(self):
         rng = np.random.default_rng(11)
         n = 100_000
         for w_bar in (0.3, 0.62):
-            p = dg.gumbel_relax(Tensor(np.full(n, w_bar)), 1.0, rng.uniform(size=n))
-            frac = float(np.mean(p.data > 0.5))
+            p = dg.gumbel_relax(np.full(n, w_bar), 1.0, dg.logistic_noise(rng.uniform(size=n)))
+            frac = float(np.mean(p > 0.5))
             sigma = np.sqrt(w_bar * (1 - w_bar) / n)
             assert abs(frac - w_bar) < 3 * sigma, (w_bar, frac)
 
     def test_low_temperature_concentrates(self):
         rng = np.random.default_rng(12)
         n = 50_000
-        p = dg.gumbel_relax(Tensor(np.full(n, 0.4)), 0.01, rng.uniform(size=n))
-        near_edges = np.mean((p.data < 0.01) | (p.data > 0.99))
+        p = dg.gumbel_relax(np.full(n, 0.4), 0.01, dg.logistic_noise(rng.uniform(size=n)))
+        near_edges = np.mean((p < 0.01) | (p > 0.99))
         assert near_edges > 0.95
 
 
 class TestEdgeSample:
     def test_keep_all(self):
         rng = np.random.default_rng(0)
-        p = Tensor(rng.uniform(size=(5, 5)))
-        out = dg.edge_sample(p, 1.0, rng.uniform(size=(5, 5)))
-        np.testing.assert_array_equal(out.data, p.data)
+        p = rng.uniform(size=(5, 5))
+        out = dg.edge_sample(p, dg.keep_pattern(rng.uniform(size=(5, 5)), 1.0))
+        np.testing.assert_array_equal(out, p)
 
     def test_drop_all(self):
         rng = np.random.default_rng(1)
-        p = Tensor(rng.uniform(size=(5, 5)))
-        out = dg.edge_sample(p, 0.0, rng.uniform(size=(5, 5)))
-        np.testing.assert_array_equal(out.data, np.zeros((5, 5)))
+        p = rng.uniform(size=(5, 5))
+        out = dg.edge_sample(p, dg.keep_pattern(rng.uniform(size=(5, 5)), 0.0))
+        np.testing.assert_array_equal(out, np.zeros((5, 5)))
 
     def test_keep_rate_forty_percent(self):
         rng = np.random.default_rng(2)
         n = 100_000
-        p = Tensor(np.ones(n))
-        out = dg.edge_sample(p, 0.4, rng.uniform(size=n))
-        kept = float(np.mean(out.data != 0.0))
+        p = np.ones(n)
+        out = dg.edge_sample(p, dg.keep_pattern(rng.uniform(size=n), 0.4))
+        kept = float(np.mean(out != 0.0))
         assert abs(kept - 0.4) < 0.005
 
 
@@ -243,37 +243,42 @@ class TestHopSelector:
         assert set(np.unique(mix.data)) <= {0.0, 1.0}
 
 
+def hop_masked(a, hop_choices, group):
+    """Row i of ``a`` masked by the reachability row of its 1-based hop radius, as build masks it."""
+    return a * dg._rows_from_choices(group.stacked(), np.asarray(hop_choices) - 1)
+
+
 class TestPrune:
     def test_saturated_group_keeps_reachable(self):
         group = chain_group(4, 4)
         a = np.random.default_rng(0).uniform(size=(4, 4))
-        out = dg.prune(Tensor(a), np.full(4, 4), group)
+        out = hop_masked(a, np.full(4, 4), group)
         reach = group.masks[-1]
-        np.testing.assert_array_equal(out.data, a * reach)
+        np.testing.assert_array_equal(out, a * reach)
 
     def test_radius_one_keeps_consecutive_and_self(self):
         group = chain_group(5, 3)
         a = np.ones((5, 5))
-        out = dg.prune(Tensor(a), np.ones(5, dtype=int), group)
-        np.testing.assert_array_equal(out.data, group.masks[0])
+        out = hop_masked(a, np.ones(5, dtype=int), group)
+        np.testing.assert_array_equal(out, group.masks[0])
 
     def test_mixed_radii_match_bfs_ball_oracle(self):
         n = 5
         group = chain_group(n, 3)
         hops = np.array([1, 2, 1, 3, 2])
         a = np.ones((n, n))
-        out = dg.prune(Tensor(a), hops, group)
+        out = hop_masked(a, hops, group)
         for i in range(n):
             ball = np.zeros(n)
             for j in range(n):
                 dist = j - i  # directed chain distance
                 ball[j] = 1.0 if 0 <= dist <= hops[i] else 0.0
-            np.testing.assert_array_equal(out.data[i], ball)
+            np.testing.assert_array_equal(out[i], ball)
 
     def test_bad_radius_rejected(self):
         group = chain_group(4, 2)
         with pytest.raises(Exception):
-            dg.prune(Tensor(np.ones((4, 4))), np.array([0, 1, 1, 1]), group)
+            hop_masked(np.ones((4, 4)), np.array([0, 1, 1, 1]), group)
 
 
 def build_block(n=4, t_in=3, levels=2, gamma=0.5, seed=0, edges=None):
@@ -377,3 +382,188 @@ class TestGradientFlow:
         assert np.any(block.chain_ed.e_init.grad != 0.0)
         # straight-through path: analytic gradient reaches the hop chain too
         assert np.any(block.chain_h.e_init.grad != 0.0)
+
+
+# -- Tensor-level oracle: the edge pipeline as one diffcore op per stage ----------
+
+
+def oracle_normalize_logits(w, alpha):
+    mu = w.mean(axis=(-2, -1), keepdims=True)
+    var = ((w - mu) ** 2).mean(axis=(-2, -1), keepdims=True)
+    spread = w.data.max(axis=(-2, -1), keepdims=True) - w.data.min(axis=(-2, -1), keepdims=True)
+    live = (spread > 0).astype(np.float64)
+    return (w - mu) * dc.rsqrt_or_zero(var) * (alpha * live)
+
+
+def oracle_bernoulli_means(w_hat):
+    return w_hat.sigmoid().clamp(dg.OMEGA_CLAMP, 1.0 - dg.OMEGA_CLAMP)
+
+
+def oracle_gumbel_relax(w_bar, tau, delta):
+    delta = np.clip(delta, 1e-12, 1.0 - 1e-12)
+    noise = np.log(delta) - np.log1p(-delta)
+    logits = w_bar.log() - (1.0 - w_bar).log()
+    return ((logits + noise) * (1.0 / tau)).sigmoid()
+
+
+def oracle_edge_sample(p, gamma, rho):
+    keep = (np.maximum(rho, 1e-300) <= gamma).astype(np.float64)
+    return p * keep
+
+
+def oracle_edge_op(w, mask, alpha, tau, delta=None, gamma=None, rho=None):
+    p = oracle_bernoulli_means(oracle_normalize_logits(w, alpha))
+    if delta is not None:
+        p = oracle_gumbel_relax(p, tau, delta)
+    if rho is not None:
+        p = oracle_edge_sample(p, gamma, rho)
+    return p * mask
+
+
+def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="hard"):
+    """GraphConstruction.build with every edge stage its own tape node, in the same draw order."""
+    training = mode == "train"
+    if sample_edges is None:
+        sample_edges = training
+    emb_st = block.chain_st.run(window)
+    emb_ed = block.chain_ed.run(window)
+    emb_h = block.chain_h.run(window)
+    b, n = window.shape[0], block.num_nodes
+    adjacencies, hops = [], []
+    for j in range(block.t_in):
+        e_st = dg.gate(emb_st[j], block.base_st[j], block.gate_st)
+        e_ed = dg.gate(emb_ed[j], block.base_ed[j], block.gate_ed)
+        w = dg.edge_logits(e_st, e_ed, block.edge_w, block.edge_b)
+        delta = rng.uniform(size=(b, n, n)) if training else None
+        rho = rng.uniform(size=(b, n, n)) if sample_edges else None
+        probs = dg.hop_probs(emb_h[j], block.hop_l1, block.hop_l2)
+        if training:
+            h, mixing = dg.select_hops(probs, block.tau, "train", rng, straight_through=hop_mode == "hard")
+            mask = dc.einsum2("bnl,lnj->bnj", mixing, Tensor(block.masks))
+        else:
+            h, _ = dg.select_hops(probs, block.tau, "eval")
+            mask = Tensor(dg._rows_from_choices(block.masks, h))
+        adjacencies.append(oracle_edge_op(w, mask, block.alpha, block.tau, delta, block.gamma, rho))
+        hops.append(h + 1)
+    return adjacencies, np.stack(hops, axis=1)
+
+
+def grads_after(block, adjacencies, weights):
+    for _, p in block.params():
+        p.zero_grad()
+    total = None
+    for adj, r in zip(adjacencies, weights):
+        term = (adj * Tensor(r)).sum()
+        total = term if total is None else total + term
+    total.backward()
+    return {name: p.grad.copy() for name, p in block.params()}
+
+
+def assert_grads_close(got, want, rtol=1e-12):
+    """Within rtol of each gradient's largest entry; edge_b's true gradient is 0, so absolute."""
+    for name, g in want.items():
+        scale = 1.0 if name == "edge_b" else max(np.abs(g).max(), 1e-300)
+        err = np.abs(got[name] - g).max() / scale
+        assert err <= rtol, (name, err)
+
+
+class TestEdgeOp:
+    @pytest.mark.parametrize(
+        "mode, sample_edges, hop_mode",
+        [
+            ("train", None, "hard"),
+            ("train", None, "soft"),
+            ("train", False, "hard"),
+            ("eval", None, "hard"),
+            ("eval", True, "hard"),
+        ],
+    )
+    def test_build_matches_per_op_oracle(self, mode, sample_edges, hop_mode):
+        block = build_block(n=5, t_in=4, levels=3, gamma=0.6, seed=11)
+        data = np.random.default_rng(12)
+        window = Tensor(data.standard_normal((3, 4, 5, 1)))
+        weights = [data.standard_normal((3, 5, 5)) for _ in range(4)]
+        stochastic = mode == "train" or sample_edges
+        seq = block.build(
+            window,
+            mode,
+            rng=np.random.default_rng(13) if stochastic else None,
+            sample_edges=sample_edges,
+            hop_mode=hop_mode,
+        )
+        got = grads_after(block, seq.adjacencies, weights)
+        adjs, hops = oracle_build(
+            block,
+            window,
+            mode,
+            rng=np.random.default_rng(13) if stochastic else None,
+            sample_edges=sample_edges,
+            hop_mode=hop_mode,
+        )
+        np.testing.assert_array_equal(seq.hop_choices, hops)
+        for a, o in zip(seq.adjacencies, adjs):
+            np.testing.assert_array_equal(a.data, o.data)
+        assert_grads_close(got, grads_after(block, adjs, weights))
+
+    def test_degenerate_and_saturated_steps_match_oracle(self):
+        rng = np.random.default_rng(14)
+        w_vals = rng.standard_normal((3, 4, 4))
+        w_vals[1] = 0.7  # constant step: normalization maps it to 0
+        mask_vals = rng.uniform(size=(3, 4, 4))
+        delta = rng.uniform(size=(3, 4, 4))
+        rho = rng.uniform(size=(3, 4, 4))
+        r = rng.standard_normal((3, 4, 4))
+        # alpha = 20 pushes the sigmoid past the clamp on the outer logits
+        for alpha in (1.0, 20.0):
+            results = []
+            for fused in (True, False):
+                w, mask = Parameter(w_vals.copy()), Parameter(mask_vals.copy())
+                if fused:
+                    out = dg.edge_op(w, mask, alpha, 0.5, dg.logistic_noise(delta), dg.keep_pattern(rho, 0.7))
+                else:
+                    out = oracle_edge_op(w, mask, alpha, 0.5, delta, 0.7, rho)
+                (out * Tensor(r)).sum().backward()
+                results.append((out.data, {"w": w.grad, "mask": mask.grad}))
+            (out_f, g_f), (out_o, g_o) = results
+            np.testing.assert_array_equal(out_f, out_o)
+            assert_grads_close(g_f, g_o)
+            assert np.all(g_f["w"][1] == 0.0)
+
+    @pytest.mark.parametrize("relax, thin", [(True, True), (False, False), (False, True)])
+    def test_gradients_match_finite_differences(self, relax, thin):
+        rng = np.random.default_rng(15)
+        w = Parameter(rng.standard_normal((2, 4, 4)), "w")
+        mask = Parameter(rng.uniform(size=(2, 4, 4)), "mask")
+        noise = dg.logistic_noise(rng.uniform(size=(2, 4, 4))) if relax else None
+        keep = dg.keep_pattern(rng.uniform(size=(2, 4, 4)), 0.6) if thin else None
+        r = rng.standard_normal((2, 4, 4))
+        reports = finite_diff_check(
+            lambda: (dg.edge_op(w, mask, 1.5, 0.7, noise, keep) * Tensor(r)).sum(),
+            [("w", w), ("mask", mask)],
+        )
+        assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
+
+    def test_keeps_thinning_pattern_as_bool(self):
+        keep = dg.keep_pattern(np.random.default_rng(16).uniform(size=(2, 3, 3)), 0.5)
+        assert keep.dtype == np.bool_
+
+
+# Tensors of shape (..., N, N) that one train-mode build step may leave on the tape:
+# the edge logits before and after the bias, the hop mask, and the adjacency.
+NN_ARRAYS_PER_STEP = 4
+
+
+def test_train_build_tape_holds_few_nn_arrays_per_step():
+    n, t_in = 6, 3
+    block = build_block(n=n, t_in=t_in, levels=2, gamma=0.5, seed=17)
+    window = Tensor(np.random.default_rng(18).standard_normal((2, t_in, n, 1)))
+    seq = block.build(window, "train", rng=np.random.default_rng(19))
+    seen, stack = {}, list(seq.adjacencies)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    square = [t for t in seen.values() if t.ndim >= 2 and t.shape[-2:] == (n, n)]
+    # the (L, N, N) reachability masks are one shared constant per build
+    assert len(square) <= NN_ARRAYS_PER_STEP * t_in + 1, len(square)

@@ -81,6 +81,74 @@ class TestDiffusionConv:
         np.testing.assert_array_equal(out.data, np.full((3, 2), 4.0))
 
 
+def transition_diffusion(x, a, theta, k_steps):
+    """Tensor-level oracle: form both transition matrices, then take their powers."""
+    a_rev = dc.swap_last2(a)
+    p_fwd = a * dc.safe_recip(a.sum(axis=-1, keepdims=True))
+    p_rev = a_rev * dc.safe_recip(a_rev.sum(axis=-1, keepdims=True))
+    z_fwd, z_rev = x, x
+    out = x @ theta[0, 0] + x @ theta[0, 1]
+    for k in range(1, k_steps):
+        z_fwd = p_fwd @ z_fwd
+        z_rev = p_rev @ z_rev
+        out = out + z_fwd @ theta[k, 0] + z_rev @ theta[k, 1]
+    return out
+
+
+def zero_degree_adjacency(rng, n):
+    """Random weights with node 1 lacking out-edges and node 3 lacking in-edges."""
+    keep = np.ones((n, n))
+    keep[1, :] = 0.0
+    keep[:, 3] = 0.0
+    return rng.uniform(size=(2, n, n)) * keep, keep
+
+
+class TestDiffusionWithoutTransitions:
+    def test_matches_transition_oracle_with_zero_degrees(self):
+        rng = np.random.default_rng(20)
+        a_vals, _ = zero_degree_adjacency(rng, 5)
+        x_vals = rng.standard_normal((2, 5, 3))
+        theta_vals = rng.standard_normal((3, 2, 3, 3))
+        r = rng.standard_normal((2, 5, 3))
+        results = []
+        for fn in (stnet.diffusion_conv, transition_diffusion):
+            x, a, theta = Parameter(x_vals.copy()), Parameter(a_vals.copy()), Parameter(theta_vals.copy())
+            out = fn(x, a, theta, 3)
+            (out * Tensor(r)).sum().backward()
+            results.append((out.data, [x.grad, a.grad, theta.grad]))
+        (got, got_g), (want, want_g) = results
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        for g, w in zip(got_g, want_g):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+    def test_gradients_with_zero_degree_rows(self):
+        rng = np.random.default_rng(21)
+        _, keep = zero_degree_adjacency(rng, 5)
+        x = Parameter(rng.standard_normal((2, 5, 3)), "x")
+        a_raw = Parameter(rng.standard_normal((2, 5, 5)), "a_raw")
+        theta = Parameter(rng.standard_normal((3, 2, 3, 3)) * 0.4, "theta")
+        r = rng.standard_normal((2, 5, 3))
+        reports = finite_diff_check(
+            lambda: (stnet.diffusion_conv(x, a_raw.sigmoid() * Tensor(keep), theta, 3) * Tensor(r)).sum(),
+            [("x", x), ("a_raw", a_raw), ("theta", theta)],
+        )
+        assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
+
+    def test_tape_holds_no_nn_product(self):
+        rng = np.random.default_rng(22)
+        n = 6
+        a = Parameter(rng.uniform(size=(2, n, n)))
+        out = stnet.diffusion_conv(Tensor(rng.standard_normal((2, n, 4))), a, Parameter(np.ones((3, 2, 4, 4))), 3)
+        seen, stack = {}, [out]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen[id(t)] = t
+                stack.extend(t._parents)
+        square = [t for t in seen.values() if t.shape[-2:] == (n, n) and not np.shares_memory(t.data, a.data)]
+        assert square == []
+
+
 class TestSpl:
     def test_zero_filter_is_residual_relu(self):
         rng = np.random.default_rng(2)

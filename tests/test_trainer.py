@@ -1,5 +1,7 @@
 """Training loop, metrics, baseline, and checkpoint contracts."""
 
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -297,3 +299,46 @@ class TestCheckpoint:
         trainer.checkpoint_save(path, model)
         with pytest.raises(CheckpointError, match="6.*170"):
             trainer.checkpoint_load(path, expect_num_nodes=170)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: h["model"].update(bogus_key=1),
+            lambda h: h["model"].update(embed_dim="wide"),
+            lambda h: h["model"].update(embed_dim=0),
+            lambda h: h["model"].pop("num_nodes"),
+            lambda h: h.pop("params"),
+            lambda h: h.pop("scaler"),
+            lambda h: h["scaler"].pop("std_shape"),
+            lambda h: h["params"].__setitem__(0, 5),
+            lambda h: h["params"].__setitem__(0, ["graph.chain_st.e_init", "not a shape"]),
+            lambda h: h["params"].__setitem__(0, ["nonexistent", h["params"][0][1]]),
+            lambda h: h["edges"].append("x"),
+        ],
+        ids=[
+            "unknown_model_key",
+            "model_value_type",
+            "model_zero_width",
+            "missing_num_nodes",
+            "missing_params",
+            "missing_scaler",
+            "scaler_without_shape",
+            "params_entry_not_list",
+            "params_shape_not_ints",
+            "params_name_unknown",
+            "edge_not_pair",
+        ],
+    )
+    def test_mutated_header_rejected(self, tmp_path, mutate):
+        model, _, _, _ = quick_setup()
+        path = tmp_path / "m.ckpt"
+        trainer.checkpoint_save(path, model)
+        blob = path.read_bytes()
+        magic = len(trainer.CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<I", blob[magic : magic + 4])
+        header = json.loads(blob[magic + 4 : magic + 4 + hlen])
+        mutate(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:magic] + struct.pack("<I", len(new)) + new + blob[magic + 4 + hlen :])
+        with pytest.raises(CheckpointError):
+            trainer.checkpoint_load(path)
