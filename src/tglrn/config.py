@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
-__all__ = ["RunConfig", "load_config", "config_text", "DEFAULT_HELP"]
+__all__ = ["RunConfig", "load_config", "config_text", "check_model_ranges", "DEFAULT_HELP"]
 
 
 @dataclass
@@ -194,8 +194,31 @@ _AT_LEAST_ONE = (
     "max_epochs",
     "synth_steps",
     "synth_period",
+    "synth_regime_period",
     "inspect_windows",
 )
+
+
+# Synthetic-generator coefficients that must be finite and non-negative.
+_SYNTH_COEFFICIENTS = (
+    "synth_noise_std",
+    "synth_coupling_a",
+    "synth_coupling_b",
+    "synth_amplitude",
+    "synth_offset",
+)
+
+
+def check_model_ranges(cfg):
+    """Range checks on the float model settings; ``RunConfig`` and ``ModelConfig`` both run them."""
+    if not 0.0 <= cfg.gamma <= 1.0:
+        raise ConfigError(f"gamma must lie in [0, 1], got {cfg.gamma}")
+    if not 0.0 <= cfg.dropout_rate < 1.0:
+        raise ConfigError(f"dropout_rate must lie in [0, 1), got {cfg.dropout_rate}")
+    if not 0.0 < cfg.tau < float("inf"):
+        raise ConfigError(f"tau must be positive and finite, got {cfg.tau}")
+    if not 0.0 < cfg.alpha < float("inf"):
+        raise ConfigError(f"alpha must be positive and finite, got {cfg.alpha}")
 
 
 def _validate(cfg):
@@ -204,14 +227,14 @@ def _validate(cfg):
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
     if cfg.patience < 0:
         raise ConfigError(f"patience must be at least 0, got {cfg.patience}")
-    if not 0.0 <= cfg.gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in [0, 1], got {cfg.gamma}")
-    if not 0.0 <= cfg.dropout_rate < 1.0:
-        raise ConfigError(f"dropout_rate must lie in [0, 1), got {cfg.dropout_rate}")
-    if not cfg.tau > 0.0:
-        raise ConfigError(f"tau must be positive, got {cfg.tau}")
+    check_model_ranges(cfg)
     if not 0.0 < cfg.learning_rate < float("inf"):
         raise ConfigError(f"learning_rate must be positive and finite, got {cfg.learning_rate}")
+    if not 0.0 <= cfg.mape_threshold < float("inf"):
+        raise ConfigError(f"mape_threshold must be non-negative and finite, got {cfg.mape_threshold}")
+    for key in _SYNTH_COEFFICIENTS:
+        if not 0.0 <= getattr(cfg, key) < float("inf"):
+            raise ConfigError(f"{key} must be non-negative and finite, got {getattr(cfg, key)}")
     if cfg.scaler_scope not in ("per_sensor", "global"):
         raise ConfigError(f"scaler_scope must be per_sensor or global, got {cfg.scaler_scope!r}")
     total = cfg.train_frac + cfg.val_frac + cfg.test_frac

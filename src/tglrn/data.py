@@ -4,12 +4,14 @@ Flow files are CSVs with one time step per row (optional leading ``t``
 index column). Missing or zero sentinel cells are linearly interpolated
 per sensor. Windows slide with stride 1 and are split chronologically
 by the index of their last target step, so no window assigned to an
-earlier split ever reads values from a later split's targets.
+earlier split ever reads values from a later split's targets. Each
+split's windows are read-only strided views of the series.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -65,7 +67,7 @@ class Scaler:
 
 @dataclass
 class WindowedDataset:
-    """Stacked (input, target) windows in raw units for one split."""
+    """(input, target) windows in raw units for one split."""
 
     inputs: np.ndarray  # (M, T_in, N, F)
     targets: np.ndarray  # (M, T_out, N, F)
@@ -118,34 +120,28 @@ def _interpolate_missing(values):
 
 
 def load_flows(path, num_nodes, impute=True):
-    """Parse a flow CSV into a FlowSeries of shape (T, N, 1)."""
-    rows = []
+    """Parse a flow CSV into a FlowSeries of shape (T, N, 1).
+
+    Blank and all-empty rows are skipped, a first line whose first cell
+    is not a number is a header, and empty cells are NaN. Numbers go
+    through numpy's C parser; a ragged row or a non-numeric cell raises
+    DataError naming its line (cells may be quoted, but not span lines).
+    """
     try:
-        fh = open(path, newline="")
-    except OSError as e:
+        with open(path) as fh:  # universal newlines: \r\n and \r end a row, as for the csv module
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"load_flows: cannot open {path}: {e}") from None
-    with fh:
-        reader = csv.reader(fh)
-        width = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            head = row[0].strip()
-            if lineno == 1 and not _is_number(head):
-                width = len(row)
-                continue
-            if width is None:
-                width = len(row)
-            if len(row) != width:
-                raise DataError(f"load_flows: line {lineno}: ragged row ({len(row)} vs {width} columns)")
-            try:
-                vals = [float(c) if c.strip() else np.nan for c in row]
-            except ValueError:
-                raise DataError(f"load_flows: line {lineno}: non-numeric cell") from None
-            rows.append(vals)
+    width, rows, linenos = _data_rows(lines)
     if not rows:
         raise DataError(f"load_flows: {path} holds no data rows")
-    arr = np.asarray(rows, dtype=np.float64)
+    try:
+        arr = np.loadtxt(rows, dtype=np.float64, **_LOADTXT)
+    except ValueError as e:
+        _raise_first_bad_row(rows, linenos, width)
+        raise DataError(f"load_flows: {e}") from None
+    if width is not None and arr.shape[1] != width:
+        raise DataError(f"load_flows: line {linenos[0]}: ragged row ({arr.shape[1]} vs {width} columns)")
     if arr.shape[1] == num_nodes + 1:
         arr = arr[:, 1:]  # leading time-index column
     if arr.shape[1] != num_nodes:
@@ -156,6 +152,63 @@ def load_flows(path, num_nodes, impute=True):
     if impute:
         values = _interpolate_missing(values)
     return FlowSeries(values=values)
+
+
+_LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+# A whitespace-only cell: preceded by a comma or the line start, followed by a comma or the line end.
+_EMPTY_CELL = re.compile(r"(?<![^,])\s*(?![^,])")
+
+
+def _data_rows(lines):
+    """(header width or None, data rows ready for np.loadtxt, their file line numbers).
+
+    One cheap pass per line: rows with a quote go through the csv module
+    and come back canonical; in the others, only lines that can hold an
+    empty cell are searched for one, which becomes ``nan``.
+    """
+    width, rows, linenos = None, [], []
+    for lineno, line in enumerate(lines, start=1):
+        if '"' in line:
+            cells = next(csv.reader([line]))
+            if not any(cell.strip() for cell in cells):
+                continue
+            head, n_cells = cells[0], len(cells)
+            line = ",".join(map(_canonical_cell, cells))
+        else:
+            first = line[:1]
+            if (not first or first == "," or first.isspace()) and not line.replace(",", "").strip():
+                continue
+            if lineno == 1:
+                head, n_cells = line.split(",", 1)[0], line.count(",") + 1
+            if ",," in line or first == "," or line[-1] == "," or line.split() != [line]:
+                line = _EMPTY_CELL.sub("nan", line)
+        if lineno == 1 and not _is_number(head.strip()):
+            width = n_cells
+            continue
+        rows.append(line)
+        linenos.append(lineno)
+    return width, rows, linenos
+
+
+def _canonical_cell(cell):
+    if not cell.strip():
+        return "nan"
+    if "," in cell or '"' in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _raise_first_bad_row(rows, linenos, width):
+    """Name the first row the bulk parse rejected; runs only after it raised."""
+    for row, lineno in zip(rows, linenos):
+        n_cells = len(next(csv.reader([row])))
+        width = width or n_cells
+        if n_cells != width:
+            raise DataError(f"load_flows: line {lineno}: ragged row ({n_cells} vs {width} columns)")
+        try:
+            np.loadtxt([row], **_LOADTXT)
+        except ValueError:
+            raise DataError(f"load_flows: line {lineno}: non-numeric cell") from None
 
 
 def _is_number(s):
@@ -196,32 +249,29 @@ def make_windows(series, t_in=12, t_out=12, ratios=(0.6, 0.2, 0.2)):
     A window starting at s consumes inputs [s, s+t_in) and targets
     [s+t_in, s+t_in+t_out); it belongs to the split containing its final
     target index. Total window count is T_total - (t_in + t_out) + 1.
+    Each split's inputs and targets are read-only strided views of
+    ``series.values``: no window is copied, and indexing a batch out of
+    them yields a contiguous copy.
     """
     values = series.values
     t_total = values.shape[0]
-    if t_total < t_in + t_out:
-        raise DataError(f"make_windows: series length {t_total} < t_in + t_out = {t_in + t_out}")
+    width = t_in + t_out
+    if t_total < width:
+        raise DataError(f"make_windows: series length {t_total} < t_in + t_out = {width}")
     b1, b2 = split_boundaries(t_total, ratios)
 
-    buckets = {"train": [], "val": [], "test": []}
-    n_starts = t_total - (t_in + t_out) + 1
-    for s in range(n_starts):
-        end = s + t_in + t_out - 1
-        split = "train" if end < b1 else ("val" if end < b2 else "test")
-        buckets[split].append(s)
-
+    # (windows, N, F, width) -> (windows, width, N, F); window s ends at s + width - 1
+    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(values, width, axis=0), -1, 1)
+    cuts = np.searchsorted(np.arange(width - 1, t_total), (0, b1, b2, t_total))
     out = []
-    for split in ("train", "val", "test"):
-        starts = np.asarray(buckets[split], dtype=np.int64)
-        if starts.size:
-            inputs = np.stack([values[s : s + t_in] for s in starts])
-            targets = np.stack([values[s + t_in : s + t_in + t_out] for s in starts])
-        else:
-            n, f = values.shape[1], values.shape[2]
-            inputs = np.zeros((0, t_in, n, f))
-            targets = np.zeros((0, t_out, n, f))
+    for split, lo, hi in zip(("train", "val", "test"), cuts[:-1], cuts[1:]):
         out.append(
-            WindowedDataset(inputs=inputs, targets=targets, anchors=starts + t_in - 1, split=split)
+            WindowedDataset(
+                inputs=windows[lo:hi, :t_in],
+                targets=windows[lo:hi, t_in:],
+                anchors=np.arange(lo, hi, dtype=np.int64) + (t_in - 1),
+                split=split,
+            )
         )
     return tuple(out)
 

@@ -41,7 +41,6 @@ __all__ = [
     "einsum2",
     "softmax",
     "safe_recip",
-    "rsqrt_or_zero",
     "rsqrt_or_zero_array",
     "sigmoid",
     "sigmoid_array",
@@ -599,20 +598,9 @@ def safe_recip(x):
 
 
 def rsqrt_or_zero_array(x, threshold=0.0):
-    """Forward of :func:`rsqrt_or_zero` on a plain array."""
+    """x**-0.5 where x > threshold, 0 elsewhere."""
     live = x > threshold
     return np.where(live, 1.0 / np.sqrt(np.where(live, x, 1.0)), 0.0)
-
-
-def rsqrt_or_zero(x, threshold=0.0):
-    """x**-0.5 where x > threshold, 0 elsewhere (gradient 0 on the zero branch)."""
-    a = _ensure_tensor(x)
-    out_data = rsqrt_or_zero_array(a.data, threshold)
-
-    def bwd(g):
-        a._acc(-0.5 * g * out_data ** 3)
-
-    return Tensor._from_op(out_data, (a,), bwd)
 
 
 class Linear:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import diffcore as dc
+from .config import check_model_ranges
 from .diffcore import Linear, Parameter, Tensor
 from .dyngraph import GraphConstruction
 from .errors import ConfigError
@@ -49,6 +50,7 @@ class ModelConfig:
             value = getattr(self, f.name)
             if f.type == "int" and value < 1:
                 raise ConfigError(f"{f.name} must be at least 1, got {value}")
+        check_model_ranges(self)
         if self.in_features >= self.hidden_dim:
             raise ConfigError("input layer must lift features into a wider space")
         block_schedule(self.t_in, self.n_blocks, self.kernel_size)

@@ -1,6 +1,8 @@
 """Operator-surface checks: commands, artifacts, exit codes, config round-trip."""
 
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -141,6 +143,33 @@ class TestTrainEval:
         assert lines[0] == "t,horizon,sensor,value"
         assert len(lines) > 1
 
+    def test_eval_rejects_out_of_range_checkpoint_alpha(self, trained, tmp_path, capsys):
+        from tglrn.trainer import CHECKPOINT_MAGIC
+
+        data_dir, out = trained
+        blob = (out / "model.ckpt").read_bytes()
+        m = len(CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<I", blob[m : m + 4])
+        header = json.loads(blob[m + 4 : m + 4 + hlen])
+        header["model"]["alpha"] = -1.0
+        new = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:m] + struct.pack("<I", len(new)) + new + blob[m + 4 + hlen :])
+        args = ["eval"]
+        for s in (
+            f"edges_path={data_dir}/edges.csv",
+            f"flows_path={data_dir}/flow.csv",
+            "num_nodes=8",
+            f"checkpoint_path={bad}",
+            f"out_dir={tmp_path}/evalout",
+        ):
+            args += ["--set", s]
+        capsys.readouterr()
+        assert run(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:3:") and len(err.splitlines()) == 1, err
+        assert "alpha" in err and "Traceback" not in err
+
     def test_inspect_graph_dumps(self, trained, tmp_path):
         data_dir, out = trained
         ins_out = tmp_path / "insout"
@@ -202,6 +231,7 @@ class TestErrors:
         [
             "tau=0",
             "tau=-1",
+            "tau=inf",
             "batch_size=0",
             "levels=0",
             "diff_steps=0",
@@ -215,6 +245,17 @@ class TestErrors:
             "learning_rate=-1",
             "learning_rate=0",
             "learning_rate=inf",
+            "alpha=nan",
+            "alpha=-1",
+            "alpha=0",
+            "alpha=inf",
+            "mape_threshold=nan",
+            "mape_threshold=-1",
+            "synth_noise_std=-1",
+            "synth_amplitude=inf",
+            "synth_offset=nan",
+            "synth_coupling_a=-inf",
+            "synth_regime_period=0",
         ],
     )
     def test_bad_setting_exits_2_with_one_line(self, tmp_path, capsys, setting):

@@ -1,12 +1,144 @@
 """Ingestion, scaling, windowing, and synthetic-generator contracts."""
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglrn import data as dmod
 from tglrn.errors import DataError
+
+
+def oracle_load_flows(path, num_nodes, impute=True):
+    """The csv-module parser: one ``float()`` per cell."""
+    rows = []
+    with open(path, newline="") as fh:
+        width = None
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or not any(cell.strip() for cell in row):
+                continue
+            if lineno == 1 and not dmod._is_number(row[0].strip()):
+                width = len(row)
+                continue
+            if width is None:
+                width = len(row)
+            if len(row) != width:
+                raise DataError(f"load_flows: line {lineno}: ragged row ({len(row)} vs {width} columns)")
+            try:
+                vals = [float(c) if c.strip() else np.nan for c in row]
+            except ValueError:
+                raise DataError(f"load_flows: line {lineno}: non-numeric cell") from None
+            rows.append(vals)
+    if not rows:
+        raise DataError(f"load_flows: {path} holds no data rows")
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.shape[1] == num_nodes + 1:
+        arr = arr[:, 1:]
+    if arr.shape[1] != num_nodes:
+        raise DataError(
+            f"load_flows: expected {num_nodes} sensor columns (+1 optional index), got {arr.shape[1]}"
+        )
+    values = arr[:, :, None]
+    if impute:
+        values = dmod._interpolate_missing(values)
+    return dmod.FlowSeries(values=values)
+
+
+def oracle_make_windows(series, t_in, t_out, ratios=(0.6, 0.2, 0.2)):
+    """Per-start split loop and ``np.stack`` copies."""
+    values = series.values
+    t_total = values.shape[0]
+    if t_total < t_in + t_out:
+        raise DataError("too short")
+    b1, b2 = dmod.split_boundaries(t_total, ratios)
+    buckets = {"train": [], "val": [], "test": []}
+    for s in range(t_total - (t_in + t_out) + 1):
+        end = s + t_in + t_out - 1
+        buckets["train" if end < b1 else ("val" if end < b2 else "test")].append(s)
+    out = []
+    for split in ("train", "val", "test"):
+        starts = np.asarray(buckets[split], dtype=np.int64)
+        if starts.size:
+            inputs = np.stack([values[s : s + t_in] for s in starts])
+            targets = np.stack([values[s + t_in : s + t_in + t_out] for s in starts])
+        else:
+            inputs = np.zeros((0, t_in) + values.shape[1:])
+            targets = np.zeros((0, t_out) + values.shape[1:])
+        out.append(dmod.WindowedDataset(inputs, targets, starts + t_in - 1, split))
+    return tuple(out)
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, width=64).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "-0", "+1.5", ".5", "5.", "1e3", "1E-3", "0"]),
+)
+BAD_CELLS = ["x", '"1,5"', "1.2.3", "#3", "1e", '"1""5"', "0x10", "nan nan"]
+SPARE_LINES = ["", ",", " , ", ",,,", '""', '"",""', "\t"]
+
+
+@st.composite
+def flow_cell(draw):
+    number = draw(NUMBER_TEXT)
+    pad = draw(st.sampled_from([" ", "\t", "  "]))
+    kind = draw(st.sampled_from(["plain"] * 4 + ["empty", "blank", "padded", "quoted", "quoted_empty"]))
+    return {
+        "plain": number,
+        "empty": "",
+        "blank": pad,
+        "padded": pad + number + pad[::-1],
+        "quoted": f'"{number}"',
+        "quoted_empty": '""',
+    }[kind]
+
+
+@st.composite
+def flow_files(draw):
+    """(CSV text, num_nodes): header or none, index column or none, blank and
+    all-empty lines, empty/padded/quoted cells, LF or CRLF, maybe one bad row."""
+    n = draw(st.integers(1, 4))
+    index = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        names = (["t"] if index else []) + [f"s{i}" for i in range(n)]
+        quote = draw(st.booleans())
+        lines.append(",".join(f'"{c}"' if quote else c for c in names))
+    for t in range(draw(st.integers(0, 6))):
+        cells = ([str(t)] if index else []) + draw(st.lists(flow_cell(), min_size=n, max_size=n))
+        lines.append(cells)
+    data_rows = [k for k, line in enumerate(lines) if isinstance(line, list)]
+    fault = draw(st.sampled_from(["none", "none", "ragged_short", "ragged_long", "bad_cell"]))
+    if fault != "none" and data_rows:
+        row = lines[draw(st.sampled_from(data_rows))]
+        col = draw(st.integers(0, len(row) - 1))
+        if fault == "ragged_short":
+            del row[col]
+        elif fault == "ragged_long":
+            row.insert(col, draw(flow_cell()))
+        else:
+            row[col] = draw(st.sampled_from(BAD_CELLS))
+    lines = [line if isinstance(line, str) else ",".join(line) for line in lines]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(SPARE_LINES)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return text, max(1, n + draw(st.sampled_from([0, 0, 0, 1, -1])))
+
+
+def load_outcome(loader, path, num_nodes, impute):
+    """The loaded values, or the DataError message."""
+    try:
+        return loader(path, num_nodes, impute=impute).values
+    except DataError as e:
+        return str(e)
 
 
 def write_flow_csv(path, values, header=True, index_col=True):
@@ -66,6 +198,52 @@ class TestLoadFlows:
         path.write_text("1.0,2.0,3.0,9.0\n")
         with pytest.raises(DataError, match="columns"):
             dmod.load_flows(path, 2)
+
+    @settings(max_examples=200)
+    @given(flow_files(), st.booleans())
+    def test_matches_csv_oracle(self, tmp_path_factory, case, impute):
+        text, num_nodes = case
+        path = tmp_path_factory.mktemp("flows") / "flow.csv"
+        path.write_bytes(text.encode())
+        got, want = load_outcome(dmod.load_flows, path, num_nodes, impute), load_outcome(
+            oracle_load_flows, path, num_nodes, impute
+        )
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("t,a,b\r\n0,1,2\r\n\r\n1,3\r\n", "line 4: ragged row (2 vs 3 columns)"),
+            ("t,a,b\n0,1\n", "line 2: ragged row (2 vs 3 columns)"),
+            ("0,1,2\n1,x,2\n2,3\n", "line 2: non-numeric cell"),
+            ("0,1,2\n1,3\n2,x,2\n", "line 2: ragged row (2 vs 3 columns)"),
+            ('0,1,2\n,,\n\n1,"1,5",2\n', "line 4: non-numeric cell"),
+            ("0,1,2\n1,1_0,2\n", "line 2: non-numeric cell"),
+        ],
+    )
+    def test_errors_name_the_file_line(self, tmp_path, text, message):
+        path = tmp_path / "flow.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError) as err:
+            dmod.load_flows(path, 2)
+        assert str(err.value) == f"load_flows: {message}"
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "flow.csv"
+        path.write_bytes(b"t,s0\n0,\xff\xfe\n")
+        with pytest.raises(DataError):  # "cannot open" under UTF-8, a non-numeric cell under Latin-1
+            dmod.load_flows(path, 1)
+
+    def test_quoted_blank_and_padded_cells(self, tmp_path):
+        path = tmp_path / "flow.csv"
+        path.write_bytes(b'"t","s0","s1"\r\n\r\n,\r\n0, 1.5 ,""\r\n1,"2",\t\r\n2, ,4\r\n3,5,')
+        series = dmod.load_flows(path, 2, impute=False)
+        np.testing.assert_array_equal(
+            series.values[:, :, 0], [[1.5, np.nan], [2.0, np.nan], [np.nan, 4.0], [5.0, np.nan]]
+        )
 
 
 class TestScaler:
@@ -153,6 +331,52 @@ class TestWindows:
         np.testing.assert_array_equal(
             train.inputs[w], self._series(t_total).values[s : s + 6]
         )
+
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 10),
+        st.integers(0, 10),
+    )
+    def test_views_match_stack_oracle(self, t_total, n, t_in, t_out, train_tenths, val_tenths):
+        val_tenths = min(val_tenths, 10 - train_tenths)
+        ratios = (train_tenths / 10, val_tenths / 10, (10 - train_tenths - val_tenths) / 10)
+        series = dmod.FlowSeries(
+            values=np.random.default_rng(t_total).standard_normal((t_total, n, 1))
+        )
+        if t_total < t_in + t_out:
+            for make in (dmod.make_windows, oracle_make_windows):
+                with pytest.raises(DataError):
+                    make(series, t_in, t_out, ratios)
+            return
+        got = dmod.make_windows(series, t_in, t_out, ratios)
+        want = oracle_make_windows(series, t_in, t_out, ratios)
+        for g, w in zip(got, want):
+            assert g.split == w.split
+            assert_bitwise(g.inputs, w.inputs)
+            assert_bitwise(g.targets, w.targets)
+            assert_bitwise(g.anchors, w.anchors)
+
+    def test_splits_are_read_only_views(self):
+        series = self._series(50, n=3)
+        for ds in dmod.make_windows(series, 6, 3):
+            for arr in (ds.inputs, ds.targets):
+                assert np.shares_memory(arr, series.values)
+                assert not arr.flags.writeable
+            assert ds.inputs[np.arange(len(ds))].flags.c_contiguous  # a batch is a copy
+
+    def test_pems08_windowing_allocates_under_1mb(self):
+        series = dmod.FlowSeries(values=np.zeros((17856, 170, 1)))
+        tracemalloc.start()
+        try:
+            splits = dmod.make_windows(series, 12, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(ds) for ds in splits) == 17856 - 23
+        assert peak < 1_000_000, peak
 
     def test_scaler_ignores_val_test(self):
         rng = np.random.default_rng(5)

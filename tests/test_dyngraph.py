@@ -9,6 +9,8 @@ from tglrn import roadnet
 from tglrn.diffcore import Linear, Parameter, Tensor
 from tglrn.gradcheck import finite_diff_check
 
+from test_diffcore import rsqrt_or_zero
+
 
 def make_group(edges, n, levels):
     net = roadnet.build_asp(edges, n)
@@ -392,7 +394,7 @@ def oracle_normalize_logits(w, alpha):
     var = ((w - mu) ** 2).mean(axis=(-2, -1), keepdims=True)
     spread = w.data.max(axis=(-2, -1), keepdims=True) - w.data.min(axis=(-2, -1), keepdims=True)
     live = (spread > 0).astype(np.float64)
-    return (w - mu) * dc.rsqrt_or_zero(var) * (alpha * live)
+    return (w - mu) * rsqrt_or_zero(var) * (alpha * live)
 
 
 def oracle_bernoulli_means(w_hat):

@@ -1,7 +1,10 @@
 """Training loop, metrics, baseline, and checkpoint contracts."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -112,12 +115,48 @@ class TestTrainLoop:
         assert len(lines) == 3
 
     def test_test_targets_never_touch_training(self):
+        # only test windows read series.values[b2:]; poison it before windowing
         model_a, (train_ds, val_ds, test_ds), _, _ = quick_setup(seed=5)
         h_a, _ = trainer.train(model_a, train_ds, val_ds, settings(max_epochs=2), seed=5)
-        model_b, (train_b, val_b, test_b), _, _ = quick_setup(seed=5)
-        test_b.targets[:] = 12345.0
+        model_b, _, series_b, _ = quick_setup(seed=5)
+        _, b2 = dmod.split_boundaries(series_b.num_steps)
+        series_b.values[b2:] = 12345.0
+        train_b, val_b, test_b = dmod.make_windows(series_b, 6, 3)
+        assert np.all(test_b.targets[:, -1] == 12345.0)
+        assert not np.array_equal(test_b.targets, test_ds.targets)
         h_b, _ = trainer.train(model_b, train_b, val_b, settings(max_epochs=2), seed=5)
         assert [r.csv_row() for r in h_a] == [r.csv_row() for r in h_b]
+
+    def test_history_bitwise_equal_under_one_and_two_blas_threads(self):
+        # acceptance shape, two epochs, each run in its own process with its own thread count
+        script = """
+import hashlib
+from tglrn import data as dmod, trainer
+from tglrn.model import ModelConfig
+net, series, _ = dmod.synth_generate(8, 372, noise_std=0.05, seed=0)
+train_ds, val_ds, _ = dmod.make_windows(series, 12, 12)
+b1, _ = dmod.split_boundaries(372)
+cfg = ModelConfig(num_nodes=8, embed_dim=8, hop_dim=8, hidden_dim=16, levels=3, n_blocks=2, dropout_rate=0.05)
+model = trainer.build_model(cfg, net.edges, dmod.fit_scaler(series.values[:b1]), 0)
+settings = trainer.TrainSettings(learning_rate=0.005, batch_size=32, max_epochs=2, patience=15)
+history, _ = trainer.train(model, train_ds, val_ds, settings, seed=0)
+digest = hashlib.sha256()
+for name, arr in sorted(model.state_arrays().items()):
+    digest.update(name.encode() + arr.tobytes())
+print("\\n".join(r.csv_row() for r in history))
+print(digest.hexdigest())
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 3
+        assert outputs[0] == outputs[1]
 
     def test_monotonic_train_loss_on_most_seeds(self):
         # chain of 8 sensors, 200 training windows, five epochs, ten seeds
@@ -314,6 +353,11 @@ class TestCheckpoint:
             lambda h: h["params"].__setitem__(0, ["graph.chain_st.e_init", "not a shape"]),
             lambda h: h["params"].__setitem__(0, ["nonexistent", h["params"][0][1]]),
             lambda h: h["edges"].append("x"),
+            lambda h: h["model"].update(alpha=float("nan")),
+            lambda h: h["model"].update(alpha=-1.0),
+            lambda h: h["model"].update(tau=0.0),
+            lambda h: h["model"].update(gamma=1.5),
+            lambda h: h["model"].update(dropout_rate=1.0),
         ],
         ids=[
             "unknown_model_key",
@@ -327,6 +371,11 @@ class TestCheckpoint:
             "params_shape_not_ints",
             "params_name_unknown",
             "edge_not_pair",
+            "model_alpha_nan",
+            "model_alpha_negative",
+            "model_tau_zero",
+            "model_gamma_above_one",
+            "model_dropout_one",
         ],
     )
     def test_mutated_header_rejected(self, tmp_path, mutate):
