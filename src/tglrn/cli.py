@@ -16,7 +16,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import gradcheck, trainer
-from .config import config_text, load_config
+from .config import config_text, load_config, section
 from .errors import ConfigError, DataError, TglrnError
 from .model import ModelConfig
 
@@ -29,33 +29,11 @@ def _ensure_out_dir(cfg):
         fh.write(config_text(cfg))
 
 
-def _model_config(cfg, num_nodes):
-    return ModelConfig(
-        num_nodes=num_nodes,
-        t_in=cfg.t_in,
-        t_out=cfg.t_out,
-        embed_dim=cfg.embed_dim,
-        hop_dim=cfg.hop_dim,
-        hidden_dim=cfg.hidden_dim,
-        levels=cfg.levels,
-        diff_steps=cfg.diff_steps,
-        kernel_size=cfg.kernel_size,
-        n_blocks=cfg.n_blocks,
-        gamma=cfg.gamma,
-        alpha=cfg.alpha,
-        tau=cfg.tau,
-        dropout_rate=cfg.dropout_rate,
-        eval_sampling_override=cfg.eval_sampling_override,
-    )
-
-
 def _load_dataset(cfg):
     if not cfg.flows_path:
         raise ConfigError("flows_path is required")
     if not cfg.edges_path:
         raise ConfigError("edges_path is required")
-    if cfg.num_nodes < 1:
-        raise ConfigError("num_nodes must be set when loading flows")
     from . import roadnet
 
     edges = roadnet.load_edges(cfg.edges_path)
@@ -111,18 +89,12 @@ def cmd_synth(cfg):
 
 
 def cmd_train(cfg):
+    mcfg = section(cfg, ModelConfig)
+    mcfg.validate()
     _ensure_out_dir(cfg)
     edges, series, (train_ds, val_ds, test_ds), scaler = _load_dataset(cfg)
-    mcfg = _model_config(cfg, cfg.num_nodes)
     model = trainer.build_model(mcfg, edges, scaler, cfg.seed, cfg.symmetrize_hops)
-    settings = trainer.TrainSettings(
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        normalized_loss=cfg.normalized_loss,
-        mape_threshold=cfg.mape_threshold,
-    )
+    settings = section(cfg, trainer.TrainSettings)
     history, _ = trainer.train(model, train_ds, val_ds, settings, cfg.seed)
     trainer.write_history(os.path.join(cfg.out_dir, "history.csv"), history)
     ckpt = cfg.checkpoint_path or os.path.join(cfg.out_dir, "model.ckpt")

@@ -8,11 +8,13 @@ re-running from the echoed file reproduces the results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
+from .model import ModelConfig
 
-__all__ = ["RunConfig", "load_config", "config_text", "check_model_ranges", "DEFAULT_HELP"]
+__all__ = ["RunConfig", "load_config", "config_text", "section", "DEFAULT_HELP"]
 
 
 @dataclass
@@ -54,8 +56,6 @@ class RunConfig:
     normalized_loss: bool = False
     eval_sampling_override: bool = False
     symmetrize_hops: bool = False
-    worker_threads: int = 1
-    deterministic: bool = True
     # synthetic generation
     synth_topology: str = "chain"
     synth_nodes: int = 8
@@ -104,10 +104,8 @@ DEFAULT_HELP = {
     "normalized_loss": "train on z-scored values instead of original units",
     "eval_sampling_override": "apply edge thinning at evaluation time too",
     "symmetrize_hops": "treat edges as bidirectional for hop distances",
-    "worker_threads": "accepted for compatibility; results never depend on it",
-    "deterministic": "accepted for compatibility; runs are always deterministic",
     "synth_topology": "chain, ring, or grid",
-    "synth_nodes": "synthetic sensor count (>= 4)",
+    "synth_nodes": "synthetic sensor count (>= 4; a square for grid)",
     "synth_steps": "synthetic series length",
     "synth_period": "sinusoid period in steps",
     "synth_noise_std": "innovation noise level",
@@ -179,17 +177,8 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-# Widths, lengths and counts that must be at least 1.
+# Lengths and counts outside the model shape that must be at least 1.
 _AT_LEAST_ONE = (
-    "t_in",
-    "t_out",
-    "embed_dim",
-    "hop_dim",
-    "hidden_dim",
-    "levels",
-    "diff_steps",
-    "kernel_size",
-    "n_blocks",
     "batch_size",
     "max_epochs",
     "synth_steps",
@@ -209,25 +198,22 @@ _SYNTH_COEFFICIENTS = (
 )
 
 
-def check_model_ranges(cfg):
-    """Range checks on the float model settings; ``RunConfig`` and ``ModelConfig`` both run them."""
-    if not 0.0 <= cfg.gamma <= 1.0:
-        raise ConfigError(f"gamma must lie in [0, 1], got {cfg.gamma}")
-    if not 0.0 <= cfg.dropout_rate < 1.0:
-        raise ConfigError(f"dropout_rate must lie in [0, 1), got {cfg.dropout_rate}")
-    if not 0.0 < cfg.tau < float("inf"):
-        raise ConfigError(f"tau must be positive and finite, got {cfg.tau}")
-    if not 0.0 < cfg.alpha < float("inf"):
-        raise ConfigError(f"alpha must be positive and finite, got {cfg.alpha}")
+def section(cfg, cls):
+    """``cls`` built from every field it shares with ``cfg``; the rest keep their defaults."""
+    return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in _FIELDS})
 
 
 def _validate(cfg):
     for key in _AT_LEAST_ONE:
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    if cfg.patience < 0:
-        raise ConfigError(f"patience must be at least 0, got {cfg.patience}")
-    check_model_ranges(cfg)
+    for key in ("seed", "patience"):
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must be at least 0, got {getattr(cfg, key)}")
+    # Per-field checks only: eval, predict and inspect-graph take the model shape
+    # from the checkpoint, and train runs the full validate before any work.
+    # 1 stands in for an unset num_nodes, which only commands that load flows need.
+    replace(section(cfg, ModelConfig), num_nodes=max(cfg.num_nodes, 1)).check_fields()
     if not 0.0 < cfg.learning_rate < float("inf"):
         raise ConfigError(f"learning_rate must be positive and finite, got {cfg.learning_rate}")
     if not 0.0 <= cfg.mape_threshold < float("inf"):
@@ -235,11 +221,19 @@ def _validate(cfg):
     for key in _SYNTH_COEFFICIENTS:
         if not 0.0 <= getattr(cfg, key) < float("inf"):
             raise ConfigError(f"{key} must be non-negative and finite, got {getattr(cfg, key)}")
+    if cfg.synth_topology not in ("chain", "ring", "grid"):
+        raise ConfigError(f"synth_topology must be chain, ring or grid, got {cfg.synth_topology!r}")
+    if cfg.synth_nodes < 4:
+        raise ConfigError(f"synth_nodes must be at least 4, got {cfg.synth_nodes}")
+    if cfg.synth_topology == "grid" and math.isqrt(cfg.synth_nodes) ** 2 != cfg.synth_nodes:
+        raise ConfigError(f"synth_topology grid needs a square synth_nodes, got {cfg.synth_nodes}")
     if cfg.scaler_scope not in ("per_sensor", "global"):
         raise ConfigError(f"scaler_scope must be per_sensor or global, got {cfg.scaler_scope!r}")
-    total = cfg.train_frac + cfg.val_frac + cfg.test_frac
-    if abs(total - 1.0) > 1e-9 or min(cfg.train_frac, cfg.val_frac, cfg.test_frac) < 0:
-        raise ConfigError(f"split fractions must be non-negative and sum to 1, got {total}")
+    fracs = (cfg.train_frac, cfg.val_frac, cfg.test_frac)
+    if not (min(fracs) >= 0 and abs(sum(fracs) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"train_frac, val_frac and test_frac must be non-negative and sum to 1, got {fracs}"
+        )
 
 
 def config_text(cfg):

@@ -42,14 +42,7 @@ __all__ = [
     "softmax",
     "safe_recip",
     "rsqrt_or_zero_array",
-    "sigmoid",
     "sigmoid_array",
-    "tanh",
-    "relu",
-    "exp",
-    "log",
-    "sqrt",
-    "absolute",
 ]
 
 _GRAD_ENABLED = [True]
@@ -472,34 +465,6 @@ def sigmoid_array(x):
     """Logistic function on a plain array, stable for large |x| (forward of ``Tensor.sigmoid``)."""
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def sigmoid(x):
-    return _ensure_tensor(x).sigmoid()
-
-
-def tanh(x):
-    return _ensure_tensor(x).tanh()
-
-
-def relu(x):
-    return _ensure_tensor(x).relu()
-
-
-def exp(x):
-    return _ensure_tensor(x).exp()
-
-
-def log(x):
-    return _ensure_tensor(x).log()
-
-
-def sqrt(x):
-    return _ensure_tensor(x).sqrt()
-
-
-def absolute(x):
-    return _ensure_tensor(x).abs()
 
 
 def concat(tensors, axis=-1):

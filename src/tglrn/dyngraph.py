@@ -295,16 +295,12 @@ class GraphConstruction:
         tau,
         rng,
     ):
-        if not 0.0 <= gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in [0, 1], got {gamma}")
         self.num_nodes = num_nodes
         self.t_in = t_in
         self.gamma = float(gamma)
         self.alpha = float(alpha)
         self.tau = float(tau)
-        self.group = group
         self.masks = group.stacked()  # (L, N, N) constants
-        self.levels = group.L
 
         self.chain_st = EmbeddingChain(num_nodes, embed_dim, in_features, proj_dim, rng)
         self.chain_ed = EmbeddingChain(num_nodes, embed_dim, in_features, proj_dim, rng)

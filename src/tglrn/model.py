@@ -10,12 +10,11 @@ through the prediction head. Predictions come back in normalized space;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import diffcore as dc
-from .config import check_model_ranges
 from .diffcore import Linear, Parameter, Tensor
 from .dyngraph import GraphConstruction
 from .errors import ConfigError
@@ -45,15 +44,33 @@ class ModelConfig:
     dropout_rate: float = 0.1
     eval_sampling_override: bool = False
 
-    def validate(self):
+    def check_fields(self):
+        """Range checks that each field passes or fails on its own."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and value < 1:
                 raise ConfigError(f"{f.name} must be at least 1, got {value}")
-        check_model_ranges(self)
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        if not 0.0 < self.tau < float("inf"):
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
+        if not 0.0 < self.alpha < float("inf"):
+            raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
+
+    def validate(self):
+        """``check_fields`` plus the checks that tie fields together."""
+        self.check_fields()
         if self.in_features >= self.hidden_dim:
-            raise ConfigError("input layer must lift features into a wider space")
-        block_schedule(self.t_in, self.n_blocks, self.kernel_size)
+            raise ConfigError(
+                f"input layer must lift features: hidden_dim {self.hidden_dim} "
+                f"must exceed in_features {self.in_features}"
+            )
+        # The same condition as block_schedule's, tested first so that a valid
+        # config never builds the per-block list (n_blocks long) just to be checked.
+        if self.t_in - (2 * self.n_blocks - 1) * (self.kernel_size - 1) < self.kernel_size:
+            block_schedule(self.t_in, self.n_blocks, self.kernel_size)
 
 
 class TGLRN:
@@ -120,9 +137,6 @@ class TGLRN:
         """Ordered (name, Parameter) pairs; names are unique paths."""
         return list(self._named)
 
-    def num_parameters(self):
-        return sum(p.size for _, p in self._named)
-
     def forward(self, window_raw, mode="eval", rng=None, hop_mode="hard", want_diag=False):
         """Raw input window (B, T_in, N, F) to normalized predictions (B, T_out, N, F)."""
         cfg = self.cfg
@@ -143,12 +157,11 @@ class TGLRN:
 
         stream = self.input_layer(window)
         dropout = (cfg.dropout_rate, rng) if mode == "train" else None
-        used = [] if want_diag else None
         offset = 0
         outputs = []
         for block in self.blocks:
             stream, block_out, offset = block.forward(
-                stream, seq.adjacencies, offset, dropout=dropout, used_indices=used
+                stream, seq.adjacencies, offset, dropout=dropout
             )
             outputs.append(block_out)
 
@@ -157,7 +170,7 @@ class TGLRN:
         pred = pred + self.head_b.reshape(1, cfg.t_out, 1, cfg.in_features)
 
         if want_diag:
-            return pred, ForwardDiagnostics(seq=seq, graphs=diag, graph_indices=used)
+            return pred, ForwardDiagnostics(seq=seq, graphs=diag)
         return pred
 
     def predict_raw(self, window_raw, mode="eval", rng=None):
@@ -184,8 +197,7 @@ class TGLRN:
 
 @dataclass
 class ForwardDiagnostics:
-    """Graph internals plus the graph index used by every spatial slice."""
+    """Graph internals of one forward pass."""
 
     seq: object
     graphs: object
-    graph_indices: list = field(default_factory=list)

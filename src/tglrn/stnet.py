@@ -136,23 +136,20 @@ class OutputLayer:
 
 
 def block_schedule(t_in, n_blocks, ks, tpl_per_block=2):
-    """Time lengths entering each temporal conv; raises if any underflows.
+    """Stream length left after each block; raises if a temporal conv underflows.
 
-    Every temporal conv shrinks the time axis by Ks - 1. Returns the
-    stream length left after each block.
+    Every temporal conv shrinks the time axis by Ks - 1, so conv k (from 0)
+    sees t_in - k * (Ks - 1) steps and the last conv sees the fewest. The
+    check is closed-form: its cost does not grow with the counts.
     """
-    t = t_in
-    lengths = []
-    for b in range(n_blocks):
-        for _ in range(tpl_per_block):
-            if t < ks:
-                raise ConfigError(
-                    f"temporal schedule underflow: block {b} sees time length {t} < kernel {ks} "
-                    f"(t_in={t_in}, n_blocks={n_blocks}, ks={ks})"
-                )
-            t = t - ks + 1
-        lengths.append(t)
-    return lengths
+    shrink = ks - 1
+    if n_blocks > 0 and t_in - (n_blocks * tpl_per_block - 1) * shrink < ks:
+        k = 0 if t_in < ks else (t_in - ks) // shrink + 1
+        raise ConfigError(
+            f"temporal schedule underflow: block {k // tpl_per_block} sees time length "
+            f"{t_in - k * shrink} < kernel {ks} (t_in={t_in}, n_blocks={n_blocks}, ks={ks})"
+        )
+    return [t_in - (b + 1) * tpl_per_block * shrink for b in range(n_blocks)]
 
 
 class SpatioTemporalBlock:
@@ -185,7 +182,7 @@ class SpatioTemporalBlock:
             raise ConfigError(f"block construction: output time length {t_out_block} < 1")
         self.output = OutputLayer(t_out_block, width, rng)
 
-    def forward(self, stream, graphs, offset, dropout=None, used_indices=None):
+    def forward(self, stream, graphs, offset, dropout=None):
         """Returns (next stream, block output, next offset).
 
         ``dropout`` is None at eval, or a (rate, generator) pair; inverted
@@ -198,10 +195,7 @@ class SpatioTemporalBlock:
             t_cur = stream.shape[1]
             slices = []
             for j in range(t_cur):
-                gi = offset + j
-                if used_indices is not None:
-                    used_indices.append(gi)
-                slices.append(spl(stream[:, j], graphs[gi], theta, self.diff_steps))
+                slices.append(spl(stream[:, j], graphs[offset + j], theta, self.diff_steps))
             stream = dc.stack(slices, axis=1)
             stream = tpl(stream, lam, self.ks, scale, shift)
             offset += self.ks - 1

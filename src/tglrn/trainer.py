@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -269,26 +269,8 @@ def write_history(path, history):
 
 def checkpoint_save(path, model, extra_config=None):
     """Versioned binary dump: magic, JSON header, then raw float64 payloads."""
-    cfg = model.cfg
     header = {
-        "model": {
-            "num_nodes": cfg.num_nodes,
-            "t_in": cfg.t_in,
-            "t_out": cfg.t_out,
-            "in_features": cfg.in_features,
-            "embed_dim": cfg.embed_dim,
-            "hop_dim": cfg.hop_dim,
-            "hidden_dim": cfg.hidden_dim,
-            "levels": cfg.levels,
-            "diff_steps": cfg.diff_steps,
-            "kernel_size": cfg.kernel_size,
-            "n_blocks": cfg.n_blocks,
-            "gamma": cfg.gamma,
-            "alpha": cfg.alpha,
-            "tau": cfg.tau,
-            "dropout_rate": cfg.dropout_rate,
-            "eval_sampling_override": cfg.eval_sampling_override,
-        },
+        "model": asdict(model.cfg),
         "scaler": {
             "scope": model.scaler.scope,
             "mean": model.scaler.mean.tolist(),

@@ -222,6 +222,7 @@ class TestErrors:
         args = train_args(data_dir, tmp_path / "o", extra=["kernel_size=6"])
         assert run(args) == 2
         assert "underflow" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_gamma_out_of_range_exits_2(self, capsys):
         assert run(["gradcheck", "--quick", "--set", "gamma=1.5"]) == 2
@@ -239,6 +240,7 @@ class TestErrors:
             "embed_dim=0",
             "hop_dim=0",
             "hidden_dim=-4",
+            "hidden_dim=1",
             "n_blocks=0",
             "max_epochs=0",
             "patience=-1",
@@ -256,6 +258,11 @@ class TestErrors:
             "synth_offset=nan",
             "synth_coupling_a=-inf",
             "synth_regime_period=0",
+            "synth_topology=star",
+            "synth_nodes=2",
+            "synth_topology=grid",
+            "seed=-1",
+            "train_frac=nan",
         ],
     )
     def test_bad_setting_exits_2_with_one_line(self, tmp_path, capsys, setting):

@@ -28,7 +28,7 @@ class TestForwardBasics:
         np.testing.assert_array_equal(t.data, [1.0, 2.0, 3.0])
 
     def test_sigmoid_at_zero(self):
-        assert dc.sigmoid(Tensor(0.0)).item() == 0.5
+        assert Tensor(0.0).sigmoid().item() == 0.5
 
     def test_gtu_style_zero_input(self):
         # tanh(0) * sigmoid(0) == 0

@@ -308,7 +308,7 @@ class TestBuildGraphSequence:
         seq = block.build(window, "train", rng=np.random.default_rng(1))
         assert seq.t_in == 1
         support = seq.adjacencies[0].data[0] != 0
-        assert np.all(block.group.masks[0][support] == 1.0)
+        assert np.all(block.masks[0][support] == 1.0)
         assert np.all(seq.hop_choices == 1)
 
     def test_eval_deterministic(self):
@@ -332,11 +332,10 @@ class TestBuildGraphSequence:
         block = build_block(n=5, t_in=4, levels=3, gamma=0.7, seed=9)
         window = Tensor(np.random.default_rng(4).standard_normal((3, 4, 5, 1)))
         seq, diag = block.build(window, "train", rng=np.random.default_rng(5), want_diag=True)
-        stacked = block.group.stacked()
         for t, adj in enumerate(seq.adjacencies):
             a = adj.data
             assert a.min() >= 0.0 and a.max() <= 1.0
-            sel = dg._rows_from_choices(stacked, seq.hop_choices[:, t, :] - 1)
+            sel = dg._rows_from_choices(block.masks, seq.hop_choices[:, t, :] - 1)
             assert np.all(sel[a != 0] == 1.0)
             pre = diag.prenorm_logits[t]
             for b in range(pre.shape[0]):

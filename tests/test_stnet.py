@@ -299,9 +299,14 @@ class TestBlock:
         block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
         stream = Tensor(rng.standard_normal((2, 5, 3, 4)))
         used = []
-        out_stream, block_out, offset = block.forward(
-            stream, self._graphs(5, 3, rng), 0, used_indices=used
-        )
+
+        class LoggedGraphs(list):
+            def __getitem__(self, idx):
+                used.append(idx)
+                return super().__getitem__(idx)
+
+        graphs = LoggedGraphs(self._graphs(5, 3, rng))
+        out_stream, block_out, offset = block.forward(stream, graphs, 0)
         assert out_stream.shape == (2, 3, 3, 4)
         assert block_out.shape == (2, 3, 4)
         assert offset == 2

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -331,6 +332,17 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="magic"):
             trainer.checkpoint_load(path)
+
+    def test_header_model_section_is_the_model_config(self, tmp_path):
+        model, _, _, _ = quick_setup(gamma=0.25, tau=0.7, eval_sampling_override=True)
+        path = tmp_path / "m.ckpt"
+        trainer.checkpoint_save(path, model)
+        blob = path.read_bytes()
+        magic = len(trainer.CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<I", blob[magic : magic + 4])
+        section = json.loads(blob[magic + 4 : magic + 4 + hlen])["model"]
+        assert section == asdict(model.cfg)
+        assert list(section) == [f.name for f in fields(ModelConfig)]
 
     def test_node_count_mismatch_names_both(self, tmp_path):
         model, _, _, _ = quick_setup(n=6)
