@@ -23,17 +23,17 @@ from .model import ModelConfig
 GRADCHECK_EXIT = 5
 
 
-def _ensure_out_dir(cfg):
+def _ensure_out_dir(cfg, *required):
+    """Check that every path named in ``required`` is set, then make the out dir."""
+    for name in required:
+        if not getattr(cfg, name):
+            raise ConfigError(f"{name} is required")
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "effective_config.cfg"), "w") as fh:
         fh.write(config_text(cfg))
 
 
 def _load_dataset(cfg):
-    if not cfg.flows_path:
-        raise ConfigError("flows_path is required")
-    if not cfg.edges_path:
-        raise ConfigError("edges_path is required")
     from . import roadnet
 
     edges = roadnet.load_edges(cfg.edges_path)
@@ -91,7 +91,7 @@ def cmd_synth(cfg):
 def cmd_train(cfg):
     mcfg = section(cfg, ModelConfig)
     mcfg.validate()
-    _ensure_out_dir(cfg)
+    _ensure_out_dir(cfg, "flows_path", "edges_path")
     edges, series, (train_ds, val_ds, test_ds), scaler = _load_dataset(cfg)
     model = trainer.build_model(mcfg, edges, scaler, cfg.seed, cfg.symmetrize_hops)
     settings = section(cfg, trainer.TrainSettings)
@@ -110,12 +110,8 @@ def cmd_train(cfg):
 
 def _load_checkpoint_and_data(cfg):
     """Window the flows with the checkpoint's own shape parameters."""
-    if not cfg.checkpoint_path:
-        raise ConfigError("checkpoint_path is required")
     expect = cfg.num_nodes if cfg.num_nodes > 0 else None
     model, _ = trainer.checkpoint_load(cfg.checkpoint_path, expect_num_nodes=expect)
-    if not cfg.flows_path:
-        raise ConfigError("flows_path is required")
     series = data_mod.load_flows(cfg.flows_path, model.cfg.num_nodes)
     ratios = (cfg.train_frac, cfg.val_frac, cfg.test_frac)
     splits = data_mod.make_windows(series, model.cfg.t_in, model.cfg.t_out, ratios)
@@ -123,7 +119,7 @@ def _load_checkpoint_and_data(cfg):
 
 
 def cmd_eval(cfg):
-    _ensure_out_dir(cfg)
+    _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
     model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
     report = trainer.evaluate(model, test_ds, cfg.mape_threshold)
     _write_metrics(os.path.join(cfg.out_dir, "metrics.csv"), report)
@@ -134,7 +130,7 @@ def cmd_eval(cfg):
 
 
 def cmd_predict(cfg):
-    _ensure_out_dir(cfg)
+    _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
     model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
     if len(test_ds) == 0:
         raise DataError("predict: test split holds no windows")
@@ -161,7 +157,7 @@ def cmd_gradcheck(cfg, quick=False):
 
 
 def cmd_inspect_graph(cfg):
-    _ensure_out_dir(cfg)
+    _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
     model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
     if len(test_ds) == 0:
         raise DataError("inspect-graph: test split holds no windows")

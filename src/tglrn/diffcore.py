@@ -36,11 +36,9 @@ __all__ = [
     "Linear",
     "no_grad",
     "concat",
-    "stack",
     "swap_last2",
     "einsum2",
     "softmax",
-    "safe_recip",
     "rsqrt_or_zero_array",
     "sigmoid_array",
 ]
@@ -170,8 +168,10 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            a._acc(_unbroadcast(g, a.shape))
-            b._acc(_unbroadcast(g, b.shape))
+            if a._track:
+                a._acc(_unbroadcast(g, a.shape))
+            if b._track:
+                b._acc(_unbroadcast(g, b.shape))
 
         return Tensor._from_op(a.data + b.data, (a, b), bwd)
 
@@ -183,8 +183,10 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            a._acc(_unbroadcast(g, a.shape))
-            b._acc(-_unbroadcast(g, b.shape))
+            if a._track:
+                a._acc(_unbroadcast(g, a.shape))
+            if b._track:
+                b._acc(-_unbroadcast(g, b.shape))
 
         return Tensor._from_op(a.data - b.data, (a, b), bwd)
 
@@ -197,8 +199,10 @@ class Tensor:
         a, b = self, other
 
         def bwd(g):
-            a._acc(_unbroadcast(g * b.data, a.shape))
-            b._acc(_unbroadcast(g * a.data, b.shape))
+            if a._track:
+                a._acc(_unbroadcast(g * b.data, a.shape))
+            if b._track:
+                b._acc(_unbroadcast(g * a.data, b.shape))
 
         return Tensor._from_op(a.data * b.data, (a, b), bwd)
 
@@ -211,8 +215,10 @@ class Tensor:
         out_data = a.data / b.data
 
         def bwd(g):
-            a._acc(_unbroadcast(g / b.data, a.shape))
-            b._acc(_unbroadcast(-g * out_data / b.data, b.shape))
+            if a._track:
+                a._acc(_unbroadcast(g / b.data, a.shape))
+            if b._track:
+                b._acc(_unbroadcast(-g * out_data / b.data, b.shape))
 
         return Tensor._from_op(out_data, (a, b), bwd)
 
@@ -247,8 +253,10 @@ class Tensor:
         _check_broadcast("matmul", a.shape[:-2], b.shape[:-2])
 
         def bwd(g):
-            a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-            b._acc(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+            if a._track:
+                a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+            if b._track:
+                b._acc(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
         return Tensor._from_op(a.data @ b.data, (a, b), bwd)
 
@@ -426,6 +434,7 @@ class Tensor:
             for p in node._parents:
                 if p._track and id(p) not in visited:
                     stack.append((p, False))
+        del visited  # one boxed id per node: freed before the closures allocate
 
         self.grad = np.ones_like(self.data)
         while topo:
@@ -462,9 +471,19 @@ class Parameter(Tensor):
 
 
 def sigmoid_array(x):
-    """Logistic function on a plain array, stable for large |x| (forward of ``Tensor.sigmoid``)."""
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    """Logistic function on a plain array, stable for large |x| (forward of ``Tensor.sigmoid``).
+
+    1 / (1 + z) where x >= 0 and z / (1 + z) elsewhere, with z = exp(-|x|); the
+    two quotients are written over 1 + z and z, so no more than three x-sized
+    arrays exist at once.
+    """
+    z = np.abs(x, out=np.empty(np.shape(x)))
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    d = np.add(z, 1.0, out=np.empty_like(z))
+    np.divide(z, d, out=z)
+    np.divide(1.0, d, out=d)
+    return np.where(x < 0, z, d)
 
 
 def concat(tensors, axis=-1):
@@ -485,17 +504,6 @@ def concat(tensors, axis=-1):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(lo, hi)
             t._acc(g[tuple(idx)])
-
-    return Tensor._from_op(out_data, tuple(tensors), bwd)
-
-
-def stack(tensors, axis=0):
-    tensors = [_ensure_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            t._acc(np.take(g, i, axis=axis))
 
     return Tensor._from_op(out_data, tuple(tensors), bwd)
 
@@ -532,8 +540,10 @@ def einsum2(subscripts, a, b):
     out_data = np.einsum(subscripts, a.data, b.data)
 
     def bwd(g):
-        a._acc(np.einsum(f"{out_sub},{sub_b}->{sub_a}", g, b.data))
-        b._acc(np.einsum(f"{sub_a},{out_sub}->{sub_b}", a.data, g))
+        if a._track:
+            a._acc(np.einsum(f"{out_sub},{sub_b}->{sub_a}", g, b.data))
+        if b._track:
+            b._acc(np.einsum(f"{sub_a},{out_sub}->{sub_b}", a.data, g))
 
     return Tensor._from_op(out_data, (a, b), bwd)
 
@@ -547,17 +557,6 @@ def softmax(x, axis=-1):
     def bwd(g):
         inner = (g * out_data).sum(axis=axis, keepdims=True)
         a._acc(out_data * (g - inner))
-
-    return Tensor._from_op(out_data, (a,), bwd)
-
-
-def safe_recip(x):
-    """1/x where x is nonzero, 0 where x is exactly zero."""
-    a = _ensure_tensor(x)
-    out_data = np.divide(1.0, a.data, out=np.zeros_like(a.data), where=a.data != 0)
-
-    def bwd(g):
-        a._acc(-g * out_data * out_data)
 
     return Tensor._from_op(out_data, (a,), bwd)
 

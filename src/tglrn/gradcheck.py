@@ -212,6 +212,28 @@ def _check_diffusion_conv(seed):
     return finite_diff_check(build, [("x", x), ("a_raw", a_raw), ("theta", theta)])
 
 
+def _check_spl(seed):
+    from .diffcore import Parameter, Tensor
+    from .stnet import spl
+
+    rng = np.random.default_rng([seed, 15])
+    x = Parameter(rng.standard_normal((1, 3, 5, 3)), "x")
+    a_raw = [Parameter(rng.standard_normal((1, 5, 5)), f"a_raw{t}") for t in range(3)]
+    theta = Parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4, "theta")
+    # node 1 has no out-edges and node 3 no in-edges: zero degrees on both sides
+    support = np.ones((5, 5))
+    support[1, :] = 0.0
+    support[:, 3] = 0.0
+    r = rng.standard_normal((1, 3, 5, 3))
+
+    def build():
+        graphs = [a.sigmoid() * Tensor(support) for a in a_raw]
+        return _weighted_sum(spl(x, graphs, theta, 2), r)
+
+    params = [("x", x), ("theta", theta)] + [(a.name, a) for a in a_raw]
+    return finite_diff_check(build, params)
+
+
 def _check_gtu(seed):
     from .diffcore import Parameter
     from .stnet import gtu_conv
@@ -235,6 +257,21 @@ def _check_tpl(seed):
     r = rng.standard_normal((3, 3, 2))
     params = [("x", x), ("lam", lam), ("ln_scale", scale), ("ln_shift", shift)]
     return finite_diff_check(lambda: _weighted_sum(tpl(x, lam, 2, scale, shift), r), params)
+
+
+def _check_tpl_dropout(seed):
+    from .diffcore import Parameter
+    from .stnet import tpl
+
+    rng = np.random.default_rng([seed, 16])
+    x = Parameter(rng.standard_normal((2, 4, 3, 2)), "x")
+    lam = Parameter(rng.standard_normal((2, 2, 4)) * 0.5, "lam")
+    scale = Parameter(rng.standard_normal(2), "scale")
+    shift = Parameter(rng.standard_normal(2), "shift")
+    keep = rng.uniform(size=(2, 3, 3, 2)) >= 0.3
+    r = rng.standard_normal((2, 3, 3, 2))
+    params = [("x", x), ("lam", lam), ("ln_scale", scale), ("ln_shift", shift)]
+    return finite_diff_check(lambda: _weighted_sum(tpl(x, lam, 2, scale, shift, keep, 0.3), r), params)
 
 
 def _check_output_layer(seed):
@@ -316,8 +353,10 @@ _SUITE = [
     ("gumbel_path", _check_gumbel_path),
     ("hop_selector", _check_hop_selector),
     ("diffusion_conv", _check_diffusion_conv),
+    ("spl", _check_spl),
     ("gtu", _check_gtu),
     ("tpl_layernorm", _check_tpl),
+    ("tpl_dropout", _check_tpl_dropout),
     ("output_layer", _check_output_layer),
     ("prediction_head", _check_prediction_head),
     ("end_to_end", _check_end_to_end),

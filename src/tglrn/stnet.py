@@ -9,6 +9,13 @@ the surviving time slices and a LayerNorm over channels. Each block
 applies [spatial -> temporal] twice, then taps the block output through
 a time-compressing convolution whose kernel spans the remaining time
 axis.
+
+Each layer call is one tape node over plain-array kernels. A node keeps
+its parents, its output and, for the temporal layer, the per-row
+LayerNorm statistics and the dropout keep pattern; its backward
+recomputes every other intermediate (Chen et al., arXiv 1604.06174).
+The spatial node covers the whole stream and loops over time slices
+inside, so no per-slice tensors and no time-stacked copies exist.
 """
 
 from __future__ import annotations
@@ -33,45 +40,224 @@ __all__ = [
 LN_EPS = 1e-8
 
 
-def diffusion_conv(x, a, theta, num_steps):
-    """Graph diffusion filtering of node features.
+# -- diffusion kernels (plain arrays) ----------------------------------------------
 
-    ``x`` is (..., N, D), ``a`` is (..., N, N) with non-negative entries,
-    and ``theta`` holds one (D, D') matrix per (step k, direction) pair,
-    stored as (K, 2, D, D'). Step k applies the k-th power of the forward
-    transition (rows of ``a`` divided by out-degree) and of the reverse
-    transition (rows of the transpose divided by in-degree); rows with
-    zero degree give zero transition rows rather than NaNs.
 
-    The transitions are never formed: P_fwd @ z is (a @ z) scaled per row
-    by 1/out-degree, and P_rev @ z is (a^T @ z) scaled by 1/in-degree, so
-    only the two degree vectors join ``a`` on the tape.
-    """
-    if theta.shape[0] < num_steps:
-        raise ConfigError(f"diffusion_conv: theta holds {theta.shape[0]} steps, need {num_steps}")
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    x = x if isinstance(x, Tensor) else Tensor(x)
+def _check_diffusion(op, x_shape, a_shape, theta_shape, num_steps):
+    if theta_shape[0] < num_steps:
+        raise ConfigError(f"{op}: theta holds {theta_shape[0]} steps, need {num_steps}")
+    if theta_shape[-2] != x_shape[-1]:
+        raise ConfigError(f"{op}: theta maps width {theta_shape[-2]}, features have {x_shape[-1]}")
+    if tuple(a_shape) != tuple(x_shape[:-1]) + (x_shape[-2],):
+        raise ConfigError(f"{op}: adjacency {tuple(a_shape)} does not match features {tuple(x_shape)}")
 
-    a_rev = dc.swap_last2(a)
-    inv_out = dc.safe_recip(a.sum(axis=-1, keepdims=True))
-    inv_in = dc.safe_recip(a_rev.sum(axis=-1, keepdims=True))
 
+def _degrees(a):
+    """The reverse adjacency view and the inverse out- and in-degrees (0 where a degree is 0)."""
+    a_rev = np.swapaxes(a, -1, -2)
+    out_deg = a.sum(axis=-1, keepdims=True)
+    in_deg = a_rev.sum(axis=-1, keepdims=True)
+    inv_out = np.divide(1.0, out_deg, out=np.zeros_like(out_deg), where=out_deg != 0)
+    inv_in = np.divide(1.0, in_deg, out=np.zeros_like(in_deg), where=in_deg != 0)
+    return a_rev, inv_out, inv_in
+
+
+def _diffuse(x, a, theta, num_steps):
+    """sum_k (P_fwd^k x) theta[k, 0] + (P_rev^k x) theta[k, 1] for k < num_steps."""
+    a_rev, inv_out, inv_in = _degrees(a)
     z_fwd, z_rev = x, x
-    out = z_fwd @ theta[0, 0] + z_rev @ theta[0, 1]
+    out = x @ theta[0, 0] + x @ theta[0, 1]
     for k in range(1, num_steps):
         z_fwd = (a @ z_fwd) * inv_out
         z_rev = (a_rev @ z_rev) * inv_in
-        out = out + z_fwd @ theta[k, 0] + z_rev @ theta[k, 1]
+        out += z_fwd @ theta[k, 0]
+        out += z_rev @ theta[k, 1]
     return out
 
 
-def spl(x, a, theta, num_steps):
-    """Spatial processing: ReLU(diffusion_conv(x) + x); needs D == D'."""
+def _diffuse_grad(g, x, a, theta, num_steps):
+    """(dx, da, dtheta) of ``_diffuse`` for output gradient ``g``; recomputes every power."""
+    a_rev, inv_out, inv_in = _degrees(a)
+    # zs[k] = (P_fwd^k x, P_rev^k x); ys[k] the same before the degree scaling.
+    zs, ys = [(x, x)], [None]
+    for k in range(1, num_steps):
+        y_fwd, y_rev = a @ zs[-1][0], a_rev @ zs[-1][1]
+        ys.append((y_fwd, y_rev))
+        zs.append((y_fwd * inv_out, y_rev * inv_in))
+
+    lead = tuple(range(g.ndim - 1))
+    dtheta = np.zeros_like(theta)
+    for k, (z_fwd, z_rev) in enumerate(zs):
+        dtheta[k, 0] = np.tensordot(z_fwd, g, axes=(lead, lead))
+        dtheta[k, 1] = np.tensordot(z_rev, g, axes=(lead, lead))
+
+    da = np.zeros(a.shape)
+    d_inv_out = np.zeros_like(inv_out)
+    d_inv_in = np.zeros_like(inv_in)
+    dz_fwd = g @ theta[num_steps - 1, 0].T
+    dz_rev = g @ theta[num_steps - 1, 1].T
+    for k in range(num_steps - 1, 0, -1):
+        (y_fwd, y_rev), (z_fwd, z_rev) = ys[k], zs[k - 1]
+        dy_fwd = dz_fwd * inv_out
+        dy_rev = dz_rev * inv_in
+        d_inv_out += (dz_fwd * y_fwd).sum(axis=-1, keepdims=True)
+        d_inv_in += (dz_rev * y_rev).sum(axis=-1, keepdims=True)
+        da += dy_fwd @ np.swapaxes(z_fwd, -1, -2)
+        da += z_rev @ np.swapaxes(dy_rev, -1, -2)
+        dz_fwd = a_rev @ dy_fwd + g @ theta[k - 1, 0].T
+        dz_rev = a @ dy_rev + g @ theta[k - 1, 1].T
+    # inv = 1 / degree where the degree is nonzero: d degree = -d inv * inv^2.
+    da -= d_inv_out * inv_out * inv_out
+    da -= np.swapaxes(d_inv_in * inv_in * inv_in, -1, -2)
+    return dz_fwd + dz_rev, da, dtheta
+
+
+def diffusion_conv(x, a, theta, num_steps):
+    """Graph diffusion filtering of node features.
+
+    ``x`` is (..., N, D), ``a`` is (..., N, N) with the same leading shape
+    and non-negative entries, and ``theta`` holds one (D, D') matrix per
+    (step k, direction) pair, stored as (K, 2, D, D'). Step k applies the
+    k-th power of the forward transition (rows of ``a`` divided by
+    out-degree) and of the reverse transition (rows of the transpose
+    divided by in-degree); rows with zero degree give zero transition rows
+    rather than NaNs.
+
+    The transitions are never formed: P_fwd @ z is (a @ z) scaled per row
+    by 1/out-degree, and P_rev @ z is (a^T @ z) scaled by 1/in-degree. One
+    tape node; its backward recomputes the powers.
+    """
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    _check_diffusion("diffusion_conv", x.shape, a.shape, theta.shape, num_steps)
+    out = _diffuse(x.data, a.data, theta.data, num_steps)
+
+    def bwd(g):
+        dx, da, dtheta = _diffuse_grad(g, x.data, a.data, theta.data, num_steps)
+        x._acc(dx)
+        a._acc(da)
+        theta._acc(dtheta)
+
+    return Tensor._from_op(out, (x, a, theta), bwd)
+
+
+def spl(x, graphs, theta, num_steps):
+    """Spatial processing of a stream: ReLU(diffusion_conv(x_t, A_t) + x_t) for every step t.
+
+    ``x`` is (B, T, N, D) and ``graphs`` holds its T per-step (B, N, N)
+    adjacency tensors; the residual needs D == D'. One tape node whose
+    parents are ``x``, ``theta`` and every graph: forward writes each time
+    slice into one output array, and backward recomputes the diffusion
+    powers slice by slice, handing each graph its own (B, N, N) gradient.
+    """
     if theta.shape[-2] != theta.shape[-1]:
         raise ConfigError(
             f"spl: residual needs equal in/out widths, theta maps {theta.shape[-2]} -> {theta.shape[-1]}"
         )
-    return (diffusion_conv(x, a, theta, num_steps) + x).relu()
+    graphs = tuple(graphs)
+    if x.ndim != 4 or len(graphs) != x.shape[1]:
+        raise ConfigError(
+            f"spl: {len(graphs)} graphs for a stream of shape {x.shape}; need (B, T, N, D) and T graphs"
+        )
+    slice_shape = x.shape[:1] + x.shape[2:]
+    for a in graphs:
+        _check_diffusion("spl", slice_shape, a.shape, theta.shape, num_steps)
+
+    out = np.empty(x.shape)
+    for t, a in enumerate(graphs):
+        pre = _diffuse(x.data[:, t], a.data, theta.data, num_steps)
+        pre += x.data[:, t]
+        np.maximum(pre, 0.0, out=out[:, t])
+
+    def bwd(g):
+        g = np.where(out > 0, g, 0.0)
+        dtheta = np.zeros_like(theta.data)
+        for t, a in enumerate(graphs):
+            dx_t, da, dth = _diffuse_grad(g[:, t], x.data[:, t], a.data, theta.data, num_steps)
+            dx_t += g[:, t]
+            g[:, t] = dx_t  # slice t of g is spent: it now holds slice t of dx
+            a._acc(da)
+            dtheta += dth
+        x._acc(g)
+        theta._acc(dtheta)
+
+    return Tensor._from_op(out, (x, theta) + graphs, bwd)
+
+
+# -- temporal kernels (plain arrays) -------------------------------------------------
+
+
+def _check_temporal(op, x_shape, kernel_shape, ks):
+    if x_shape[-3] < ks:
+        raise ConfigError(f"{op}: time length {x_shape[-3]} shorter than kernel {ks}")
+    if kernel_shape[0] != ks:
+        raise ConfigError(f"{op}: kernel has width {kernel_shape[0]}, expected {ks}")
+
+
+def _rows(v):
+    """(..., T, N, C) as (..., T*N, C): a view for the contiguous streams the layers make."""
+    return v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
+
+
+def _conv(x, kernel, ks):
+    """Valid convolution along axis -3: sum_s x[..., s:s+T', :, :] @ kernel[s], shaped (..., T', N, C).
+
+    Accumulates one shift at a time, so no (..., T', N, Ks*D) window copy exists.
+    """
+    t_out = x.shape[-3] - ks + 1
+    acc = _rows(x[..., 0:t_out, :, :]) @ kernel[0]
+    for s in range(1, ks):
+        acc += _rows(x[..., s : s + t_out, :, :]) @ kernel[s]
+    return acc.reshape(x.shape[:-3] + (t_out, x.shape[-2], kernel.shape[-1]))
+
+
+def _conv_grad(douts, x, kernel, ks, dx):
+    """dkernel of ``_conv``, given the output gradient as consecutive channel blocks ``douts``.
+
+    Also adds the input gradient into ``dx`` unless it is None.
+    """
+    dkernel = np.empty_like(kernel)
+    # dx is added to one (T, N, D) block per leading index: contiguous memory, where
+    # numpy needs no iteration buffers.
+    dx_blocks = None if dx is None else dx.reshape((-1,) + dx.shape[-3:])
+    lo = 0
+    for dout in douts:
+        hi = lo + dout.shape[-1]
+        t_out = dout.shape[-3]
+        rows = _rows(dout)
+        lead = tuple(range(rows.ndim - 2))
+        for s in range(ks):
+            window = x[..., s : s + t_out, :, :]
+            # window_rows^T @ rows summed over the leading axes: the window is not copied
+            dkernel[s, :, lo:hi] = (np.swapaxes(_rows(window), -1, -2) @ rows).sum(axis=lead)
+            if dx is not None:
+                part = (rows @ kernel[s, :, lo:hi].T).reshape((-1, t_out) + dx.shape[-2:])
+                for block, add in zip(dx_blocks, part):
+                    block[s : s + t_out] += add
+        lo = hi
+    return dkernel
+
+
+def _gates(x, kernel, ks):
+    """tanh and sigmoid of the conv's first and last D output channels, as two arrays."""
+    d = kernel.shape[-1] // 2
+    sg = dc.sigmoid_array(_conv(x, kernel[..., d:], ks))
+    th = _conv(x, kernel[..., :d], ks)
+    np.tanh(th, out=th)
+    return th, sg
+
+
+def _glu_grad(g, th, sg):
+    """Gradients of th * sg with respect to the two conv halves, written over ``th`` and ``sg``."""
+    dv = g * th
+    dv *= sg
+    th *= th
+    np.subtract(1.0, th, out=th)
+    th *= sg
+    th *= g
+    np.subtract(1.0, sg, out=sg)
+    sg *= dv
+    return th, sg
 
 
 def gtu_conv(x, kernel, ks):
@@ -80,37 +266,89 @@ def gtu_conv(x, kernel, ks):
     ``x`` is (..., T, N, D) and ``kernel`` is (Ks, D, 2D). A valid
     convolution produces 2D channels per surviving time step; the first D
     pass through tanh, the last D through a sigmoid, and the output is
-    their product, shaped (..., T - Ks + 1, N, D).
+    their product, shaped (..., T - Ks + 1, N, D). One tape node; its
+    backward recomputes the convolution.
     """
-    t_in = x.shape[-3]
-    if t_in < ks:
-        raise ConfigError(f"gtu_conv: time length {t_in} shorter than kernel {ks}")
-    if kernel.shape[0] != ks:
-        raise ConfigError(f"gtu_conv: kernel has width {kernel.shape[0]}, expected {ks}")
-    t_out = t_in - ks + 1
-    acc = None
-    for s in range(ks):
-        term = x[..., s : s + t_out, :, :] @ kernel[s]
-        acc = term if acc is None else acc + term
-    d = x.shape[-1]
-    u = acc[..., :d]
-    v = acc[..., d:]
-    return u.tanh() * v.sigmoid()
+    _check_temporal("gtu_conv", x.shape, kernel.shape, ks)
+    out, sg = _gates(x.data, kernel.data, ks)
+    out *= sg
+
+    def bwd(g):
+        douts = _glu_grad(g, *_gates(x.data, kernel.data, ks))
+        dx = np.zeros(x.shape) if x._track else None
+        kernel._acc(_conv_grad(douts, x.data, kernel.data, ks, dx))
+        x._acc(dx)
+
+    return Tensor._from_op(out, (x, kernel), bwd)
 
 
 def layer_norm(x, scale, shift):
-    """Normalize over the channel axis, then apply a learnable affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) * ((var + LN_EPS) ** -0.5) * scale + shift
+    """LayerNorm over the channel axis, then a learnable affine, on plain arrays.
+
+    Returns ``(out, mean, rstd)``; ``mean`` and ``rstd`` are the per-row
+    statistics, shaped like ``x`` with a last axis of 1.
+    """
+    inv_n = 1.0 / x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) * inv_n
+    centered = x - mean
+    rstd = ((centered**2.0).sum(axis=-1, keepdims=True) * inv_n + LN_EPS) ** -0.5
+    return centered * rstd * scale + shift, mean, rstd
 
 
-def tpl(x, kernel, ks, scale, shift):
-    """Temporal processing: LayerNorm(gated conv + residual of the last slices)."""
-    t_in = x.shape[-3]
-    gated = gtu_conv(x, kernel, ks)
-    residual = x[..., ks - 1 : t_in, :, :]
-    return layer_norm(gated + residual, scale, shift)
+def tpl(x, kernel, ks, scale, shift, keep=None, rate=0.0):
+    """Temporal processing: LayerNorm(gated conv + residual of the last slices), then dropout.
+
+    ``keep`` is None, or the boolean (..., T - Ks + 1, N, D) pattern of an
+    inverted dropout with drop probability ``rate``: kept entries are
+    scaled by 1 / (1 - rate), the others zeroed. One tape node that keeps
+    its parents, its output, the LayerNorm mean and rstd and ``keep``; its
+    backward recomputes the convolution and the gate.
+    """
+    _check_temporal("tpl", x.shape, kernel.shape, ks)
+    y, sg = _gates(x.data, kernel.data, ks)
+    y *= sg
+    del sg
+    y += x.data[..., ks - 1 :, :, :]
+    out, mean, rstd = layer_norm(y, scale.data, shift.data)
+    if keep is not None:
+        if keep.shape != out.shape:
+            raise ConfigError(f"tpl: dropout pattern {keep.shape} does not match output {out.shape}")
+        out *= keep
+        out *= 1.0 / (1.0 - rate)
+
+    def bwd(g):
+        # Buffers are reused in place: backward holds at most about four output-sized arrays.
+        th, sg = _gates(x.data, kernel.data, ks)
+        normed = th * sg
+        normed += x.data[..., ks - 1 :, :, :]
+        normed -= mean
+        normed *= rstd
+        if keep is not None:
+            g = np.where(keep, g, 0.0)
+            g *= 1.0 / (1.0 - rate)
+        width = g.shape[-1]
+        shift._acc(g.sum(axis=tuple(range(g.ndim - 1))))
+        scale._acc(np.einsum("rd,rd->d", g.reshape(-1, width), normed.reshape(-1, width)))
+        # Through normed = (y - mean) * rstd, with mean and rstd functions of y.
+        dy = np.multiply(g, scale.data, out=None if keep is None else g)
+        del g
+        dot = np.einsum("rd,rd->r", dy.reshape(-1, width), normed.reshape(-1, width))
+        normed *= dot.reshape(mean.shape) * (1.0 / width)
+        dy -= normed
+        dy *= rstd
+        del normed
+        dy -= dy.mean(axis=-1, keepdims=True)
+        douts = _glu_grad(dy, th, sg)
+        del th, sg
+        dx = None
+        if x._track:
+            dx = np.zeros(x.shape)
+            dx[..., ks - 1 :, :, :] = dy
+        del dy
+        kernel._acc(_conv_grad(douts, x.data, kernel.data, ks, dx))
+        x._acc(dx)
+
+    return Tensor._from_op(out, (x, kernel, scale, shift), bwd)
 
 
 class OutputLayer:
@@ -123,13 +361,20 @@ class OutputLayer:
         self.t_in = t_in
 
     def __call__(self, x):
+        """(..., T, N, D) to (..., N, D'): one contraction over (time, channel), plus the bias."""
         if x.shape[-3] != self.t_in:
             raise ConfigError(f"output layer: time length {x.shape[-3]} != kernel span {self.t_in}")
-        acc = None
-        for s in range(self.t_in):
-            term = x[..., s, :, :] @ self.kernel[s]
-            acc = term if acc is None else acc + term
-        return acc + self.bias
+        kernel, bias = self.kernel, self.bias
+        out = np.tensordot(x.data, kernel.data, axes=([-3, -1], [0, 1]))
+        out += bias.data
+
+        def bwd(g):
+            lead = tuple(range(g.ndim - 1))
+            bias._acc(g.sum(axis=lead))
+            kernel._acc(np.tensordot(x.data, g, axes=(lead[:-1] + (x.ndim - 2,), lead)))
+            x._acc(g[..., None, :, :] @ np.swapaxes(kernel.data, -1, -2))
+
+        return Tensor._from_op(out, (x, kernel, bias), bwd)
 
     def params(self):
         return [("kernel", self.kernel), ("bias", self.bias)]
@@ -185,25 +430,23 @@ class SpatioTemporalBlock:
     def forward(self, stream, graphs, offset, dropout=None):
         """Returns (next stream, block output, next offset).
 
-        ``dropout`` is None at eval, or a (rate, generator) pair; inverted
-        dropout masks are drawn after each temporal conv.
+        ``dropout`` is None at eval, or a (rate, generator) pair; an inverted
+        dropout pattern over each temporal conv's output is drawn before
+        that conv runs.
         """
+        rate, rng = dropout if dropout is not None else (0.0, None)
         for theta, lam, scale, shift in (
             (self.theta1, self.lam1, self.ln1_scale, self.ln1_shift),
             (self.theta2, self.lam2, self.ln2_scale, self.ln2_shift),
         ):
             t_cur = stream.shape[1]
-            slices = []
-            for j in range(t_cur):
-                slices.append(spl(stream[:, j], graphs[offset + j], theta, self.diff_steps))
-            stream = dc.stack(slices, axis=1)
-            stream = tpl(stream, lam, self.ks, scale, shift)
+            stream = spl(stream, graphs[offset : offset + t_cur], theta, self.diff_steps)
+            keep = None
+            if rate > 0.0:
+                t_next = t_cur - self.ks + 1
+                keep = rng.uniform(size=stream.shape[:1] + (t_next,) + stream.shape[2:]) >= rate
+            stream = tpl(stream, lam, self.ks, scale, shift, keep, rate)
             offset += self.ks - 1
-            if dropout is not None:
-                rate, rng = dropout
-                if rate > 0.0:
-                    mask = (rng.uniform(size=stream.shape) >= rate) / (1.0 - rate)
-                    stream = stream * Tensor(mask)
         return stream, self.output(stream), offset
 
     def params(self):

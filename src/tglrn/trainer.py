@@ -356,6 +356,8 @@ def checkpoint_load(path, expect_num_nodes=None):
             if len(raw) != 8 * count:
                 raise CheckpointError(f"truncated checkpoint payload at parameter {name}")
             payload[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(payload[name]).all():
+                raise CheckpointError(f"non-finite value in checkpoint parameter {name}")
         if fh.read(1):
             raise CheckpointError("trailing bytes after checkpoint payload")
 

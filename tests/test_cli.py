@@ -170,6 +170,26 @@ class TestTrainEval:
         assert err.startswith("ERROR:3:") and len(err.splitlines()) == 1, err
         assert "alpha" in err and "Traceback" not in err
 
+    def test_eval_rejects_non_finite_checkpoint_weight(self, trained, tmp_path, capsys):
+        data_dir, out = trained
+        blob = (out / "model.ckpt").read_bytes()
+        for value in (np.nan, np.inf):
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes(blob[:-8] + struct.pack("<d", value))  # last entry of head.b
+            args = ["eval"]
+            for s in (
+                f"flows_path={data_dir}/flow.csv",
+                "num_nodes=8",
+                f"checkpoint_path={bad}",
+                f"out_dir={tmp_path}/evalout",
+            ):
+                args += ["--set", s]
+            capsys.readouterr()
+            assert run(args) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR:3:") and len(err.splitlines()) == 1, err
+            assert "head.b" in err and "Traceback" not in err
+
     def test_inspect_graph_dumps(self, trained, tmp_path):
         data_dir, out = trained
         ins_out = tmp_path / "insout"
@@ -273,6 +293,36 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("ERROR:2:") and len(err.splitlines()) == 1, err
         assert setting.split("=")[0] in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, omitted",
+        [
+            ("train", "flows_path"),
+            ("train", "edges_path"),
+            ("eval", "checkpoint_path"),
+            ("eval", "flows_path"),
+            ("predict", "checkpoint_path"),
+            ("predict", "flows_path"),
+            ("inspect-graph", "checkpoint_path"),
+            ("inspect-graph", "flows_path"),
+        ],
+    )
+    def test_missing_required_path_exits_2_before_out_dir(self, tmp_path, capsys, command, omitted):
+        sets = {
+            "edges_path": tmp_path / "edges.csv",
+            "flows_path": tmp_path / "flow.csv",
+            "checkpoint_path": tmp_path / "model.ckpt",
+            "num_nodes": 8,
+            "out_dir": tmp_path / "o",
+        }
+        del sets[omitted]
+        args = [command]
+        for key, value in sets.items():
+            args += ["--set", f"{key}={value}"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err == f"ERROR:2: {omitted} is required\n"
         assert not (tmp_path / "o").exists()
 
     def test_empty_validation_split_exits_3_before_training(self, tmp_path, capsys, monkeypatch):

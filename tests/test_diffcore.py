@@ -22,6 +22,29 @@ def rsqrt_or_zero(x, threshold=0.0):
     return Tensor._from_op(out_data, (a,), bwd)
 
 
+def stack(tensors, axis=0):
+    """Tensor op for the per-op oracles: np.stack with a per-input backward."""
+    tensors = [dc._ensure_tensor(t) for t in tensors]
+    out_data = np.stack([t.data for t in tensors], axis=axis)
+
+    def bwd(g):
+        for i, t in enumerate(tensors):
+            t._acc(np.take(g, i, axis=axis))
+
+    return Tensor._from_op(out_data, tuple(tensors), bwd)
+
+
+def safe_recip(x):
+    """Tensor op for the per-op oracles: 1/x where x is nonzero, 0 where x is exactly zero."""
+    a = dc._ensure_tensor(x)
+    out_data = np.divide(1.0, a.data, out=np.zeros_like(a.data), where=a.data != 0)
+
+    def bwd(g):
+        a._acc(-g * out_data * out_data)
+
+    return Tensor._from_op(out_data, (a,), bwd)
+
+
 class TestForwardBasics:
     def test_identity_passthrough(self):
         t = Tensor([1.0, 2.0, 3.0])
@@ -97,9 +120,9 @@ def _random_graph_loss(rng, params):
     m = m @ Tensor(rng.standard_normal((m.shape[-1], 4)))
     bt = b.transpose((1, 0))
     m = dc.softmax(m, axis=-1) + (a @ bt).relu().mean(axis=-1, keepdims=True)
-    m = dc.stack([m, m * 2.0], axis=0).sum(axis=0)
+    m = stack([m, m * 2.0], axis=0).sum(axis=0)
     v = ((m - m.mean(axis=-1, keepdims=True)) ** 2).mean()
-    return (m.abs().sum() + (v + 1e-3).sqrt() + dc.safe_recip(v + 1.0).sum()) * 0.5
+    return (m.abs().sum() + (v + 1e-3).sqrt() + safe_recip(v + 1.0).sum()) * 0.5
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -150,6 +173,44 @@ def test_einsum2_gradients():
     assert all(rep.passed for rep in reports)
 
 
+@pytest.mark.parametrize("tracked", ["a", "b"])
+def test_untracked_operand_gets_no_contraction(monkeypatch, tracked):
+    """Backward through einsum2 and @ contracts only for the tracked operand, to the same bits."""
+    rng = np.random.default_rng(6)
+    a_vals, b_vals = rng.standard_normal((3, 4, 5)), rng.standard_normal((5, 4, 2))
+    m_vals = rng.standard_normal((5, 2))
+    r = rng.standard_normal((3, 4, 2))
+
+    def grads(track_both):
+        leaves = {}
+        for name, vals in (("a", a_vals), ("b", b_vals), ("m", m_vals)):
+            keep = track_both or name == tracked or (name == "m" and tracked == "b")
+            leaves[name] = Parameter(vals.copy()) if keep else Tensor(vals)
+        out = dc.einsum2("inl,lnj->inj", leaves["a"], leaves["b"]) + leaves["a"] @ leaves["m"]
+        (out * Tensor(r)).sum().backward()
+        return leaves
+
+    want = grads(track_both=True)
+    einsums, swapped = [], []
+    real_einsum, real_swapaxes = np.einsum, np.swapaxes
+    monkeypatch.setattr(np, "einsum", lambda sub, *ops: einsums.append(sub) or real_einsum(sub, *ops))
+    monkeypatch.setattr(np, "swapaxes", lambda x, *ax: swapped.append(x.shape) or real_swapaxes(x, *ax))
+    got = grads(track_both=False)
+    monkeypatch.undo()
+
+    if tracked == "a":
+        # einsum: the forward plus dA; matmul: dA = g @ m^T only.
+        assert einsums == ["inl,lnj->inj", "inj,lnj->inl"]
+        assert swapped == [m_vals.shape]
+        np.testing.assert_array_equal(got["a"].grad, want["a"].grad)
+    else:
+        # einsum: the forward plus dB; matmul: dM = a^T @ g only.
+        assert einsums == ["inl,lnj->inj", "inl,inj->lnj"]
+        assert swapped == [a_vals.shape]
+        np.testing.assert_array_equal(got["b"].grad, want["b"].grad)
+        np.testing.assert_array_equal(got["m"].grad, want["m"].grad)
+
+
 def test_einsum2_rejects_unsupported_subscripts():
     a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
     with pytest.raises(ConfigError):
@@ -171,7 +232,7 @@ def test_corrupted_gradient_fails_check():
 
 def test_safe_recip_zero_row():
     x = Tensor(np.array([0.0, 2.0]))
-    out = dc.safe_recip(x)
+    out = safe_recip(x)
     np.testing.assert_array_equal(out.data, [0.0, 0.5])
 
 

@@ -9,6 +9,8 @@ from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 
+from test_diffcore import safe_recip, stack
+
 
 def naive_diffusion(x, a, theta, k_steps):
     """Triple-loop oracle over channels, steps, and explicit matrix powers."""
@@ -38,6 +40,92 @@ def naive_gtu(x, kernel, ks):
             pre[t] += x[t + s] @ kernel[s]
     u, v = pre[..., : twod // 2], pre[..., twod // 2 :]
     return np.tanh(u) / (1.0 + np.exp(-v))
+
+
+# -- the Tensor-level compositions the fused nodes replaced, kept as oracles ------------
+
+
+def oracle_diffusion_conv(x, a, theta, num_steps):
+    """diffusion_conv built from per-op tape nodes."""
+    a_rev = dc.swap_last2(a)
+    inv_out = safe_recip(a.sum(axis=-1, keepdims=True))
+    inv_in = safe_recip(a_rev.sum(axis=-1, keepdims=True))
+    z_fwd, z_rev = x, x
+    out = z_fwd @ theta[0, 0] + z_rev @ theta[0, 1]
+    for k in range(1, num_steps):
+        z_fwd = (a @ z_fwd) * inv_out
+        z_rev = (a_rev @ z_rev) * inv_in
+        out = out + z_fwd @ theta[k, 0] + z_rev @ theta[k, 1]
+    return out
+
+
+def oracle_spl(x, graphs, theta, num_steps):
+    """spl as one residual ReLU per time slice, stacked along time."""
+    slices = [
+        (oracle_diffusion_conv(x[:, t], a, theta, num_steps) + x[:, t]).relu()
+        for t, a in enumerate(graphs)
+    ]
+    return stack(slices, axis=1)
+
+
+def oracle_gtu_conv(x, kernel, ks):
+    t_out = x.shape[-3] - ks + 1
+    acc = None
+    for s in range(ks):
+        term = x[..., s : s + t_out, :, :] @ kernel[s]
+        acc = term if acc is None else acc + term
+    d = x.shape[-1]
+    return acc[..., :d].tanh() * acc[..., d:].sigmoid()
+
+
+def oracle_layer_norm(x, scale, shift):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) * ((var + stnet.LN_EPS) ** -0.5) * scale + shift
+
+
+def oracle_tpl(x, kernel, ks, scale, shift, keep=None, rate=0.0):
+    """tpl plus the separate inverted-dropout node the block used to apply."""
+    out = oracle_layer_norm(oracle_gtu_conv(x, kernel, ks) + x[..., ks - 1 :, :, :], scale, shift)
+    return out if keep is None else out * Tensor(keep / (1.0 - rate))
+
+
+def oracle_output(layer, x):
+    acc = None
+    for s in range(layer.t_in):
+        term = x[..., s, :, :] @ layer.kernel[s]
+        acc = term if acc is None else acc + term
+    return acc + layer.bias
+
+
+def oracle_block_forward(block, stream, graphs, offset, dropout=None):
+    """SpatioTemporalBlock.forward from per-op nodes, drawing the dropout masks in the same order."""
+    for theta, lam, scale, shift in (
+        (block.theta1, block.lam1, block.ln1_scale, block.ln1_shift),
+        (block.theta2, block.lam2, block.ln2_scale, block.ln2_shift),
+    ):
+        t_cur = stream.shape[1]
+        stream = oracle_spl(stream, graphs[offset : offset + t_cur], theta, block.diff_steps)
+        stream = oracle_tpl(stream, lam, block.ks, scale, shift)
+        offset += block.ks - 1
+        if dropout is not None and dropout[0] > 0.0:
+            rate, rng = dropout
+            stream = stream * Tensor((rng.uniform(size=stream.shape) >= rate) / (1.0 - rate))
+    return stream, oracle_output(block.output, stream), offset
+
+
+def closure_arrays(node):
+    """Every ndarray a tape node's backward closure holds, looking into Tensors and tuples."""
+    found, todo = [], [c.cell_contents for c in node._bwd.__closure__ or ()]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, Tensor):
+            found.append(v.data)
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+    return found
 
 
 class TestDiffusionConv:
@@ -84,8 +172,8 @@ class TestDiffusionConv:
 def transition_diffusion(x, a, theta, k_steps):
     """Tensor-level oracle: form both transition matrices, then take their powers."""
     a_rev = dc.swap_last2(a)
-    p_fwd = a * dc.safe_recip(a.sum(axis=-1, keepdims=True))
-    p_rev = a_rev * dc.safe_recip(a_rev.sum(axis=-1, keepdims=True))
+    p_fwd = a * safe_recip(a.sum(axis=-1, keepdims=True))
+    p_rev = a_rev * safe_recip(a_rev.sum(axis=-1, keepdims=True))
     z_fwd, z_rev = x, x
     out = x @ theta[0, 0] + x @ theta[0, 1]
     for k in range(1, k_steps):
@@ -135,45 +223,53 @@ class TestDiffusionWithoutTransitions:
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
 
     def test_tape_holds_no_nn_product(self):
+        # One node whose closure keeps only its parents: no N x N array but ``a`` itself.
         rng = np.random.default_rng(22)
         n = 6
         a = Parameter(rng.uniform(size=(2, n, n)))
         out = stnet.diffusion_conv(Tensor(rng.standard_normal((2, n, 4))), a, Parameter(np.ones((3, 2, 4, 4))), 3)
-        seen, stack = {}, [out]
-        while stack:
-            t = stack.pop()
-            if id(t) not in seen:
-                seen[id(t)] = t
-                stack.extend(t._parents)
-        square = [t for t in seen.values() if t.shape[-2:] == (n, n) and not np.shares_memory(t.data, a.data)]
+        assert all(p._bwd is None for p in out._parents)
+        held = closure_arrays(out)
+        square = [v for v in held if v.shape[-2:] == (n, n) and not np.shares_memory(v, a.data)]
         assert square == []
 
 
 class TestSpl:
     def test_zero_filter_is_residual_relu(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((4, 3))
-        out = stnet.spl(Tensor(x), Tensor(np.eye(4)), Parameter(np.zeros((2, 2, 3, 3))), 2)
+        x = rng.standard_normal((1, 1, 4, 3))
+        out = stnet.spl(Tensor(x), [Tensor(np.eye(4)[None])], Parameter(np.zeros((2, 2, 3, 3))), 2)
         np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
 
     def test_nonpositive_input_zero_filter(self):
-        x = -np.abs(np.random.default_rng(3).standard_normal((4, 3)))
-        out = stnet.spl(Tensor(x), Tensor(np.eye(4)), Parameter(np.zeros((2, 2, 3, 3))), 2)
-        np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
+        x = -np.abs(np.random.default_rng(3).standard_normal((1, 1, 4, 3)))
+        out = stnet.spl(Tensor(x), [Tensor(np.eye(4)[None])], Parameter(np.zeros((2, 2, 3, 3))), 2)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 1, 4, 3)))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="spl"):
-            stnet.spl(Tensor(np.ones((3, 2))), Tensor(np.eye(3)), Parameter(np.ones((1, 2, 2, 3))), 1)
+            stnet.spl(
+                Tensor(np.ones((1, 1, 3, 2))), [Tensor(np.eye(3)[None])], Parameter(np.ones((1, 2, 2, 3))), 1
+            )
+
+    @pytest.mark.parametrize("t_len", [1, 3])
+    def test_graph_count_and_shape_rejected(self, t_len):
+        x = Tensor(np.ones((2, 3, 4, 2)))
+        graphs = [Tensor(np.ones((2, 4, 4)))] * t_len
+        if t_len == 3:
+            graphs[1] = Tensor(np.ones((1, 4, 4)))
+        with pytest.raises(ConfigError, match="spl"):
+            stnet.spl(x, graphs, Parameter(np.ones((1, 2, 2, 2))), 1)
 
     def test_gradients_four_node_instance(self):
         rng = np.random.default_rng(4)
-        x = Parameter(rng.standard_normal((4, 3)), "x")
-        a_raw = Parameter(rng.standard_normal((4, 4)), "a_raw")
+        x = Parameter(rng.standard_normal((1, 2, 4, 3)), "x")
+        a_raw = [Parameter(rng.standard_normal((1, 4, 4)), f"a_raw{t}") for t in range(2)]
         theta = Parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4, "theta")
-        r = rng.standard_normal((4, 3))
+        r = rng.standard_normal((1, 2, 4, 3))
         reports = finite_diff_check(
-            lambda: (stnet.spl(x, a_raw.sigmoid(), theta, 2) * Tensor(r)).sum(),
-            [("x", x), ("a_raw", a_raw), ("theta", theta)],
+            lambda: (stnet.spl(x, [a.sigmoid() for a in a_raw], theta, 2) * Tensor(r)).sum(),
+            [("x", x), ("a_raw0", a_raw[0]), ("a_raw1", a_raw[1]), ("theta", theta)],
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
 
@@ -222,8 +318,8 @@ class TestTpl:
         scale = Parameter(rng.standard_normal(4))
         shift = Parameter(rng.standard_normal(4))
         out = stnet.tpl(Tensor(x), Parameter(np.zeros((2, 4, 8))), 2, scale, shift)
-        expected = stnet.layer_norm(Tensor(x[1:]), scale, shift)
-        np.testing.assert_allclose(out.data, expected.data, atol=1e-14)
+        expected, _, _ = stnet.layer_norm(x[1:], scale.data, shift.data)
+        np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
     def test_output_length(self):
         x = Tensor(np.random.default_rng(6).standard_normal((2, 7, 3, 2)))
@@ -310,8 +406,8 @@ class TestBlock:
         assert out_stream.shape == (2, 3, 3, 4)
         assert block_out.shape == (2, 3, 4)
         assert offset == 2
-        # first pass touches graphs 0..4, second (after one conv) graphs 1..4
-        assert used == [0, 1, 2, 3, 4, 1, 2, 3, 4]
+        # first pass takes graphs 0..4, second (after one conv) graphs 1..4
+        assert used == [slice(0, 5), slice(1, 5)]
 
     def test_paper_kernel_single_block_shapes(self):
         # window 12, kernel 6: stream shrinks 12 -> 7 -> 2, output kernel spans 2
@@ -342,3 +438,149 @@ class TestBlock:
         plain, _, _ = block.forward(stream, graphs, 0)
         dropped, _, _ = block.forward(stream, graphs, 0, dropout=(0.5, np.random.default_rng(1)))
         assert not np.array_equal(plain.data, dropped.data)
+
+
+# -- fused nodes against the per-op compositions they replaced -------------------------
+
+
+def assert_within(got, want):
+    """|got - want| <= 1e-12 of want's largest entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def forward_backward(build, values, seed):
+    """Train forward and backward of ``build`` over fresh Parameters, plus a no_grad forward."""
+    leaves = [Parameter(v.copy()) for v in values]
+    out = build(*leaves)
+    r = np.random.default_rng(seed).standard_normal(out.shape)
+    (out * Tensor(r)).sum().backward()
+    with dc.no_grad():
+        eval_out = build(*[Tensor(v) for v in values])
+    assert not eval_out._track and eval_out._parents == ()
+    return out.data, [p.grad for p in leaves], eval_out.data
+
+
+def fused_cases():
+    rng = np.random.default_rng(40)
+    a_vals, _ = zero_degree_adjacency(rng, 5)
+    stream = rng.standard_normal((2, 3, 5, 3))
+    graphs = [zero_degree_adjacency(rng, 5)[0] for _ in range(3)]
+    theta = rng.standard_normal((3, 2, 3, 3)) * 0.5
+    x6 = rng.standard_normal((2, 6, 4, 3))
+    kernel = rng.standard_normal((3, 3, 6)) * 0.5
+    scale, shift = rng.standard_normal(3), rng.standard_normal(3)
+    keep = rng.uniform(size=(2, 4, 4, 3)) >= 0.3
+    out_x = rng.standard_normal((2, 3, 5, 4))
+    out_k, out_b = rng.standard_normal((3, 4, 4)), rng.standard_normal(4)
+
+    def output(fn):
+        def build(x, k, b):
+            layer = stnet.OutputLayer(3, 4, np.random.default_rng(0))
+            layer.kernel, layer.bias = k, b
+            return fn(layer, x)
+
+        return build
+
+    return {
+        "diffusion_conv": (
+            lambda x, a, th: stnet.diffusion_conv(x, a, th, 3),
+            lambda x, a, th: oracle_diffusion_conv(x, a, th, 3),
+            [stream[:, 0], a_vals, theta],
+        ),
+        "spl": (
+            lambda x, a0, a1, a2, th: stnet.spl(x, [a0, a1, a2], th, 3),
+            lambda x, a0, a1, a2, th: oracle_spl(x, [a0, a1, a2], th, 3),
+            [stream] + graphs + [theta],
+        ),
+        "gtu_conv": (
+            lambda x, k: stnet.gtu_conv(x, k, 3),
+            lambda x, k: oracle_gtu_conv(x, k, 3),
+            [x6, kernel],
+        ),
+        "tpl": (
+            lambda x, k, sc, sh: stnet.tpl(x, k, 3, sc, sh),
+            lambda x, k, sc, sh: oracle_tpl(x, k, 3, sc, sh),
+            [x6, kernel, scale, shift],
+        ),
+        "tpl_dropout": (
+            lambda x, k, sc, sh: stnet.tpl(x, k, 3, sc, sh, keep, 0.3),
+            lambda x, k, sc, sh: oracle_tpl(x, k, 3, sc, sh, keep, 0.3),
+            [x6, kernel, scale, shift],
+        ),
+        "output_layer": (
+            output(lambda layer, x: layer(x)),
+            output(oracle_output),
+            [out_x, out_k, out_b],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(fused_cases()))
+def test_fused_node_matches_composition(name):
+    fused, oracle, values = fused_cases()[name]
+    got, got_grads, got_eval = forward_backward(fused, values, 41)
+    want, want_grads, want_eval = forward_backward(oracle, values, 41)
+    assert_within(got, want)
+    assert_within(got_eval, want_eval)
+    np.testing.assert_array_equal(got, got_eval)
+    for g, w in zip(got_grads, want_grads):
+        assert_within(g, w)
+
+
+class TestFusedBlock:
+    def _run(self, forward, stream, graphs, dropout_seed):
+        rng = np.random.default_rng(30)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
+        stream = Parameter(stream.copy())
+        graphs = [Parameter(a.copy()) for a in graphs]
+        dropout = None if dropout_seed is None else (0.4, np.random.default_rng(dropout_seed))
+        out_stream, block_out, offset = forward(block, stream, graphs, 0, dropout)
+        r = np.random.default_rng(31)
+        loss = (out_stream * Tensor(r.standard_normal(out_stream.shape))).sum()
+        (loss + (block_out * Tensor(r.standard_normal(block_out.shape))).sum()).backward()
+        grads = [stream.grad] + [a.grad for a in graphs] + [p.grad for _, p in block.params()]
+        return out_stream.data, block_out.data, offset, grads
+
+    @pytest.mark.parametrize("dropout_seed", [None, 5])
+    def test_matches_per_slice_composition(self, dropout_seed):
+        rng = np.random.default_rng(32)
+        stream = rng.standard_normal((2, 5, 6, 4))
+        graphs = [rng.uniform(size=(2, 6, 6)) * (rng.uniform(size=(2, 6, 6)) < 0.5) for _ in range(5)]
+        fused = self._run(lambda b, *args: b.forward(*args), stream, graphs, dropout_seed)
+        oracle = self._run(oracle_block_forward, stream, graphs, dropout_seed)
+        assert_within(fused[0], oracle[0])
+        assert_within(fused[1], oracle[1])
+        assert fused[2] == oracle[2]
+        for g, w in zip(fused[3], oracle[3]):
+            assert_within(g, w)
+
+    def test_train_forward_records_at_most_five_nodes(self):
+        rng = np.random.default_rng(33)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
+        stream = Parameter(rng.standard_normal((2, 5, 3, 4)))
+        graphs = [Parameter(rng.uniform(size=(2, 3, 3))) for _ in range(5)]
+        out_stream, block_out, _ = block.forward(stream, graphs, 0, dropout=(0.3, rng))
+        inputs = {id(t) for t in [stream] + graphs + [p for _, p in block.params()]}
+        seen, todo = {}, [out_stream, block_out]
+        while todo:
+            t = todo.pop()
+            if id(t) not in inputs and id(t) not in seen:
+                seen[id(t)] = t
+                todo.extend(t._parents)
+        assert len(seen) <= 5
+
+    def test_nodes_keep_only_parents_output_and_row_statistics(self):
+        rng = np.random.default_rng(34)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
+        stream = Parameter(rng.standard_normal((2, 5, 3, 4)))
+        graphs = [Parameter(rng.uniform(size=(2, 3, 3))) for _ in range(5)]
+        out_stream, block_out, _ = block.forward(stream, graphs, 0, dropout=(0.3, rng))
+        node, checked = out_stream, 0
+        while node is not stream:
+            own = {id(node.data)} | {id(p.data) for p in node._parents}
+            extra = [v for v in closure_arrays(node) if id(v) not in own]
+            # tpl: the (..., 1) mean and rstd and the boolean keep pattern; spl: nothing
+            assert all(v.shape[-1] == 1 or v.dtype == bool for v in extra), [v.shape for v in extra]
+            node, checked = node._parents[0], checked + 1
+        assert checked == 4
