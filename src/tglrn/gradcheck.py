@@ -126,6 +126,24 @@ def _check_gru_cell(seed):
     return finite_diff_check(lambda: _weighted_sum(cell.step(e, x), r), params)
 
 
+def _check_gru_step(seed):
+    from .diffcore import Parameter
+    from .dyngraph import EmbeddingChain
+
+    # Two fused steps over a batched (B, N, d) embedding, with a two-feature input
+    # whose gradient is checked too.
+    rng = np.random.default_rng([seed, 17])
+    chain = EmbeddingChain(num_nodes=3, embed_dim=3, in_features=2, proj_dim=4, rng=rng)
+    window = Parameter(rng.standard_normal((2, 3, 3, 2)), "window")
+    r = rng.standard_normal((3, 2, 3, 3))
+
+    def build():
+        embs = chain.run(window)
+        return sum(_weighted_sum(emb, w) for emb, w in zip(embs, r))
+
+    return finite_diff_check(build, [("window", window)] + chain.params())
+
+
 def _check_gating(seed):
     from .diffcore import Linear, Parameter
     from .dyngraph import gate
@@ -347,6 +365,7 @@ def _check_end_to_end(seed):
 _SUITE = [
     ("input_layer", _check_linear_input_layer),
     ("gru_cell", _check_gru_cell),
+    ("gru_step", _check_gru_step),
     ("gating", _check_gating),
     ("edge_logits", _check_edge_logits),
     ("normalize_sigmoid", _check_normalize_sigmoid),

@@ -10,6 +10,7 @@ through the prediction head. Predictions come back in normalized space;
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,6 +72,57 @@ class ModelConfig:
         # config never builds the per-block list (n_blocks long) just to be checked.
         if self.t_in - (2 * self.n_blocks - 1) * (self.kernel_size - 1) < self.kernel_size:
             block_schedule(self.t_in, self.n_blocks, self.kernel_size)
+        # numpy sizes every array in intp bytes; a larger one raises only once the
+        # model is built, after the run has started.
+        limit = int(np.iinfo(np.intp).max)
+        rows = self.param_bytes()
+        for name, largest, _ in rows:
+            if largest > limit:
+                raise ConfigError(
+                    f"parameter {name} would need {largest} bytes; numpy sizes arrays up to {limit}"
+                )
+        total = sum(every for _, _, every in rows)
+        if total > limit:
+            raise ConfigError(f"parameters would need {total} bytes; numpy sizes arrays up to {limit}")
+
+    def param_bytes(self):
+        """(name, bytes of the largest array, bytes of all) per parameter, in Python ints.
+
+        Closed form: its cost does not grow with the sizes. A ``block*`` row
+        covers the parameter in all ``n_blocks`` blocks; the output kernel of
+        block b spans t_in - 2 (b + 1) (Ks - 1) steps, so block 0's is the largest.
+        """
+        n, t, f, d, m = self.num_nodes, self.t_in, self.in_features, self.embed_dim, self.hop_dim
+        w, nb, shrink = self.hidden_dim, self.n_blocks, self.kernel_size - 1
+
+        def row(name, shape, copies=1):
+            one = 8 * math.prod(shape)
+            return (name, one, one * copies)
+
+        def linear(name, i, o):
+            return [row(f"{name}.w", (i, o)), row(f"{name}.b", (o,))]
+
+        def chain(name, e):
+            rows = [row(f"graph.{name}.e_init", (n, e))] + linear(f"graph.{name}.gru.proj", f, w)
+            for gate in ("f_z", "f_r", "g"):
+                rows += linear(f"graph.{name}.gru.{gate}", e + w, e)
+            return rows
+
+        rows = chain("chain_st", d) + chain("chain_ed", d) + chain("chain_h", m)
+        rows += [row("graph.base_st", (t, n, d)), row("graph.base_ed", (t, n, d))]
+        rows += linear("graph.gate_st", d, d) + linear("graph.gate_ed", d, d)
+        rows += [row("graph.edge_w", (2 * d, 1)), row("graph.edge_b", (1,))]
+        rows += linear("graph.hop_l1", m, m) + linear("graph.hop_l2", m, self.levels)
+        rows += linear("input", f, w)
+        rows += [row(f"block*.spl{i}.theta", (self.diff_steps, 2, w, w), nb) for i in (0, 1)]
+        for i in (0, 1):
+            rows.append(row(f"block*.tpl{i}.kernel", (self.kernel_size, w, 2 * w), nb))
+            rows += [row(f"block*.tpl{i}.ln_{k}", (w,), nb) for k in ("scale", "shift")]
+        spans = nb * t - shrink * nb * (nb + 1)  # output-kernel time steps over all blocks
+        rows.append(("block*.out.kernel", 8 * (t - 2 * shrink) * w * w, 8 * spans * w * w))
+        rows.append(row("block*.out.bias", (w,), nb))
+        rows += [row("head.w", (nb * w, self.t_out, f)), row("head.b", (self.t_out, f))]
+        return rows
 
 
 class TGLRN:

@@ -296,6 +296,29 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "setting",
+        [
+            f"hidden_dim={2**62}",
+            f"hidden_dim={2**60}",
+            f"embed_dim={2**62}",
+            f"hop_dim={2**62}",
+            f"t_in={2**62}",
+            f"t_out={2**62}",
+        ],
+    )
+    def test_unsizable_parameter_exits_2_before_out_dir(self, tmp_path, capsys, setting):
+        # Every value here makes some parameter larger than numpy can size, so even
+        # a build that got past the check would raise rather than allocate.
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        capsys.readouterr()
+        assert run(train_args(data_dir, tmp_path / "o", extra=[setting])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:2: parameter ") and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "command, omitted",
         [
             ("train", "flows_path"),

@@ -1,14 +1,17 @@
 """Run configuration: defaults shared with the model and train specs, and load-time checks."""
 
 import math
+import re
 from dataclasses import MISSING, fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglrn import trainer
 from tglrn.config import RunConfig, load_config, section
+from tglrn.data import Scaler
 from tglrn.errors import ConfigError
 from tglrn.model import ModelConfig
 
@@ -20,6 +23,32 @@ def test_shared_fields_have_the_same_default(spec):
     assert shared
     for f in shared:
         assert getattr(run, f.name) == f.default, f.name
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [{}, {"n_blocks": 3, "kernel_size": 3, "t_in": 14}, {"n_blocks": 2, "kernel_size": 1, "levels": 3}],
+)
+def test_param_bytes_match_the_built_model(shape):
+    base = ModelConfig(num_nodes=4, t_in=6, t_out=2, embed_dim=4, hop_dim=3, hidden_dim=5, n_blocks=1)
+    cfg = replace(base, **shape)
+    scaler = Scaler(mean=np.zeros((4, 1)), std=np.ones((4, 1)))
+    model = trainer.build_model(cfg, [(0, 1), (1, 2), (2, 3)], scaler, seed=0)
+    built = {}
+    for name, p in model.parameters():
+        key = re.sub(r"^block\d+\.", "block*.", name)
+        largest, every = built.get(key, (0, 0))
+        built[key] = (max(largest, p.data.nbytes), every + p.data.nbytes)
+    assert [(name, *sizes) for name, sizes in built.items()] == cfg.param_bytes()
+
+
+def test_unsizable_total_rejected_though_each_array_fits():
+    # base_st and base_ed need 2**62 bytes each: each fits in intp, the two do not.
+    cfg = ModelConfig(num_nodes=8, t_in=2**52, embed_dim=16, hidden_dim=2, n_blocks=1)
+    limit = np.iinfo(np.intp).max
+    assert max(largest for _, largest, _ in cfg.param_bytes()) <= limit
+    with pytest.raises(ConfigError, match="^parameters would need"):
+        cfg.validate()
 
 
 KEYS = [f.name for f in fields(RunConfig)] + ["no_such_key", "", " gamma ", "T_IN", "worker_threads"]

@@ -7,9 +7,11 @@ from tglrn import diffcore as dc
 from tglrn import dyngraph as dg
 from tglrn import roadnet
 from tglrn.diffcore import Linear, Parameter, Tensor
+from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 
 from test_diffcore import rsqrt_or_zero
+from test_stnet import assert_within, closure_arrays
 
 
 def make_group(edges, n, levels):
@@ -53,6 +55,100 @@ class TestGruCell:
             lambda: (cell.step(e, x) * Tensor(r)).sum(), [("e", e), ("x", x)] + cell.params()
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
+
+
+def oracle_gru_step(cell, e, x):
+    """GruCell.step as one diffcore op per stage: the composition the fused node replaces."""
+    u = cell.proj(x)
+    eu = dc.concat([e, u], axis=-1)
+    z = cell.f_z(eu).sigmoid()
+    r = cell.f_r(eu).sigmoid()
+    cand = cell.g(dc.concat([r * e, u], axis=-1)).tanh()
+    return (1.0 - z) * cand + z * e
+
+
+def gru_step_run(step, cell, e_val, x_val, r):
+    """Train forward and backward of ``step`` over fresh leaves, plus a no_grad forward."""
+    for _, p in cell.params():
+        p.zero_grad()
+    e, x = Parameter(e_val.copy()), Parameter(x_val.copy())
+    out = step(cell, e, x)
+    (out * Tensor(r)).sum().backward()
+    with dc.no_grad():
+        out_eval = step(cell, Tensor(e_val), Tensor(x_val))
+    return out.data, [e.grad, x.grad] + [p.grad.copy() for _, p in cell.params()], out_eval.data
+
+
+# Gate biases that saturate the sigmoids: z -> 1 exactly, and z, r -> 0.
+SATURATING_BIASES = {
+    "none": {},
+    "update_open": {"f_z": 500.0},
+    "both_closed": {"f_z": -500.0, "f_r": -500.0},
+}
+
+
+@pytest.mark.parametrize("biases", list(SATURATING_BIASES))
+def test_fused_gru_matches_composition(biases):
+    rng = np.random.default_rng(40)
+    cell = dg.GruCell(embed_dim=4, in_features=2, proj_dim=3, rng=rng)
+    for label, value in SATURATING_BIASES[biases].items():
+        getattr(cell, label).b.data[:] = value
+    e_val, x_val = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 2))
+    r = rng.standard_normal((2, 5, 4))
+    got, got_grads, got_eval = gru_step_run(dg.GruCell.step, cell, e_val, x_val, r)
+    want, want_grads, want_eval = gru_step_run(oracle_gru_step, cell, e_val, x_val, r)
+    assert_within(got, want)
+    assert_within(got_eval, want_eval)
+    np.testing.assert_array_equal(got, got_eval)
+    for g, w in zip(got_grads, want_grads):
+        assert_within(g, w)
+
+
+class TestGruStepNode:
+    def _cell(self, seed=41):
+        return dg.GruCell(embed_dim=4, in_features=1, proj_dim=3, rng=np.random.default_rng(seed))
+
+    def test_parents_are_inputs_and_the_eight_parameters(self):
+        cell = self._cell()
+        e = Parameter(np.random.default_rng(42).standard_normal((2, 5, 4)))
+        x = Tensor(np.random.default_rng(43).standard_normal((2, 5, 1)))
+        out = cell.step(e, x)
+        assert out._parents == (e, x) + tuple(p for _, p in cell.params())
+        assert len(out._parents) == 10
+
+    def test_node_keeps_only_output_and_gates(self):
+        cell = self._cell()
+        e = Parameter(np.random.default_rng(44).standard_normal((2, 5, 4)))
+        x = Tensor(np.random.default_rng(45).standard_normal((2, 5, 1)))
+        out = cell.step(e, x)
+        own = {id(out.data)} | {id(p.data) for p in out._parents}
+        extra = [v for v in closure_arrays(out) if id(v) not in own]
+        # z, r and the candidate, one embedding-sized array each
+        assert len(extra) == 3, [v.shape for v in extra]
+        assert all(v.size == out.size and v.shape[-1] == 4 for v in extra)
+
+    def test_chain_records_one_node_per_step(self):
+        chain = dg.EmbeddingChain(3, 4, in_features=1, proj_dim=2, rng=np.random.default_rng(46))
+        t_in = 5
+        window = Tensor(np.random.default_rng(47).standard_normal((2, t_in, 3, 1)))
+        embs = chain.run(window)
+        leaves = {id(p) for _, p in chain.params()}
+        seen, todo = {}, [embs[0]]
+        while todo:
+            t = todo.pop()
+            if id(t) not in leaves and id(t) not in seen and t._track:
+                seen[id(t)] = t
+                todo.extend(t._parents)
+        # the broadcast initial embedding and T_in - 1 steps
+        assert len(seen) == t_in
+        assert {id(t) for t in embs} <= set(seen)
+
+    def test_mismatched_shapes_rejected(self):
+        cell = self._cell()
+        with pytest.raises(ConfigError):
+            cell.step(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 4, 1))))
+        with pytest.raises(ConfigError):
+            cell.step(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 5, 1))))
 
 
 class TestEmbeddingChain:
