@@ -174,9 +174,7 @@ def cmd_inspect_graph(cfg):
 
     windows = test_ds.inputs[:count]
     with dc.no_grad():
-        seq, diag = model.graph_block.build(
-            Tensor(model.scaler.apply(windows)), "eval", want_diag=True
-        )
+        seq = model.graph_block.build(Tensor(model.scaler.apply(windows)), "eval")
 
     edge_path = os.path.join(cfg.out_dir, "graph_edges.csv")
     with open(edge_path, "w") as fh:

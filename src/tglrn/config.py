@@ -1,124 +1,70 @@
-"""Flat ``key = value`` run configuration with typed, documented defaults.
+"""Flat ``key = value`` run configuration.
 
-Unknown keys are hard errors so typos never silently fall back to a
-default. The effective configuration (defaults, then file, then command
-line overrides) is echoed into the output directory of every run, and
-re-running from the echoed file reproduces the results.
+The keys are the fields of ``ModelConfig`` and ``TrainSettings`` plus the
+run's own (seed, paths, splits, synthetic data, inspection); each key's
+default and one-line help sit next to its field. Unknown keys are hard
+errors so typos never silently fall back to a default. The effective
+configuration (defaults, then file, then command line overrides) is
+echoed into the output directory of every run, and re-running from the
+echoed file reproduces the results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from .errors import ConfigError
 from .model import ModelConfig
+from .trainer import TrainSettings
 
-__all__ = ["RunConfig", "load_config", "config_text", "section", "DEFAULT_HELP"]
+__all__ = ["RunConfig", "load_config", "config_text", "section"]
 
 
 @dataclass
-class RunConfig:
-    # reproducibility
-    seed: int = 0
-    # paths
-    edges_path: str = ""
-    flows_path: str = ""
-    out_dir: str = "out"
-    checkpoint_path: str = ""
-    # windowing and splits
-    num_nodes: int = 0
-    t_in: int = 12
-    t_out: int = 12
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    test_frac: float = 0.2
-    # model shape
-    embed_dim: int = 16
-    hop_dim: int = 16
-    hidden_dim: int = 64
-    levels: int = 5
-    diff_steps: int = 2
-    kernel_size: int = 2
-    n_blocks: int = 3
-    gamma: float = 0.3
-    alpha: float = 1.0
-    tau: float = 1.0
-    dropout_rate: float = 0.1
-    # optimization
-    learning_rate: float = 0.005
-    batch_size: int = 64
-    max_epochs: int = 200
-    patience: int = 15
-    # behavior toggles
-    mape_threshold: float = 1.0
-    scaler_scope: str = "per_sensor"
-    normalized_loss: bool = False
-    eval_sampling_override: bool = False
-    symmetrize_hops: bool = False
-    # synthetic generation
-    synth_topology: str = "chain"
-    synth_nodes: int = 8
-    synth_steps: int = 372
-    synth_period: int = 288
-    synth_noise_std: float = 0.05
-    synth_regime_period: int = 48
-    synth_coupling_a: float = 0.8
-    synth_coupling_b: float = 0.0
-    synth_amplitude: float = 20.0
-    synth_offset: float = 50.0
-    # inspection
-    inspect_windows: int = 8
-    inspect_window_index: int = 0
+class _RunKeys:
+    """The run keys that neither ModelConfig nor TrainSettings declares."""
+
+    seed: int = 0  # master seed; every random draw in a run derives from it
+    edges_path: str = ""  # edge-list CSV (header from,to; extra columns ignored)
+    flows_path: str = ""  # flow CSV (header t,s0..s{N-1}; one time step per row)
+    out_dir: str = "out"  # directory receiving artifacts (created if absent)
+    checkpoint_path: str = ""  # checkpoint to load (eval/predict/inspect) or write (train)
+    num_nodes: int = 0  # sensor count, 0 = unset; required whenever flows are loaded
+    train_frac: float = 0.6  # chronological share of steps for training
+    val_frac: float = 0.2  # chronological share for validation
+    test_frac: float = 0.2  # chronological share for testing
+    scaler_scope: str = "per_sensor"  # z-score statistics per_sensor or global
+    symmetrize_hops: bool = False  # treat edges as bidirectional for hop distances
+    synth_topology: str = "chain"  # chain, ring, or grid
+    synth_nodes: int = 8  # synthetic sensor count (>= 4; a square for grid)
+    synth_steps: int = 372  # synthetic series length
+    synth_period: int = 288  # sinusoid period in steps
+    synth_noise_std: float = 0.05  # innovation noise level
+    synth_regime_period: int = 48  # steps between coupling regime switches
+    synth_coupling_a: float = 0.8  # lag-1 coupling coefficient in regime A
+    synth_coupling_b: float = 0.0  # lag-1 coupling coefficient in regime B
+    synth_amplitude: float = 20.0  # sinusoid amplitude scale
+    synth_offset: float = 50.0  # baseline flow level
+    inspect_windows: int = 8  # test windows aggregated in inspect-graph histograms
+    inspect_window_index: int = 0  # test window dumped edge-by-edge
 
 
-DEFAULT_HELP = {
-    "seed": "master seed; every random draw in a run derives from it",
-    "edges_path": "edge-list CSV (header from,to; extra columns ignored)",
-    "flows_path": "flow CSV (header t,s0..s{N-1}; one time step per row)",
-    "out_dir": "directory receiving artifacts (created if absent)",
-    "checkpoint_path": "checkpoint to load (eval/predict/inspect) or write (train)",
-    "num_nodes": "sensor count; required whenever flows are loaded",
-    "t_in": "input window length in 5-minute steps",
-    "t_out": "forecast horizon count",
-    "train_frac": "chronological share of steps for training",
-    "val_frac": "chronological share for validation",
-    "test_frac": "chronological share for testing",
-    "embed_dim": "edge-embedding width d (tuned in {4,8,16,32,64})",
-    "hop_dim": "hop-selector embedding width m",
-    "hidden_dim": "block channel width D",
-    "levels": "hop radii available L (tuned in {5,7,10,15})",
-    "diff_steps": "diffusion steps K",
-    "kernel_size": "temporal kernel width Ks",
-    "n_blocks": "spatio-temporal block count",
-    "gamma": "edge keep probability during training (tuned in {0.05,0.1,0.2,0.3})",
-    "alpha": "target std of normalized edge logits",
-    "tau": "relaxation temperature",
-    "dropout_rate": "dropout after each temporal layer (tuned in {0.05..0.2})",
-    "learning_rate": "Adam learning rate",
-    "batch_size": "windows per optimization step",
-    "max_epochs": "epoch cap",
-    "patience": "early-stopping patience on validation MAE",
-    "mape_threshold": "targets with |y| below this are excluded from MAPE",
-    "scaler_scope": "z-score statistics per_sensor or global",
-    "normalized_loss": "train on z-scored values instead of original units",
-    "eval_sampling_override": "apply edge thinning at evaluation time too",
-    "symmetrize_hops": "treat edges as bidirectional for hop distances",
-    "synth_topology": "chain, ring, or grid",
-    "synth_nodes": "synthetic sensor count (>= 4; a square for grid)",
-    "synth_steps": "synthetic series length",
-    "synth_period": "sinusoid period in steps",
-    "synth_noise_std": "innovation noise level",
-    "synth_regime_period": "steps between coupling regime switches",
-    "synth_coupling_a": "lag-1 coupling coefficient in regime A",
-    "synth_coupling_b": "lag-1 coupling coefficient in regime B",
-    "synth_amplitude": "sinusoid amplitude scale",
-    "synth_offset": "baseline flow level",
-    "inspect_windows": "test windows aggregated in inspect-graph histograms",
-    "inspect_window_index": "test window dumped edge-by-edge",
-}
+# num_nodes is a run key above, where 0 means unset; in_features is not a key,
+# because flow CSVs carry one feature.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, field(default=f.default))
+        for spec in (ModelConfig, TrainSettings)
+        for f in fields(spec)
+        if f.name not in ("num_nodes", "in_features")
+    ],
+    bases=(_RunKeys,),
+)
+RunConfig.__module__ = __name__
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_FIELDS = {f.name for f in fields(RunConfig)}
 
 
 def _coerce(key, raw):

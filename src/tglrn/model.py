@@ -11,6 +11,7 @@ through the prediction head. Predictions come back in normalized space;
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -24,26 +25,34 @@ from .stnet import SpatioTemporalBlock, block_schedule
 __all__ = ["ModelConfig", "TGLRN"]
 
 
+def _physical_memory():
+    """Bytes of physical memory, or numpy's largest array size where unknown."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return int(np.iinfo(np.intp).max)
+
+
 @dataclass
 class ModelConfig:
     """Shape hyperparameters of one model instance."""
 
-    num_nodes: int
-    t_in: int = 12
-    t_out: int = 12
-    in_features: int = 1
-    embed_dim: int = 16  # d, edge-embedding chains
-    hop_dim: int = 16  # m, hop-selector chain
+    num_nodes: int  # N, sensor count
+    t_in: int = 12  # input window length in 5-minute steps
+    t_out: int = 12  # forecast horizon count
+    in_features: int = 1  # features per sensor and step
+    embed_dim: int = 16  # d, edge-embedding width (tuned in {4,8,16,32,64})
+    hop_dim: int = 16  # m, hop-selector embedding width
     hidden_dim: int = 64  # D, block channel width
-    levels: int = 5  # L, hop radii available
-    diff_steps: int = 2  # K
-    kernel_size: int = 2  # Ks
-    n_blocks: int = 3
-    gamma: float = 0.3
-    alpha: float = 1.0
-    tau: float = 1.0
-    dropout_rate: float = 0.1
-    eval_sampling_override: bool = False
+    levels: int = 5  # L, hop radii available (tuned in {5,7,10,15})
+    diff_steps: int = 2  # K, diffusion steps
+    kernel_size: int = 2  # Ks, temporal kernel width
+    n_blocks: int = 3  # spatio-temporal block count
+    gamma: float = 0.3  # edge keep probability during training (tuned in {0.05,0.1,0.2,0.3})
+    alpha: float = 1.0  # target std of normalized edge logits
+    tau: float = 1.0  # relaxation temperature
+    dropout_rate: float = 0.1  # dropout after each temporal layer (tuned in {0.05..0.2})
+    eval_sampling_override: bool = False  # apply edge thinning at evaluation time too
 
     def check_fields(self):
         """Range checks that each field passes or fails on its own."""
@@ -81,9 +90,15 @@ class ModelConfig:
                 raise ConfigError(
                     f"parameter {name} would need {largest} bytes; numpy sizes arrays up to {limit}"
                 )
-        total = sum(every for _, _, every in rows)
+        # A total the machine cannot hold would only fail, or loop for hours in
+        # structure_group, once set-up runs; the (L, N, N) hop masks count too.
+        limit = min(limit, _physical_memory())
+        total = sum(every for _, _, every in rows) + 8 * self.levels * self.num_nodes**2
         if total > limit:
-            raise ConfigError(f"parameters would need {total} bytes; numpy sizes arrays up to {limit}")
+            raise ConfigError(
+                f"parameters would need {total} bytes with the hop masks, over the {limit} "
+                f"that fit (the smaller of physical memory and numpy's largest array)"
+            )
 
     def param_bytes(self):
         """(name, bytes of the largest array, bytes of all) per parameter, in Python ints.
@@ -129,7 +144,7 @@ class TGLRN:
     """Traffic forecaster over learned per-step graphs."""
 
     def __init__(self, cfg, group, scaler, rng):
-        cfg.validate()
+        """``cfg`` must have passed ``validate``, as ``trainer.build_model`` ensures."""
         if group.L != cfg.levels:
             raise ConfigError(f"structure group has {group.L} levels, config wants {cfg.levels}")
         if group.masks[0].shape[0] != cfg.num_nodes:
@@ -189,7 +204,7 @@ class TGLRN:
         """Ordered (name, Parameter) pairs; names are unique paths."""
         return list(self._named)
 
-    def forward(self, window_raw, mode="eval", rng=None, hop_mode="hard", want_diag=False):
+    def forward(self, window_raw, mode="eval", rng=None, hop_mode="hard"):
         """Raw input window (B, T_in, N, F) to normalized predictions (B, T_out, N, F)."""
         cfg = self.cfg
         x = np.asarray(window_raw, dtype=np.float64)
@@ -202,10 +217,9 @@ class TGLRN:
         sample_edges = None
         if mode == "eval" and cfg.eval_sampling_override:
             sample_edges = True
-        built = self.graph_block.build(
-            window, mode, rng=rng, sample_edges=sample_edges, hop_mode=hop_mode, want_diag=want_diag
+        seq = self.graph_block.build(
+            window, mode, rng=rng, sample_edges=sample_edges, hop_mode=hop_mode
         )
-        seq, diag = built if want_diag else (built, None)
 
         stream = self.input_layer(window)
         dropout = (cfg.dropout_rate, rng) if mode == "train" else None
@@ -219,11 +233,7 @@ class TGLRN:
 
         feats = dc.concat(outputs, axis=-1)  # (B, N, n_blocks * D)
         pred = dc.einsum2("bic,ctf->btif", feats, self.head_w)
-        pred = pred + self.head_b.reshape(1, cfg.t_out, 1, cfg.in_features)
-
-        if want_diag:
-            return pred, ForwardDiagnostics(seq=seq, graphs=diag)
-        return pred
+        return pred + self.head_b.reshape(1, cfg.t_out, 1, cfg.in_features)
 
     def predict_raw(self, window_raw, mode="eval", rng=None):
         """Predictions in original units (no tape)."""
@@ -245,11 +255,3 @@ class TGLRN:
                     f"parameter {name}: expected shape {p.data.shape}, got {arr.shape}"
                 )
             p.data[...] = arr
-
-
-@dataclass
-class ForwardDiagnostics:
-    """Graph internals of one forward pass."""
-
-    seq: object
-    graphs: object

@@ -80,12 +80,12 @@ class Adam:
 
 @dataclass
 class TrainSettings:
-    learning_rate: float = 0.005
-    batch_size: int = 64
-    max_epochs: int = 200
-    patience: int = 15
-    normalized_loss: bool = False
-    mape_threshold: float = 1.0
+    learning_rate: float = 0.005  # Adam learning rate
+    batch_size: int = 64  # windows per optimization step
+    max_epochs: int = 200  # epoch cap
+    patience: int = 15  # early-stopping patience on validation MAE
+    normalized_loss: bool = False  # train on z-scored values instead of original units
+    mape_threshold: float = 1.0  # targets with |y| below this are excluded from MAPE
 
 
 @dataclass
@@ -176,14 +176,13 @@ class EpochRecord:
         )
 
 
-def train(model, train_ds, val_ds, settings, seed, batch_hook=None, epoch_hook=None):
+def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
     """Mini-batch Adam with early stopping on validation MAE.
 
-    Returns (history, best_state). ``batch_hook``, when given, receives
-    (epoch, batch_index, diagnostics) with the graph internals of that
-    batch; ``epoch_hook`` receives each EpochRecord as it is produced
-    and may return a truthy value to stop training after that epoch.
-    The model is left holding the best-on-validation parameters.
+    Returns (history, best_state). ``epoch_hook`` receives each
+    EpochRecord as it is produced and may return a truthy value to stop
+    training after that epoch. The model is left holding the
+    best-on-validation parameters.
     """
     if len(train_ds) == 0:
         raise DataError("train: empty training split")
@@ -194,7 +193,6 @@ def train(model, train_ds, val_ds, settings, seed, batch_hook=None, epoch_hook=N
 
     opt = Adam(model.parameters(), lr=settings.learning_rate)
     scaler = model.scaler
-    want_diag = batch_hook is not None
 
     history = []
     best_val = np.inf
@@ -205,14 +203,13 @@ def train(model, train_ds, val_ds, settings, seed, batch_hook=None, epoch_hook=N
         order = shuffle_rng.permutation(len(train_ds))
         total_abs = 0.0
         total_count = 0
-        for bi, lo in enumerate(range(0, len(order), settings.batch_size)):
+        for lo in range(0, len(order), settings.batch_size):
             idx = order[lo : lo + settings.batch_size]
             window = train_ds.inputs[idx]
             target = train_ds.targets[idx]
 
             opt.zero_grad()
-            out = model.forward(window, mode="train", rng=noise_rng, want_diag=want_diag)
-            pred, diag = out if want_diag else (out, None)
+            pred = model.forward(window, mode="train", rng=noise_rng)
             if settings.normalized_loss:
                 loss = mae_loss(pred, scaler.apply(target))
                 raw_mae = float(
@@ -228,8 +225,6 @@ def train(model, train_ds, val_ds, settings, seed, batch_hook=None, epoch_hook=N
 
             total_abs += raw_mae * len(idx)
             total_count += len(idx)
-            if batch_hook is not None:
-                batch_hook(epoch, bi, diag)
 
         train_loss = total_abs / total_count
         val_metrics = evaluate(model, val_ds, settings.mape_threshold)
@@ -375,6 +370,7 @@ def checkpoint_load(path, expect_num_nodes=None):
 
 def build_model(cfg, edges, scaler, seed, symmetrize_hops=False):
     """Assemble a model over a road network given by its edge list."""
+    cfg.validate()  # before the hop masks, whose cost grows with levels and num_nodes
     net = roadnet.build_asp(edges, cfg.num_nodes)
     dist = roadnet.hop_distances(net, symmetrize=symmetrize_hops)
     group = roadnet.structure_group(dist, cfg.levels)

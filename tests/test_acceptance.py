@@ -204,9 +204,13 @@ def test_criterion_4_structural_invariants_during_training():
     model, (train_ds, val_ds, _) = overfit_setup(seed=0)
     stacked = model.graph_block.masks
     checked = {"batches": 0, "entries": 0}
+    build = model.graph_block.build
 
-    def batch_hook(epoch, bi, diag):
-        seq, graphs = diag.seq, diag.graphs
+    def checked_build(window, mode, **kwargs):
+        # The diagnostics draw nothing from the RNG, so training runs as it would unwrapped.
+        seq, graphs = build(window, mode, want_diag=True, **kwargs)
+        if mode != "train":
+            return seq
         for t, adj in enumerate(seq.adjacencies):
             a = adj.data
             assert a.min() >= 0.0 and a.max() <= 1.0, "adjacency outside [0, 1]"
@@ -219,9 +223,11 @@ def test_criterion_4_structural_invariants_during_training():
             assert np.all(np.abs(sd - 1.0) < 1e-9), "logit std drifted"
             checked["entries"] += a.size
         checked["batches"] += 1
+        return seq
 
+    model.graph_block.build = checked_build
     settings = trainer.TrainSettings(batch_size=32, max_epochs=5, patience=100)
-    trainer.train(model, train_ds, val_ds, settings, seed=0, batch_hook=batch_hook)
+    trainer.train(model, train_ds, val_ds, settings, seed=0)
     report(
         4,
         checked["batches"] >= 5 * (len(train_ds) // 32),

@@ -318,6 +318,21 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("extra", [[f"levels={2**40}"], [f"n_blocks={2**40}", "kernel_size=1"]])
+    def test_count_no_machine_can_hold_exits_2_before_out_dir(self, tmp_path, capsys, monkeypatch, extra):
+        from tglrn import cli as cli_mod
+
+        # Should the check regress, fail here rather than build masks or blocks without bound.
+        monkeypatch.setattr(cli_mod.trainer, "build_model", lambda *a, **k: pytest.fail("model built"))
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        capsys.readouterr()
+        assert run(train_args(data_dir, tmp_path / "o", extra=extra)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:2: parameters would need") and len(err.splitlines()) == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "command, omitted",
         [
@@ -362,6 +377,28 @@ class TestErrors:
         assert err.startswith("ERROR:3:") and len(err.splitlines()) == 1, err
         assert "validation" in err and "Traceback" not in err
         assert steps == []
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("options")
+    assert run(synth_args(root / "d")) == 0
+    assert run(train_args(root / "d", root / "default")) == 0
+    return root / "d", (root / "default" / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("option", ["symmetrize_hops=true", "scaler_scope=global", "normalized_loss=true"])
+def test_option_changes_metrics_and_eval_reproduces_them(default_run, tmp_path, option):
+    data_dir, default_metrics = default_run
+    out = tmp_path / "train"
+    assert run(train_args(data_dir, out, extra=[option])) == 0
+    metrics = (out / "metrics.csv").read_bytes()
+    assert metrics != default_metrics, f"{option} left the test metrics unchanged"
+    args = ["eval"]
+    for s in (f"flows_path={data_dir}/flow.csv", f"checkpoint_path={out}/model.ckpt", f"out_dir={tmp_path / 'eval'}"):
+        args += ["--set", s]
+    assert run(args) == 0
+    assert (tmp_path / "eval" / "metrics.csv").read_bytes() == metrics
 
 
 class TestGradcheckCommand:

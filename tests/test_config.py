@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tglrn import model as model_mod
 from tglrn import trainer
 from tglrn.config import RunConfig, load_config, section
 from tglrn.data import Scaler
@@ -49,6 +50,31 @@ def test_unsizable_total_rejected_though_each_array_fits():
     assert max(largest for _, largest, _ in cfg.param_bytes()) <= limit
     with pytest.raises(ConfigError, match="^parameters would need"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("counts", [{"levels": 2**40}, {"n_blocks": 2**40, "kernel_size": 1}])
+def test_counts_no_machine_can_hold_rejected(counts, monkeypatch):
+    # On 8 nodes levels=2**40 needs ~150 TB of parameters and ~563 TB of hop masks,
+    # and n_blocks=2**40 ~874 PB of parameters; each total fits in intp. validate is
+    # closed form, so it allocates nothing.
+    cfg = ModelConfig(num_nodes=8, **counts)
+    with pytest.raises(ConfigError, match="^parameters would need"):
+        cfg.validate()
+    # build_model, which checkpoint_load calls too, checks before it builds the hop masks.
+    monkeypatch.setattr(trainer.roadnet, "structure_group", lambda *a: pytest.fail("hop masks built"))
+    scaler = Scaler(mean=np.zeros((8, 1)), std=np.ones((8, 1)))
+    with pytest.raises(ConfigError, match="^parameters would need"):
+        trainer.build_model(cfg, [(0, 1)], scaler, seed=0)
+
+
+def test_hop_masks_count_toward_the_memory_limit(monkeypatch):
+    monkeypatch.setattr(model_mod, "_physical_memory", lambda: 2**30)
+    fits = ModelConfig(num_nodes=2**12, levels=7)  # masks 7 * 2**27 bytes
+    over = ModelConfig(num_nodes=2**12, levels=8)  # masks 2**30 bytes
+    assert sum(every for _, _, every in over.param_bytes()) < 2**27
+    fits.validate()
+    with pytest.raises(ConfigError, match="^parameters would need .* with the hop masks"):
+        over.validate()
 
 
 KEYS = [f.name for f in fields(RunConfig)] + ["no_such_key", "", " gamma ", "T_IN", "worker_threads"]
