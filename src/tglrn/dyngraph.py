@@ -7,9 +7,13 @@ per-step base embeddings, scored pairwise into edge logits, normalized
 to mean 0 / std alpha, squashed by a sigmoid, relaxed with
 logistic-Gumbel noise (training only), randomly thinned with keep
 probability gamma (training only), and finally masked so that node i
-only keeps weights toward nodes within its selected hop radius. The
-stretch from normalization to the mask is one tape node (``edge_op``)
-whose backward recomputes the stages it does not store.
+only keeps weights toward nodes within its selected hop radius.
+
+The hop masks are nested, so every adjacency is zero outside the widest
+mask S^L. The stretch from the two edge projections to the masked
+adjacency is one tape node per step (``edge_adjacency``) that evaluates
+every stage only on S^L's index pattern (``SupportPattern``) and whose
+backward recomputes the stages it does not store.
 
 Hard decisions (hop argmax) use a straight-through estimator: forward
 sees the hard one-hot, backward sees the relaxed softmax gradient.
@@ -39,7 +43,8 @@ __all__ = [
     "gumbel_relax",
     "keep_pattern",
     "edge_sample",
-    "edge_op",
+    "SupportPattern",
+    "edge_adjacency",
     "hop_probs",
     "select_hops",
 ]
@@ -176,37 +181,42 @@ def gate(e, e_base, gate_linear):
     return e * gate_linear(e_base).sigmoid()
 
 
-def edge_logits(e_st, e_ed, weight, bias):
-    """Pairwise scores w[i, j] = linear(tanh([e_st_i ; e_ed_j])).
+def edge_logits(e_st, e_ed, weight):
+    """The (..., N, 1) projections u, v of the pairwise scores w[i, j] = linear(tanh([e_st_i ; e_ed_j])).
 
     Because tanh acts elementwise and the head is affine, the concatenated
-    form splits into two partial projections added with broadcasting,
-    which avoids materializing all N^2 concatenations.
+    form splits into w[i, j] = u_i + v_j + b, so no N^2 concatenation or
+    (..., N, N) logit array is ever formed. The bias b (``edge_b``) shifts
+    every logit of a step alike and cancels under ``normalize_logits``, so
+    its true gradient is 0 and it is never added; it stays for the
+    checkpoint layout.
     """
     d = e_st.shape[-1]
-    u = e_st.tanh() @ weight[:d]  # (..., N, 1)
-    v = e_ed.tanh() @ weight[d:]  # (..., N, 1)
-    return u + dc.swap_last2(v) + bias
+    return e_st.tanh() @ weight[:d], e_ed.tanh() @ weight[d:]
 
 
-def normalize_logits(w, alpha=1.0):
-    """Shift/scale all N^2 logits per step to mean 0 and std alpha.
+def normalize_logits(u, v, alpha=1.0):
+    """Shift/scale the logits w[i, j] = u_i + v_j per step to mean 0 and std alpha over all pairs.
 
-    Degenerate inputs (all entries identical) map to all zeros, so the
-    subsequent sigmoid emits maximally non-committal 0.5 weights.
+    ``u`` and ``v`` are (..., N) arrays; returns (u_hat, v_hat) with normalized
+    w[i, j] = u_hat_i + v_hat_j. The moments over the N^2 pairs have closed
+    forms in O(N): mean = mean(u) + mean(v), variance = var(u) + var(v) and
+    spread = range(u) + range(v). Degenerate inputs (all pairs identical) map
+    to all zeros, so the subsequent sigmoid emits maximally non-committal 0.5
+    weights.
     """
-    return _normalize(w, alpha)[0]
+    a, e, rstd, scale = _normalize(u, v, alpha)
+    c = rstd * scale
+    return a * c, e * c
 
 
-def _normalize(w, alpha):
-    """normalize_logits plus what its backward needs: (w_hat, w - mean, 1/std, alpha * live)."""
-    axes = (-2, -1)
-    inv_n = 1.0 / (w.shape[-2] * w.shape[-1])
-    centered = w - w.sum(axis=axes, keepdims=True) * inv_n
-    rstd = dc.rsqrt_or_zero_array((centered**2.0).sum(axis=axes, keepdims=True) * inv_n)
-    spread = w.max(axis=axes, keepdims=True) - w.min(axis=axes, keepdims=True)
-    scale = alpha * (spread > 0).astype(np.float64)
-    return centered * rstd * scale, centered, rstd, scale
+def _normalize(u, v, alpha):
+    """normalize_logits' moments: (u - mean(u), v - mean(v), 1/std, alpha * live), per step."""
+    a = u - u.mean(axis=-1, keepdims=True)
+    e = v - v.mean(axis=-1, keepdims=True)
+    var = (a * a).mean(axis=-1, keepdims=True) + (e * e).mean(axis=-1, keepdims=True)
+    spread = np.ptp(u, axis=-1, keepdims=True) + np.ptp(v, axis=-1, keepdims=True)
+    return a, e, dc.rsqrt_or_zero_array(var), alpha * (spread > 0).astype(np.float64)
 
 
 def bernoulli_means(w_hat):
@@ -239,32 +249,103 @@ def edge_sample(p, keep):
     return p * keep
 
 
-def edge_op(w, mask, alpha, tau, noise=None, keep=None):
-    """The per-step edge pipeline, from logits to adjacency, as one tape node.
+class SupportPattern:
+    """The pairs of the widest hop mask S^L: the only places an adjacency can be nonzero.
 
-    Returns ``edge_sample(gumbel_relax(bernoulli_means(normalize_logits(w, alpha)), tau,
-    noise), keep) * mask``; the relaxation is skipped when ``noise`` is None and the
-    thinning when ``keep`` is None. The node keeps only ``w``, ``mask``, ``noise`` and
-    the boolean ``keep``: its backward recomputes every other stage, trading compute
-    for memory (Chen et al., arXiv 1604.06174).
+    Built once per model from the nested (L, N, N) masks. ``rows``, ``cols``
+    and ``flat`` (row * N + col) list S^L's nonzero pairs in row-major order;
+    ``first[p]`` is the smallest 0-based radius index whose mask holds pair p,
+    so S^l holds it exactly when l >= first[p].
     """
-    p = bernoulli_means(normalize_logits(w.data, alpha))
+
+    def __init__(self, masks):
+        masks = np.asarray(masks)
+        if np.any(masks[:-1] > masks[1:]):
+            raise ConfigError("hop masks must be nested: S^1 <= S^2 <= ... <= S^L")
+        self.levels, self.n = masks.shape[0], masks.shape[-1]
+        self.rows, self.cols = np.nonzero(masks[-1])
+        self.flat = self.rows * self.n + self.cols
+        self.first = np.argmax(masks[:, self.rows, self.cols] != 0, axis=0)
+
+    @property
+    def nnz(self):
+        return self.flat.size
+
+    def gather(self, x):
+        """The (..., nnz) entries of a (..., N, N) array on the pattern."""
+        return x.reshape(x.shape[:-2] + (-1,))[..., self.flat]
+
+    def scatter(self, values):
+        """The dense (..., N, N) array that holds (..., nnz) ``values`` on the pattern, 0 elsewhere."""
+        out = np.zeros(values.shape[:-1] + (self.n * self.n,))
+        out[..., self.flat] = values
+        return out.reshape(values.shape[:-1] + (self.n, self.n))
+
+    def hop_mask(self, mixing):
+        """sum_l mixing[..., i, l] * S^l[i, j] on the pattern, for (..., N, L) radius weights.
+
+        With nested masks the sum over l is the tail sum from ``first`` on; for
+        a one-hot ``mixing`` it is exactly 1 inside the chosen radius, 0 outside.
+        """
+        tail = np.cumsum(mixing[..., ::-1], axis=-1)[..., ::-1]
+        return tail[..., self.rows, self.first]
+
+    def hop_mask_grad(self, g):
+        """The (M, N, L) gradient of ``hop_mask`` with respect to the mixing, from its (M, nnz) one."""
+        tail = _slot_sums(g, self.rows * self.levels + self.first, self.n * self.levels)
+        return np.cumsum(tail.reshape(-1, self.n, self.levels), axis=-1)
+
+
+def _slot_sums(g, slots, width):
+    """(M, width) sums of the (M, nnz) array ``g``: entry p of each row adds into ``slots[p]``."""
+    m = g.shape[0]
+    index = (np.arange(m) * width)[:, None] + slots
+    return np.bincount(index.ravel(), weights=g.ravel(), minlength=m * width).reshape(m, width)
+
+
+def edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=None):
+    """One graph step, from the edge projections to the adjacency, as one tape node.
+
+    ``u`` and ``v`` are the (..., N, 1) projections from ``edge_logits`` and
+    ``mixing`` the (..., N, L) hop-radius weights. Returns the dense (..., N, N)
+    ``edge_sample(gumbel_relax(bernoulli_means(w_hat), tau, noise), keep) * mask``,
+    where w_hat is ``normalize_logits``' result and mask the hop mask. Every
+    stage runs on ``pattern`` only; outside it the adjacency is 0. The
+    relaxation is skipped when ``noise`` is None and the thinning when ``keep``
+    is None; both are (..., nnz) arrays on the pattern. The node keeps its
+    parents, ``noise`` and the boolean ``keep``: its backward recomputes every
+    other stage, trading compute for memory (Chen et al., arXiv 1604.06174).
+    """
+    lead, n = u.shape[:-2], u.shape[-2]
+    u2, v2 = u.data.reshape(-1, n), v.data.reshape(-1, n)
+    m = u2.shape[0]
+    mix = mixing.data.reshape(m, n, -1)
+    if noise is not None:
+        noise = noise.reshape(m, -1)
+    if keep is not None:
+        keep = keep.reshape(m, -1)
+    rows, cols = pattern.rows, pattern.cols
+
+    u_hat, v_hat = normalize_logits(u2, v2, alpha)
+    p = bernoulli_means(u_hat[:, rows] + v_hat[:, cols])
     if noise is not None:
         p = gumbel_relax(p, tau, noise)
     if keep is not None:
         p = edge_sample(p, keep)
-    out = p * mask.data
+    out = pattern.scatter(p * pattern.hop_mask(mix)).reshape(lead + (n, n))
 
     def bwd(g):
-        w_hat, centered, rstd, scale = _normalize(w.data, alpha)
-        w_bar = bernoulli_means(w_hat)
-        del w_hat
+        g = pattern.gather(g.reshape(m, n, n))
+        a, e, rstd, scale = _normalize(u2, v2, alpha)
+        c = rstd * scale
+        w_bar = bernoulli_means((a * c)[:, rows] + (e * c)[:, cols])
         p = w_bar if noise is None else gumbel_relax(w_bar, tau, noise)
-        if mask._track:
-            mask._acc(g * (p if keep is None else edge_sample(p, keep)))
-        if not w._track:
+        if mixing._track:
+            kept = p if keep is None else edge_sample(p, keep)
+            mixing._acc(pattern.hop_mask_grad(g * kept).reshape(mixing.shape))
+        if not (u._track or v._track):
             return
-        g = g * mask.data
+        g = g * pattern.hop_mask(mix)
         if keep is not None:
             g = g * keep
         if noise is not None:
@@ -274,16 +355,16 @@ def edge_op(w, mask, alpha, tau, noise=None, keep=None):
         # Inside the clamp w_bar is the sigmoid itself; outside it the gradient is zero.
         inside = (w_bar > OMEGA_CLAMP) & (w_bar < 1.0 - OMEGA_CLAMP)
         g = g * inside * w_bar * (1.0 - w_bar)
-        del w_bar, inside
-        # w_hat = centered * rstd * scale, and rstd depends on centered too.
-        axes = (-2, -1)
-        inv_n = 1.0 / (w.shape[-2] * w.shape[-1])
-        g = g * scale
-        dot = (g * centered).sum(axis=axes, keepdims=True)
-        g = g * rstd - centered * (rstd**3 * dot * inv_n)
-        w._acc(g - g.sum(axis=axes, keepdims=True) * inv_n)
+        # w_hat[i, j] = (a_i + e_j) * c and 1/std depends on a and e too. The gradient of
+        # the centered logits is c * g - q * (a_i + e_j); summing it over a row or a
+        # column, less the mean, gives u's and v's gradients (a and e each sum to 0).
+        dot = (g * (a[:, rows] + e[:, cols])).sum(axis=-1, keepdims=True)
+        q = scale * rstd**3 * dot * (1.0 / (n * n))
+        total = g.sum(axis=-1, keepdims=True) * (1.0 / n)
+        u._acc((c * (_slot_sums(g, rows, n) - total) - q * n * a).reshape(u.shape))
+        v._acc((c * (_slot_sums(g, cols, n) - total) - q * n * e).reshape(v.shape))
 
-    return Tensor._from_op(out, (w, mask), bwd)
+    return Tensor._from_op(out, (u, v, mixing), bwd)
 
 
 def hop_probs(e_h, lin1, lin2):
@@ -311,17 +392,16 @@ def select_hops(p, tau, mode, rng=None, straight_through=True):
     h = np.argmax(y.data, axis=-1)
     if not straight_through:
         return h, y
-    hard = np.zeros(p.shape)
-    np.put_along_axis(hard, h[..., None], 1.0, axis=-1)
-    return h, y - y.detach() + Tensor(hard)
+    return h, y - y.detach() + Tensor(_one_hot(h, p.shape[-1]))
 
 
-def _rows_from_choices(masks, hop_choices):
-    """Row i of S^{h[i]} for every leading index; ``hop_choices`` is 0-based."""
-    levels, n = masks.shape[0], masks.shape[1]
+def _one_hot(hop_choices, levels):
+    """(..., N, L) one-hot mixing weights of 0-based radius choices."""
     if hop_choices.min() < 0 or hop_choices.max() >= levels:
         raise ConfigError(f"hop choices must lie in [1, {levels}]")
-    return masks[hop_choices, np.arange(n), :]
+    hard = np.zeros(hop_choices.shape + (levels,))
+    np.put_along_axis(hard, hop_choices[..., None], 1.0, axis=-1)
+    return hard
 
 
 @dataclass
@@ -368,6 +448,7 @@ class GraphConstruction:
         self.alpha = float(alpha)
         self.tau = float(tau)
         self.masks = group.stacked()  # (L, N, N) constants
+        self.pattern = SupportPattern(self.masks)
 
         self.chain_st = EmbeddingChain(num_nodes, embed_dim, in_features, proj_dim, rng)
         self.chain_ed = EmbeddingChain(num_nodes, embed_dim, in_features, proj_dim, rng)
@@ -410,32 +491,35 @@ class GraphConstruction:
         hop_choices = np.zeros((b, self.t_in, n), dtype=np.int64)
         diag = GraphDiagnostics([], [], []) if want_diag else None
 
-        masks = Tensor(self.masks)
+        pattern = self.pattern
         for j in range(self.t_in):
             e_st = gate(emb_st[j], self.base_st[j], self.gate_st)
             e_ed = gate(emb_ed[j], self.base_ed[j], self.gate_ed)
-            w = edge_logits(e_st, e_ed, self.edge_w, self.edge_b)
-            noise = logistic_noise(rng.uniform(size=(b, n, n))) if training else None
-            keep = keep_pattern(rng.uniform(size=(b, n, n)), self.gamma) if sample_edges else None
+            u, v = edge_logits(e_st, e_ed, self.edge_w)
+            # Full (B, N, N) draws, gathered on the pattern, keep every stream as it was.
+            noise = logistic_noise(pattern.gather(rng.uniform(size=(b, n, n)))) if training else None
+            keep = None
+            if sample_edges:
+                keep = keep_pattern(pattern.gather(rng.uniform(size=(b, n, n))), self.gamma)
 
             probs = hop_probs(emb_h[j], self.hop_l1, self.hop_l2)
             if training:
                 h, mixing = select_hops(
                     probs, self.tau, "train", rng, straight_through=(hop_mode == "hard")
                 )
-                mask = dc.einsum2("bnl,lnj->bnj", mixing, masks)
             else:
                 h, _ = select_hops(probs, self.tau, "eval")
-                mask = Tensor(_rows_from_choices(self.masks, h))
-            a_t = edge_op(w, mask, self.alpha, self.tau, noise, keep)
+                mixing = Tensor(_one_hot(h, pattern.levels))
+            a_t = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, noise, keep)
 
             adjacencies.append(a_t)
             hop_choices[:, j, :] = h + 1
             if want_diag:
-                w_hat = normalize_logits(w.data, self.alpha)
+                u_hat, v_hat = normalize_logits(u.data[..., 0], v.data[..., 0], self.alpha)
+                w_hat = u_hat[..., :, None] + v_hat[..., None, :]
                 diag.prenorm_logits.append(w_hat)
                 diag.omega_bar.append(bernoulli_means(w_hat))
-                diag.support_masks.append(mask.data.copy())
+                diag.support_masks.append(pattern.scatter(pattern.hop_mask(mixing.data)))
 
         seq = GraphSequence(adjacencies=adjacencies, hop_choices=hop_choices)
         return (seq, diag) if want_diag else seq

@@ -158,45 +158,89 @@ def _check_gating(seed):
 
 
 def _check_edge_logits(seed):
-    from .diffcore import Parameter
-    from .dyngraph import edge_logits
+    from .diffcore import Parameter, Tensor
+    from .dyngraph import SupportPattern, edge_adjacency, edge_logits
 
+    # Through the graph node: the logits only reach the output normalized.
     rng = np.random.default_rng([seed, 4])
     e_st = Parameter(rng.standard_normal((3, 4)), "e_st")
     e_ed = Parameter(rng.standard_normal((3, 4)), "e_ed")
     w = Parameter(rng.standard_normal((8, 1)), "w")
-    b = Parameter(rng.standard_normal(1), "b")
     r = rng.standard_normal((3, 3))
-    params = [("e_st", e_st), ("e_ed", e_ed), ("w", w), ("b", b)]
-    return finite_diff_check(lambda: _weighted_sum(edge_logits(e_st, e_ed, w, b), r), params)
+    pattern = SupportPattern(np.ones((1, 3, 3)))
+    mixing = Tensor(np.ones((3, 1)))
+
+    def build():
+        u, v = edge_logits(e_st, e_ed, w)
+        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0), r)
+
+    return finite_diff_check(build, [("e_st", e_st), ("e_ed", e_ed), ("w", w)])
 
 
 def _check_normalize_sigmoid(seed):
     from .diffcore import Parameter, Tensor
-    from .dyngraph import edge_op
+    from .dyngraph import SupportPattern, edge_adjacency
 
     rng = np.random.default_rng([seed, 5])
-    w = Parameter(rng.standard_normal((4, 4)), "w")
+    u = Parameter(rng.standard_normal((4, 1)), "u")
+    v = Parameter(rng.standard_normal((4, 1)), "v")
     r = rng.standard_normal((4, 4))
-    ones = Tensor(np.ones((4, 4)))
-    return finite_diff_check(lambda: _weighted_sum(edge_op(w, ones, 1.0, 1.0), r), [("w", w)])
+    pattern = SupportPattern(np.ones((1, 4, 4)))
+    mixing = Tensor(np.ones((4, 1)))
+
+    def build():
+        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0), r)
+
+    return finite_diff_check(build, [("u", u), ("v", v)])
+
+
+def _chain_group(n, levels):
+    """Nested hop masks of the directed chain 0 -> 1 -> ... -> N-1."""
+    from .roadnet import build_asp, hop_distances, structure_group
+
+    net = build_asp([(i, i + 1) for i in range(n - 1)], n)
+    return structure_group(hop_distances(net), levels)
 
 
 def _check_gumbel_path(seed):
     from .diffcore import Parameter
-    from .dyngraph import edge_op, keep_pattern, logistic_noise
+    from .dyngraph import SupportPattern, edge_adjacency, keep_pattern, logistic_noise
 
+    # Soft hop mixing, so the mixing gradient is checked along with u and v.
     rng = np.random.default_rng([seed, 6])
-    w = Parameter(rng.standard_normal((4, 4)), "w")
-    noise = logistic_noise(rng.uniform(size=(4, 4)))
-    r = rng.standard_normal((4, 4))
-    mask = Parameter(rng.uniform(size=(4, 4)), "mask")
-    keep = keep_pattern(rng.uniform(size=(4, 4)), 0.7)
+    pattern = SupportPattern(_chain_group(4, 2).stacked())
+    u = Parameter(rng.standard_normal((2, 4, 1)), "u")
+    v = Parameter(rng.standard_normal((2, 4, 1)), "v")
+    mixing = Parameter(rng.uniform(size=(2, 4, 2)), "mixing")
+    noise = logistic_noise(rng.uniform(size=(2, pattern.nnz)))
+    keep = keep_pattern(rng.uniform(size=(2, pattern.nnz)), 0.7)
+    r = rng.standard_normal((2, 4, 4))
 
     def build():
-        return _weighted_sum(edge_op(w, mask, 1.0, 1.0, noise, keep), r)
+        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, noise, keep), r)
 
-    return finite_diff_check(build, [("w", w), ("mask", mask)])
+    return finite_diff_check(build, [("u", u), ("v", v), ("mixing", mixing)])
+
+
+def _check_graph_eval_sampling(seed):
+    from .diffcore import Parameter
+    from .dyngraph import GraphConstruction
+
+    # Eval-mode build with edge thinning forced on, as eval_sampling_override does.
+    rng = np.random.default_rng([seed, 18])
+    block = GraphConstruction(
+        num_nodes=3, t_in=2, in_features=1, embed_dim=2, hop_dim=2, proj_dim=2,
+        group=_chain_group(3, 2), gamma=0.6, alpha=1.0, tau=1.0, rng=rng,
+    )
+    window = Parameter(rng.standard_normal((2, 2, 3, 1)), "window")
+    r = rng.standard_normal((2, 2, 3, 3))
+
+    def build():
+        draws = np.random.default_rng([seed, 19])  # frozen draws: same stream every call
+        seq = block.build(window, "eval", rng=draws, sample_edges=True)
+        return sum(_weighted_sum(a, w) for a, w in zip(seq.adjacencies, r))
+
+    return finite_diff_check(build, [("window", window)] + block.params())
 
 
 def _check_hop_selector(seed):
@@ -370,6 +414,7 @@ _SUITE = [
     ("edge_logits", _check_edge_logits),
     ("normalize_sigmoid", _check_normalize_sigmoid),
     ("gumbel_path", _check_gumbel_path),
+    ("graph_eval_sampling", _check_graph_eval_sampling),
     ("hop_selector", _check_hop_selector),
     ("diffusion_conv", _check_diffusion_conv),
     ("spl", _check_spl),

@@ -11,6 +11,8 @@ seed, so a fixed seed reproduces the history file bitwise.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
@@ -293,21 +295,30 @@ _MODEL_TYPES = {
 }
 
 
+def _shape(dims):
+    """A header shape: a list of non-negative ints, or CheckpointError."""
+    if not isinstance(dims, list) or not all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in dims
+    ):
+        raise CheckpointError(f"corrupt checkpoint header: shape {dims!r} is not a list of sizes")
+    return dims
+
+
 def _parse_header(header):
     """(ModelConfig, Scaler, edges, symmetrize_hops, param specs, extra config) of a header."""
     try:
         m = dict(header["model"])
         sc = header["scaler"]
         scaler = Scaler(
-            mean=np.asarray(sc["mean"], dtype=np.float64).reshape(sc["mean_shape"]),
-            std=np.asarray(sc["std"], dtype=np.float64).reshape(sc["std_shape"]),
+            mean=np.asarray(sc["mean"], dtype=np.float64).reshape(_shape(sc["mean_shape"])),
+            std=np.asarray(sc["std"], dtype=np.float64).reshape(_shape(sc["std_shape"])),
             scope=sc["scope"],
         )
         edges = [(int(i), int(j)) for i, j in header["edges"]]
-        specs = [(str(name), [int(d) for d in shape]) for name, shape in header["params"]]
+        specs = [(str(name), _shape(shape)) for name, shape in header["params"]]
         symmetrize = bool(header.get("symmetrize_hops", False))
         extra = header.get("extra_config", {})
-    except (KeyError, TypeError, ValueError, AttributeError) as e:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
     unknown = sorted(set(m) - set(_MODEL_TYPES))
     if unknown:
@@ -318,7 +329,23 @@ def _parse_header(header):
         kind = _MODEL_TYPES[key]
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise CheckpointError(f"corrupt checkpoint header: model key {key} = {value!r}")
-    return ModelConfig(**m), scaler, edges, symmetrize, specs, extra
+    cfg = ModelConfig(**m)
+    # The scaler meets every (..., N, F) window: it must broadcast to (N, F) and divide by std.
+    frame = (cfg.num_nodes, cfg.in_features)
+    for label, arr in (("mean", scaler.mean), ("std", scaler.std)):
+        try:
+            fits = np.broadcast_shapes(arr.shape, frame) == frame
+        except ValueError:
+            fits = False
+        if not fits:
+            raise CheckpointError(
+                f"corrupt checkpoint header: scaler {label} of shape {arr.shape} does not fit {frame}"
+            )
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"corrupt checkpoint header: non-finite scaler {label}")
+    if np.any(scaler.std <= 0):
+        raise CheckpointError("corrupt checkpoint header: scaler std must be positive")
+    return cfg, scaler, edges, symmetrize, specs, extra
 
 
 def checkpoint_load(path, expect_num_nodes=None):
@@ -328,6 +355,9 @@ def checkpoint_load(path, expect_num_nodes=None):
     except OSError as e:
         raise CheckpointError(f"cannot open checkpoint {path}: {e}") from None
     with fh:
+        # Every length read from the file is checked against what is left of it before
+        # it is read, so a corrupt length never sizes a buffer.
+        left = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
@@ -335,9 +365,10 @@ def checkpoint_load(path, expect_num_nodes=None):
         if len(raw_len) != 4:
             raise CheckpointError("truncated checkpoint header")
         (hlen,) = struct.unpack("<I", raw_len)
-        blob = fh.read(hlen)
-        if len(blob) != hlen:
+        left -= len(magic) + 4 + hlen
+        if left < 0:
             raise CheckpointError("truncated checkpoint header")
+        blob = fh.read(hlen)
         try:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -346,11 +377,14 @@ def checkpoint_load(path, expect_num_nodes=None):
 
         payload = {}
         for name, shape in specs:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
+            size = 8 * math.prod(shape)
+            left -= size
+            if left < 0:
                 raise CheckpointError(f"truncated checkpoint payload at parameter {name}")
-            payload[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            try:
+                payload[name] = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).astype(np.float64)
+            except ValueError as e:  # a zero-size shape with a dimension numpy cannot hold
+                raise CheckpointError(f"corrupt checkpoint header: parameter {name}: {e}") from None
             if not np.isfinite(payload[name]).all():
                 raise CheckpointError(f"non-finite value in checkpoint parameter {name}")
         if fh.read(1):
@@ -363,7 +397,7 @@ def checkpoint_load(path, expect_num_nodes=None):
     try:
         model = build_model(cfg, edges=edges, scaler=scaler, seed=0, symmetrize_hops=symmetrize)
         model.load_state_arrays(payload)
-    except ConfigError as e:
+    except (ConfigError, DataError) as e:
         raise CheckpointError(f"checkpoint does not describe a loadable model: {e}") from None
     return model, extra
 

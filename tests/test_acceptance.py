@@ -20,6 +20,8 @@ from tglrn.diffcore import Parameter, Tensor
 from tglrn.gradcheck import run_gradcheck_suite
 from tglrn.model import ModelConfig
 
+from test_dyngraph import rows_from_choices
+
 
 def report(criterion, ok, detail):
     print(f"ACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'} - {detail}")
@@ -214,7 +216,7 @@ def test_criterion_4_structural_invariants_during_training():
         for t, adj in enumerate(seq.adjacencies):
             a = adj.data
             assert a.min() >= 0.0 and a.max() <= 1.0, "adjacency outside [0, 1]"
-            rows = dg._rows_from_choices(stacked, seq.hop_choices[:, t, :] - 1)
+            rows = rows_from_choices(stacked, seq.hop_choices[:, t, :] - 1)
             assert np.all(rows[a != 0] == 1.0), "nonzero weight outside selected mask"
             pre = graphs.prenorm_logits[t]
             mu = pre.mean(axis=(-2, -1))

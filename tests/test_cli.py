@@ -190,6 +190,43 @@ class TestTrainEval:
             assert err.startswith("ERROR:3:") and len(err.splitlines()) == 1, err
             assert "head.b" in err and "Traceback" not in err
 
+    def test_eval_rejects_malformed_checkpoint_header(self, trained, tmp_path, capsys):
+        from tglrn.trainer import CHECKPOINT_MAGIC
+
+        data_dir, out = trained
+        blob = (out / "model.ckpt").read_bytes()
+        m = len(CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack("<I", blob[m : m + 4])
+        mutations = {
+            "negative_shape": lambda h: h["params"][0].__setitem__(1, [-2, -3]),
+            "overflowing_shape": lambda h: h["params"][0].__setitem__(1, [2**32, 2**32]),
+            "scaler_for_fewer_nodes": lambda h: h["scaler"].update(
+                mean=h["scaler"]["mean"][:-1], mean_shape=[7, 1]
+            ),
+            "scaler_mean_nan": lambda h: h["scaler"]["mean"][0].__setitem__(0, float("nan")),
+            "scaler_std_zero": lambda h: h["scaler"]["std"][0].__setitem__(0, 0.0),
+        }
+        for label, mutate in mutations.items():
+            header = json.loads(blob[m + 4 : m + 4 + hlen])
+            mutate(header)
+            new = json.dumps(header).encode("utf-8")
+            bad = tmp_path / "bad.ckpt"
+            bad.write_bytes(blob[:m] + struct.pack("<I", len(new)) + new + blob[m + 4 + hlen :])
+            args = ["eval"]
+            for s in (
+                f"edges_path={data_dir}/edges.csv",
+                f"flows_path={data_dir}/flow.csv",
+                "num_nodes=8",
+                f"checkpoint_path={bad}",
+                f"out_dir={tmp_path}/evalout",
+            ):
+                args += ["--set", s]
+            capsys.readouterr()
+            assert run(args) == 3, label
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR:3:") and len(err.splitlines()) == 1, (label, err)
+            assert "Traceback" not in err, label
+
     def test_inspect_graph_dumps(self, trained, tmp_path):
         data_dir, out = trained
         ins_out = tmp_path / "insout"

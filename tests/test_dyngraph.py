@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tglrn import diffcore as dc
 from tglrn import dyngraph as dg
@@ -14,9 +16,9 @@ from test_diffcore import rsqrt_or_zero
 from test_stnet import assert_within, closure_arrays
 
 
-def make_group(edges, n, levels):
+def make_group(edges, n, levels, symmetrize=False):
     net = roadnet.build_asp(edges, n)
-    return roadnet.structure_group(roadnet.hop_distances(net), levels)
+    return roadnet.structure_group(roadnet.hop_distances(net, symmetrize=symmetrize), levels)
 
 
 def chain_group(n, levels):
@@ -200,57 +202,99 @@ class TestGate:
         np.testing.assert_array_equal(dg.gate(e, base, lin).data, np.zeros((3, 4)))
 
 
+def dense_logits(u, v, bias=0.0):
+    """The (..., N, N) logits w[i, j] = u_i + v_j + b of edge_logits' two projections."""
+    return u + np.swapaxes(v, -1, -2) + bias
+
+
 class TestEdgeLogits:
     def test_zero_embeddings_give_bias(self):
         w = Parameter(np.random.default_rng(0).standard_normal((8, 1)))
-        b = Parameter(np.array([0.37]))
-        out = dg.edge_logits(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), w, b)
-        np.testing.assert_allclose(out.data, np.full((3, 3), 0.37), atol=1e-15)
+        u, v = dg.edge_logits(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))), w)
+        assert u.shape == v.shape == (3, 1)
+        np.testing.assert_allclose(dense_logits(u.data, v.data, 0.37), np.full((3, 3), 0.37), atol=1e-15)
 
     def test_matches_per_pair_concat_oracle(self):
         rng = np.random.default_rng(1)
         e_st, e_ed = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
         w, b = rng.standard_normal((8, 1)), rng.standard_normal(1)
-        out = dg.edge_logits(Tensor(e_st), Tensor(e_ed), Parameter(w), Parameter(b))
+        u, v = dg.edge_logits(Tensor(e_st), Tensor(e_ed), Parameter(w))
+        out = dense_logits(u.data, v.data, b[0])
         for i in range(3):
             for j in range(3):
                 pair = np.tanh(np.concatenate([e_st[i], e_ed[j]]))
-                np.testing.assert_allclose(out.data[i, j], pair @ w[:, 0] + b[0], atol=1e-12)
+                np.testing.assert_allclose(out[i, j], pair @ w[:, 0] + b[0], atol=1e-12)
 
     def test_directionality_preserved(self):
         rng = np.random.default_rng(2)
         e_st, e_ed = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
-        w, b = Parameter(rng.standard_normal((8, 1))), Parameter(rng.standard_normal(1))
-        out = dg.edge_logits(e_st, e_ed, w, b).data
+        u, v = dg.edge_logits(e_st, e_ed, Parameter(rng.standard_normal((8, 1))))
+        out = dense_logits(u.data, v.data)
         assert not np.allclose(out, out.T)
+
+
+def normalized(u, v, alpha=1.0):
+    """The dense (..., N, N) normalized logits of (..., N) projections u and v."""
+    u_hat, v_hat = dg.normalize_logits(np.asarray(u, float), np.asarray(v, float), alpha)
+    return u_hat[..., :, None] + v_hat[..., None, :]
 
 
 class TestNormalizeLogits:
     def test_constant_input_gives_half_weights(self):
-        w = np.full((4, 4), 2.5)
-        out = dg.bernoulli_means(dg.normalize_logits(w))
+        out = dg.bernoulli_means(normalized(np.full(4, 2.5), np.full(4, -1.0)))
         np.testing.assert_array_equal(out, np.full((4, 4), 0.5))
 
     def test_closed_form_three_values(self):
-        w = np.array([[1.0, 2.0, 3.0]])
-        out = dg.normalize_logits(w, alpha=1.0)
+        # one start node and three end nodes: w = [[1, 2, 3]]
+        out = normalized([0.0], [1.0, 2.0, 3.0], alpha=1.0)
         expected = np.array([[-1.224744871391589, 0.0, 1.224744871391589]])
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_moment_invariant(self, alpha):
         rng = np.random.default_rng(3)
-        w = rng.standard_normal((2, 6, 6)) * 7.0 + 3.0
-        out = dg.normalize_logits(w, alpha=alpha)
+        u, v = rng.standard_normal((2, 2, 6)) * 7.0 + 3.0
+        out = normalized(u, v, alpha=alpha)
         for b in range(2):
             assert abs(out[b].mean()) < 1e-9
             assert abs(out[b].std() - alpha) < 1e-9
 
     def test_clamped_range(self):
-        w = np.array([[-1e6, 1e6], [0.0, 0.0]])
-        out = dg.bernoulli_means(dg.normalize_logits(w))
+        out = dg.bernoulli_means(normalized([-1e6, 1e6], [0.0, 0.0]))
         assert out.min() >= dg.OMEGA_CLAMP
         assert out.max() <= 1.0 - dg.OMEGA_CLAMP
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        base=st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+        spread=st.tuples(*[st.sampled_from([0.0, 1e-13, 1e-7, 1.0, 30.0])] * 2),
+        alpha=st.sampled_from([1.0, 20.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_closed_form_moments_match_dense_oracle(self, n, base, spread, alpha, seed):
+        # Constant (spread 0) and near-constant steps included; alpha = 20 saturates the clamp.
+        rng = np.random.default_rng(seed)
+        u = base[0] + spread[0] * rng.standard_normal((2, n))
+        v = base[1] + spread[1] * rng.standard_normal((2, n))
+        w = u[:, :, None] + v[:, None, :]
+        got, want = normalized(u, v, alpha), oracle_normalize_logits(Tensor(w), alpha).data
+        _, _, rstd, scale = dg._normalize(u, v, alpha)
+        # The dense oracle rounds u_i + v_j and its N^2-term sums: allow that rounding,
+        # scaled by 1/std, on top of 1e-12 of alpha.
+        size = np.abs(u).max(axis=-1) + np.abs(v).max(axis=-1)
+        tol = 64 * n * n * np.finfo(float).eps * (size * rstd[:, 0] * alpha + alpha * n) + 1e-12 * alpha
+        err = np.abs(got - want).max(axis=(-2, -1))
+        assert np.all(err <= tol), (err, tol)
+        bern_err = np.abs(dg.bernoulli_means(got) - dg.bernoulli_means(want)).max(axis=(-2, -1))
+        assert np.all(bern_err <= tol)
+        # The closed-form spread decides liveness exactly; a live step has mean 0 and std alpha.
+        live = (np.ptp(u, axis=-1) + np.ptp(v, axis=-1)) > 0
+        np.testing.assert_array_equal(scale[:, 0] > 0, live)
+        assert np.all(got[~live] == 0.0)
+        if max(spread) >= 1.0:
+            assert np.all(np.abs(got.mean(axis=(-2, -1))) <= 1e-9 * alpha)
+            assert np.all(np.abs(got.std(axis=(-2, -1)) - alpha * live) <= 1e-9 * alpha)
 
 
 class TestGumbelRelax:
@@ -341,9 +385,16 @@ class TestHopSelector:
         assert set(np.unique(mix.data)) <= {0.0, 1.0}
 
 
+def rows_from_choices(masks, hop_choices):
+    """Row i of S^{h[i]} for every leading index, for 0-based ``hop_choices``: the dense hop mask."""
+    return masks[hop_choices, np.arange(masks.shape[1]), :]
+
+
 def hop_masked(a, hop_choices, group):
     """Row i of ``a`` masked by the reachability row of its 1-based hop radius, as build masks it."""
-    return a * dg._rows_from_choices(group.stacked(), np.asarray(hop_choices) - 1)
+    pattern = dg.SupportPattern(group.stacked())
+    mixing = dg._one_hot(np.asarray(hop_choices) - 1, group.L)
+    return a * pattern.scatter(pattern.hop_mask(mixing))
 
 
 class TestPrune:
@@ -431,7 +482,7 @@ class TestBuildGraphSequence:
         for t, adj in enumerate(seq.adjacencies):
             a = adj.data
             assert a.min() >= 0.0 and a.max() <= 1.0
-            sel = dg._rows_from_choices(block.masks, seq.hop_choices[:, t, :] - 1)
+            sel = rows_from_choices(block.masks, seq.hop_choices[:, t, :] - 1)
             assert np.all(sel[a != 0] == 1.0)
             pre = diag.prenorm_logits[t]
             for b in range(pre.shape[0]):
@@ -530,7 +581,8 @@ def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="har
     for j in range(block.t_in):
         e_st = dg.gate(emb_st[j], block.base_st[j], block.gate_st)
         e_ed = dg.gate(emb_ed[j], block.base_ed[j], block.gate_ed)
-        w = dg.edge_logits(e_st, e_ed, block.edge_w, block.edge_b)
+        u, v = dg.edge_logits(e_st, e_ed, block.edge_w)
+        w = u + dc.swap_last2(v) + block.edge_b
         delta = rng.uniform(size=(b, n, n)) if training else None
         rho = rng.uniform(size=(b, n, n)) if sample_edges else None
         probs = dg.hop_probs(emb_h[j], block.hop_l1, block.hop_l2)
@@ -539,7 +591,7 @@ def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="har
             mask = dc.einsum2("bnl,lnj->bnj", mixing, Tensor(block.masks))
         else:
             h, _ = dg.select_hops(probs, block.tau, "eval")
-            mask = Tensor(dg._rows_from_choices(block.masks, h))
+            mask = Tensor(rows_from_choices(block.masks, h))
         adjacencies.append(oracle_edge_op(w, mask, block.alpha, block.tau, delta, block.gamma, rho))
         hops.append(h + 1)
     return adjacencies, np.stack(hops, axis=1)
@@ -598,15 +650,18 @@ class TestEdgeOp:
             hop_mode=hop_mode,
         )
         np.testing.assert_array_equal(seq.hop_choices, hops)
+        # Closed-form moments round differently from the dense sums: ulps, not bits.
         for a, o in zip(seq.adjacencies, adjs):
-            np.testing.assert_array_equal(a.data, o.data)
+            np.testing.assert_allclose(a.data, o.data, rtol=1e-12, atol=0.0)
         assert_grads_close(got, grads_after(block, adjs, weights))
 
     def test_degenerate_and_saturated_steps_match_oracle(self):
         rng = np.random.default_rng(14)
-        w_vals = rng.standard_normal((3, 4, 4))
-        w_vals[1] = 0.7  # constant step: normalization maps it to 0
-        mask_vals = rng.uniform(size=(3, 4, 4))
+        masks = chain_group(4, 3).stacked()
+        pattern = dg.SupportPattern(masks)
+        u_vals, v_vals = rng.standard_normal((2, 3, 4, 1))
+        u_vals[1], v_vals[1] = 0.7, -0.2  # constant step: normalization maps it to 0
+        mix_vals = rng.uniform(size=(3, 4, 3))
         delta = rng.uniform(size=(3, 4, 4))
         rho = rng.uniform(size=(3, 4, 4))
         r = rng.standard_normal((3, 4, 4))
@@ -614,29 +669,34 @@ class TestEdgeOp:
         for alpha in (1.0, 20.0):
             results = []
             for fused in (True, False):
-                w, mask = Parameter(w_vals.copy()), Parameter(mask_vals.copy())
+                u, v, mixing = (Parameter(x.copy()) for x in (u_vals, v_vals, mix_vals))
                 if fused:
-                    out = dg.edge_op(w, mask, alpha, 0.5, dg.logistic_noise(delta), dg.keep_pattern(rho, 0.7))
+                    noise = dg.logistic_noise(pattern.gather(delta))
+                    keep = dg.keep_pattern(pattern.gather(rho), 0.7)
+                    out = dg.edge_adjacency(u, v, mixing, pattern, alpha, 0.5, noise, keep)
                 else:
-                    out = oracle_edge_op(w, mask, alpha, 0.5, delta, 0.7, rho)
+                    mask = dc.einsum2("bnl,lnj->bnj", mixing, Tensor(masks))
+                    out = oracle_edge_op(u + dc.swap_last2(v), mask, alpha, 0.5, delta, 0.7, rho)
                 (out * Tensor(r)).sum().backward()
-                results.append((out.data, {"w": w.grad, "mask": mask.grad}))
+                results.append((out.data, {"u": u.grad, "v": v.grad, "mixing": mixing.grad}))
             (out_f, g_f), (out_o, g_o) = results
-            np.testing.assert_array_equal(out_f, out_o)
+            np.testing.assert_allclose(out_f, out_o, rtol=1e-12, atol=0.0)
             assert_grads_close(g_f, g_o)
-            assert np.all(g_f["w"][1] == 0.0)
+            assert np.all(g_f["u"][1] == 0.0) and np.all(g_f["v"][1] == 0.0)
 
     @pytest.mark.parametrize("relax, thin", [(True, True), (False, False), (False, True)])
     def test_gradients_match_finite_differences(self, relax, thin):
         rng = np.random.default_rng(15)
-        w = Parameter(rng.standard_normal((2, 4, 4)), "w")
-        mask = Parameter(rng.uniform(size=(2, 4, 4)), "mask")
-        noise = dg.logistic_noise(rng.uniform(size=(2, 4, 4))) if relax else None
-        keep = dg.keep_pattern(rng.uniform(size=(2, 4, 4)), 0.6) if thin else None
+        pattern = dg.SupportPattern(chain_group(4, 2).stacked())
+        u = Parameter(rng.standard_normal((2, 4, 1)), "u")
+        v = Parameter(rng.standard_normal((2, 4, 1)), "v")
+        mixing = Parameter(rng.uniform(size=(2, 4, 2)), "mixing")
+        noise = dg.logistic_noise(pattern.gather(rng.uniform(size=(2, 4, 4)))) if relax else None
+        keep = dg.keep_pattern(pattern.gather(rng.uniform(size=(2, 4, 4))), 0.6) if thin else None
         r = rng.standard_normal((2, 4, 4))
         reports = finite_diff_check(
-            lambda: (dg.edge_op(w, mask, 1.5, 0.7, noise, keep) * Tensor(r)).sum(),
-            [("w", w), ("mask", mask)],
+            lambda: (dg.edge_adjacency(u, v, mixing, pattern, 1.5, 0.7, noise, keep) * Tensor(r)).sum(),
+            [("u", u), ("v", v), ("mixing", mixing)],
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
 
@@ -646,8 +706,8 @@ class TestEdgeOp:
 
 
 # Tensors of shape (..., N, N) that one train-mode build step may leave on the tape:
-# the edge logits before and after the bias, the hop mask, and the adjacency.
-NN_ARRAYS_PER_STEP = 4
+# the adjacency alone.
+NN_ARRAYS_PER_STEP = 1
 
 
 def test_train_build_tape_holds_few_nn_arrays_per_step():
@@ -662,5 +722,58 @@ def test_train_build_tape_holds_few_nn_arrays_per_step():
             seen[id(t)] = t
             stack.extend(t._parents)
     square = [t for t in seen.values() if t.ndim >= 2 and t.shape[-2:] == (n, n)]
-    # the (L, N, N) reachability masks are one shared constant per build
-    assert len(square) <= NN_ARRAYS_PER_STEP * t_in + 1, len(square)
+    assert len(square) <= NN_ARRAYS_PER_STEP * t_in, len(square)
+
+
+def test_graph_nodes_keep_only_pattern_sized_arrays():
+    n, t_in, b = 6, 3, 2
+    block = build_block(n=n, t_in=t_in, levels=2, gamma=0.5, seed=20)
+    nnz = block.pattern.nnz
+    assert nnz < n * n
+    window = Tensor(np.random.default_rng(21).standard_normal((b, t_in, n, 1)))
+    seq = block.build(window, "train", rng=np.random.default_rng(22))
+    for adj in seq.adjacencies:
+        held = closure_arrays(adj)
+        square = [v.shape for v in held if v.ndim >= 2 and v.shape[-2:] == (n, n)]
+        assert not square, square
+        assert max(v.size for v in held) <= b * max(nnz, n * block.pattern.levels)
+        cells = dict(zip(adj._bwd.__code__.co_freevars, adj._bwd.__closure__))
+        noise, keep = cells["noise"].cell_contents, cells["keep"].cell_contents
+        assert noise.shape == keep.shape == (b, nnz)
+        assert keep.dtype == np.bool_
+
+
+class TestSupportPattern:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        levels=st.integers(1, 4),
+        pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12),
+        symmetrize=st.booleans(),
+    )
+    def test_pattern_is_widest_mask_and_first_radius(self, n, levels, pairs, symmetrize):
+        edges = [(i, j) for i, j in pairs if i < n and j < n]
+        masks = make_group(edges, n, levels, symmetrize).stacked()
+        pattern = dg.SupportPattern(masks)
+        rows, cols = np.nonzero(masks[-1])
+        np.testing.assert_array_equal(pattern.rows, rows)
+        np.testing.assert_array_equal(pattern.cols, cols)
+        np.testing.assert_array_equal(pattern.flat, rows * n + cols)
+        for level in range(levels):
+            np.testing.assert_array_equal(masks[level, rows, cols] == 1.0, pattern.first <= level)
+        # every one-hot radius choice gives the dense rows of its mask
+        h = np.random.default_rng(n * 31 + levels).integers(0, levels, size=(3, n))
+        dense = pattern.scatter(pattern.hop_mask(dg._one_hot(h, levels)))
+        np.testing.assert_array_equal(dense, rows_from_choices(masks, h))
+
+    def test_soft_mask_matches_einsum(self):
+        masks = make_group([(0, 1), (1, 2), (3, 1), (2, 4)], 5, 3, symmetrize=True).stacked()
+        pattern = dg.SupportPattern(masks)
+        mixing = np.random.default_rng(23).uniform(size=(2, 5, 3))
+        dense = pattern.scatter(pattern.hop_mask(mixing))
+        np.testing.assert_allclose(dense, np.einsum("bnl,lnj->bnj", mixing, masks), rtol=1e-15, atol=0)
+
+    def test_non_nested_masks_rejected(self):
+        masks = chain_group(4, 2).stacked()[::-1]
+        with pytest.raises(ConfigError):
+            dg.SupportPattern(masks)

@@ -10,6 +10,9 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+import hypothesis
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tglrn import data as dmod
 from tglrn import trainer
@@ -375,6 +378,17 @@ class TestCheckpoint:
             lambda h: h["model"].update(tau=0.0),
             lambda h: h["model"].update(gamma=1.5),
             lambda h: h["model"].update(dropout_rate=1.0),
+            lambda h: h["params"][0].__setitem__(1, [-2, -3]),
+            lambda h: h["params"][0].__setitem__(1, [2**32, 2**32]),
+            lambda h: h["params"][0].__setitem__(1, [0, 2**70]),
+            lambda h: h["scaler"].update(mean=h["scaler"]["mean"][:-1], mean_shape=[5, 1]),
+            lambda h: h["scaler"].update(std=[[2.0]] * 6, std_shape=[1, 6, 1]),
+            lambda h: h["scaler"]["mean"][0].__setitem__(0, float("nan")),
+            lambda h: h["scaler"]["std"][0].__setitem__(0, float("inf")),
+            lambda h: h["scaler"]["std"][0].__setitem__(0, 0.0),
+            lambda h: h["scaler"]["std"][0].__setitem__(0, -1.0),
+            lambda h: h["edges"].append([float("inf"), 0]),
+            lambda h: h["edges"].append([99, 0]),
         ],
         ids=[
             "unknown_model_key",
@@ -393,6 +407,17 @@ class TestCheckpoint:
             "model_tau_zero",
             "model_gamma_above_one",
             "model_dropout_one",
+            "params_shape_negative",
+            "params_shape_count_overflows",
+            "params_shape_empty_but_huge",
+            "scaler_too_few_nodes",
+            "scaler_extra_leading_axis",
+            "scaler_mean_nan",
+            "scaler_std_inf",
+            "scaler_std_zero",
+            "scaler_std_negative",
+            "edge_id_infinite",
+            "edge_outside_nodes",
         ],
     )
     def test_mutated_header_rejected(self, tmp_path, mutate):
@@ -407,4 +432,76 @@ class TestCheckpoint:
         new = json.dumps(header).encode("utf-8")
         path.write_bytes(blob[:magic] + struct.pack("<I", len(new)) + new + blob[magic + 4 + hlen :])
         with pytest.raises(CheckpointError):
+            trainer.checkpoint_load(path)
+
+
+# -- checkpoint fuzz: every corruption is a CheckpointError or a model that predicts ------
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """(bytes, header end, a path to write cases to) of a 3-node checkpoint a few KB long."""
+    cfg = ModelConfig(
+        num_nodes=3, t_in=4, t_out=2, embed_dim=2, hop_dim=2, hidden_dim=3, levels=2, n_blocks=1
+    )
+    scaler = dmod.Scaler(mean=np.full((3, 1), 5.0), std=np.full((3, 1), 2.0))
+    model = trainer.build_model(cfg, [(0, 1), (1, 2)], scaler, seed=0)
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.ckpt"
+    trainer.checkpoint_save(path, model)
+    blob = path.read_bytes()
+    magic = len(trainer.CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[magic : magic + 4])
+    return blob, magic + 4 + hlen, path.parent / "case.ckpt"
+
+
+def loads_and_predicts(blob, path):
+    """False if ``blob`` is rejected with CheckpointError; True if it loads and predicts."""
+    path.write_bytes(blob)
+    try:
+        model, _ = trainer.checkpoint_load(path)
+    except CheckpointError:
+        return False
+    cfg = model.cfg
+    window = np.full((2, cfg.t_in, cfg.num_nodes, cfg.in_features), 5.0)
+    with np.errstate(all="ignore"):  # flipped weights may overflow; they must not raise
+        pred = model.predict_raw(window)
+    assert pred.shape == (2, cfg.t_out, cfg.num_nodes, cfg.in_features)
+    return True
+
+
+class TestCheckpointFuzz:
+    def test_every_truncation_rejected(self, tiny_checkpoint):
+        blob, _, path = tiny_checkpoint
+        assert loads_and_predicts(blob, path)
+        for end in range(len(blob)):
+            assert not loads_and_predicts(blob[:end], path), end
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flipped_bytes_rejected_or_loadable(self, tiny_checkpoint, data):
+        blob, header_end, path = tiny_checkpoint
+        # Half the examples flip inside the magic, length and JSON header, half in the payload.
+        lo, hi = data.draw(st.sampled_from([(0, header_end), (header_end, len(blob))]))
+        flips = data.draw(st.lists(st.tuples(st.integers(lo, hi - 1), st.integers(1, 255)), min_size=1, max_size=3))
+        case = bytearray(blob)
+        for at, bits in flips:
+            case[at] ^= bits
+        loads_and_predicts(bytes(case), path)
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @given(data=st.data(), value=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_planted_non_finite_value_rejected(self, tiny_checkpoint, data, value):
+        blob, header_end, path = tiny_checkpoint
+        magic = len(trainer.CHECKPOINT_MAGIC)
+        if data.draw(st.booleans()):
+            at = header_end + 8 * data.draw(st.integers(0, (len(blob) - header_end) // 8 - 1))
+            case = blob[:at] + struct.pack("<d", value) + blob[at + 8 :]
+        else:
+            header = json.loads(blob[magic + 4 : header_end])
+            key = data.draw(st.sampled_from(["mean", "std"]))
+            header["scaler"][key][data.draw(st.integers(0, 2))][0] = float(value)
+            new = json.dumps(header).encode("utf-8")
+            case = blob[:magic] + struct.pack("<I", len(new)) + new + blob[header_end:]
+        with pytest.raises(CheckpointError, match="non-finite"):
+            path.write_bytes(case)
             trainer.checkpoint_load(path)
