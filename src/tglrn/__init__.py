@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .data import FlowSeries, Scaler, WindowedDataset, load_flows, make_windows, synth_generate
 from .diffcore import Linear, Parameter, Tensor
 from .model import ModelConfig, TGLRN
-from .roadnet import RoadNetwork, StructureInfoGroup, build_asp, hop_distances, structure_group
+from .roadnet import RoadNetwork, build_asp, hop_distances, structure_group
 from .trainer import MetricsReport, baseline_ha, evaluate, mae_loss, train
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ModelConfig",
     "TGLRN",
     "RoadNetwork",
-    "StructureInfoGroup",
     "build_asp",
     "hop_distances",
     "structure_group",

@@ -39,7 +39,6 @@ class FlowSeries:
     """Raw flow tensor, shape (T_total, N, F) with F = 1."""
 
     values: np.ndarray
-    interval_minutes: int = 5
 
     @property
     def num_steps(self):

@@ -36,7 +36,6 @@ __all__ = [
     "Linear",
     "no_grad",
     "concat",
-    "swap_last2",
     "einsum2",
     "softmax",
     "rsqrt_or_zero_array",
@@ -506,14 +505,6 @@ def concat(tensors, axis=-1):
             t._acc(g[tuple(idx)])
 
     return Tensor._from_op(out_data, tuple(tensors), bwd)
-
-
-def swap_last2(x):
-    """Transpose of the last two axes (the batched matrix transpose)."""
-    x = _ensure_tensor(x)
-    axes = list(range(x.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return x.transpose(axes)
 
 
 def einsum2(subscripts, a, b):

@@ -182,14 +182,12 @@ def gate(e, e_base, gate_linear):
 
 
 def edge_logits(e_st, e_ed, weight):
-    """The (..., N, 1) projections u, v of the pairwise scores w[i, j] = linear(tanh([e_st_i ; e_ed_j])).
+    """The (..., N, 1) projections u, v of the scores w[i, j] = tanh([e_st_i ; e_ed_j]) @ weight.
 
-    Because tanh acts elementwise and the head is affine, the concatenated
-    form splits into w[i, j] = u_i + v_j + b, so no N^2 concatenation or
-    (..., N, N) logit array is ever formed. The bias b (``edge_b``) shifts
-    every logit of a step alike and cancels under ``normalize_logits``, so
-    its true gradient is 0 and it is never added; it stays for the
-    checkpoint layout.
+    Because tanh acts elementwise and the head is linear, the concatenated
+    form splits into w[i, j] = u_i + v_j, so no N^2 concatenation or
+    (..., N, N) logit array is ever formed. The head has no bias: one would
+    shift every logit of a step alike and cancel under ``normalize_logits``.
     """
     d = e_st.shape[-1]
     return e_st.tanh() @ weight[:d], e_ed.tanh() @ weight[d:]
@@ -411,10 +409,6 @@ class GraphSequence:
     adjacencies: list  # T_in tensors, each (B, N, N) in [0, 1]
     hop_choices: np.ndarray  # (B, T_in, N) of 1-based radii
 
-    @property
-    def t_in(self):
-        return len(self.adjacencies)
-
 
 @dataclass
 class GraphDiagnostics:
@@ -428,41 +422,32 @@ class GraphDiagnostics:
 class GraphConstruction:
     """Everything needed to emit one weighted adjacency per window position."""
 
-    def __init__(
-        self,
-        num_nodes,
-        t_in,
-        in_features,
-        embed_dim,
-        hop_dim,
-        proj_dim,
-        group,
-        gamma,
-        alpha,
-        tau,
-        rng,
-    ):
-        self.num_nodes = num_nodes
-        self.t_in = t_in
-        self.gamma = float(gamma)
-        self.alpha = float(alpha)
-        self.tau = float(tau)
-        self.masks = group.stacked()  # (L, N, N) constants
-        self.pattern = SupportPattern(self.masks)
+    def __init__(self, cfg, masks, rng):
+        """Parameters for the ``ModelConfig`` ``cfg`` over the nested (L, N, N) hop ``masks``.
 
-        self.chain_st = EmbeddingChain(num_nodes, embed_dim, in_features, proj_dim, rng)
-        self.chain_ed = EmbeddingChain(num_nodes, embed_dim, in_features, proj_dim, rng)
-        self.chain_h = EmbeddingChain(num_nodes, hop_dim, in_features, proj_dim, rng)
-        scale = 1.0 / np.sqrt(embed_dim)
-        self.base_st = Parameter(rng.standard_normal((t_in, num_nodes, embed_dim)) * scale)
-        self.base_ed = Parameter(rng.standard_normal((t_in, num_nodes, embed_dim)) * scale)
-        self.gate_st = Linear(embed_dim, embed_dim, rng)
-        self.gate_ed = Linear(embed_dim, embed_dim, rng)
-        limit = np.sqrt(6.0 / (2 * embed_dim + 1))
-        self.edge_w = Parameter(rng.uniform(-limit, limit, size=(2 * embed_dim, 1)))
-        self.edge_b = Parameter(np.zeros(1))
-        self.hop_l1 = Linear(hop_dim, hop_dim, rng)
-        self.hop_l2 = Linear(hop_dim, group.L, rng)
+        The GRU input projections are ``hidden_dim`` wide; ``masks`` is kept by reference.
+        """
+        n, d, m = cfg.num_nodes, cfg.embed_dim, cfg.hop_dim
+        self.num_nodes = n
+        self.t_in = cfg.t_in
+        self.gamma = cfg.gamma
+        self.alpha = cfg.alpha
+        self.tau = cfg.tau
+        self.masks = masks
+        self.pattern = SupportPattern(masks)
+
+        self.chain_st = EmbeddingChain(n, d, cfg.in_features, cfg.hidden_dim, rng)
+        self.chain_ed = EmbeddingChain(n, d, cfg.in_features, cfg.hidden_dim, rng)
+        self.chain_h = EmbeddingChain(n, m, cfg.in_features, cfg.hidden_dim, rng)
+        scale = 1.0 / np.sqrt(d)
+        self.base_st = Parameter(rng.standard_normal((cfg.t_in, n, d)) * scale)
+        self.base_ed = Parameter(rng.standard_normal((cfg.t_in, n, d)) * scale)
+        self.gate_st = Linear(d, d, rng)
+        self.gate_ed = Linear(d, d, rng)
+        limit = np.sqrt(6.0 / (2 * d + 1))
+        self.edge_w = Parameter(rng.uniform(-limit, limit, size=(2 * d, 1)))
+        self.hop_l1 = Linear(m, m, rng)
+        self.hop_l2 = Linear(m, masks.shape[0], rng)
 
     def build(self, window, mode, rng=None, sample_edges=None, hop_mode="hard", want_diag=False):
         """Compose the per-step pipeline over the whole input window.
@@ -537,7 +522,6 @@ class GraphConstruction:
         out.extend((f"gate_st.{k}", p) for k, p in self.gate_st.params())
         out.extend((f"gate_ed.{k}", p) for k, p in self.gate_ed.params())
         out.append(("edge_w", self.edge_w))
-        out.append(("edge_b", self.edge_b))
         out.extend((f"hop_l1.{k}", p) for k, p in self.hop_l1.params())
         out.extend((f"hop_l2.{k}", p) for k, p in self.hop_l2.params())
         return out

@@ -194,7 +194,7 @@ def _check_normalize_sigmoid(seed):
     return finite_diff_check(build, [("u", u), ("v", v)])
 
 
-def _chain_group(n, levels):
+def _chain_masks(n, levels):
     """Nested hop masks of the directed chain 0 -> 1 -> ... -> N-1."""
     from .roadnet import build_asp, hop_distances, structure_group
 
@@ -208,7 +208,7 @@ def _check_gumbel_path(seed):
 
     # Soft hop mixing, so the mixing gradient is checked along with u and v.
     rng = np.random.default_rng([seed, 6])
-    pattern = SupportPattern(_chain_group(4, 2).stacked())
+    pattern = SupportPattern(_chain_masks(4, 2))
     u = Parameter(rng.standard_normal((2, 4, 1)), "u")
     v = Parameter(rng.standard_normal((2, 4, 1)), "v")
     mixing = Parameter(rng.uniform(size=(2, 4, 2)), "mixing")
@@ -225,13 +225,14 @@ def _check_gumbel_path(seed):
 def _check_graph_eval_sampling(seed):
     from .diffcore import Parameter
     from .dyngraph import GraphConstruction
+    from .model import ModelConfig
 
     # Eval-mode build with edge thinning forced on, as eval_sampling_override does.
     rng = np.random.default_rng([seed, 18])
-    block = GraphConstruction(
-        num_nodes=3, t_in=2, in_features=1, embed_dim=2, hop_dim=2, proj_dim=2,
-        group=_chain_group(3, 2), gamma=0.6, alpha=1.0, tau=1.0, rng=rng,
+    cfg = ModelConfig(
+        num_nodes=3, t_in=2, embed_dim=2, hop_dim=2, hidden_dim=2, levels=2, gamma=0.6
     )
+    block = GraphConstruction(cfg, _chain_masks(3, 2), rng)
     window = Parameter(rng.standard_normal((2, 2, 3, 1)), "window")
     r = rng.standard_normal((2, 2, 3, 3))
 

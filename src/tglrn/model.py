@@ -126,7 +126,7 @@ class ModelConfig:
         rows = chain("chain_st", d) + chain("chain_ed", d) + chain("chain_h", m)
         rows += [row("graph.base_st", (t, n, d)), row("graph.base_ed", (t, n, d))]
         rows += linear("graph.gate_st", d, d) + linear("graph.gate_ed", d, d)
-        rows += [row("graph.edge_w", (2 * d, 1)), row("graph.edge_b", (1,))]
+        rows.append(row("graph.edge_w", (2 * d, 1)))
         rows += linear("graph.hop_l1", m, m) + linear("graph.hop_l2", m, self.levels)
         rows += linear("input", f, w)
         rows += [row(f"block*.spl{i}.theta", (self.diff_steps, 2, w, w), nb) for i in (0, 1)]
@@ -143,39 +143,23 @@ class ModelConfig:
 class TGLRN:
     """Traffic forecaster over learned per-step graphs."""
 
-    def __init__(self, cfg, group, scaler, rng):
-        """``cfg`` must have passed ``validate``, as ``trainer.build_model`` ensures."""
-        if group.L != cfg.levels:
-            raise ConfigError(f"structure group has {group.L} levels, config wants {cfg.levels}")
-        if group.masks[0].shape[0] != cfg.num_nodes:
-            raise ConfigError(
-                f"structure group is over {group.masks[0].shape[0]} nodes, config wants {cfg.num_nodes}"
-            )
+    def __init__(self, cfg, masks, scaler, rng):
+        """``cfg`` must have passed ``validate``, as ``trainer.build_model`` ensures.
+
+        ``masks`` holds the nested (levels, N, N) hop masks from ``roadnet.structure_group``.
+        """
+        want = (cfg.levels, cfg.num_nodes, cfg.num_nodes)
+        if masks.shape != want:
+            raise ConfigError(f"hop masks have shape {masks.shape}, config wants {want}")
         self.cfg = cfg
         self.scaler = scaler
-        self.graph_block = GraphConstruction(
-            num_nodes=cfg.num_nodes,
-            t_in=cfg.t_in,
-            in_features=cfg.in_features,
-            embed_dim=cfg.embed_dim,
-            hop_dim=cfg.hop_dim,
-            proj_dim=cfg.hidden_dim,
-            group=group,
-            gamma=cfg.gamma,
-            alpha=cfg.alpha,
-            tau=cfg.tau,
-            rng=rng,
-        )
+        self.graph_block = GraphConstruction(cfg, masks, rng)
         self.input_layer = Linear(cfg.in_features, cfg.hidden_dim, rng)
         lengths = block_schedule(cfg.t_in, cfg.n_blocks, cfg.kernel_size)
-        self.blocks = []
-        t = cfg.t_in
-        for _ in range(cfg.n_blocks):
-            self.blocks.append(
-                SpatioTemporalBlock(cfg.hidden_dim, cfg.diff_steps, cfg.kernel_size, t, rng)
-            )
-            t = t - 2 * (cfg.kernel_size - 1)
-        assert lengths[-1] == t
+        self.blocks = [
+            SpatioTemporalBlock(cfg.hidden_dim, cfg.diff_steps, cfg.kernel_size, t, rng)
+            for t in [cfg.t_in] + lengths[:-1]
+        ]
 
         total = cfg.n_blocks * cfg.hidden_dim
         limit = np.sqrt(6.0 / (total + cfg.t_out * cfg.in_features))

@@ -10,7 +10,7 @@ masks for k = 1..L is what the dynamic graph block prunes against.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,6 @@ from .errors import DataError
 
 __all__ = [
     "RoadNetwork",
-    "HopDistances",
-    "StructureInfoGroup",
     "build_asp",
     "hop_distances",
     "structure_info",
@@ -38,24 +36,6 @@ class RoadNetwork:
 
     def __post_init__(self):
         assert self.a_sp.shape == (self.num_nodes, self.num_nodes)
-
-
-@dataclass
-class HopDistances:
-    """All-pairs shortest hop counts; unreachable pairs hold +inf."""
-
-    d: np.ndarray  # (N, N) float64, non-negative integers or inf
-
-
-@dataclass
-class StructureInfoGroup:
-    """Nested reachability masks S^1 <= S^2 <= ... <= S^L."""
-
-    L: int
-    masks: list = field(default_factory=list)  # L arrays of (N, N) float64 in {0, 1}
-
-    def stacked(self):
-        return np.stack(self.masks, axis=0)
 
 
 def build_asp(edges, num_nodes):
@@ -79,7 +59,7 @@ def build_asp(edges, num_nodes):
 
 
 def hop_distances(net, symmetrize=False):
-    """Per-source BFS hop counts over the directed adjacency.
+    """All-pairs (N, N) float64 BFS hop counts over the directed adjacency; unreachable is +inf.
 
     Self-loops are skipped when expanding, so d[i][i] is always 0. With
     ``symmetrize`` every edge is traversable in both directions.
@@ -105,21 +85,24 @@ def hop_distances(net, symmetrize=False):
                         d[src, v] = depth
                         nxt.append(v)
             frontier = nxt
-    return HopDistances(d=d)
+    return d
 
 
 def structure_info(dist, k):
     """Binary mask of node pairs whose hop distance is at most k (k >= 1)."""
     if k < 1:
         raise DataError(f"structure_info: k must be >= 1, got {k}")
-    return (dist.d <= k).astype(np.float64)
+    return (dist <= k).astype(np.float64)
 
 
 def structure_group(dist, L):
-    """The nested mask family for k = 1..L."""
+    """The nested masks S^1 <= ... <= S^L for k = 1..L, as one (L, N, N) float64 array."""
     if L < 1:
         raise DataError(f"structure_group: L must be >= 1, got {L}")
-    return StructureInfoGroup(L=int(L), masks=[structure_info(dist, k) for k in range(1, L + 1)])
+    masks = np.empty((L,) + dist.shape)
+    for k in range(1, L + 1):
+        masks[k - 1] = structure_info(dist, k)
+    return masks
 
 
 def load_edges(path):

@@ -245,9 +245,10 @@ def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs > settings.patience:
-                break
+        # The hook sees every recorded epoch, the one early stopping ends on included.
         if epoch_hook is not None and epoch_hook(record):
+            break
+        if bad_epochs > settings.patience:
             break
 
     model.load_state_arrays(best_state)
@@ -295,11 +296,14 @@ _MODEL_TYPES = {
 }
 
 
+def _is_int(value):
+    """True for a JSON integer; JSON's true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _shape(dims):
     """A header shape: a list of non-negative ints, or CheckpointError."""
-    if not isinstance(dims, list) or not all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in dims
-    ):
+    if not isinstance(dims, list) or not all(_is_int(d) and d >= 0 for d in dims):
         raise CheckpointError(f"corrupt checkpoint header: shape {dims!r} is not a list of sizes")
     return dims
 
@@ -314,12 +318,18 @@ def _parse_header(header):
             std=np.asarray(sc["std"], dtype=np.float64).reshape(_shape(sc["std_shape"])),
             scope=sc["scope"],
         )
-        edges = [(int(i), int(j)) for i, j in header["edges"]]
+        edges = [(i, j) for i, j in header["edges"]]
         specs = [(str(name), _shape(shape)) for name, shape in header["params"]]
-        symmetrize = bool(header.get("symmetrize_hops", False))
+        symmetrize = header.get("symmetrize_hops", False)
         extra = header.get("extra_config", {})
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {type(e).__name__}: {e}") from None
+    if not all(_is_int(i) and _is_int(j) for i, j in edges):
+        raise CheckpointError("corrupt checkpoint header: edge ids must be integers")
+    if not isinstance(symmetrize, bool):
+        raise CheckpointError(f"corrupt checkpoint header: symmetrize_hops = {symmetrize!r}")
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"corrupt checkpoint header: extra_config = {extra!r}")
     unknown = sorted(set(m) - set(_MODEL_TYPES))
     if unknown:
         raise CheckpointError(f"corrupt checkpoint header: unknown model keys {unknown}")
@@ -407,9 +417,9 @@ def build_model(cfg, edges, scaler, seed, symmetrize_hops=False):
     cfg.validate()  # before the hop masks, whose cost grows with levels and num_nodes
     net = roadnet.build_asp(edges, cfg.num_nodes)
     dist = roadnet.hop_distances(net, symmetrize=symmetrize_hops)
-    group = roadnet.structure_group(dist, cfg.levels)
+    masks = roadnet.structure_group(dist, cfg.levels)
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
-    model = TGLRN(cfg, group, scaler, init_rng)
+    model = TGLRN(cfg, masks, scaler, init_rng)
     model.edges = list(net.edges)
     model.symmetrize_hops = symmetrize_hops
     return model

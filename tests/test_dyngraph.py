@@ -11,18 +11,19 @@ from tglrn import roadnet
 from tglrn.diffcore import Linear, Parameter, Tensor
 from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
+from tglrn.model import ModelConfig
 
 from test_diffcore import rsqrt_or_zero
 from test_stnet import assert_within, closure_arrays
 
 
-def make_group(edges, n, levels, symmetrize=False):
+def make_masks(edges, n, levels, symmetrize=False):
     net = roadnet.build_asp(edges, n)
     return roadnet.structure_group(roadnet.hop_distances(net, symmetrize=symmetrize), levels)
 
 
-def chain_group(n, levels):
-    return make_group([(i, i + 1) for i in range(n - 1)], n, levels)
+def chain_masks(n, levels):
+    return make_masks([(i, i + 1) for i in range(n - 1)], n, levels)
 
 
 class TestGruCell:
@@ -390,33 +391,33 @@ def rows_from_choices(masks, hop_choices):
     return masks[hop_choices, np.arange(masks.shape[1]), :]
 
 
-def hop_masked(a, hop_choices, group):
+def hop_masked(a, hop_choices, masks):
     """Row i of ``a`` masked by the reachability row of its 1-based hop radius, as build masks it."""
-    pattern = dg.SupportPattern(group.stacked())
-    mixing = dg._one_hot(np.asarray(hop_choices) - 1, group.L)
+    pattern = dg.SupportPattern(masks)
+    mixing = dg._one_hot(np.asarray(hop_choices) - 1, masks.shape[0])
     return a * pattern.scatter(pattern.hop_mask(mixing))
 
 
 class TestPrune:
     def test_saturated_group_keeps_reachable(self):
-        group = chain_group(4, 4)
+        masks = chain_masks(4, 4)
         a = np.random.default_rng(0).uniform(size=(4, 4))
-        out = hop_masked(a, np.full(4, 4), group)
-        reach = group.masks[-1]
+        out = hop_masked(a, np.full(4, 4), masks)
+        reach = masks[-1]
         np.testing.assert_array_equal(out, a * reach)
 
     def test_radius_one_keeps_consecutive_and_self(self):
-        group = chain_group(5, 3)
+        masks = chain_masks(5, 3)
         a = np.ones((5, 5))
-        out = hop_masked(a, np.ones(5, dtype=int), group)
-        np.testing.assert_array_equal(out, group.masks[0])
+        out = hop_masked(a, np.ones(5, dtype=int), masks)
+        np.testing.assert_array_equal(out, masks[0])
 
     def test_mixed_radii_match_bfs_ball_oracle(self):
         n = 5
-        group = chain_group(n, 3)
+        masks = chain_masks(n, 3)
         hops = np.array([1, 2, 1, 3, 2])
         a = np.ones((n, n))
-        out = hop_masked(a, hops, group)
+        out = hop_masked(a, hops, masks)
         for i in range(n):
             ball = np.zeros(n)
             for j in range(n):
@@ -425,27 +426,17 @@ class TestPrune:
             np.testing.assert_array_equal(out[i], ball)
 
     def test_bad_radius_rejected(self):
-        group = chain_group(4, 2)
+        masks = chain_masks(4, 2)
         with pytest.raises(Exception):
-            hop_masked(np.ones((4, 4)), np.array([0, 1, 1, 1]), group)
+            hop_masked(np.ones((4, 4)), np.array([0, 1, 1, 1]), masks)
 
 
 def build_block(n=4, t_in=3, levels=2, gamma=0.5, seed=0, edges=None):
     edges = edges if edges is not None else [(i, i + 1) for i in range(n - 1)]
-    group = make_group(edges, n, levels)
-    return dg.GraphConstruction(
-        num_nodes=n,
-        t_in=t_in,
-        in_features=1,
-        embed_dim=4,
-        hop_dim=4,
-        proj_dim=5,
-        group=group,
-        gamma=gamma,
-        alpha=1.0,
-        tau=1.0,
-        rng=np.random.default_rng(seed),
+    cfg = ModelConfig(
+        num_nodes=n, t_in=t_in, embed_dim=4, hop_dim=4, hidden_dim=5, levels=levels, gamma=gamma
     )
+    return dg.GraphConstruction(cfg, make_masks(edges, n, levels), np.random.default_rng(seed))
 
 
 class TestBuildGraphSequence:
@@ -453,7 +444,7 @@ class TestBuildGraphSequence:
         block = build_block(t_in=1, levels=1, gamma=1.0)
         window = Tensor(np.random.default_rng(0).standard_normal((1, 1, 4, 1)))
         seq = block.build(window, "train", rng=np.random.default_rng(1))
-        assert seq.t_in == 1
+        assert len(seq.adjacencies) == 1
         support = seq.adjacencies[0].data[0] != 0
         assert np.all(block.masks[0][support] == 1.0)
         assert np.all(seq.hop_choices == 1)
@@ -582,7 +573,7 @@ def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="har
         e_st = dg.gate(emb_st[j], block.base_st[j], block.gate_st)
         e_ed = dg.gate(emb_ed[j], block.base_ed[j], block.gate_ed)
         u, v = dg.edge_logits(e_st, e_ed, block.edge_w)
-        w = u + dc.swap_last2(v) + block.edge_b
+        w = u + v.transpose((0, 2, 1))
         delta = rng.uniform(size=(b, n, n)) if training else None
         rho = rng.uniform(size=(b, n, n)) if sample_edges else None
         probs = dg.hop_probs(emb_h[j], block.hop_l1, block.hop_l2)
@@ -609,9 +600,9 @@ def grads_after(block, adjacencies, weights):
 
 
 def assert_grads_close(got, want, rtol=1e-12):
-    """Within rtol of each gradient's largest entry; edge_b's true gradient is 0, so absolute."""
+    """Within rtol of each gradient's largest entry."""
     for name, g in want.items():
-        scale = 1.0 if name == "edge_b" else max(np.abs(g).max(), 1e-300)
+        scale = max(np.abs(g).max(), 1e-300)
         err = np.abs(got[name] - g).max() / scale
         assert err <= rtol, (name, err)
 
@@ -657,7 +648,7 @@ class TestEdgeOp:
 
     def test_degenerate_and_saturated_steps_match_oracle(self):
         rng = np.random.default_rng(14)
-        masks = chain_group(4, 3).stacked()
+        masks = chain_masks(4, 3)
         pattern = dg.SupportPattern(masks)
         u_vals, v_vals = rng.standard_normal((2, 3, 4, 1))
         u_vals[1], v_vals[1] = 0.7, -0.2  # constant step: normalization maps it to 0
@@ -676,7 +667,7 @@ class TestEdgeOp:
                     out = dg.edge_adjacency(u, v, mixing, pattern, alpha, 0.5, noise, keep)
                 else:
                     mask = dc.einsum2("bnl,lnj->bnj", mixing, Tensor(masks))
-                    out = oracle_edge_op(u + dc.swap_last2(v), mask, alpha, 0.5, delta, 0.7, rho)
+                    out = oracle_edge_op(u + v.transpose((0, 2, 1)), mask, alpha, 0.5, delta, 0.7, rho)
                 (out * Tensor(r)).sum().backward()
                 results.append((out.data, {"u": u.grad, "v": v.grad, "mixing": mixing.grad}))
             (out_f, g_f), (out_o, g_o) = results
@@ -687,7 +678,7 @@ class TestEdgeOp:
     @pytest.mark.parametrize("relax, thin", [(True, True), (False, False), (False, True)])
     def test_gradients_match_finite_differences(self, relax, thin):
         rng = np.random.default_rng(15)
-        pattern = dg.SupportPattern(chain_group(4, 2).stacked())
+        pattern = dg.SupportPattern(chain_masks(4, 2))
         u = Parameter(rng.standard_normal((2, 4, 1)), "u")
         v = Parameter(rng.standard_normal((2, 4, 1)), "v")
         mixing = Parameter(rng.uniform(size=(2, 4, 2)), "mixing")
@@ -753,7 +744,7 @@ class TestSupportPattern:
     )
     def test_pattern_is_widest_mask_and_first_radius(self, n, levels, pairs, symmetrize):
         edges = [(i, j) for i, j in pairs if i < n and j < n]
-        masks = make_group(edges, n, levels, symmetrize).stacked()
+        masks = make_masks(edges, n, levels, symmetrize)
         pattern = dg.SupportPattern(masks)
         rows, cols = np.nonzero(masks[-1])
         np.testing.assert_array_equal(pattern.rows, rows)
@@ -767,13 +758,13 @@ class TestSupportPattern:
         np.testing.assert_array_equal(dense, rows_from_choices(masks, h))
 
     def test_soft_mask_matches_einsum(self):
-        masks = make_group([(0, 1), (1, 2), (3, 1), (2, 4)], 5, 3, symmetrize=True).stacked()
+        masks = make_masks([(0, 1), (1, 2), (3, 1), (2, 4)], 5, 3, symmetrize=True)
         pattern = dg.SupportPattern(masks)
         mixing = np.random.default_rng(23).uniform(size=(2, 5, 3))
         dense = pattern.scatter(pattern.hop_mask(mixing))
         np.testing.assert_allclose(dense, np.einsum("bnl,lnj->bnj", mixing, masks), rtol=1e-15, atol=0)
 
     def test_non_nested_masks_rejected(self):
-        masks = chain_group(4, 2).stacked()[::-1]
+        masks = chain_masks(4, 2)[::-1]
         with pytest.raises(ConfigError):
             dg.SupportPattern(masks)

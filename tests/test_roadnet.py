@@ -67,20 +67,20 @@ class TestBuildAsp:
 class TestHopDistances:
     def test_directed_chain(self):
         net = roadnet.build_asp([(0, 1), (1, 2), (2, 3)], 4)
-        d = roadnet.hop_distances(net).d
+        d = roadnet.hop_distances(net)
         assert d[0, 3] == 3
         assert d[3, 0] == np.inf
 
     def test_symmetrized_chain(self):
         net = roadnet.build_asp([(0, 1), (1, 2), (2, 3)], 4)
-        d = roadnet.hop_distances(net, symmetrize=True).d
+        d = roadnet.hop_distances(net, symmetrize=True)
         assert d[3, 0] == 3
 
     def test_self_loop_edge_does_not_change_distances(self):
         plain = roadnet.build_asp([(0, 1)], 2)
         looped = roadnet.build_asp([(0, 1), (0, 0)], 2)
         np.testing.assert_array_equal(
-            roadnet.hop_distances(plain).d, roadnet.hop_distances(looped).d
+            roadnet.hop_distances(plain), roadnet.hop_distances(looped)
         )
 
     @pytest.mark.parametrize("seed", range(10))
@@ -88,7 +88,7 @@ class TestHopDistances:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 11))
         net = roadnet.build_asp(random_digraph(rng, n), n)
-        np.testing.assert_array_equal(roadnet.hop_distances(net).d, floyd_warshall(net.a_sp))
+        np.testing.assert_array_equal(roadnet.hop_distances(net), floyd_warshall(net.a_sp))
 
 
 class TestStructureInfo:
@@ -102,7 +102,7 @@ class TestStructureInfo:
         n = 8
         net = roadnet.build_asp(random_digraph(rng, n), n)
         dist = roadnet.hop_distances(net)
-        reachable = np.isfinite(dist.d).astype(np.float64)
+        reachable = np.isfinite(dist).astype(np.float64)
         mask = roadnet.structure_info(dist, n)  # >= diameter over reachable pairs
         np.testing.assert_array_equal(mask, reachable)
 
@@ -139,31 +139,32 @@ class TestStructureInfo:
 class TestStructureGroup:
     def test_singleton(self):
         net = roadnet.build_asp([(0, 1)], 2)
-        group = roadnet.structure_group(roadnet.hop_distances(net), 1)
-        assert group.L == 1 and len(group.masks) == 1
+        masks = roadnet.structure_group(roadnet.hop_distances(net), 1)
+        assert masks.shape == (1, 2, 2)
 
     def test_chain_full_reach_at_l5(self):
         net = roadnet.build_asp([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
-        group = roadnet.structure_group(roadnet.hop_distances(net), 5)
-        np.testing.assert_array_equal(group.masks[-1][0], np.ones(5))
+        masks = roadnet.structure_group(roadnet.hop_distances(net), 5)
+        np.testing.assert_array_equal(masks[-1][0], np.ones(5))
 
     @pytest.mark.parametrize("levels", [5, 7, 10, 15])
     def test_tuning_set_levels(self, levels):
         net = roadnet.build_asp([(i, i + 1) for i in range(19)], 20)
-        group = roadnet.structure_group(roadnet.hop_distances(net), levels)
-        assert len(group.masks) == levels
-        assert group.stacked().shape == (levels, 20, 20)
+        masks = roadnet.structure_group(roadnet.hop_distances(net), levels)
+        assert masks.shape == (levels, 20, 20) and masks.dtype == np.float64
 
     @given(st.integers(0, 1000), st.integers(1, 6))
     def test_nesting_and_diagonal(self, seed, levels):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         net = roadnet.build_asp(random_digraph(rng, n), n)
-        group = roadnet.structure_group(roadnet.hop_distances(net), levels)
+        dist = roadnet.hop_distances(net)
+        masks = roadnet.structure_group(dist, levels)
         for k in range(levels - 1):
-            assert np.all(group.masks[k] <= group.masks[k + 1])
-        for mask in group.masks:
+            assert np.all(masks[k] <= masks[k + 1])
+        for k, mask in enumerate(masks, start=1):
             np.testing.assert_array_equal(np.diag(mask), np.ones(n))
+            np.testing.assert_array_equal(mask, roadnet.structure_info(dist, k))
 
 
 class TestEdgeCsv:

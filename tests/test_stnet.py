@@ -47,7 +47,7 @@ def naive_gtu(x, kernel, ks):
 
 def oracle_diffusion_conv(x, a, theta, num_steps):
     """diffusion_conv built from per-op tape nodes."""
-    a_rev = dc.swap_last2(a)
+    a_rev = a.transpose((*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
     inv_out = safe_recip(a.sum(axis=-1, keepdims=True))
     inv_in = safe_recip(a_rev.sum(axis=-1, keepdims=True))
     z_fwd, z_rev = x, x
@@ -171,7 +171,7 @@ class TestDiffusionConv:
 
 def transition_diffusion(x, a, theta, k_steps):
     """Tensor-level oracle: form both transition matrices, then take their powers."""
-    a_rev = dc.swap_last2(a)
+    a_rev = a.transpose((*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
     p_fwd = a * safe_recip(a.sum(axis=-1, keepdims=True))
     p_rev = a_rev * safe_recip(a_rev.sum(axis=-1, keepdims=True))
     z_fwd, z_rev = x, x

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from tglrn import data as dmod
 from tglrn import trainer
 from tglrn.diffcore import Tensor
-from tglrn.errors import CheckpointError, DataError, NumericError
-from tglrn.model import ModelConfig
+from tglrn.errors import CheckpointError, ConfigError, DataError, NumericError
+from tglrn.model import TGLRN, ModelConfig
+
+from test_acceptance import overfit_setup
 
 
 def quick_setup(seed=0, n=6, t_total=140, t_in=6, t_out=3, noise=0.5, **model_kw):
@@ -88,6 +90,13 @@ class TestForwardContract:
         expected = np.broadcast_to(model.head_b.data[None, :, None, :], (4, 3, 6, 1))
         np.testing.assert_array_equal(pred.data, expected)
 
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 5, 5), (2, 4, 5), (4, 4)])
+    def test_hop_masks_of_another_shape_rejected(self, shape):
+        cfg = ModelConfig(num_nodes=4, levels=2)
+        scaler = dmod.Scaler(mean=np.zeros((4, 1)), std=np.ones((4, 1)))
+        with pytest.raises(ConfigError, match="hop masks"):
+            TGLRN(cfg, np.ones(shape), scaler, np.random.default_rng(0))
+
 
 class TestTrainLoop:
     def test_zero_learning_rate_freezes_parameters(self):
@@ -97,6 +106,34 @@ class TestTrainLoop:
         after = model.state_arrays()
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
+
+    def test_epoch_hook_sees_every_recorded_epoch(self):
+        # Frozen weights keep validation MAE flat, so patience 0 stops after epoch 1.
+        model, (train_ds, val_ds, _), _, _ = quick_setup()
+        seen = []
+        history, _ = trainer.train(
+            model, train_ds, val_ds, settings(learning_rate=0.0, patience=0, max_epochs=4),
+            seed=0, epoch_hook=lambda rec: seen.append(rec),
+        )
+        assert [r.epoch for r in history] == [0, 1]
+        assert seen == history
+
+    def test_truthy_epoch_hook_stops_training(self):
+        model, (train_ds, val_ds, _), _, _ = quick_setup()
+        history, _ = trainer.train(
+            model, train_ds, val_ds, settings(max_epochs=4), seed=0, epoch_hook=lambda rec: True
+        )
+        assert [r.epoch for r in history] == [0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_parameter_gets_a_gradient_in_one_train_step(self, seed):
+        model, (train_ds, _, _) = overfit_setup(seed)
+        scaler = model.scaler
+        window, target = train_ds.inputs[:32], train_ds.targets[:32]
+        pred = model.forward(window, mode="train", rng=np.random.default_rng(seed))
+        trainer.mae_loss(pred * scaler.std + scaler.mean, target).backward()
+        dead = [name for name, p in model.parameters() if not np.any(p.grad)]
+        assert not dead, dead
 
     def test_same_seed_reproduces_history_and_weights(self):
         runs = []
@@ -389,6 +426,13 @@ class TestCheckpoint:
             lambda h: h["scaler"]["std"][0].__setitem__(0, -1.0),
             lambda h: h["edges"].append([float("inf"), 0]),
             lambda h: h["edges"].append([99, 0]),
+            lambda h: h["edges"].append([0, 1.9]),
+            lambda h: h["edges"].append([True, 1]),
+            lambda h: h.update(symmetrize_hops="false"),
+            lambda h: h.update(symmetrize_hops="no"),
+            lambda h: h.update(symmetrize_hops={"a": 1}),
+            lambda h: h.update(symmetrize_hops=0),
+            lambda h: h.update(extra_config=[1, 2]),
         ],
         ids=[
             "unknown_model_key",
@@ -418,21 +462,58 @@ class TestCheckpoint:
             "scaler_std_negative",
             "edge_id_infinite",
             "edge_outside_nodes",
+            "edge_id_fractional",
+            "edge_id_bool",
+            "symmetrize_string_false",
+            "symmetrize_string_no",
+            "symmetrize_object",
+            "symmetrize_int",
+            "extra_config_list",
         ],
     )
     def test_mutated_header_rejected(self, tmp_path, mutate):
         model, _, _, _ = quick_setup()
         path = tmp_path / "m.ckpt"
         trainer.checkpoint_save(path, model)
-        blob = path.read_bytes()
-        magic = len(trainer.CHECKPOINT_MAGIC)
-        (hlen,) = struct.unpack("<I", blob[magic : magic + 4])
-        header = json.loads(blob[magic + 4 : magic + 4 + hlen])
+        header, payload = split_checkpoint(path.read_bytes())
         mutate(header)
-        new = json.dumps(header).encode("utf-8")
-        path.write_bytes(blob[:magic] + struct.pack("<I", len(new)) + new + blob[magic + 4 + hlen :])
+        path.write_bytes(join_checkpoint(header, payload))
         with pytest.raises(CheckpointError):
             trainer.checkpoint_load(path)
+
+    def test_checkpoint_with_edge_bias_entry_loads_the_same_model(self, tmp_path):
+        # Older checkpoints carry graph.edge_b, an edge-logit bias that cancelled
+        # under normalization; the loader skips manifest entries the model lacks.
+        model, (_, _, test_ds), _, _ = quick_setup(seed=5)
+        path = tmp_path / "m.ckpt"
+        trainer.checkpoint_save(path, model)
+        header, payload = split_checkpoint(path.read_bytes())
+        names = [name for name, _ in header["params"]]
+        at = names.index("graph.edge_w") + 1
+        offset = sum(8 * int(np.prod(shape)) for _, shape in header["params"][:at])
+        header["params"].insert(at, ["graph.edge_b", [1]])
+        payload = payload[:offset] + np.array([0.75], dtype="<f8").tobytes() + payload[offset:]
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(join_checkpoint(header, payload))
+        loaded, _ = trainer.checkpoint_load(old)
+        assert [name for name, _ in loaded.parameters()] == [name for name, _ in model.parameters()]
+        for (_, a), (_, b) in zip(model.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+        window = test_ds.inputs[:8]
+        np.testing.assert_array_equal(loaded.predict_raw(window), model.predict_raw(window))
+
+
+def split_checkpoint(blob):
+    """(decoded JSON header, payload bytes) of a checkpoint file's bytes."""
+    magic = len(trainer.CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack("<I", blob[magic : magic + 4])
+    return json.loads(blob[magic + 4 : magic + 4 + hlen]), blob[magic + 4 + hlen :]
+
+
+def join_checkpoint(header, payload):
+    """The checkpoint bytes of a JSON header and a payload."""
+    new = json.dumps(header).encode("utf-8")
+    return trainer.CHECKPOINT_MAGIC + struct.pack("<I", len(new)) + new + payload
 
 
 # -- checkpoint fuzz: every corruption is a CheckpointError or a model that predicts ------
