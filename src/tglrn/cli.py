@@ -28,9 +28,22 @@ def _ensure_out_dir(cfg, *required):
     for name in required:
         if not getattr(cfg, name):
             raise ConfigError(f"{name} is required")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "effective_config.cfg"), "w") as fh:
-        fh.write(config_text(cfg))
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        with open(os.path.join(cfg.out_dir, "effective_config.cfg"), "w") as fh:
+            fh.write(config_text(cfg))
+    except OSError as e:
+        raise ConfigError(f"out_dir {cfg.out_dir!r} cannot hold the run's files: {e}") from None
+
+
+def _checkpoint_target(cfg):
+    """The path ``train`` saves to; a directory, or a path under no directory, is rejected."""
+    path = cfg.checkpoint_path or os.path.join(cfg.out_dir, "model.ckpt")
+    if os.path.isdir(path):
+        raise ConfigError(f"checkpoint_path {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"checkpoint_path {path!r} is not inside an existing directory")
+    return path
 
 
 def _load_dataset(cfg):
@@ -92,12 +105,12 @@ def cmd_train(cfg):
     mcfg = section(cfg, ModelConfig)
     mcfg.validate()
     _ensure_out_dir(cfg, "flows_path", "edges_path")
+    ckpt = _checkpoint_target(cfg)
     edges, series, (train_ds, val_ds, test_ds), scaler = _load_dataset(cfg)
     model = trainer.build_model(mcfg, edges, scaler, cfg.seed, cfg.symmetrize_hops)
     settings = section(cfg, trainer.TrainSettings)
     history, _ = trainer.train(model, train_ds, val_ds, settings, cfg.seed)
     trainer.write_history(os.path.join(cfg.out_dir, "history.csv"), history)
-    ckpt = cfg.checkpoint_path or os.path.join(cfg.out_dir, "model.ckpt")
     trainer.checkpoint_save(ckpt, model, extra_config={"seed": cfg.seed})
     test_report = trainer.evaluate(model, test_ds, cfg.mape_threshold)
     _write_metrics(os.path.join(cfg.out_dir, "metrics.csv"), test_report)
@@ -231,19 +244,14 @@ def main(argv=None):
             if args.out is not None:
                 overrides.append(f"out_dir={args.out}")
         cfg = load_config(args.config, overrides)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, quick=args.quick)
-        if args.command == "inspect-graph":
-            return cmd_inspect_graph(cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        commands = {
+            "synth": cmd_synth, "train": cmd_train, "eval": cmd_eval, "predict": cmd_predict,
+            "gradcheck": lambda c: cmd_gradcheck(c, quick=args.quick),
+            "inspect-graph": cmd_inspect_graph,
+        }
+        # A value that overflows is reported once, by the check at the step where it appears.
+        with np.errstate(all="ignore"):
+            return commands[args.command](cfg)
     except TglrnError as e:
         code = getattr(e, "exit_code", 2)
         print(f"ERROR:{code}: {e}", file=sys.stderr)

@@ -35,7 +35,7 @@ __all__ = [
     "Parameter",
     "Linear",
     "no_grad",
-    "concat",
+    "stack",
     "einsum2",
     "softmax",
     "rsqrt_or_zero_array",
@@ -189,9 +189,6 @@ class Tensor:
 
         return Tensor._from_op(a.data - b.data, (a, b), bwd)
 
-    def __rsub__(self, other):
-        return _ensure_tensor(other).__sub__(self)
-
     def __mul__(self, other):
         other = _ensure_tensor(other)
         _check_broadcast("mul", self.shape, other.shape)
@@ -206,41 +203,6 @@ class Tensor:
         return Tensor._from_op(a.data * b.data, (a, b), bwd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _ensure_tensor(other)
-        _check_broadcast("div", self.shape, other.shape)
-        a, b = self, other
-        out_data = a.data / b.data
-
-        def bwd(g):
-            if a._track:
-                a._acc(_unbroadcast(g / b.data, a.shape))
-            if b._track:
-                b._acc(_unbroadcast(-g * out_data / b.data, b.shape))
-
-        return Tensor._from_op(out_data, (a, b), bwd)
-
-    def __rtruediv__(self, other):
-        return _ensure_tensor(other).__truediv__(self)
-
-    def __neg__(self):
-        a = self
-
-        def bwd(g):
-            a._acc(-g)
-
-        return Tensor._from_op(-a.data, (a,), bwd)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise ConfigError("pow: only scalar exponents are supported")
-        a, c = self, float(exponent)
-
-        def bwd(g):
-            a._acc(g * c * a.data ** (c - 1.0))
-
-        return Tensor._from_op(a.data ** c, (a,), bwd)
 
     def __matmul__(self, other):
         other = _ensure_tensor(other)
@@ -286,16 +248,6 @@ class Tensor:
             a._acc(g.reshape(old_shape))
 
         return Tensor._from_op(a.data.reshape(shape), (a,), bwd)
-
-    def transpose(self, axes):
-        a = self
-        axes = tuple(axes)
-        inv = tuple(np.argsort(axes))
-
-        def bwd(g):
-            a._acc(g.transpose(inv))
-
-        return Tensor._from_op(a.data.transpose(axes), (a,), bwd)
 
     def broadcast_to(self, shape):
         a = self
@@ -352,23 +304,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (a,), bwd)
 
-    def relu(self):
-        a = self
-
-        def bwd(g):
-            a._acc(g * (a.data > 0))
-
-        return Tensor._from_op(np.maximum(a.data, 0.0), (a,), bwd)
-
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def bwd(g):
-            a._acc(g * out_data)
-
-        return Tensor._from_op(out_data, (a,), bwd)
-
     def log(self):
         a = self
 
@@ -376,15 +311,6 @@ class Tensor:
             a._acc(g / a.data)
 
         return Tensor._from_op(np.log(a.data), (a,), bwd)
-
-    def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def bwd(g):
-            a._acc(g * 0.5 / out_data)
-
-        return Tensor._from_op(out_data, (a,), bwd)
 
     def abs(self):
         a = self
@@ -485,24 +411,20 @@ def sigmoid_array(x):
     return np.where(x < 0, z, d)
 
 
-def concat(tensors, axis=-1):
+def stack(tensors, axis=0):
+    """np.stack of equally shaped tensors along a new ``axis``; each input's gradient is a view."""
     tensors = [_ensure_tensor(t) for t in tensors]
-    datas = [t.data for t in tensors]
-    ref = list(datas[0].shape)
-    ax = axis % len(ref)
-    for d in datas[1:]:
-        other = list(d.shape)
-        if len(other) != len(ref) or other[:ax] + other[ax + 1 :] != ref[:ax] + ref[ax + 1 :]:
-            raise ConfigError(f"concat: incompatible shapes {[tuple(x.shape) for x in datas]}")
-    out_data = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    try:
+        out_data = np.stack([t.data for t in tensors], axis=axis)
+    except ValueError:
+        shapes = [t.shape for t in tensors]
+        raise ConfigError(f"stack: cannot stack shapes {shapes} on axis {axis}") from None
+    ax = axis % out_data.ndim
 
     def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            t._acc(g[tuple(idx)])
+        lead = (slice(None),) * ax
+        for i, t in enumerate(tensors):
+            t._acc(g[lead + (i,)])
 
     return Tensor._from_op(out_data, tuple(tensors), bwd)
 
@@ -552,19 +474,19 @@ def softmax(x, axis=-1):
     return Tensor._from_op(out_data, (a,), bwd)
 
 
-def rsqrt_or_zero_array(x, threshold=0.0):
-    """x**-0.5 where x > threshold, 0 elsewhere."""
-    live = x > threshold
+def rsqrt_or_zero_array(x):
+    """x**-0.5 where x > 0, 0 elsewhere."""
+    live = x > 0.0
     return np.where(live, 1.0 / np.sqrt(np.where(live, x, 1.0)), 0.0)
 
 
 class Linear:
     """Affine map on the last axis: x @ w + b, Glorot-uniform initialized."""
 
-    def __init__(self, in_dim, out_dim, rng, bias=True):
+    def __init__(self, in_dim, out_dim, rng):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         self.w = Parameter(rng.uniform(-limit, limit, size=(in_dim, out_dim)))
-        self.b = Parameter(np.zeros(out_dim)) if bias else None
+        self.b = Parameter(np.zeros(out_dim))
         self.in_dim = in_dim
         self.out_dim = out_dim
 
@@ -574,13 +496,7 @@ class Linear:
             raise ConfigError(
                 f"linear: input feature size {x.shape[-1]} does not match weight {self.in_dim}"
             )
-        out = x @ self.w
-        if self.b is not None:
-            out = out + self.b
-        return out
+        return x @ self.w + self.b
 
     def params(self):
-        named = [("w", self.w)]
-        if self.b is not None:
-            named.append(("b", self.b))
-        return named
+        return [("w", self.w), ("b", self.b)]

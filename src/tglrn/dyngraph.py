@@ -2,12 +2,14 @@
 
 Recurrent chains evolve three node-embedding streams backwards through
 the input window (start-of-edge, end-of-edge, and hop-selection
-embeddings). At every step the start/end embeddings are gated by
-per-step base embeddings, scored pairwise into edge logits, normalized
-to mean 0 / std alpha, squashed by a sigmoid, relaxed with
-logistic-Gumbel noise (training only), randomly thinned with keep
-probability gamma (training only), and finally masked so that node i
-only keeps weights toward nodes within its selected hop radius.
+embeddings). Only the chains are recurrent: gating by per-step base
+embeddings, edge scoring and hop selection then run once per window
+over (B, T_in, ...) arrays, with every random draw made first, in
+step order. Per step, the scores are normalized to mean 0 / std alpha,
+squashed by a sigmoid, relaxed with logistic-Gumbel noise (training
+only), randomly thinned with keep probability gamma (training only),
+and finally masked so that node i only keeps weights toward nodes
+within its selected hop radius.
 
 The hop masks are nested, so every adjacency is zero outside the widest
 mask S^L. The stretch from the two edge projections to the masked
@@ -157,20 +159,18 @@ class EmbeddingChain:
         self.cell = GruCell(embed_dim, in_features, proj_dim, rng)
 
     def run(self, window):
-        """Embeddings for every window position.
+        """The (B, T_in, N, d) embeddings of every window position, in window order.
 
         ``window`` is (B, T_in, N, F); position T_in-1 holds the initial
         embedding, and position j is one recurrence step from position j+1
         consuming the flow reading at position j.
         """
-        b, t_in = window.shape[0], window.shape[1]
-        e = self.e_init.broadcast_to((b,) + self.e_init.shape)
-        embeddings = [None] * t_in
-        embeddings[t_in - 1] = e
-        for j in range(t_in - 2, -1, -1):
+        e = self.e_init.broadcast_to((window.shape[0],) + self.e_init.shape)
+        embeddings = [e]
+        for j in range(window.shape[1] - 2, -1, -1):
             e = self.cell.step(e, window[:, j])
-            embeddings[j] = e
-        return embeddings
+            embeddings.append(e)
+        return dc.stack(embeddings[::-1], axis=1)
 
     def params(self):
         return [("e_init", self.e_init)] + [(f"gru.{k}", p) for k, p in self.cell.params()]
@@ -370,21 +370,22 @@ def hop_probs(e_h, lin1, lin2):
     return dc.softmax(lin2(lin1(e_h).tanh()), axis=-1)
 
 
-def select_hops(p, tau, mode, rng=None, straight_through=True):
+def select_hops(p, tau, mode, uniforms=None, straight_through=True):
     """Choose a hop radius per node; returns (0-based indices, mixing tensor).
 
     Eval mode takes the plain argmax (ties break toward the smaller
     radius) and returns no mixing tensor. Train mode perturbs
-    log-probabilities with Gumbel noise, which samples the categorical
-    exactly; the mixing tensor is straight-through (hard one-hot forward,
-    relaxed softmax gradient) unless ``straight_through`` is False, in
-    which case the relaxed softmax itself is returned.
+    log-probabilities with Gumbel noise made from ``uniforms``, U(0, 1)
+    draws shaped like ``p``, which samples the categorical exactly; the
+    mixing tensor is straight-through (hard one-hot forward, relaxed
+    softmax gradient) unless ``straight_through`` is False, in which case
+    the relaxed softmax itself is returned.
     """
     if mode == "eval":
         return np.argmax(p.data, axis=-1), None
-    if rng is None:
-        raise ConfigError("select_hops: train mode requires a random generator")
-    u = np.clip(rng.uniform(size=p.shape), 1e-12, 1.0 - 1e-12)
+    if uniforms is None or np.shape(uniforms) != p.shape:
+        raise ConfigError(f"select_hops: train mode requires uniform draws of shape {p.shape}")
+    u = np.clip(uniforms, 1e-12, 1.0 - 1e-12)
     gumbel = -np.log(-np.log(u))
     y = dc.softmax((p.clamp(1e-300, 2.0).log() + gumbel) * (1.0 / tau), axis=-1)
     h = np.argmax(y.data, axis=-1)
@@ -470,58 +471,53 @@ class GraphConstruction:
         emb_ed = self.chain_ed.run(window)
         emb_h = self.chain_h.run(window)
 
-        b = window.shape[0]
-        n = self.num_nodes
-        adjacencies = []
-        hop_choices = np.zeros((b, self.t_in, n), dtype=np.int64)
-        diag = GraphDiagnostics([], [], []) if want_diag else None
-
+        b, n, t_in = window.shape[0], self.num_nodes, self.t_in
         pattern = self.pattern
-        for j in range(self.t_in):
-            e_st = gate(emb_st[j], self.base_st[j], self.gate_st)
-            e_ed = gate(emb_ed[j], self.base_ed[j], self.gate_ed)
-            u, v = edge_logits(e_st, e_ed, self.edge_w)
-            # Full (B, N, N) draws, gathered on the pattern, keep every stream as it was.
-            noise = logistic_noise(pattern.gather(rng.uniform(size=(b, n, n)))) if training else None
-            keep = None
-            if sample_edges:
-                keep = keep_pattern(pattern.gather(rng.uniform(size=(b, n, n))), self.gamma)
-
-            probs = hop_probs(emb_h[j], self.hop_l1, self.hop_l2)
+        # Each step draws delta, rho, then its hop uniforms, as a step-by-step pass does, so
+        # every stream stays the same. Full (B, N, N) draws, gathered on the pattern.
+        noise, keep, uniforms = [None] * t_in, [None] * t_in, []
+        for j in range(t_in):
             if training:
-                h, mixing = select_hops(
-                    probs, self.tau, "train", rng, straight_through=(hop_mode == "hard")
-                )
-            else:
-                h, _ = select_hops(probs, self.tau, "eval")
-                mixing = Tensor(_one_hot(h, pattern.levels))
-            a_t = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, noise, keep)
+                noise[j] = logistic_noise(pattern.gather(rng.uniform(size=(b, n, n))))
+            if sample_edges:
+                keep[j] = keep_pattern(pattern.gather(rng.uniform(size=(b, n, n))), self.gamma)
+            if training:
+                uniforms.append(rng.uniform(size=(b, n, pattern.levels)))
 
-            adjacencies.append(a_t)
-            hop_choices[:, j, :] = h + 1
-            if want_diag:
-                u_hat, v_hat = normalize_logits(u.data[..., 0], v.data[..., 0], self.alpha)
-                w_hat = u_hat[..., :, None] + v_hat[..., None, :]
-                diag.prenorm_logits.append(w_hat)
-                diag.omega_bar.append(bernoulli_means(w_hat))
-                diag.support_masks.append(pattern.scatter(pattern.hop_mask(mixing.data)))
+        # Only the chains are recurrent: the rest runs once over (B, T_in, ...) arrays.
+        e_st = gate(emb_st, self.base_st, self.gate_st)
+        e_ed = gate(emb_ed, self.base_ed, self.gate_ed)
+        u, v = edge_logits(e_st, e_ed, self.edge_w)
+        probs = hop_probs(emb_h, self.hop_l1, self.hop_l2)
+        if training:
+            draws = np.stack(uniforms, axis=1)
+            h, mixing = select_hops(probs, self.tau, "train", draws, hop_mode == "hard")
+        else:
+            h, _ = select_hops(probs, self.tau, "eval")
+            mixing = Tensor(_one_hot(h, pattern.levels))
+        adjacencies = [
+            edge_adjacency(
+                u[:, j], v[:, j], mixing[:, j], pattern, self.alpha, self.tau, noise[j], keep[j]
+            )
+            for j in range(t_in)
+        ]
+        seq = GraphSequence(adjacencies=adjacencies, hop_choices=h + 1)
+        if not want_diag:
+            return seq
 
-        seq = GraphSequence(adjacencies=adjacencies, hop_choices=hop_choices)
-        return (seq, diag) if want_diag else seq
+        u_hat, v_hat = normalize_logits(u.data[..., 0], v.data[..., 0], self.alpha)
+        w_hat = u_hat[..., :, None] + v_hat[..., None, :]
+        support = pattern.scatter(pattern.hop_mask(mixing.data))
+        steps = [np.swapaxes(x, 0, 1) for x in (w_hat, bernoulli_means(w_hat), support)]
+        return seq, GraphDiagnostics(*(list(x) for x in steps))
 
     def params(self):
         out = []
-        for label, chain in (
-            ("chain_st", self.chain_st),
-            ("chain_ed", self.chain_ed),
-            ("chain_h", self.chain_h),
-        ):
-            out.extend((f"{label}.{k}", p) for k, p in chain.params())
-        out.append(("base_st", self.base_st))
-        out.append(("base_ed", self.base_ed))
-        out.extend((f"gate_st.{k}", p) for k, p in self.gate_st.params())
-        out.extend((f"gate_ed.{k}", p) for k, p in self.gate_ed.params())
-        out.append(("edge_w", self.edge_w))
-        out.extend((f"hop_l1.{k}", p) for k, p in self.hop_l1.params())
-        out.extend((f"hop_l2.{k}", p) for k, p in self.hop_l2.params())
+        parts = "chain_st chain_ed chain_h base_st base_ed gate_st gate_ed edge_w hop_l1 hop_l2"
+        for label in parts.split():  # checkpoint order
+            part = getattr(self, label)
+            if isinstance(part, Parameter):
+                out.append((label, part))
+            else:
+                out.extend((f"{label}.{k}", p) for k, p in part.params())
         return out

@@ -215,7 +215,8 @@ class TGLRN:
             )
             outputs.append(block_out)
 
-        feats = dc.concat(outputs, axis=-1)  # (B, N, n_blocks * D)
+        # (B, N, n_blocks, D) is laid out as the channel concatenation (B, N, n_blocks * D).
+        feats = dc.stack(outputs, axis=-2).reshape(x.shape[0], cfg.num_nodes, -1)
         pred = dc.einsum2("bic,ctf->btif", feats, self.head_w)
         return pred + self.head_b.reshape(1, cfg.t_out, 1, cfg.in_features)
 

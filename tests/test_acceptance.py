@@ -162,7 +162,8 @@ def test_criterion_3_stochastic_contracts():
 
     draws = 10_000
     probs = np.array([0.2, 0.5, 0.3])
-    h, _ = dg.select_hops(Tensor(np.tile(probs, (draws, 1))), 1.0, "train", rng)
+    tiled = Tensor(np.tile(probs, (draws, 1)))
+    h, _ = dg.select_hops(tiled, 1.0, "train", rng.uniform(size=tiled.shape))
     freq = np.bincount(h, minlength=3) / draws
     for target, got in zip(probs, freq):
         sigma = np.sqrt(target * (1 - target) / draws)

@@ -3,6 +3,8 @@
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -415,6 +417,48 @@ class TestErrors:
         assert "validation" in err and "Traceback" not in err
         assert steps == []
 
+    @pytest.mark.parametrize("kind", ["directory", "under_a_file", "missing_parent"])
+    def test_unusable_checkpoint_path_exits_2_before_training(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        from tglrn import cli as cli_mod
+
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        (tmp_path / "ckdir").mkdir()
+        (tmp_path / "afile").write_text("")
+        ckpt = {
+            "directory": tmp_path / "ckdir",
+            "under_a_file": tmp_path / "afile" / "model.ckpt",
+            "missing_parent": tmp_path / "nope" / "model.ckpt",
+        }[kind]
+        capsys.readouterr()
+        steps = []
+        monkeypatch.setattr(cli_mod.trainer.Adam, "step", lambda self: steps.append(self.t))
+        assert run(train_args(data_dir, tmp_path / "o", extra=[f"checkpoint_path={ckpt}"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:2: checkpoint_path") and len(err.splitlines()) == 1, err
+        assert str(ckpt) in err
+        assert steps == []
+        assert not (tmp_path / "o" / "history.csv").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "predict", "inspect-graph"])
+    def test_out_dir_under_a_regular_file_exits_2(self, tmp_path, capsys, command):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        sets = [f"out_dir={out}", "num_nodes=8"]
+        if command == "train":
+            sets += [f"edges_path={tmp_path}/edges.csv", f"flows_path={tmp_path}/flow.csv"]
+        elif command != "synth":
+            sets += [f"checkpoint_path={tmp_path}/model.ckpt", f"flows_path={tmp_path}/flow.csv"]
+        args = [command]
+        for s in sets:
+            args += ["--set", s]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:2: out_dir") and len(err.splitlines()) == 1, err
+        assert str(out) in err and "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
@@ -443,6 +487,21 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+
+def test_overflowing_learning_rate_prints_only_the_error_line(tmp_path):
+    data_dir = tmp_path / "d"
+    run(synth_args(data_dir))
+    args = train_args(data_dir, tmp_path / "o", extra=["learning_rate=1e300"])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tglrn.cli"] + [str(a) for a in args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR:4: "), proc.stderr
 
 
 def test_numeric_failure_exits_4(tmp_path, monkeypatch, capsys):

@@ -10,39 +10,9 @@ from tglrn.diffcore import Linear, Parameter, Tensor
 from tglrn.errors import ConfigError, StateError
 from tglrn.gradcheck import GradCheckReport, finite_diff_check, max_relative_error
 
-
-def rsqrt_or_zero(x, threshold=0.0):
-    """Tensor op for the per-op oracles: x**-0.5 where x > threshold, 0 (and gradient 0) elsewhere."""
-    a = dc._ensure_tensor(x)
-    out_data = dc.rsqrt_or_zero_array(a.data, threshold)
-
-    def bwd(g):
-        a._acc(-0.5 * g * out_data ** 3)
-
-    return Tensor._from_op(out_data, (a,), bwd)
-
-
-def stack(tensors, axis=0):
-    """Tensor op for the per-op oracles: np.stack with a per-input backward."""
-    tensors = [dc._ensure_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            t._acc(np.take(g, i, axis=axis))
-
-    return Tensor._from_op(out_data, tuple(tensors), bwd)
-
-
-def safe_recip(x):
-    """Tensor op for the per-op oracles: 1/x where x is nonzero, 0 where x is exactly zero."""
-    a = dc._ensure_tensor(x)
-    out_data = np.divide(1.0, a.data, out=np.zeros_like(a.data), where=a.data != 0)
-
-    def bwd(g):
-        a._acc(-g * out_data * out_data)
-
-    return Tensor._from_op(out_data, (a,), bwd)
+from tensor_ops import (
+    concat, div, exp, neg, power, relu, rsqrt_or_zero, rsub, safe_recip, sqrt, transpose,
+)
 
 
 class TestForwardBasics:
@@ -116,13 +86,13 @@ class TestBackwardBasics:
 def _random_graph_loss(rng, params):
     """A composite op graph touching most primitives."""
     a, b = params  # both (n, m)
-    m = dc.concat([a.tanh(), b.sigmoid()], axis=-1)  # (n, 2m)
+    m = concat([a.tanh(), b.sigmoid()], axis=-1)  # (n, 2m)
     m = m @ Tensor(rng.standard_normal((m.shape[-1], 4)))
-    bt = b.transpose((1, 0))
-    m = dc.softmax(m, axis=-1) + (a @ bt).relu().mean(axis=-1, keepdims=True)
-    m = stack([m, m * 2.0], axis=0).sum(axis=0)
-    v = ((m - m.mean(axis=-1, keepdims=True)) ** 2).mean()
-    return (m.abs().sum() + (v + 1e-3).sqrt() + safe_recip(v + 1.0).sum()) * 0.5
+    bt = transpose(b, (1, 0))
+    m = dc.softmax(m, axis=-1) + relu(a @ bt).mean(axis=-1, keepdims=True)
+    m = dc.stack([m, m * 2.0], axis=0).sum(axis=0)
+    v = power(m - m.mean(axis=-1, keepdims=True), 2).mean()
+    return (m.abs().sum() + sqrt(v + 1e-3) + safe_recip(v + 1.0).sum()) * 0.5
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -140,17 +110,19 @@ def test_composite_graph_matches_finite_differences(seed):
 @pytest.mark.parametrize(
     "op",
     [
-        lambda x: x.exp(),
+        lambda x: exp(x),
         lambda x: (x * x + 1.0).log(),
-        lambda x: (x * x + 0.5).sqrt(),
+        lambda x: sqrt(x * x + 0.5),
         lambda x: x.clamp(-0.5, 0.5),
         lambda x: rsqrt_or_zero(x * x + 0.1),
         lambda x: x.broadcast_to((3,) + x.shape).sum(axis=0),
-        lambda x: x.transpose((1, 0)),
+        lambda x: transpose(x, (1, 0)),
         lambda x: x.reshape(x.size, 1),
         lambda x: x[1:, :],
-        lambda x: x ** 3,
-        lambda x: 1.0 / (x * x + 1.0),
+        lambda x: power(x, 3),
+        lambda x: div(1.0, x * x + 1.0),
+        lambda x: neg(x),
+        lambda x: rsub(2.0, x * x),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1])
@@ -160,6 +132,44 @@ def test_unary_op_gradients(op, seed):
     r = rng.standard_normal(op(Tensor(p.data)).shape)
     reports = finite_diff_check(lambda: (op(p) * Tensor(r)).sum(), [p])
     assert reports[0].passed, reports[0].line()
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2, -1, -3])
+def test_stack_gradients(axis):
+    rng = np.random.default_rng(4)
+    ps = [Parameter(rng.standard_normal((3, 2)), f"p{i}") for i in range(3)]
+    out = dc.stack(ps, axis=axis)
+    want = np.stack([p.data for p in ps], axis=axis)
+    assert out.shape == want.shape and out.data.tobytes() == want.tobytes()
+    r = rng.standard_normal(want.shape)
+    reports = finite_diff_check(lambda: (dc.stack(ps, axis=axis) * Tensor(r)).sum(), ps)
+    assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
+    # each input receives exactly its own slice of the output gradient
+    for p in ps:
+        p.zero_grad()
+    (dc.stack(ps, axis=axis) * Tensor(r)).sum().backward()
+    for i, p in enumerate(ps):
+        assert p.grad.tobytes() == np.take(r, i, axis=axis).tobytes()
+
+
+def test_stack_then_reshape_is_the_channel_concat():
+    """The prediction head's layout: (B, N, K, D) stacked on -2 is (B, N, K * D) concatenated."""
+    rng = np.random.default_rng(5)
+    vals = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
+    r = rng.standard_normal((2, 3, 12))
+    results = []
+    stacked = lambda ts: dc.stack(ts, axis=-2).reshape(2, 3, -1)
+    for join in (stacked, lambda ts: concat(ts, axis=-1)):
+        ps = [Parameter(v.copy()) for v in vals]
+        out = join(ps)
+        (out * Tensor(r)).sum().backward()
+        results.append([out.data.tobytes()] + [p.grad.tobytes() for p in ps])
+    assert results[0] == results[1]
+
+
+def test_stack_rejects_mismatched_shapes():
+    with pytest.raises(ConfigError, match="stack"):
+        dc.stack([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
 
 
 def test_einsum2_gradients():

@@ -13,7 +13,7 @@ from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 from tglrn.model import ModelConfig
 
-from test_diffcore import rsqrt_or_zero
+from tensor_ops import concat, power, rsqrt_or_zero, rsub, transpose
 from test_stnet import assert_within, closure_arrays
 
 
@@ -63,11 +63,11 @@ class TestGruCell:
 def oracle_gru_step(cell, e, x):
     """GruCell.step as one diffcore op per stage: the composition the fused node replaces."""
     u = cell.proj(x)
-    eu = dc.concat([e, u], axis=-1)
+    eu = concat([e, u], axis=-1)
     z = cell.f_z(eu).sigmoid()
     r = cell.f_r(eu).sigmoid()
-    cand = cell.g(dc.concat([r * e, u], axis=-1)).tanh()
-    return (1.0 - z) * cand + z * e
+    cand = cell.g(concat([r * e, u], axis=-1)).tanh()
+    return rsub(1.0, z) * cand + z * e
 
 
 def gru_step_run(step, cell, e_val, x_val, r):
@@ -136,15 +136,19 @@ class TestGruStepNode:
         window = Tensor(np.random.default_rng(47).standard_normal((2, t_in, 3, 1)))
         embs = chain.run(window)
         leaves = {id(p) for _, p in chain.params()}
-        seen, todo = {}, [embs[0]]
+        seen, todo = {}, [embs]
         while todo:
             t = todo.pop()
             if id(t) not in leaves and id(t) not in seen and t._track:
                 seen[id(t)] = t
                 todo.extend(t._parents)
-        # the broadcast initial embedding and T_in - 1 steps
-        assert len(seen) == t_in
-        assert {id(t) for t in embs} <= set(seen)
+        # the stack, the broadcast initial embedding and T_in - 1 steps
+        assert len(seen) == t_in + 1
+        # the stack's parents are the T_in embeddings, in window order
+        steps = embs._parents
+        assert len(steps) == t_in and steps[-1]._parents == (chain.e_init,)
+        for j in range(t_in - 1):
+            assert steps[j]._parents[0] is steps[j + 1]
 
     def test_mismatched_shapes_rejected(self):
         cell = self._cell()
@@ -162,15 +166,18 @@ class TestEmbeddingChain:
         chain = self._chain()
         window = Tensor(np.zeros((2, 1, 3, 1)))
         embs = chain.run(window)
-        assert len(embs) == 1
-        np.testing.assert_array_equal(embs[0].data, np.broadcast_to(chain.e_init.data, (2, 3, 4)))
+        assert embs.shape == (2, 1, 3, 4)
+        init = np.broadcast_to(chain.e_init.data, (2, 3, 4))
+        np.testing.assert_array_equal(embs.data[:, 0], init)
 
     def test_saturated_update_freezes_chain(self):
         chain = self._chain()
         chain.cell.f_z.b.data[:] = 500.0
         window = Tensor(np.random.default_rng(0).standard_normal((1, 5, 3, 1)))
-        for emb in chain.run(window):
-            np.testing.assert_array_equal(emb.data[0], chain.e_init.data)
+        embs = chain.run(window)
+        assert embs.shape == (1, 5, 3, 4)
+        for j in range(5):
+            np.testing.assert_array_equal(embs.data[0, j], chain.e_init.data)
 
     def test_three_step_composition_oracle(self):
         chain = self._chain(seed=7)
@@ -180,8 +187,7 @@ class TestEmbeddingChain:
         e2 = chain.e_init.broadcast_to((2, 3, 4))
         e1 = chain.cell.step(e2, window[:, 1])
         e0 = chain.cell.step(e1, window[:, 0])
-        np.testing.assert_array_equal(embs[1].data, e1.data)
-        np.testing.assert_array_equal(embs[0].data, e0.data)
+        np.testing.assert_array_equal(embs.data, np.stack([e0.data, e1.data, e2.data], axis=1))
 
 
 class TestGate:
@@ -367,6 +373,12 @@ class TestHopSelector:
         h, mix = dg.select_hops(p, 1.0, "eval")
         assert h[0] == 1 and mix is None  # 0-based index of level 2
 
+    def test_train_requires_draws_shaped_like_probs(self):
+        p = Tensor(np.full((3, 2), 0.5))
+        for draws in (None, np.full((3, 3), 0.5)):
+            with pytest.raises(ConfigError):
+                dg.select_hops(p, 1.0, "train", draws)
+
     def test_eval_tie_breaks_low(self):
         p = Tensor(np.full((1, 4), 0.25))
         h, _ = dg.select_hops(p, 1.0, "eval")
@@ -376,7 +388,7 @@ class TestHopSelector:
         rng = np.random.default_rng(3)
         n = 10_000
         p = Tensor(np.tile([0.3, 0.7], (n, 1)))
-        h, mix = dg.select_hops(p, 1.0, "train", rng)
+        h, mix = dg.select_hops(p, 1.0, "train", rng.uniform(size=p.shape))
         freq = np.bincount(h, minlength=2) / n
         for target, got in zip((0.3, 0.7), freq):
             sigma = np.sqrt(target * (1 - target) / n)
@@ -528,7 +540,7 @@ class TestGradientFlow:
 
 def oracle_normalize_logits(w, alpha):
     mu = w.mean(axis=(-2, -1), keepdims=True)
-    var = ((w - mu) ** 2).mean(axis=(-2, -1), keepdims=True)
+    var = power(w - mu, 2).mean(axis=(-2, -1), keepdims=True)
     spread = w.data.max(axis=(-2, -1), keepdims=True) - w.data.min(axis=(-2, -1), keepdims=True)
     live = (spread > 0).astype(np.float64)
     return (w - mu) * rsqrt_or_zero(var) * (alpha * live)
@@ -541,7 +553,7 @@ def oracle_bernoulli_means(w_hat):
 def oracle_gumbel_relax(w_bar, tau, delta):
     delta = np.clip(delta, 1e-12, 1.0 - 1e-12)
     noise = np.log(delta) - np.log1p(-delta)
-    logits = w_bar.log() - (1.0 - w_bar).log()
+    logits = w_bar.log() - rsub(1.0, w_bar).log()
     return ((logits + noise) * (1.0 / tau)).sigmoid()
 
 
@@ -560,7 +572,10 @@ def oracle_edge_op(w, mask, alpha, tau, delta=None, gamma=None, rho=None):
 
 
 def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="hard"):
-    """GraphConstruction.build with every edge stage its own tape node, in the same draw order."""
+    """GraphConstruction.build one step at a time, with every edge stage its own tape node.
+
+    Each step draws delta, rho and its hop uniforms just before it uses them.
+    """
     training = mode == "train"
     if sample_edges is None:
         sample_edges = training
@@ -570,15 +585,17 @@ def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="har
     b, n = window.shape[0], block.num_nodes
     adjacencies, hops = [], []
     for j in range(block.t_in):
-        e_st = dg.gate(emb_st[j], block.base_st[j], block.gate_st)
-        e_ed = dg.gate(emb_ed[j], block.base_ed[j], block.gate_ed)
+        e_st = dg.gate(emb_st[:, j], block.base_st[j], block.gate_st)
+        e_ed = dg.gate(emb_ed[:, j], block.base_ed[j], block.gate_ed)
         u, v = dg.edge_logits(e_st, e_ed, block.edge_w)
-        w = u + v.transpose((0, 2, 1))
+        w = u + transpose(v, (0, 2, 1))
         delta = rng.uniform(size=(b, n, n)) if training else None
         rho = rng.uniform(size=(b, n, n)) if sample_edges else None
-        probs = dg.hop_probs(emb_h[j], block.hop_l1, block.hop_l2)
+        probs = dg.hop_probs(emb_h[:, j], block.hop_l1, block.hop_l2)
         if training:
-            h, mixing = dg.select_hops(probs, block.tau, "train", rng, straight_through=hop_mode == "hard")
+            uniforms = rng.uniform(size=probs.shape)
+            straight = hop_mode == "hard"
+            h, mixing = dg.select_hops(probs, block.tau, "train", uniforms, straight_through=straight)
             mask = dc.einsum2("bnl,lnj->bnj", mixing, Tensor(block.masks))
         else:
             h, _ = dg.select_hops(probs, block.tau, "eval")
@@ -624,22 +641,15 @@ class TestEdgeOp:
         window = Tensor(data.standard_normal((3, 4, 5, 1)))
         weights = [data.standard_normal((3, 5, 5)) for _ in range(4)]
         stochastic = mode == "train" or sample_edges
-        seq = block.build(
-            window,
-            mode,
-            rng=np.random.default_rng(13) if stochastic else None,
-            sample_edges=sample_edges,
-            hop_mode=hop_mode,
-        )
+        rngs = [np.random.default_rng(13) if stochastic else None for _ in range(2)]
+        seq = block.build(window, mode, rng=rngs[0], sample_edges=sample_edges, hop_mode=hop_mode)
         got = grads_after(block, seq.adjacencies, weights)
         adjs, hops = oracle_build(
-            block,
-            window,
-            mode,
-            rng=np.random.default_rng(13) if stochastic else None,
-            sample_edges=sample_edges,
-            hop_mode=hop_mode,
+            block, window, mode, rng=rngs[1], sample_edges=sample_edges, hop_mode=hop_mode
         )
+        if stochastic:
+            # both consumed the same number of draws: the streams continue alike
+            assert rngs[0].uniform() == rngs[1].uniform()
         np.testing.assert_array_equal(seq.hop_choices, hops)
         # Closed-form moments round differently from the dense sums: ulps, not bits.
         for a, o in zip(seq.adjacencies, adjs):
@@ -667,7 +677,8 @@ class TestEdgeOp:
                     out = dg.edge_adjacency(u, v, mixing, pattern, alpha, 0.5, noise, keep)
                 else:
                     mask = dc.einsum2("bnl,lnj->bnj", mixing, Tensor(masks))
-                    out = oracle_edge_op(u + v.transpose((0, 2, 1)), mask, alpha, 0.5, delta, 0.7, rho)
+                    w = u + transpose(v, (0, 2, 1))
+                    out = oracle_edge_op(w, mask, alpha, 0.5, delta, 0.7, rho)
                 (out * Tensor(r)).sum().backward()
                 results.append((out.data, {"u": u.grad, "v": v.grad, "mixing": mixing.grad}))
             (out_f, g_f), (out_o, g_o) = results

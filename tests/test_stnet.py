@@ -9,7 +9,7 @@ from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 
-from test_diffcore import safe_recip, stack
+from tensor_ops import power, relu, safe_recip, transpose
 
 
 def naive_diffusion(x, a, theta, k_steps):
@@ -47,7 +47,7 @@ def naive_gtu(x, kernel, ks):
 
 def oracle_diffusion_conv(x, a, theta, num_steps):
     """diffusion_conv built from per-op tape nodes."""
-    a_rev = a.transpose((*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
+    a_rev = transpose(a, (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
     inv_out = safe_recip(a.sum(axis=-1, keepdims=True))
     inv_in = safe_recip(a_rev.sum(axis=-1, keepdims=True))
     z_fwd, z_rev = x, x
@@ -62,10 +62,10 @@ def oracle_diffusion_conv(x, a, theta, num_steps):
 def oracle_spl(x, graphs, theta, num_steps):
     """spl as one residual ReLU per time slice, stacked along time."""
     slices = [
-        (oracle_diffusion_conv(x[:, t], a, theta, num_steps) + x[:, t]).relu()
+        relu(oracle_diffusion_conv(x[:, t], a, theta, num_steps) + x[:, t])
         for t, a in enumerate(graphs)
     ]
-    return stack(slices, axis=1)
+    return dc.stack(slices, axis=1)
 
 
 def oracle_gtu_conv(x, kernel, ks):
@@ -80,8 +80,8 @@ def oracle_gtu_conv(x, kernel, ks):
 
 def oracle_layer_norm(x, scale, shift):
     mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) * ((var + stnet.LN_EPS) ** -0.5) * scale + shift
+    var = power(x - mu, 2).mean(axis=-1, keepdims=True)
+    return (x - mu) * power(var + stnet.LN_EPS, -0.5) * scale + shift
 
 
 def oracle_tpl(x, kernel, ks, scale, shift, keep=None, rate=0.0):
@@ -171,7 +171,7 @@ class TestDiffusionConv:
 
 def transition_diffusion(x, a, theta, k_steps):
     """Tensor-level oracle: form both transition matrices, then take their powers."""
-    a_rev = a.transpose((*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
+    a_rev = transpose(a, (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
     p_fwd = a * safe_recip(a.sum(axis=-1, keepdims=True))
     p_rev = a_rev * safe_recip(a_rev.sum(axis=-1, keepdims=True))
     z_fwd, z_rev = x, x

@@ -291,6 +291,27 @@ def test_backward_peak_memory_stays_small_next_to_tape():
     assert after_backward - base < BACKWARD_LEFTOVER_FRACTION * tape
 
 
+# Op nodes one train step may record at the acceptance shape (the 8-node model of
+# criterion 5, T_in = 12, B = 32). The gate, edge projection and hop selection run
+# once per window; a per-step pass records about 420.
+TRAIN_STEP_OP_NODES = 140
+
+
+def test_acceptance_shape_train_step_records_few_op_nodes():
+    model, (train_ds, _, _) = overfit_setup(seed=0)
+    scaler = model.scaler
+    pred = model.forward(train_ds.inputs[:32], mode="train", rng=np.random.default_rng(0))
+    loss = trainer.mae_loss(pred * scaler.std + scaler.mean, train_ds.targets[:32])
+    seen, todo = {}, [loss]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            todo.extend(t._parents)
+    ops = sum(1 for t in seen.values() if t._bwd is not None)
+    assert ops <= TRAIN_STEP_OP_NODES, ops
+
+
 class TestMetrics:
     def test_perfect_prediction(self):
         target = np.random.default_rng(0).uniform(10, 50, size=(4, 3, 2, 1))
