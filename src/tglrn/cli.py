@@ -192,11 +192,11 @@ def cmd_inspect_graph(cfg):
     edge_path = os.path.join(cfg.out_dir, "graph_edges.csv")
     with open(edge_path, "w") as fh:
         fh.write("t,i,j,weight,hop_i\n")
-        for t, adj in enumerate(seq.adjacencies):
-            a = adj.data[widx]
+        rows, cols = seq.pattern.rows, seq.pattern.cols  # row-major, as np.nonzero lists pairs
+        for t, weights in enumerate(seq.values.data[widx]):
             hops = seq.hop_choices[widx, t]
-            for i, j in zip(*np.nonzero(a)):
-                fh.write(f"{t},{i},{j},{float(a[i, j])!r},{hops[i]}\n")
+            for p in np.flatnonzero(weights):
+                fh.write(f"{t},{rows[p]},{cols[p]},{float(weights[p])!r},{hops[rows[p]]}\n")
 
     hist_path = os.path.join(cfg.out_dir, "hop_histogram.csv")
     levels = model.cfg.levels

@@ -3,18 +3,19 @@
 Recurrent chains evolve three node-embedding streams backwards through
 the input window (start-of-edge, end-of-edge, and hop-selection
 embeddings). Only the chains are recurrent: gating by per-step base
-embeddings, edge scoring and hop selection then run once per window
-over (B, T_in, ...) arrays, with every random draw made first, in
-step order. Per step, the scores are normalized to mean 0 / std alpha,
-squashed by a sigmoid, relaxed with logistic-Gumbel noise (training
-only), randomly thinned with keep probability gamma (training only),
-and finally masked so that node i only keeps weights toward nodes
+embeddings, edge scoring, hop selection and the adjacency itself then
+run once per window over (B, T_in, ...) arrays, with every random draw
+made first, in step order. Per step, the scores are normalized to mean
+0 / std alpha, squashed by a sigmoid, relaxed with logistic-Gumbel noise
+(training only), randomly thinned with keep probability gamma (training
+only), and finally masked so that node i only keeps weights toward nodes
 within its selected hop radius.
 
 The hop masks are nested, so every adjacency is zero outside the widest
-mask S^L. The stretch from the two edge projections to the masked
-adjacency is one tape node per step (``edge_adjacency``) that evaluates
-every stage only on S^L's index pattern (``SupportPattern``) and whose
+mask S^L. The adjacencies live only on S^L's index pattern
+(``SupportPattern``): the stretch from the two edge projections to the
+masked weights is one tape node per window (``edge_adjacency``) whose
+output holds the (B, T_in, nnz) weights on the pattern, and whose
 backward recomputes the stages it does not store.
 
 Hard decisions (hop argmax) use a straight-through estimator: forward
@@ -302,13 +303,14 @@ def _slot_sums(g, slots, width):
 
 
 def edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=None):
-    """One graph step, from the edge projections to the adjacency, as one tape node.
+    """The graph steps, from the edge projections to the adjacency weights, as one tape node.
 
     ``u`` and ``v`` are the (..., N, 1) projections from ``edge_logits`` and
-    ``mixing`` the (..., N, L) hop-radius weights. Returns the dense (..., N, N)
+    ``mixing`` the (..., N, L) hop-radius weights; every leading index is
+    one graph step. Returns the (..., nnz) values on ``pattern`` of
     ``edge_sample(gumbel_relax(bernoulli_means(w_hat), tau, noise), keep) * mask``,
-    where w_hat is ``normalize_logits``' result and mask the hop mask. Every
-    stage runs on ``pattern`` only; outside it the adjacency is 0. The
+    where w_hat is ``normalize_logits``' result and mask the hop mask; outside
+    the pattern the adjacency is 0 (``SupportPattern.scatter`` forms it). The
     relaxation is skipped when ``noise`` is None and the thinning when ``keep``
     is None; both are (..., nnz) arrays on the pattern. The node keeps its
     parents, ``noise`` and the boolean ``keep``: its backward recomputes every
@@ -330,10 +332,10 @@ def edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=None):
         p = gumbel_relax(p, tau, noise)
     if keep is not None:
         p = edge_sample(p, keep)
-    out = pattern.scatter(p * pattern.hop_mask(mix)).reshape(lead + (n, n))
+    out = (p * pattern.hop_mask(mix)).reshape(lead + (pattern.nnz,))
 
     def bwd(g):
-        g = pattern.gather(g.reshape(m, n, n))
+        g = g.reshape(m, -1)
         a, e, rstd, scale = _normalize(u2, v2, alpha)
         c = rstd * scale
         w_bar = bernoulli_means((a * c)[:, rows] + (e * c)[:, cols])
@@ -405,10 +407,16 @@ def _one_hot(hop_choices, levels):
 
 @dataclass
 class GraphSequence:
-    """Per-step weighted adjacencies plus the hop radius chosen per node."""
+    """The window's adjacency weights on the support pattern, plus the hop radius chosen per node."""
 
-    adjacencies: list  # T_in tensors, each (B, N, N) in [0, 1]
+    values: Tensor  # (B, T_in, nnz) weights in [0, 1] on ``pattern``; 0 off it
+    pattern: SupportPattern
     hop_choices: np.ndarray  # (B, T_in, N) of 1-based radii
+
+    @property
+    def adjacencies(self):
+        """The T_in dense (B, N, N) adjacencies, as untracked tensors, for readers that want them."""
+        return [Tensor(self.pattern.scatter(step)) for step in np.swapaxes(self.values.data, 0, 1)]
 
 
 @dataclass
@@ -475,14 +483,16 @@ class GraphConstruction:
         pattern = self.pattern
         # Each step draws delta, rho, then its hop uniforms, as a step-by-step pass does, so
         # every stream stays the same. Full (B, N, N) draws, gathered on the pattern.
-        noise, keep, uniforms = [None] * t_in, [None] * t_in, []
-        for j in range(t_in):
+        noise, keep, uniforms = [], [], []
+        for _ in range(t_in):
             if training:
-                noise[j] = logistic_noise(pattern.gather(rng.uniform(size=(b, n, n))))
+                noise.append(logistic_noise(pattern.gather(rng.uniform(size=(b, n, n)))))
             if sample_edges:
-                keep[j] = keep_pattern(pattern.gather(rng.uniform(size=(b, n, n))), self.gamma)
+                keep.append(keep_pattern(pattern.gather(rng.uniform(size=(b, n, n))), self.gamma))
             if training:
                 uniforms.append(rng.uniform(size=(b, n, pattern.levels)))
+        noise = np.stack(noise, axis=1) if training else None
+        keep = np.stack(keep, axis=1) if sample_edges else None
 
         # Only the chains are recurrent: the rest runs once over (B, T_in, ...) arrays.
         e_st = gate(emb_st, self.base_st, self.gate_st)
@@ -495,13 +505,8 @@ class GraphConstruction:
         else:
             h, _ = select_hops(probs, self.tau, "eval")
             mixing = Tensor(_one_hot(h, pattern.levels))
-        adjacencies = [
-            edge_adjacency(
-                u[:, j], v[:, j], mixing[:, j], pattern, self.alpha, self.tau, noise[j], keep[j]
-            )
-            for j in range(t_in)
-        ]
-        seq = GraphSequence(adjacencies=adjacencies, hop_choices=h + 1)
+        values = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, noise, keep)
+        seq = GraphSequence(values=values, pattern=pattern, hop_choices=h + 1)
         if not want_diag:
             return seq
 

@@ -163,8 +163,8 @@ def _check_edge_logits(seed):
     e_st = Parameter(rng.standard_normal((3, 4)), "e_st")
     e_ed = Parameter(rng.standard_normal((3, 4)), "e_ed")
     w = Parameter(rng.standard_normal((8, 1)), "w")
-    r = rng.standard_normal((3, 3))
     pattern = SupportPattern(np.ones((1, 3, 3)))
+    r = pattern.gather(rng.standard_normal((3, 3)))
     mixing = Tensor(np.ones((3, 1)))
 
     def build():
@@ -181,8 +181,8 @@ def _check_normalize_sigmoid(seed):
     rng = np.random.default_rng([seed, 5])
     u = Parameter(rng.standard_normal((4, 1)), "u")
     v = Parameter(rng.standard_normal((4, 1)), "v")
-    r = rng.standard_normal((4, 4))
     pattern = SupportPattern(np.ones((1, 4, 4)))
+    r = pattern.gather(rng.standard_normal((4, 4)))
     mixing = Tensor(np.ones((4, 1)))
 
     def build():
@@ -211,7 +211,7 @@ def _check_gumbel_path(seed):
     mixing = Parameter(rng.uniform(size=(2, 4, 2)), "mixing")
     noise = logistic_noise(rng.uniform(size=(2, pattern.nnz)))
     keep = keep_pattern(rng.uniform(size=(2, pattern.nnz)), 0.7)
-    r = rng.standard_normal((2, 4, 4))
+    r = pattern.gather(rng.standard_normal((2, 4, 4)))
 
     def build():
         return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, noise, keep), r)
@@ -231,12 +231,13 @@ def _check_graph_eval_sampling(seed):
     )
     block = GraphConstruction(cfg, _chain_masks(3, 2), rng)
     window = Parameter(rng.standard_normal((2, 2, 3, 1)), "window")
-    r = rng.standard_normal((2, 2, 3, 3))
+    # One (B, N, N) weight per step, as (T, B, N, N), read on the pattern.
+    r = block.pattern.gather(rng.standard_normal((2, 2, 3, 3)).swapaxes(0, 1))
 
     def build():
         draws = np.random.default_rng([seed, 19])  # frozen draws: same stream every call
         seq = block.build(window, "eval", rng=draws, sample_edges=True)
-        return sum(_weighted_sum(a, w) for a, w in zip(seq.adjacencies, r))
+        return _weighted_sum(seq.values, r)
 
     return finite_diff_check(build, [("window", window)] + block.params())
 
@@ -273,22 +274,27 @@ def _check_diffusion_conv(seed):
 
 
 def _check_spl(seed):
-    from .diffcore import Parameter, Tensor
+    from .diffcore import Parameter, stack
+    from .dyngraph import GraphSequence, SupportPattern
     from .stnet import spl
 
     rng = np.random.default_rng([seed, 15])
     x = Parameter(rng.standard_normal((1, 3, 5, 3)), "x")
-    a_raw = [Parameter(rng.standard_normal((1, 5, 5)), f"a_raw{t}") for t in range(3)]
-    theta = Parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4, "theta")
     # node 1 has no out-edges and node 3 no in-edges: zero degrees on both sides
-    support = np.ones((5, 5))
-    support[1, :] = 0.0
-    support[:, 3] = 0.0
+    support = np.ones((1, 5, 5))
+    support[:, 1, :] = 0.0
+    support[:, :, 3] = 0.0
+    pattern = SupportPattern(support)
+    a_raw = [
+        Parameter(pattern.gather(rng.standard_normal((1, 5, 5))), f"a_raw{t}") for t in range(3)
+    ]
+    theta = Parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4, "theta")
     r = rng.standard_normal((1, 3, 5, 3))
+    hops = np.ones((1, 3, 5), dtype=int)
 
     def build():
-        graphs = [a.sigmoid() * Tensor(support) for a in a_raw]
-        return _weighted_sum(spl(x, graphs, theta, 2), r)
+        values = stack([a.sigmoid() for a in a_raw], axis=1)
+        return _weighted_sum(spl(x, GraphSequence(values, pattern, hops), 0, theta, 2), r)
 
     params = [("x", x), ("theta", theta)] + [(a.name, a) for a in a_raw]
     return finite_diff_check(build, params)

@@ -210,9 +210,7 @@ class TGLRN:
         offset = 0
         outputs = []
         for block in self.blocks:
-            stream, block_out, offset = block.forward(
-                stream, seq.adjacencies, offset, dropout=dropout
-            )
+            stream, block_out, offset = block.forward(stream, seq, offset, dropout=dropout)
             outputs.append(block_out)
 
         # (B, N, n_blocks, D) is laid out as the channel concatenation (B, N, n_blocks * D).

@@ -141,47 +141,70 @@ def diffusion_conv(x, a, theta, num_steps):
     return Tensor._from_op(out, (x, a, theta), bwd)
 
 
-def spl(x, graphs, theta, num_steps):
+def spl(x, graphs, offset, theta, num_steps):
     """Spatial processing of a stream: ReLU(diffusion_conv(x_t, A_t) + x_t) for every step t.
 
-    ``x`` is (B, T, N, D) and ``graphs`` holds its T per-step (B, N, N)
-    adjacency tensors; the residual needs D == D'. One tape node whose
-    parents are ``x``, ``theta`` and every graph: forward writes each time
-    slice into one output array, and backward recomputes the diffusion
-    powers slice by slice, handing each graph its own (B, N, N) gradient.
+    ``x`` is (B, T, N, D); ``graphs`` is a ``GraphSequence`` whose (B, T_in,
+    nnz) ``values`` hold the adjacency weights on its ``pattern``, and slice
+    t of the stream uses graph step ``offset + t``. The residual needs
+    D == D'. One tape node whose parents are ``x``, ``theta`` and the values:
+    each slice's weights are written into one reused dense (B, N, N) scratch,
+    whose entries off the pattern stay 0, because dense products beat
+    products on the pattern at every measured shape. Backward recomputes the
+    diffusion powers slice by slice and gathers each slice's adjacency
+    gradient back onto the pattern.
     """
     if theta.shape[-2] != theta.shape[-1]:
         raise ConfigError(
             f"spl: residual needs equal in/out widths, theta maps {theta.shape[-2]} -> {theta.shape[-1]}"
         )
-    graphs = tuple(graphs)
-    if x.ndim != 4 or len(graphs) != x.shape[1]:
+    values, pattern = graphs.values, graphs.pattern
+    if x.ndim != 4:
+        raise ConfigError(f"spl: stream of shape {x.shape}; need (B, T, N, D)")
+    b, t_len, n = x.shape[:3]
+    if (
+        values.ndim != 3
+        or values.shape[0] != b
+        or values.shape[2] != pattern.nnz
+        or pattern.n != n
+        or not 0 <= offset <= values.shape[1] - t_len
+    ):
         raise ConfigError(
-            f"spl: {len(graphs)} graphs for a stream of shape {x.shape}; need (B, T, N, D) and T graphs"
+            f"spl: graph values {values.shape} on a {pattern.n}-node pattern with {pattern.nnz} "
+            f"pairs do not cover steps {offset}..{offset + t_len - 1} of a stream of shape {x.shape}"
         )
-    slice_shape = x.shape[:1] + x.shape[2:]
-    for a in graphs:
-        _check_diffusion("spl", slice_shape, a.shape, theta.shape, num_steps)
+    _check_diffusion("spl", (b, n, x.shape[3]), (b, n, n), theta.shape, num_steps)
+
+    def dense_steps():
+        """(t, the dense adjacency of step offset + t) per slice, all in one (B, N, N) scratch."""
+        scratch = np.zeros((b, n * n))
+        a = scratch.reshape(b, n, n)
+        for t in range(t_len):
+            scratch[:, pattern.flat] = values.data[:, offset + t]
+            yield t, a
 
     out = np.empty(x.shape)
-    for t, a in enumerate(graphs):
-        pre = _diffuse(x.data[:, t], a.data, theta.data, num_steps)
+    for t, a in dense_steps():
+        pre = _diffuse(x.data[:, t], a, theta.data, num_steps)
         pre += x.data[:, t]
         np.maximum(pre, 0.0, out=out[:, t])
 
     def bwd(g):
         g = np.where(out > 0, g, 0.0)
         dtheta = np.zeros_like(theta.data)
-        for t, a in enumerate(graphs):
-            dx_t, da, dth = _diffuse_grad(g[:, t], x.data[:, t], a.data, theta.data, num_steps)
+        dvalues = np.zeros(values.shape) if values._track else None
+        for t, a in dense_steps():
+            dx_t, da, dth = _diffuse_grad(g[:, t], x.data[:, t], a, theta.data, num_steps)
             dx_t += g[:, t]
             g[:, t] = dx_t  # slice t of g is spent: it now holds slice t of dx
-            a._acc(da)
+            if dvalues is not None:
+                dvalues[:, offset + t] = pattern.gather(da)
             dtheta += dth
         x._acc(g)
         theta._acc(dtheta)
+        values._acc(dvalues)
 
-    return Tensor._from_op(out, (x, theta) + graphs, bwd)
+    return Tensor._from_op(out, (x, theta, values), bwd)
 
 
 # -- temporal kernels (plain arrays) -------------------------------------------------
@@ -430,20 +453,19 @@ class SpatioTemporalBlock:
     def forward(self, stream, graphs, offset, dropout=None):
         """Returns (next stream, block output, next offset).
 
-        ``dropout`` is None at eval, or a (rate, generator) pair; an inverted
-        dropout pattern over each temporal conv's output is drawn before
-        that conv runs.
+        ``graphs`` is the window's ``GraphSequence``. ``dropout`` is None at
+        eval, or a (rate, generator) pair; an inverted dropout pattern over
+        each temporal conv's output is drawn before that conv runs.
         """
         rate, rng = dropout if dropout is not None else (0.0, None)
         for theta, lam, scale, shift in (
             (self.theta1, self.lam1, self.ln1_scale, self.ln1_shift),
             (self.theta2, self.lam2, self.ln2_scale, self.ln2_shift),
         ):
-            t_cur = stream.shape[1]
-            stream = spl(stream, graphs[offset : offset + t_cur], theta, self.diff_steps)
+            stream = spl(stream, graphs, offset, theta, self.diff_steps)
             keep = None
             if rate > 0.0:
-                t_next = t_cur - self.ks + 1
+                t_next = stream.shape[1] - self.ks + 1
                 keep = rng.uniform(size=stream.shape[:1] + (t_next,) + stream.shape[2:]) >= rate
             stream = tpl(stream, lam, self.ks, scale, shift, keep, rate)
             offset += self.ks - 1

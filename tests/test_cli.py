@@ -242,11 +242,34 @@ class TestTrainEval:
             f"checkpoint_path={out}/model.ckpt",
             f"out_dir={ins_out}",
             "inspect_windows=4",
+            "inspect_window_index=2",
         ):
             args += ["--set", s]
         assert run(args) == 0
         edge_lines = (ins_out / "graph_edges.csv").read_text().strip().splitlines()
         assert edge_lines[0] == "t,i,j,weight,hop_i"
+        # The rows are the nonzeros of window 2's dense adjacencies, from the per-op oracle.
+        from tglrn.data import load_flows, make_windows
+        from tglrn.diffcore import Tensor, no_grad
+        from tglrn.trainer import checkpoint_load
+        from test_dyngraph import oracle_build
+
+        model, _ = checkpoint_load(out / "model.ckpt")
+        test_ds = make_windows(load_flows(data_dir / "flow.csv", 8), 6, 3)[2]
+        window = Tensor(model.scaler.apply(test_ds.inputs[:4]))
+        with no_grad():
+            adjs, hops = oracle_build(model.graph_block, window, "eval")
+        want = [
+            (t, i, j, hops[2, t, i])
+            for t, a in enumerate(adjs)
+            for i, j in zip(*np.nonzero(a.data[2]))
+        ]
+        assert want
+        rows = [line.split(",") for line in edge_lines[1:]]
+        assert [(int(t), int(i), int(j), int(h)) for t, i, j, _, h in rows] == want
+        weights = np.array([float(row[3]) for row in rows])
+        dense = np.array([adjs[t].data[2, i, j] for t, i, j, _ in want])
+        np.testing.assert_allclose(weights, dense, rtol=1e-12, atol=0.0)
         hist = (ins_out / "hop_histogram.csv").read_text().strip().splitlines()
         assert hist[0] == "hop,count,fraction"
         assert len(hist) == 3  # levels=2

@@ -509,14 +509,12 @@ class TestGradientFlow:
         window = Tensor(rng_data.standard_normal((1, 3, 4, 1)))
         weights = [rng_data.standard_normal((1, 4, 4)) for _ in range(3)]
 
+        on_pattern = Tensor(block.pattern.gather(np.stack(weights, axis=1)))
+
         def build_loss():
             noise = np.random.default_rng(123)
             seq = block.build(window, "train", rng=noise)
-            total = None
-            for adj, w in zip(seq.adjacencies, weights):
-                term = (adj * Tensor(w)).sum()
-                total = term if total is None else total + term
-            return total
+            return (seq.values * on_pattern).sum()
 
         params = [
             ("st.e_init", block.chain_st.e_init),
@@ -605,14 +603,26 @@ def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="har
     return adjacencies, np.stack(hops, axis=1)
 
 
-def grads_after(block, adjacencies, weights):
+def per_step_edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=None):
+    """edge_adjacency once per step on time slices of (B, T, ...) inputs, stacked along time.
+
+    The composition that build ran before one node covered the window.
+    """
+    steps = [
+        dg.edge_adjacency(
+            u[:, j], v[:, j], mixing[:, j], pattern, alpha, tau,
+            None if noise is None else noise[:, j], None if keep is None else keep[:, j],
+        )
+        for j in range(u.shape[1])
+    ]
+    return dc.stack(steps, axis=1)
+
+
+def grads_after(block, out, weights):
+    """Every parameter gradient of sum(out * weights)."""
     for _, p in block.params():
         p.zero_grad()
-    total = None
-    for adj, r in zip(adjacencies, weights):
-        term = (adj * Tensor(r)).sum()
-        total = term if total is None else total + term
-    total.backward()
+    (out * Tensor(weights)).sum().backward()
     return {name: p.grad.copy() for name, p in block.params()}
 
 
@@ -639,11 +649,12 @@ class TestEdgeOp:
         block = build_block(n=5, t_in=4, levels=3, gamma=0.6, seed=11)
         data = np.random.default_rng(12)
         window = Tensor(data.standard_normal((3, 4, 5, 1)))
-        weights = [data.standard_normal((3, 5, 5)) for _ in range(4)]
+        weights = data.standard_normal((3, 4, 5, 5))  # (B, T, N, N)
         stochastic = mode == "train" or sample_edges
         rngs = [np.random.default_rng(13) if stochastic else None for _ in range(2)]
         seq = block.build(window, mode, rng=rngs[0], sample_edges=sample_edges, hop_mode=hop_mode)
-        got = grads_after(block, seq.adjacencies, weights)
+        pattern = block.pattern
+        got = grads_after(block, seq.values, pattern.gather(weights))
         adjs, hops = oracle_build(
             block, window, mode, rng=rngs[1], sample_edges=sample_edges, hop_mode=hop_mode
         )
@@ -651,9 +662,9 @@ class TestEdgeOp:
             # both consumed the same number of draws: the streams continue alike
             assert rngs[0].uniform() == rngs[1].uniform()
         np.testing.assert_array_equal(seq.hop_choices, hops)
+        adjs = dc.stack(adjs, axis=1)
         # Closed-form moments round differently from the dense sums: ulps, not bits.
-        for a, o in zip(seq.adjacencies, adjs):
-            np.testing.assert_allclose(a.data, o.data, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(pattern.scatter(seq.values.data), adjs.data, rtol=1e-12, atol=0.0)
         assert_grads_close(got, grads_after(block, adjs, weights))
 
     def test_degenerate_and_saturated_steps_match_oracle(self):
@@ -675,16 +686,40 @@ class TestEdgeOp:
                     noise = dg.logistic_noise(pattern.gather(delta))
                     keep = dg.keep_pattern(pattern.gather(rho), 0.7)
                     out = dg.edge_adjacency(u, v, mixing, pattern, alpha, 0.5, noise, keep)
+                    (out * Tensor(pattern.gather(r))).sum().backward()
+                    dense = pattern.scatter(out.data)
                 else:
                     mask = dc.einsum2("bnl,lnj->bnj", mixing, Tensor(masks))
                     w = u + transpose(v, (0, 2, 1))
                     out = oracle_edge_op(w, mask, alpha, 0.5, delta, 0.7, rho)
-                (out * Tensor(r)).sum().backward()
-                results.append((out.data, {"u": u.grad, "v": v.grad, "mixing": mixing.grad}))
+                    (out * Tensor(r)).sum().backward()
+                    dense = out.data
+                results.append((dense, {"u": u.grad, "v": v.grad, "mixing": mixing.grad}))
             (out_f, g_f), (out_o, g_o) = results
             np.testing.assert_allclose(out_f, out_o, rtol=1e-12, atol=0.0)
             assert_grads_close(g_f, g_o)
             assert np.all(g_f["u"][1] == 0.0) and np.all(g_f["v"][1] == 0.0)
+
+    @pytest.mark.parametrize("relax, thin", [(True, True), (False, False), (False, True)])
+    def test_one_node_matches_per_step_composition(self, relax, thin):
+        rng = np.random.default_rng(24)
+        pattern = dg.SupportPattern(chain_masks(5, 3))
+        b, t, nnz = 2, 4, pattern.nnz
+        u_vals, v_vals = rng.standard_normal((2, b, t, 5, 1))
+        mix_vals = rng.uniform(size=(b, t, 5, 3))
+        noise = dg.logistic_noise(rng.uniform(size=(b, t, nnz))) if relax else None
+        keep = dg.keep_pattern(rng.uniform(size=(b, t, nnz)), 0.6) if thin else None
+        r = rng.standard_normal((b, t, nnz))
+        results = []
+        for fn in (dg.edge_adjacency, per_step_edge_adjacency):
+            u, v, mixing = (Parameter(x.copy()) for x in (u_vals, v_vals, mix_vals))
+            out = fn(u, v, mixing, pattern, 1.3, 0.7, noise, keep)
+            (out * Tensor(r)).sum().backward()
+            results.append((out.data, [u.grad, v.grad, mixing.grad]))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert_within(g, w)
 
     @pytest.mark.parametrize("relax, thin", [(True, True), (False, False), (False, True)])
     def test_gradients_match_finite_differences(self, relax, thin):
@@ -695,7 +730,7 @@ class TestEdgeOp:
         mixing = Parameter(rng.uniform(size=(2, 4, 2)), "mixing")
         noise = dg.logistic_noise(pattern.gather(rng.uniform(size=(2, 4, 4)))) if relax else None
         keep = dg.keep_pattern(pattern.gather(rng.uniform(size=(2, 4, 4))), 0.6) if thin else None
-        r = rng.standard_normal((2, 4, 4))
+        r = pattern.gather(rng.standard_normal((2, 4, 4)))
         reports = finite_diff_check(
             lambda: (dg.edge_adjacency(u, v, mixing, pattern, 1.5, 0.7, noise, keep) * Tensor(r)).sum(),
             [("u", u), ("v", v), ("mixing", mixing)],
@@ -708,8 +743,8 @@ class TestEdgeOp:
 
 
 # Tensors of shape (..., N, N) that one train-mode build step may leave on the tape:
-# the adjacency alone.
-NN_ARRAYS_PER_STEP = 1
+# none, since the adjacency weights live on the support pattern.
+NN_ARRAYS_PER_STEP = 0
 
 
 def test_train_build_tape_holds_few_nn_arrays_per_step():
@@ -717,7 +752,7 @@ def test_train_build_tape_holds_few_nn_arrays_per_step():
     block = build_block(n=n, t_in=t_in, levels=2, gamma=0.5, seed=17)
     window = Tensor(np.random.default_rng(18).standard_normal((2, t_in, n, 1)))
     seq = block.build(window, "train", rng=np.random.default_rng(19))
-    seen, stack = {}, list(seq.adjacencies)
+    seen, stack = {}, [seq.values]
     while stack:
         t = stack.pop()
         if id(t) not in seen:
@@ -728,21 +763,22 @@ def test_train_build_tape_holds_few_nn_arrays_per_step():
 
 
 def test_graph_nodes_keep_only_pattern_sized_arrays():
-    n, t_in, b = 6, 3, 2
+    n, t_in, b = 6, 3, 3  # b * t_in != n: the (B * T_in, N) rows are not N x N
     block = build_block(n=n, t_in=t_in, levels=2, gamma=0.5, seed=20)
     nnz = block.pattern.nnz
     assert nnz < n * n
     window = Tensor(np.random.default_rng(21).standard_normal((b, t_in, n, 1)))
     seq = block.build(window, "train", rng=np.random.default_rng(22))
-    for adj in seq.adjacencies:
-        held = closure_arrays(adj)
-        square = [v.shape for v in held if v.ndim >= 2 and v.shape[-2:] == (n, n)]
-        assert not square, square
-        assert max(v.size for v in held) <= b * max(nnz, n * block.pattern.levels)
-        cells = dict(zip(adj._bwd.__code__.co_freevars, adj._bwd.__closure__))
-        noise, keep = cells["noise"].cell_contents, cells["keep"].cell_contents
-        assert noise.shape == keep.shape == (b, nnz)
-        assert keep.dtype == np.bool_
+    node = seq.values
+    assert node.shape == (b, t_in, nnz)
+    held = closure_arrays(node)
+    square = [v.shape for v in held if v.ndim >= 2 and v.shape[-2:] == (n, n)]
+    assert not square, square
+    assert max(v.size for v in held) <= b * t_in * max(nnz, n * block.pattern.levels)
+    cells = dict(zip(node._bwd.__code__.co_freevars, node._bwd.__closure__))
+    noise, keep = cells["noise"].cell_contents, cells["keep"].cell_contents
+    assert noise.shape == keep.shape == (b * t_in, nnz)
+    assert keep.dtype == np.bool_
 
 
 class TestSupportPattern:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tglrn import diffcore as dc
+from tglrn import dyngraph as dg
 from tglrn import stnet
 from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import ConfigError
@@ -59,6 +60,55 @@ def oracle_diffusion_conv(x, a, theta, num_steps):
     return out
 
 
+def dense_spl(x, graphs, theta, num_steps):
+    """spl over T dense (B, N, N) adjacency tensors, one parent each: the node spl replaced.
+
+    It runs the same kernels on the same dense arrays, so spl matches it bitwise forward.
+    """
+    graphs = tuple(graphs)
+    out = np.empty(x.shape)
+    for t, a in enumerate(graphs):
+        pre = stnet._diffuse(x.data[:, t], a.data, theta.data, num_steps)
+        pre += x.data[:, t]
+        np.maximum(pre, 0.0, out=out[:, t])
+
+    def bwd(g):
+        g = np.where(out > 0, g, 0.0)
+        dtheta = np.zeros_like(theta.data)
+        for t, a in enumerate(graphs):
+            dx_t, da, dth = stnet._diffuse_grad(g[:, t], x.data[:, t], a.data, theta.data, num_steps)
+            dx_t += g[:, t]
+            g[:, t] = dx_t
+            a._acc(da)
+            dtheta += dth
+        x._acc(g)
+        theta._acc(dtheta)
+
+    return Tensor._from_op(out, (x, theta) + graphs, bwd)
+
+
+def on_pattern(graphs):
+    """The pattern of the nonzeros of T dense (B, N, N) arrays, and their (B, T, nnz) values on it."""
+    dense = np.stack(graphs, axis=1)
+    pattern = dg.SupportPattern((dense != 0).any(axis=(0, 1))[None].astype(np.float64))
+    return pattern, pattern.gather(dense)
+
+
+def sequence(values, pattern):
+    """A GraphSequence holding the (B, T, nnz) ``values`` tensor; every hop choice is 1."""
+    b, t = values.shape[:2]
+    return dg.GraphSequence(values, pattern, np.ones((b, t, pattern.n), dtype=int))
+
+
+def scattered(values, pattern):
+    """The T dense (B, N, N) adjacencies of ``values`` as tape nodes, through a 0/1 matmul."""
+    n = pattern.n
+    onto = np.zeros((pattern.nnz, n * n))
+    onto[np.arange(pattern.nnz), pattern.flat] = 1.0
+    b = values.shape[0]
+    return [(values[:, t] @ Tensor(onto)).reshape(b, n, n) for t in range(values.shape[1])]
+
+
 def oracle_spl(x, graphs, theta, num_steps):
     """spl as one residual ReLU per time slice, stacked along time."""
     slices = [
@@ -98,8 +148,9 @@ def oracle_output(layer, x):
     return acc + layer.bias
 
 
-def oracle_block_forward(block, stream, graphs, offset, dropout=None):
+def oracle_block_forward(block, stream, seq, offset, dropout=None):
     """SpatioTemporalBlock.forward from per-op nodes, drawing the dropout masks in the same order."""
+    graphs = scattered(seq.values, seq.pattern)
     for theta, lam, scale, shift in (
         (block.theta1, block.lam1, block.ln1_scale, block.ln1_shift),
         (block.theta2, block.lam2, block.ln2_scale, block.ln2_shift),
@@ -234,44 +285,99 @@ class TestDiffusionWithoutTransitions:
         assert square == []
 
 
+def full_sequence(*graphs):
+    """A GraphSequence of dense (B, N, N) arrays on the all-pairs pattern."""
+    pattern = dg.SupportPattern(np.ones((1,) + graphs[0].shape[-2:]))
+    return sequence(Tensor(pattern.gather(np.stack(graphs, axis=1))), pattern)
+
+
 class TestSpl:
     def test_zero_filter_is_residual_relu(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 1, 4, 3))
-        out = stnet.spl(Tensor(x), [Tensor(np.eye(4)[None])], Parameter(np.zeros((2, 2, 3, 3))), 2)
+        theta = Parameter(np.zeros((2, 2, 3, 3)))
+        out = stnet.spl(Tensor(x), full_sequence(np.eye(4)[None]), 0, theta, 2)
         np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
 
     def test_nonpositive_input_zero_filter(self):
         x = -np.abs(np.random.default_rng(3).standard_normal((1, 1, 4, 3)))
-        out = stnet.spl(Tensor(x), [Tensor(np.eye(4)[None])], Parameter(np.zeros((2, 2, 3, 3))), 2)
+        theta = Parameter(np.zeros((2, 2, 3, 3)))
+        out = stnet.spl(Tensor(x), full_sequence(np.eye(4)[None]), 0, theta, 2)
         np.testing.assert_array_equal(out.data, np.zeros((1, 1, 4, 3)))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="spl"):
-            stnet.spl(
-                Tensor(np.ones((1, 1, 3, 2))), [Tensor(np.eye(3)[None])], Parameter(np.ones((1, 2, 2, 3))), 1
-            )
+            theta = Parameter(np.ones((1, 2, 2, 3)))
+            stnet.spl(Tensor(np.ones((1, 1, 3, 2))), full_sequence(np.eye(3)[None]), 0, theta, 1)
 
     @pytest.mark.parametrize("t_len", [1, 3])
     def test_graph_count_and_shape_rejected(self, t_len):
+        # One graph step for a three-step stream; or three whose batch does not match.
         x = Tensor(np.ones((2, 3, 4, 2)))
-        graphs = [Tensor(np.ones((2, 4, 4)))] * t_len
-        if t_len == 3:
-            graphs[1] = Tensor(np.ones((1, 4, 4)))
+        batch = 2 if t_len == 1 else 1
+        seq = full_sequence(*[np.ones((batch, 4, 4))] * t_len)
         with pytest.raises(ConfigError, match="spl"):
-            stnet.spl(x, graphs, Parameter(np.ones((1, 2, 2, 2))), 1)
+            stnet.spl(x, seq, 0, Parameter(np.ones((1, 2, 2, 2))), 1)
+
+    @pytest.mark.parametrize(
+        "shape, offset",
+        [((2, 5, 15), 0), ((2, 5), 0), ((2, 5, 16, 1), 0), ((2, 5, 16), 3), ((2, 5, 16), -1)],
+    )
+    def test_values_not_b_t_nnz_rejected(self, shape, offset):
+        # The pattern has 16 pairs and the stream 3 steps: only (2, T >= offset + 3, 16) fits.
+        seq = full_sequence(np.ones((2, 4, 4)))
+        seq.values = Tensor(np.ones(shape))
+        with pytest.raises(ConfigError, match="spl"):
+            stnet.spl(Tensor(np.ones((2, 3, 4, 2))), seq, offset, Parameter(np.ones((1, 2, 2, 2))), 1)
 
     def test_gradients_four_node_instance(self):
         rng = np.random.default_rng(4)
+        pattern = dg.SupportPattern(np.ones((1, 4, 4)))
         x = Parameter(rng.standard_normal((1, 2, 4, 3)), "x")
-        a_raw = [Parameter(rng.standard_normal((1, 4, 4)), f"a_raw{t}") for t in range(2)]
+        a_raw = [
+            Parameter(pattern.gather(rng.standard_normal((1, 4, 4))), f"a_raw{t}") for t in range(2)
+        ]
         theta = Parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4, "theta")
         r = rng.standard_normal((1, 2, 4, 3))
+
+        def build():
+            seq = sequence(dc.stack([a.sigmoid() for a in a_raw], axis=1), pattern)
+            return (stnet.spl(x, seq, 0, theta, 2) * Tensor(r)).sum()
+
         reports = finite_diff_check(
-            lambda: (stnet.spl(x, [a.sigmoid() for a in a_raw], theta, 2) * Tensor(r)).sum(),
-            [("x", x), ("a_raw0", a_raw[0]), ("a_raw1", a_raw[1]), ("theta", theta)],
+            build, [("x", x), ("a_raw0", a_raw[0]), ("a_raw1", a_raw[1]), ("theta", theta)]
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
+
+    @pytest.mark.parametrize("offset, t_len, n, num_steps", [(0, 3, 5, 3), (2, 3, 7, 2), (1, 1, 6, 1)])
+    def test_matches_dense_oracle(self, offset, t_len, n, num_steps):
+        # Forward bitwise; the value gradient against the gathered dense gradients.
+        rng = np.random.default_rng(60 + n)
+        t_total, b = offset + t_len + 1, 2
+        keep = rng.uniform(size=(n, n)) < 0.4
+        keep[1, :] = False  # a node with no out-edges
+        keep[:, 3] = False  # and one with no in-edges
+        pattern = dg.SupportPattern(keep[None].astype(np.float64))
+        x_vals = rng.standard_normal((b, t_len, n, 3))
+        v_vals = rng.uniform(size=(b, t_total, pattern.nnz))
+        theta_vals = rng.standard_normal((num_steps, 2, 3, 3)) * 0.5
+        r = rng.standard_normal(x_vals.shape)
+
+        x, values, theta = (Parameter(v.copy()) for v in (x_vals, v_vals, theta_vals))
+        out = stnet.spl(x, sequence(values, pattern), offset, theta, num_steps)
+        (out * Tensor(r)).sum().backward()
+
+        ox, otheta = Parameter(x_vals.copy()), Parameter(theta_vals.copy())
+        dense = [Parameter(pattern.scatter(v_vals[:, offset + t])) for t in range(t_len)]
+        want = dense_spl(ox, dense, otheta, num_steps)
+        (want * Tensor(r)).sum().backward()
+
+        np.testing.assert_array_equal(out.data, want.data)
+        assert_within(x.grad, ox.grad)
+        assert_within(theta.grad, otheta.grad)
+        want_dv = np.zeros(v_vals.shape)
+        want_dv[:, offset : offset + t_len] = pattern.gather(np.stack([a.grad for a in dense], axis=1))
+        assert_within(values.grad, want_dv)
 
 
 class TestGtuConv:
@@ -388,26 +494,25 @@ class TestSchedule:
 
 class TestBlock:
     def _graphs(self, count, n, rng, batch=2):
-        return [Tensor(rng.uniform(size=(batch, n, n))) for _ in range(count)]
+        return full_sequence(*[rng.uniform(size=(batch, n, n)) for _ in range(count)])
 
-    def test_shapes_and_alignment(self):
+    def test_shapes_and_alignment(self, monkeypatch):
         rng = np.random.default_rng(10)
         block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
         stream = Tensor(rng.standard_normal((2, 5, 3, 4)))
-        used = []
+        used, spl = [], stnet.spl
 
-        class LoggedGraphs(list):
-            def __getitem__(self, idx):
-                used.append(idx)
-                return super().__getitem__(idx)
+        def logged_spl(x, graphs, offset, theta, num_steps):
+            used.append((offset, x.shape[1]))
+            return spl(x, graphs, offset, theta, num_steps)
 
-        graphs = LoggedGraphs(self._graphs(5, 3, rng))
-        out_stream, block_out, offset = block.forward(stream, graphs, 0)
+        monkeypatch.setattr(stnet, "spl", logged_spl)
+        out_stream, block_out, offset = block.forward(stream, self._graphs(5, 3, rng), 0)
         assert out_stream.shape == (2, 3, 3, 4)
         assert block_out.shape == (2, 3, 4)
         assert offset == 2
         # first pass takes graphs 0..4, second (after one conv) graphs 1..4
-        assert used == [slice(0, 5), slice(1, 5)]
+        assert used == [(0, 5), (1, 4)]
 
     def test_paper_kernel_single_block_shapes(self):
         # window 12, kernel 6: stream shrinks 12 -> 7 -> 2, output kernel spans 2
@@ -465,7 +570,7 @@ def fused_cases():
     rng = np.random.default_rng(40)
     a_vals, _ = zero_degree_adjacency(rng, 5)
     stream = rng.standard_normal((2, 3, 5, 3))
-    graphs = [zero_degree_adjacency(rng, 5)[0] for _ in range(3)]
+    pattern, values = on_pattern([zero_degree_adjacency(rng, 5)[0] for _ in range(3)])
     theta = rng.standard_normal((3, 2, 3, 3)) * 0.5
     x6 = rng.standard_normal((2, 6, 4, 3))
     kernel = rng.standard_normal((3, 3, 6)) * 0.5
@@ -489,9 +594,9 @@ def fused_cases():
             [stream[:, 0], a_vals, theta],
         ),
         "spl": (
-            lambda x, a0, a1, a2, th: stnet.spl(x, [a0, a1, a2], th, 3),
-            lambda x, a0, a1, a2, th: oracle_spl(x, [a0, a1, a2], th, 3),
-            [stream] + graphs + [theta],
+            lambda x, v, th: stnet.spl(x, sequence(v, pattern), 0, th, 3),
+            lambda x, v, th: oracle_spl(x, scattered(v, pattern), th, 3),
+            [stream, values, theta],
         ),
         "gtu_conv": (
             lambda x, k: stnet.gtu_conv(x, k, 3),
@@ -533,13 +638,14 @@ class TestFusedBlock:
         rng = np.random.default_rng(30)
         block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
         stream = Parameter(stream.copy())
-        graphs = [Parameter(a.copy()) for a in graphs]
+        pattern, values = on_pattern(graphs)
+        values = Parameter(values)
         dropout = None if dropout_seed is None else (0.4, np.random.default_rng(dropout_seed))
-        out_stream, block_out, offset = forward(block, stream, graphs, 0, dropout)
+        out_stream, block_out, offset = forward(block, stream, sequence(values, pattern), 0, dropout)
         r = np.random.default_rng(31)
         loss = (out_stream * Tensor(r.standard_normal(out_stream.shape))).sum()
         (loss + (block_out * Tensor(r.standard_normal(block_out.shape))).sum()).backward()
-        grads = [stream.grad] + [a.grad for a in graphs] + [p.grad for _, p in block.params()]
+        grads = [stream.grad, values.grad] + [p.grad for _, p in block.params()]
         return out_stream.data, block_out.data, offset, grads
 
     @pytest.mark.parametrize("dropout_seed", [None, 5])
@@ -559,9 +665,10 @@ class TestFusedBlock:
         rng = np.random.default_rng(33)
         block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
         stream = Parameter(rng.standard_normal((2, 5, 3, 4)))
-        graphs = [Parameter(rng.uniform(size=(2, 3, 3))) for _ in range(5)]
+        graphs = full_sequence(*[rng.uniform(size=(2, 3, 3)) for _ in range(5)])
+        graphs.values = Parameter(graphs.values.data)
         out_stream, block_out, _ = block.forward(stream, graphs, 0, dropout=(0.3, rng))
-        inputs = {id(t) for t in [stream] + graphs + [p for _, p in block.params()]}
+        inputs = {id(t) for t in [stream, graphs.values] + [p for _, p in block.params()]}
         seen, todo = {}, [out_stream, block_out]
         while todo:
             t = todo.pop()
@@ -574,7 +681,8 @@ class TestFusedBlock:
         rng = np.random.default_rng(34)
         block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
         stream = Parameter(rng.standard_normal((2, 5, 3, 4)))
-        graphs = [Parameter(rng.uniform(size=(2, 3, 3))) for _ in range(5)]
+        graphs = full_sequence(*[rng.uniform(size=(2, 3, 3)) for _ in range(5)])
+        graphs.values = Parameter(graphs.values.data)
         out_stream, block_out, _ = block.forward(stream, graphs, 0, dropout=(0.3, rng))
         node, checked = out_stream, 0
         while node is not stream:

@@ -292,9 +292,9 @@ def test_backward_peak_memory_stays_small_next_to_tape():
 
 
 # Op nodes one train step may record at the acceptance shape (the 8-node model of
-# criterion 5, T_in = 12, B = 32). The gate, edge projection and hop selection run
-# once per window; a per-step pass records about 420.
-TRAIN_STEP_OP_NODES = 140
+# criterion 5, T_in = 12, B = 32). The gate, edge projection, hop selection and the
+# adjacency run once per window (90 nodes); a per-step pass records about 420.
+TRAIN_STEP_OP_NODES = 110
 
 
 def test_acceptance_shape_train_step_records_few_op_nodes():
@@ -308,8 +308,39 @@ def test_acceptance_shape_train_step_records_few_op_nodes():
         if id(t) not in seen:
             seen[id(t)] = t
             todo.extend(t._parents)
-    ops = sum(1 for t in seen.values() if t._bwd is not None)
-    assert ops <= TRAIN_STEP_OP_NODES, ops
+    ops = [t for t in seen.values() if t._bwd is not None]
+    assert len(ops) <= TRAIN_STEP_OP_NODES, len(ops)
+    # One adjacency node for the whole window, fed u, v and the mixing unsliced.
+    graph = [t for t in ops if t._bwd.__qualname__.startswith("edge_adjacency.")]
+    assert len(graph) == 1, len(graph)
+    inputs = {id(p) for p in graph[0]._parents}
+    sliced = [t for t in ops if t._bwd.__qualname__.startswith("Tensor.__getitem__.")
+              and any(id(p) in inputs for p in t._parents)]
+    assert not sliced, [t.shape for t in sliced]
+
+
+# tracemalloc peak of one predict_raw at N=64, B=64, T_in=12, with widths of 2 and a
+# chain graph whose widest hop mask holds 189 pairs. The 12 dense (64, 64, 64)
+# adjacencies alone are 25 MB; one reused (64, 64, 64) scratch is 2 MB. Measured:
+# 32.7 MB with a dense adjacency per step, 12.7 MB (set by the graph node's
+# (B * T_in, nnz) temporaries) with the weights on the pattern.
+EVAL_PEAK_BYTES = 20_000_000
+
+
+def test_eval_peak_memory_holds_no_dense_adjacency_per_step():
+    model, (_, _, test_ds), _, _ = quick_setup(
+        n=64, t_total=500, t_in=12, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=2
+    )
+    windows = np.repeat(test_ds.inputs[:1], 64, axis=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model.predict_raw(windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < EVAL_PEAK_BYTES, peak - base
 
 
 class TestMetrics:
