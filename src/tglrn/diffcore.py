@@ -35,6 +35,7 @@ __all__ = [
     "Parameter",
     "Linear",
     "no_grad",
+    "recording",
     "stack",
     "einsum2",
     "softmax",
@@ -56,6 +57,11 @@ class no_grad:
     def __exit__(self, *exc):
         _GRAD_ENABLED[0] = self._prev
         return False
+
+
+def recording(parents):
+    """True when an op over ``parents`` goes on the tape: grad mode is on and a parent is tracked."""
+    return _GRAD_ENABLED[0] and any(p._track for p in parents)
 
 
 def _as_array(x):
@@ -121,7 +127,7 @@ class Tensor:
     @staticmethod
     def _from_op(data, parents, bwd):
         out = Tensor(data)
-        if _GRAD_ENABLED[0] and any(p._track for p in parents):
+        if recording(parents):
             out._parents = tuple(parents)
             out._bwd = bwd
             out._track = True
@@ -248,15 +254,6 @@ class Tensor:
             a._acc(g.reshape(old_shape))
 
         return Tensor._from_op(a.data.reshape(shape), (a,), bwd)
-
-    def broadcast_to(self, shape):
-        a = self
-        shape = tuple(shape)
-
-        def bwd(g):
-            a._acc(_unbroadcast(g, a.shape))
-
-        return Tensor._from_op(np.broadcast_to(a.data, shape).copy(), (a,), bwd)
 
     # -- reductions -----------------------------------------------------------
 

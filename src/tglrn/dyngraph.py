@@ -2,10 +2,10 @@
 
 Recurrent chains evolve three node-embedding streams backwards through
 the input window (start-of-edge, end-of-edge, and hop-selection
-embeddings). Only the chains are recurrent: gating by per-step base
-embeddings, edge scoring, hop selection and the adjacency itself then
-run once per window over (B, T_in, ...) arrays, with every random draw
-made first, in step order. Per step, the scores are normalized to mean
+embeddings); each chain is one tape node per window. Only the chains are
+recurrent: gating by per-step base embeddings, edge scoring, hop
+selection and the adjacency itself then run once per window over
+(B, T_in, ...) arrays, with every random draw made first, in step order. Per step, the scores are normalized to mean
 0 / std alpha, squashed by a sigmoid, relaxed with logistic-Gumbel noise
 (training only), randomly thinned with keep probability gamma (training
 only), and finally masked so that node i only keeps weights toward nodes
@@ -33,7 +33,6 @@ from .diffcore import Linear, Parameter, Tensor
 from .errors import ConfigError
 
 __all__ = [
-    "GruCell",
     "EmbeddingChain",
     "GraphConstruction",
     "GraphSequence",
@@ -55,109 +54,28 @@ __all__ = [
 OMEGA_CLAMP = 1e-6
 
 
-class GruCell:
-    """One recurrence step over node embeddings, driven by the previous flow reading.
+class EmbeddingChain:
+    """A learnable initial embedding evolved backwards through the window by a GRU.
 
-    Update gate z and reset gate r are sigmoids of linear maps over the
-    concatenated [embedding ; projected input]; the candidate is a tanh of
-    a linear map over [r * embedding ; projected input]; the new embedding
-    is (1 - z) * candidate + z * embedding.
+    Each step consumes one flow reading. The update gate z and the reset gate
+    r are sigmoids of linear maps over the concatenated [embedding ; projected
+    input]; the candidate is a tanh of a linear map over [r * embedding ;
+    projected input]; the new embedding is (1 - z) * candidate + z * embedding.
 
-    ``step`` is one tape node. Its forward runs on (rows, features) arrays and
-    gets z and r from one product with the column-stacked [W_z | W_r]
-    (Appleyard et al., arXiv 1604.01946). The node keeps its output, z, r and
-    the candidate; backward recomputes the projection and both concatenations
-    (Chen et al., arXiv 1604.06174).
+    ``run`` is one tape node per window. Its forward writes every step into
+    one (B, T_in, N, d) output and gets z and r from one product with the
+    column-stacked [W_z | W_r] (Appleyard et al., arXiv 1604.01946). When the
+    node is recorded it keeps its output and each step's z, r and candidate;
+    backward recomputes the projection and both concatenations (Chen et al.,
+    arXiv 1604.06174).
     """
 
-    def __init__(self, embed_dim, in_features, proj_dim, rng):
+    def __init__(self, num_nodes, embed_dim, in_features, proj_dim, rng):
+        self.e_init = Parameter(rng.standard_normal((num_nodes, embed_dim)))
         self.proj = Linear(in_features, proj_dim, rng)
         self.f_z = Linear(embed_dim + proj_dim, embed_dim, rng)
         self.f_r = Linear(embed_dim + proj_dim, embed_dim, rng)
         self.g = Linear(embed_dim + proj_dim, embed_dim, rng)
-
-    def step(self, e, x):
-        """The (..., N, d) embedding after one step that consumes the (..., N, F) input ``x``."""
-        proj, f_z, f_r, g_lin = self.proj, self.f_z, self.f_r, self.g
-        d, f = f_z.out_dim, proj.in_dim
-        if e.shape[-1:] != (d,) or x.shape[-1:] != (f,) or e.shape[:-1] != x.shape[:-1]:
-            raise ConfigError(
-                f"gru step: embedding {e.shape} and input {x.shape} do not fit d={d}, F={f}"
-            )
-
-        def stacked_zr():
-            return np.concatenate([f_z.w.data, f_r.w.data], axis=1)
-
-        e2 = e.data.reshape(-1, d)
-        # The one array that outlives the step under no_grad is allocated before the
-        # temporaries, so that their freed memory can be returned to the system: at the
-        # PeMS08 eval shape this kept ~15 MB off peak RSS.
-        out = np.empty_like(e2)
-        u = x.data.reshape(-1, f) @ proj.w.data + proj.b.data
-        a_zr = np.concatenate([e2, u], axis=1) @ stacked_zr()
-        z = dc.sigmoid_array(a_zr[:, :d] + f_z.b.data)
-        r = dc.sigmoid_array(a_zr[:, d:] + f_r.b.data)
-        del a_zr
-        cand = np.tanh(np.concatenate([r * e2, u], axis=1) @ g_lin.w.data + g_lin.b.data)
-        del u
-        np.subtract(1.0, z, out=out)
-        out *= cand
-        out += z * e2
-
-        def bwd(grad):
-            grad = grad.reshape(-1, d)
-            e2 = e.data.reshape(-1, d)
-            x2 = x.data.reshape(-1, f)
-            u = x2 @ proj.w.data + proj.b.data
-            de = grad * z
-            # Both gates' pre-activation gradients side by side, as forward stacked them.
-            da_zr = np.empty((grad.shape[0], 2 * d))
-            dz = np.subtract(e2, cand, out=da_zr[:, :d])
-            dz *= grad
-            dz *= z * (1.0 - z)
-            da_g = grad * (1.0 - z)
-            da_g *= 1.0 - cand * cand
-            del grad
-            g_lin.w._acc(np.concatenate([r * e2, u], axis=1).T @ da_g)
-            g_lin.b._acc(da_g.sum(axis=0))
-            d_reu = da_g @ g_lin.w.data.T
-            del da_g
-            dre = d_reu[:, :d]
-            dr = np.multiply(dre, e2, out=da_zr[:, d:])
-            dr *= r * (1.0 - r)
-            de += dre * r
-            dw_zr = np.concatenate([e2, u], axis=1).T @ da_zr
-            del u
-            f_z.w._acc(dw_zr[:, :d])
-            f_r.w._acc(dw_zr[:, d:])
-            db_zr = da_zr.sum(axis=0)
-            f_z.b._acc(db_zr[:d])
-            f_r.b._acc(db_zr[d:])
-            d_eu = da_zr @ stacked_zr().T
-            de += d_eu[:, :d]
-            du = d_reu[:, d:] + d_eu[:, d:]
-            proj.w._acc(x2.T @ du)
-            proj.b._acc(du.sum(axis=0))
-            if x._track:
-                x._acc((du @ proj.w.data.T).reshape(x.shape))
-            e._acc(de.reshape(e.shape))
-
-        parents = (e, x) + tuple(p for _, p in self.params())
-        return Tensor._from_op(out.reshape(e.shape), parents, bwd)
-
-    def params(self):
-        out = []
-        for label, lin in (("proj", self.proj), ("f_z", self.f_z), ("f_r", self.f_r), ("g", self.g)):
-            out.extend((f"{label}.{k}", p) for k, p in lin.params())
-        return out
-
-
-class EmbeddingChain:
-    """A learnable initial embedding evolved backwards through the window."""
-
-    def __init__(self, num_nodes, embed_dim, in_features, proj_dim, rng):
-        self.e_init = Parameter(rng.standard_normal((num_nodes, embed_dim)))
-        self.cell = GruCell(embed_dim, in_features, proj_dim, rng)
 
     def run(self, window):
         """The (B, T_in, N, d) embeddings of every window position, in window order.
@@ -166,15 +84,93 @@ class EmbeddingChain:
         embedding, and position j is one recurrence step from position j+1
         consuming the flow reading at position j.
         """
-        e = self.e_init.broadcast_to((window.shape[0],) + self.e_init.shape)
-        embeddings = [e]
-        for j in range(window.shape[1] - 2, -1, -1):
-            e = self.cell.step(e, window[:, j])
-            embeddings.append(e)
-        return dc.stack(embeddings[::-1], axis=1)
+        e_init, proj, f_z, f_r, g_lin = self.e_init, self.proj, self.f_z, self.f_r, self.g
+        (n, d), f = e_init.shape, proj.in_dim
+        if window.ndim != 4 or window.shape[1] < 1 or window.shape[2:] != (n, f):
+            raise ConfigError(f"embedding chain: window {window.shape} does not fit N={n}, F={f}")
+        b, t_in = window.shape[:2]
+        parents = (window,) + tuple(p for _, p in self.params())
+        keep = dc.recording(parents)
+
+        def stacked_zr():
+            return np.concatenate([f_z.w.data, f_r.w.data], axis=1)
+
+        w_zr = stacked_zr()
+        out = np.empty((b, t_in, n, d))
+        out[:, -1] = e_init.data
+        e2 = out[:, -1].reshape(-1, d)
+        gates = [None] * (t_in - 1)  # step j's z, r and candidate, kept only on the tape
+        for j in range(t_in - 2, -1, -1):
+            u = window.data[:, j].reshape(-1, f) @ proj.w.data + proj.b.data
+            a_zr = np.concatenate([e2, u], axis=1) @ w_zr
+            z = dc.sigmoid_array(a_zr[:, :d] + f_z.b.data)
+            r = dc.sigmoid_array(a_zr[:, d:] + f_r.b.data)
+            del a_zr
+            cand = np.tanh(np.concatenate([r * e2, u], axis=1) @ g_lin.w.data + g_lin.b.data)
+            del u
+            step = np.subtract(1.0, z)
+            step *= cand
+            step += z * e2
+            out[:, j] = step.reshape(b, n, d)
+            e2 = step
+            if keep:
+                gates[j] = (z, r, cand)
+
+        def bwd(grad):
+            w_zr = stacked_zr()
+            dwindow = np.zeros(window.shape) if window._track else None
+            de = None
+            for j, (z, r, cand) in enumerate(gates):
+                # Step j's output gets the node's own gradient plus step j-1's through it.
+                g = grad[:, j] if de is None else grad[:, j] + de
+                g = g.reshape(-1, d)
+                e2 = out[:, j + 1].reshape(-1, d)
+                x2 = window.data[:, j].reshape(-1, f)
+                u = x2 @ proj.w.data + proj.b.data
+                de = g * z
+                # Both gates' pre-activation gradients side by side, as forward stacked them.
+                da_zr = np.empty((g.shape[0], 2 * d))
+                dz = np.subtract(e2, cand, out=da_zr[:, :d])
+                dz *= g
+                dz *= z * (1.0 - z)
+                da_g = g * (1.0 - z)
+                da_g *= 1.0 - cand * cand
+                del g
+                g_lin.w._acc(np.concatenate([r * e2, u], axis=1).T @ da_g)
+                g_lin.b._acc(da_g.sum(axis=0))
+                d_reu = da_g @ g_lin.w.data.T
+                del da_g
+                dre = d_reu[:, :d]
+                dr = np.multiply(dre, e2, out=da_zr[:, d:])
+                dr *= r * (1.0 - r)
+                de += dre * r
+                dw_zr = np.concatenate([e2, u], axis=1).T @ da_zr
+                del u
+                f_z.w._acc(dw_zr[:, :d])
+                f_r.w._acc(dw_zr[:, d:])
+                db_zr = da_zr.sum(axis=0)
+                f_z.b._acc(db_zr[:d])
+                f_r.b._acc(db_zr[d:])
+                d_eu = da_zr @ w_zr.T
+                de += d_eu[:, :d]
+                du = d_reu[:, d:] + d_eu[:, d:]
+                proj.w._acc(x2.T @ du)
+                proj.b._acc(du.sum(axis=0))
+                if dwindow is not None:
+                    dwindow[:, j] = (du @ proj.w.data.T).reshape(b, n, f)
+                de = de.reshape(b, n, d)
+            g = grad[:, -1] if de is None else grad[:, -1] + de
+            e_init._acc(g.sum(axis=0))
+            if dwindow is not None:
+                window._acc(dwindow)
+
+        return Tensor._from_op(out, parents, bwd)
 
     def params(self):
-        return [("e_init", self.e_init)] + [(f"gru.{k}", p) for k, p in self.cell.params()]
+        out = [("e_init", self.e_init)]
+        for label in ("proj", "f_z", "f_r", "g"):
+            out.extend((f"gru.{label}.{k}", p) for k, p in getattr(self, label).params())
+        return out
 
 
 def gate(e, e_base, gate_linear):

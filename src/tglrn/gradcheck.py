@@ -113,25 +113,12 @@ def _check_linear_input_layer(seed):
     return finite_diff_check(lambda: _weighted_sum(lin(x), r), params)
 
 
-def _check_gru_cell(seed):
-    from .diffcore import Parameter
-    from .dyngraph import GruCell
-
-    rng = np.random.default_rng([seed, 2])
-    cell = GruCell(embed_dim=4, in_features=1, proj_dim=6, rng=rng)
-    e = Parameter(rng.standard_normal((3, 4)), "e")
-    x = Parameter(rng.standard_normal((3, 1)), "x")
-    r = rng.standard_normal((3, 4))
-    params = [("e", e), ("x", x)] + cell.params()
-    return finite_diff_check(lambda: _weighted_sum(cell.step(e, x), r), params)
-
-
 def _check_gru_step(seed):
     from .diffcore import Parameter
     from .dyngraph import EmbeddingChain
 
-    # Two fused steps over a batched (B, N, d) embedding, with a two-feature input
-    # whose gradient is checked too.
+    # One chain node over three window positions (two GRU steps) and a batch of two,
+    # with a two-feature window whose gradient is checked too.
     rng = np.random.default_rng([seed, 17])
     chain = EmbeddingChain(num_nodes=3, embed_dim=3, in_features=2, proj_dim=4, rng=rng)
     window = Parameter(rng.standard_normal((2, 3, 3, 2)), "window")
@@ -412,7 +399,6 @@ def _check_end_to_end(seed):
 
 _SUITE = [
     ("input_layer", _check_linear_input_layer),
-    ("gru_cell", _check_gru_cell),
     ("gru_step", _check_gru_step),
     ("gating", _check_gating),
     ("edge_logits", _check_edge_logits),

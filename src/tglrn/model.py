@@ -20,7 +20,7 @@ from . import diffcore as dc
 from .diffcore import Linear, Parameter, Tensor
 from .dyngraph import GraphConstruction
 from .errors import ConfigError
-from .stnet import SpatioTemporalBlock, block_schedule
+from .stnet import TPL_PER_BLOCK, SpatioTemporalBlock, block_schedule
 
 __all__ = ["ModelConfig", "TGLRN"]
 
@@ -79,7 +79,8 @@ class ModelConfig:
             )
         # The same condition as block_schedule's, tested first so that a valid
         # config never builds the per-block list (n_blocks long) just to be checked.
-        if self.t_in - (2 * self.n_blocks - 1) * (self.kernel_size - 1) < self.kernel_size:
+        shrink = self.kernel_size - 1
+        if self.t_in - (TPL_PER_BLOCK * self.n_blocks - 1) * shrink < self.kernel_size:
             block_schedule(self.t_in, self.n_blocks, self.kernel_size)
         # numpy sizes every array in intp bytes; a larger one raises only once the
         # model is built, after the run has started.
@@ -218,10 +219,10 @@ class TGLRN:
         pred = dc.einsum2("bic,ctf->btif", feats, self.head_w)
         return pred + self.head_b.reshape(1, cfg.t_out, 1, cfg.in_features)
 
-    def predict_raw(self, window_raw, mode="eval", rng=None):
-        """Predictions in original units (no tape)."""
+    def predict_raw(self, window_raw):
+        """Eval-mode predictions in original units (no tape)."""
         with dc.no_grad():
-            pred = self.forward(window_raw, mode=mode, rng=rng)
+            pred = self.forward(window_raw)
         return self.scaler.invert(pred.data)
 
     def state_arrays(self):

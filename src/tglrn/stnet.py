@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 LN_EPS = 1e-8
+TPL_PER_BLOCK = 2  # temporal convs per block, each shrinking the time axis by Ks - 1
 
 
 # -- diffusion kernels (plain arrays) ----------------------------------------------
@@ -403,7 +404,7 @@ class OutputLayer:
         return [("kernel", self.kernel), ("bias", self.bias)]
 
 
-def block_schedule(t_in, n_blocks, ks, tpl_per_block=2):
+def block_schedule(t_in, n_blocks, ks):
     """Stream length left after each block; raises if a temporal conv underflows.
 
     Every temporal conv shrinks the time axis by Ks - 1, so conv k (from 0)
@@ -411,13 +412,13 @@ def block_schedule(t_in, n_blocks, ks, tpl_per_block=2):
     check is closed-form: its cost does not grow with the counts.
     """
     shrink = ks - 1
-    if n_blocks > 0 and t_in - (n_blocks * tpl_per_block - 1) * shrink < ks:
+    if n_blocks > 0 and t_in - (n_blocks * TPL_PER_BLOCK - 1) * shrink < ks:
         k = 0 if t_in < ks else (t_in - ks) // shrink + 1
         raise ConfigError(
-            f"temporal schedule underflow: block {k // tpl_per_block} sees time length "
+            f"temporal schedule underflow: block {k // TPL_PER_BLOCK} sees time length "
             f"{t_in - k * shrink} < kernel {ks} (t_in={t_in}, n_blocks={n_blocks}, ks={ks})"
         )
-    return [t_in - (b + 1) * tpl_per_block * shrink for b in range(n_blocks)]
+    return [t_in - (b + 1) * TPL_PER_BLOCK * shrink for b in range(n_blocks)]
 
 
 class SpatioTemporalBlock:
@@ -445,7 +446,7 @@ class SpatioTemporalBlock:
         self.ln1_shift = Parameter(np.zeros(width))
         self.ln2_scale = Parameter(np.ones(width))
         self.ln2_shift = Parameter(np.zeros(width))
-        t_out_block = t_in_block - 2 * (ks - 1)
+        t_out_block = t_in_block - TPL_PER_BLOCK * (ks - 1)
         if t_out_block < 1:
             raise ConfigError(f"block construction: output time length {t_out_block} < 1")
         self.output = OutputLayer(t_out_block, width, rng)

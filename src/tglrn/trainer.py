@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TGLRN\x01"
+EVAL_BATCH = 256  # windows per predict_raw call in batched_predictions, whatever batch_size is
 
 
 def mae_loss(pred, target):
@@ -127,10 +128,10 @@ def compute_metrics(pred, target, mape_threshold=1.0):
     return MetricsReport(mae=overall[0], rmse=overall[1], mape=overall[2], per_horizon=horizons)
 
 
-def batched_predictions(model, dataset, batch_size=256):
+def batched_predictions(model, dataset):
     preds = []
-    for lo in range(0, len(dataset), batch_size):
-        window = dataset.inputs[lo : lo + batch_size]
+    for lo in range(0, len(dataset), EVAL_BATCH):
+        window = dataset.inputs[lo : lo + EVAL_BATCH]
         preds.append(model.predict_raw(window))
     return np.concatenate(preds, axis=0)
 

@@ -72,6 +72,13 @@ def transpose(x, axes):
     return Tensor._from_op(a.data.transpose(axes), (a,), lambda g: a._acc(g.transpose(inv)))
 
 
+def broadcast_to(x, shape):
+    """A copy of x broadcast to ``shape``; the gradient sums back over the broadcast axes."""
+    a, shape = dc._ensure_tensor(x), tuple(shape)
+    out_data = np.broadcast_to(a.data, shape).copy()
+    return Tensor._from_op(out_data, (a,), lambda g: a._acc(dc._unbroadcast(g, a.shape)))
+
+
 def concat(tensors, axis=-1):
     """np.concatenate along ``axis``; each input's gradient is its slice of the output's."""
     tensors = [dc._ensure_tensor(t) for t in tensors]

@@ -11,7 +11,8 @@ from tglrn.errors import ConfigError, StateError
 from tglrn.gradcheck import GradCheckReport, finite_diff_check, max_relative_error
 
 from tensor_ops import (
-    concat, div, exp, neg, power, relu, rsqrt_or_zero, rsub, safe_recip, sqrt, transpose,
+    broadcast_to, concat, div, exp, neg, power, relu, rsqrt_or_zero, rsub, safe_recip, sqrt,
+    transpose,
 )
 
 
@@ -115,7 +116,7 @@ def test_composite_graph_matches_finite_differences(seed):
         lambda x: sqrt(x * x + 0.5),
         lambda x: x.clamp(-0.5, 0.5),
         lambda x: rsqrt_or_zero(x * x + 0.1),
-        lambda x: x.broadcast_to((3,) + x.shape).sum(axis=0),
+        lambda x: broadcast_to(x, (3,) + x.shape).sum(axis=0),
         lambda x: transpose(x, (1, 0)),
         lambda x: x.reshape(x.size, 1),
         lambda x: x[1:, :],

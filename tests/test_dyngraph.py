@@ -1,5 +1,7 @@
 """Graph-construction pipeline: units, oracles, stochastic contracts, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 from tglrn.model import ModelConfig
 
-from tensor_ops import concat, power, rsqrt_or_zero, rsub, transpose
+from tensor_ops import broadcast_to, power, rsqrt_or_zero, rsub, transpose
 from test_stnet import assert_within, closure_arrays
 
 
@@ -26,60 +28,124 @@ def chain_masks(n, levels):
     return make_masks([(i, i + 1) for i in range(n - 1)], n, levels)
 
 
+def gru_step(chain, e, x):
+    """One GRU step of ``chain`` as one tape node: the per-step node that ``run`` replaced.
+
+    Maps the (..., N, d) embedding ``e`` and the (..., N, F) input ``x`` to the
+    next embedding, with the arithmetic of ``EmbeddingChain.run``'s forward.
+    The node keeps its output, z, r and the candidate.
+    """
+    proj, f_z, f_r, g_lin = chain.proj, chain.f_z, chain.f_r, chain.g
+    d, f = f_z.out_dim, proj.in_dim
+
+    def stacked_zr():
+        return np.concatenate([f_z.w.data, f_r.w.data], axis=1)
+
+    e2 = e.data.reshape(-1, d)
+    out = np.empty_like(e2)
+    u = x.data.reshape(-1, f) @ proj.w.data + proj.b.data
+    a_zr = np.concatenate([e2, u], axis=1) @ stacked_zr()
+    z = dc.sigmoid_array(a_zr[:, :d] + f_z.b.data)
+    r = dc.sigmoid_array(a_zr[:, d:] + f_r.b.data)
+    cand = np.tanh(np.concatenate([r * e2, u], axis=1) @ g_lin.w.data + g_lin.b.data)
+    np.subtract(1.0, z, out=out)
+    out *= cand
+    out += z * e2
+
+    def bwd(grad):
+        grad = grad.reshape(-1, d)
+        e2 = e.data.reshape(-1, d)
+        x2 = x.data.reshape(-1, f)
+        u = x2 @ proj.w.data + proj.b.data
+        de = grad * z
+        da_zr = np.empty((grad.shape[0], 2 * d))
+        dz = np.subtract(e2, cand, out=da_zr[:, :d])
+        dz *= grad
+        dz *= z * (1.0 - z)
+        da_g = grad * (1.0 - z)
+        da_g *= 1.0 - cand * cand
+        g_lin.w._acc(np.concatenate([r * e2, u], axis=1).T @ da_g)
+        g_lin.b._acc(da_g.sum(axis=0))
+        d_reu = da_g @ g_lin.w.data.T
+        dre = d_reu[:, :d]
+        dr = np.multiply(dre, e2, out=da_zr[:, d:])
+        dr *= r * (1.0 - r)
+        de += dre * r
+        dw_zr = np.concatenate([e2, u], axis=1).T @ da_zr
+        f_z.w._acc(dw_zr[:, :d])
+        f_r.w._acc(dw_zr[:, d:])
+        db_zr = da_zr.sum(axis=0)
+        f_z.b._acc(db_zr[:d])
+        f_r.b._acc(db_zr[d:])
+        d_eu = da_zr @ stacked_zr().T
+        de += d_eu[:, :d]
+        du = d_reu[:, d:] + d_eu[:, d:]
+        proj.w._acc(x2.T @ du)
+        proj.b._acc(du.sum(axis=0))
+        if x._track:
+            x._acc((du @ proj.w.data.T).reshape(x.shape))
+        e._acc(de.reshape(e.shape))
+
+    parents = (e, x) + tuple(p for _, p in chain.params()[1:])
+    return Tensor._from_op(out.reshape(e.shape), parents, bwd)
+
+
+def oracle_chain(chain, window):
+    """The per-step chain: the broadcast initial embedding, T_in - 1 ``gru_step`` nodes, one stack."""
+    e = broadcast_to(chain.e_init, (window.shape[0],) + chain.e_init.shape)
+    embeddings = [e]
+    for j in range(window.shape[1] - 2, -1, -1):
+        e = gru_step(chain, e, window[:, j])
+        embeddings.append(e)
+    return dc.stack(embeddings[::-1], axis=1)
+
+
 class TestGruCell:
-    def _cell(self, seed=0, d=4, proj=3):
-        return dg.GruCell(embed_dim=d, in_features=1, proj_dim=proj, rng=np.random.default_rng(seed))
+    """The GRU step's semantics, through two-step chains: position 0 is one step from e_init."""
+
+    def _chain(self, seed=0, d=4, proj=3):
+        return dg.EmbeddingChain(3, d, in_features=1, proj_dim=proj, rng=np.random.default_rng(seed))
 
     def test_update_gate_saturation_returns_embedding(self):
-        cell = self._cell()
-        cell.f_z.b.data[:] = 500.0  # z -> 1 exactly in float64
-        e = Tensor(np.random.default_rng(1).standard_normal((3, 4)))
-        x = Tensor(np.random.default_rng(2).standard_normal((3, 1)))
-        out = cell.step(e, x)
-        np.testing.assert_array_equal(out.data, e.data)
+        chain = self._chain()
+        chain.f_z.b.data[:] = 500.0  # z -> 1 exactly in float64
+        window = Tensor(np.random.default_rng(2).standard_normal((2, 2, 3, 1)))
+        out = chain.run(window)
+        np.testing.assert_array_equal(out.data[:, 0], out.data[:, 1])
 
     def test_reset_saturation_depends_only_on_input(self):
-        cell = self._cell()
-        cell.f_z.b.data[:] = -500.0  # z -> 0
-        cell.f_r.b.data[:] = -500.0  # r -> 0
+        chain = self._chain()
+        chain.f_z.b.data[:] = -500.0  # z -> 0
+        chain.f_r.b.data[:] = -500.0  # r -> 0
         rng = np.random.default_rng(3)
-        x = Tensor(rng.standard_normal((3, 1)))
-        out_a = cell.step(Tensor(rng.standard_normal((3, 4))), x)
-        out_b = cell.step(Tensor(rng.standard_normal((3, 4))), x)
-        np.testing.assert_array_equal(out_a.data, out_b.data)
+        window = Tensor(rng.standard_normal((2, 2, 3, 1)))
+        out_a = chain.run(window)
+        chain.e_init.data[:] = rng.standard_normal(chain.e_init.shape)
+        out_b = chain.run(window)
+        assert not np.array_equal(out_a.data[:, 1], out_b.data[:, 1])
+        np.testing.assert_array_equal(out_a.data[:, 0], out_b.data[:, 0])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(4)
-        cell = self._cell(seed=5)
-        e = Parameter(rng.standard_normal((3, 4)), "e")
-        x = Parameter(rng.standard_normal((3, 1)), "x")
-        r = rng.standard_normal((3, 4))
+        chain = self._chain(seed=5)
+        window = Parameter(rng.standard_normal((2, 2, 3, 1)), "window")
+        r = rng.standard_normal((2, 2, 3, 4))
         reports = finite_diff_check(
-            lambda: (cell.step(e, x) * Tensor(r)).sum(), [("e", e), ("x", x)] + cell.params()
+            lambda: (chain.run(window) * Tensor(r)).sum(), [("window", window)] + chain.params()
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
 
 
-def oracle_gru_step(cell, e, x):
-    """GruCell.step as one diffcore op per stage: the composition the fused node replaces."""
-    u = cell.proj(x)
-    eu = concat([e, u], axis=-1)
-    z = cell.f_z(eu).sigmoid()
-    r = cell.f_r(eu).sigmoid()
-    cand = cell.g(concat([r * e, u], axis=-1)).tanh()
-    return rsub(1.0, z) * cand + z * e
-
-
-def gru_step_run(step, cell, e_val, x_val, r):
-    """Train forward and backward of ``step`` over fresh leaves, plus a no_grad forward."""
-    for _, p in cell.params():
+def chain_run(run, chain, window_val, r):
+    """Train forward and backward of ``run`` over a fresh window leaf, plus a no_grad forward."""
+    for _, p in chain.params():
         p.zero_grad()
-    e, x = Parameter(e_val.copy()), Parameter(x_val.copy())
-    out = step(cell, e, x)
+    window = Parameter(window_val.copy())
+    out = run(chain, window)
     (out * Tensor(r)).sum().backward()
     with dc.no_grad():
-        out_eval = step(cell, Tensor(e_val), Tensor(x_val))
-    return out.data, [e.grad, x.grad] + [p.grad.copy() for _, p in cell.params()], out_eval.data
+        out_eval = run(chain, Tensor(window_val))
+    return out.data, [window.grad] + [p.grad.copy() for _, p in chain.params()], out_eval.data
 
 
 # Gate biases that saturate the sigmoids: z -> 1 exactly, and z, r -> 0.
@@ -92,48 +158,59 @@ SATURATING_BIASES = {
 
 @pytest.mark.parametrize("biases", list(SATURATING_BIASES))
 def test_fused_gru_matches_composition(biases):
-    rng = np.random.default_rng(40)
-    cell = dg.GruCell(embed_dim=4, in_features=2, proj_dim=3, rng=rng)
-    for label, value in SATURATING_BIASES[biases].items():
-        getattr(cell, label).b.data[:] = value
-    e_val, x_val = rng.standard_normal((2, 5, 4)), rng.standard_normal((2, 5, 2))
-    r = rng.standard_normal((2, 5, 4))
-    got, got_grads, got_eval = gru_step_run(dg.GruCell.step, cell, e_val, x_val, r)
-    want, want_grads, want_eval = gru_step_run(oracle_gru_step, cell, e_val, x_val, r)
-    assert_within(got, want)
-    assert_within(got_eval, want_eval)
-    np.testing.assert_array_equal(got, got_eval)
-    for g, w in zip(got_grads, want_grads):
-        assert_within(g, w)
+    for t_in in (1, 2, 5):
+        rng = np.random.default_rng(40)
+        chain = dg.EmbeddingChain(5, 4, in_features=2, proj_dim=3, rng=rng)
+        for label, value in SATURATING_BIASES[biases].items():
+            getattr(chain, label).b.data[:] = value
+        window, r = rng.standard_normal((2, t_in, 5, 2)), rng.standard_normal((2, t_in, 5, 4))
+        got, got_grads, got_eval = chain_run(dg.EmbeddingChain.run, chain, window, r)
+        want, want_grads, want_eval = chain_run(oracle_chain, chain, window, r)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_eval, want_eval)
+        np.testing.assert_array_equal(got, got_eval)
+        # the window, e_init and the eight GRU parameters
+        assert len(got_grads) == 10
+        for g, w in zip(got_grads, want_grads):
+            assert_within(g, w)
+
+
+# Embedding-sized temporaries one unrecorded chain run may hold above its output.
+# Measured with tracemalloc at B=16, N=64, d=F_proj=8, T_in=12: 11.2 above the
+# output; keeping every step's z, r and candidate while unrecorded, as the tape
+# does when recorded, gave 39.3.
+NO_GRAD_CHAIN_STEP_TEMPS = 20
 
 
 class TestGruStepNode:
-    def _cell(self, seed=41):
-        return dg.GruCell(embed_dim=4, in_features=1, proj_dim=3, rng=np.random.default_rng(seed))
+    """``EmbeddingChain.run`` is one tape node per window."""
+
+    def _chain(self, seed=41):
+        return dg.EmbeddingChain(5, 4, in_features=1, proj_dim=3, rng=np.random.default_rng(seed))
 
     def test_parents_are_inputs_and_the_eight_parameters(self):
-        cell = self._cell()
-        e = Parameter(np.random.default_rng(42).standard_normal((2, 5, 4)))
-        x = Tensor(np.random.default_rng(43).standard_normal((2, 5, 1)))
-        out = cell.step(e, x)
-        assert out._parents == (e, x) + tuple(p for _, p in cell.params())
+        chain = self._chain()
+        window = Tensor(np.random.default_rng(43).standard_normal((2, 4, 5, 1)))
+        out = chain.run(window)
+        assert out._parents == (window,) + tuple(p for _, p in chain.params())
         assert len(out._parents) == 10
+        assert chain.params()[0] == ("e_init", chain.e_init)
 
     def test_node_keeps_only_output_and_gates(self):
-        cell = self._cell()
-        e = Parameter(np.random.default_rng(44).standard_normal((2, 5, 4)))
-        x = Tensor(np.random.default_rng(45).standard_normal((2, 5, 1)))
-        out = cell.step(e, x)
+        chain = self._chain()
+        t_in = 4
+        window = Tensor(np.random.default_rng(45).standard_normal((2, t_in, 5, 1)))
+        out = chain.run(window)
         own = {id(out.data)} | {id(p.data) for p in out._parents}
+        assert id(out.data) in {id(v) for v in closure_arrays(out)}
         extra = [v for v in closure_arrays(out) if id(v) not in own]
-        # z, r and the candidate, one embedding-sized array each
-        assert len(extra) == 3, [v.shape for v in extra]
-        assert all(v.size == out.size and v.shape[-1] == 4 for v in extra)
+        # z, r and the candidate of each of the T_in - 1 steps, one step's embedding each
+        assert len(extra) == 3 * (t_in - 1), [v.shape for v in extra]
+        assert all(v.size == out.size // t_in and v.shape[-1] == 4 for v in extra)
 
-    def test_chain_records_one_node_per_step(self):
-        chain = dg.EmbeddingChain(3, 4, in_features=1, proj_dim=2, rng=np.random.default_rng(46))
-        t_in = 5
-        window = Tensor(np.random.default_rng(47).standard_normal((2, t_in, 3, 1)))
+    def test_chain_records_one_node_per_run(self):
+        chain = self._chain(seed=46)
+        window = Tensor(np.random.default_rng(47).standard_normal((2, 5, 5, 1)))
         embs = chain.run(window)
         leaves = {id(p) for _, p in chain.params()}
         seen, todo = {}, [embs]
@@ -142,20 +219,32 @@ class TestGruStepNode:
             if id(t) not in leaves and id(t) not in seen and t._track:
                 seen[id(t)] = t
                 todo.extend(t._parents)
-        # the stack, the broadcast initial embedding and T_in - 1 steps
-        assert len(seen) == t_in + 1
-        # the stack's parents are the T_in embeddings, in window order
-        steps = embs._parents
-        assert len(steps) == t_in and steps[-1]._parents == (chain.e_init,)
-        for j in range(t_in - 1):
-            assert steps[j]._parents[0] is steps[j + 1]
+        assert list(seen) == [id(embs)]
 
     def test_mismatched_shapes_rejected(self):
-        cell = self._cell()
-        with pytest.raises(ConfigError):
-            cell.step(Tensor(np.zeros((2, 5, 4))), Tensor(np.zeros((2, 4, 1))))
-        with pytest.raises(ConfigError):
-            cell.step(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 5, 1))))
+        chain = self._chain()
+        for shape in [(2, 3, 4, 1), (2, 3, 5, 2), (2, 0, 5, 1), (3, 5, 1)]:
+            with pytest.raises(ConfigError, match="embedding chain"):
+                chain.run(Tensor(np.zeros(shape)))
+
+    def test_no_grad_run_keeps_no_gates(self):
+        # Unrecorded, a step's z, r and candidate die with the step: the peak is the
+        # output plus one step's temporaries. Keeping all 3 * (T_in - 1) of them, as
+        # the tape needs, would add 33 embedding-sized arrays at T_in = 12.
+        chain = dg.EmbeddingChain(64, 8, in_features=1, proj_dim=8, rng=np.random.default_rng(48))
+        window = Tensor(np.random.default_rng(49).standard_normal((16, 12, 64, 1)))
+        step_bytes = 16 * 64 * 8 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with dc.no_grad():
+                out = chain.run(window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == 12 * step_bytes
+        assert peak - base < out.data.nbytes + NO_GRAD_CHAIN_STEP_TEMPS * step_bytes, peak - base
 
 
 class TestEmbeddingChain:
@@ -172,7 +261,7 @@ class TestEmbeddingChain:
 
     def test_saturated_update_freezes_chain(self):
         chain = self._chain()
-        chain.cell.f_z.b.data[:] = 500.0
+        chain.f_z.b.data[:] = 500.0
         window = Tensor(np.random.default_rng(0).standard_normal((1, 5, 3, 1)))
         embs = chain.run(window)
         assert embs.shape == (1, 5, 3, 4)
@@ -184,9 +273,9 @@ class TestEmbeddingChain:
         rng = np.random.default_rng(8)
         window = Tensor(rng.standard_normal((2, 3, 3, 1)))
         embs = chain.run(window)
-        e2 = chain.e_init.broadcast_to((2, 3, 4))
-        e1 = chain.cell.step(e2, window[:, 1])
-        e0 = chain.cell.step(e1, window[:, 0])
+        e2 = broadcast_to(chain.e_init, (2, 3, 4))
+        e1 = gru_step(chain, e2, window[:, 1])
+        e0 = gru_step(chain, e1, window[:, 0])
         np.testing.assert_array_equal(embs.data, np.stack([e0.data, e1.data, e2.data], axis=1))
 
 
