@@ -46,6 +46,15 @@ def _checkpoint_target(cfg):
     return path
 
 
+def _outputs(cfg, *names):
+    """The paths of the files ``names`` in the out dir; one that is a directory is rejected."""
+    paths = [os.path.join(cfg.out_dir, name) for name in names]
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"output {path!r} is a directory")
+    return paths
+
+
 def _load_dataset(cfg):
     from . import roadnet
 
@@ -67,6 +76,7 @@ def _write_metrics(path, report):
 
 def cmd_synth(cfg):
     _ensure_out_dir(cfg)
+    edges_path, flow_path, planted_path = _outputs(cfg, "edges.csv", "flow.csv", "planted.csv")
     net, series, planted = data_mod.synth_generate(
         n=cfg.synth_nodes,
         t_total=cfg.synth_steps,
@@ -80,19 +90,16 @@ def cmd_synth(cfg):
         amplitude=cfg.synth_amplitude,
         offset=cfg.synth_offset,
     )
-    edges_path = os.path.join(cfg.out_dir, "edges.csv")
     with open(edges_path, "w") as fh:
         fh.write("from,to\n")
         for i, j in net.edges:
             fh.write(f"{i},{j}\n")
-    flow_path = os.path.join(cfg.out_dir, "flow.csv")
     n = series.num_nodes
     with open(flow_path, "w") as fh:
         fh.write("t," + ",".join(f"s{i}" for i in range(n)) + "\n")
         for t in range(series.num_steps):
             row = ",".join(repr(float(v)) for v in series.values[t, :, 0])
             fh.write(f"{t},{row}\n")
-    planted_path = os.path.join(cfg.out_dir, "planted.csv")
     with open(planted_path, "w") as fh:
         fh.write("t,from,to,coeff\n")
         for t, u, v, c in planted.records():
@@ -106,14 +113,15 @@ def cmd_train(cfg):
     mcfg.validate()
     _ensure_out_dir(cfg, "flows_path", "edges_path")
     ckpt = _checkpoint_target(cfg)
+    history_path, metrics_path = _outputs(cfg, "history.csv", "metrics.csv")
     edges, series, (train_ds, val_ds, test_ds), scaler = _load_dataset(cfg)
     model = trainer.build_model(mcfg, edges, scaler, cfg.seed, cfg.symmetrize_hops)
     settings = section(cfg, trainer.TrainSettings)
     history, _ = trainer.train(model, train_ds, val_ds, settings, cfg.seed)
-    trainer.write_history(os.path.join(cfg.out_dir, "history.csv"), history)
+    trainer.write_history(history_path, history)
     trainer.checkpoint_save(ckpt, model, extra_config={"seed": cfg.seed})
     test_report = trainer.evaluate(model, test_ds, cfg.mape_threshold)
-    _write_metrics(os.path.join(cfg.out_dir, "metrics.csv"), test_report)
+    _write_metrics(metrics_path, test_report)
     print(
         f"trained {len(history)} epochs, best val MAE {min(h.val_mae for h in history):.4f}, "
         f"test MAE {test_report.mae:.4f}; checkpoint at {ckpt}"
@@ -133,9 +141,10 @@ def _load_checkpoint_and_data(cfg):
 
 def cmd_eval(cfg):
     _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
+    (metrics_path,) = _outputs(cfg, "metrics.csv")
     model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
     report = trainer.evaluate(model, test_ds, cfg.mape_threshold)
-    _write_metrics(os.path.join(cfg.out_dir, "metrics.csv"), report)
+    _write_metrics(metrics_path, report)
     print("horizon,mae,rmse,mape")
     for horizon, mae, rmse, mape in report.rows():
         print(f"{horizon},{mae:.6f},{rmse:.6f},{mape:.6f}")
@@ -144,11 +153,11 @@ def cmd_eval(cfg):
 
 def cmd_predict(cfg):
     _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
+    (path,) = _outputs(cfg, "predictions.csv")
     model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
     if len(test_ds) == 0:
         raise DataError("predict: test split holds no windows")
     preds = trainer.batched_predictions(model, test_ds)
-    path = os.path.join(cfg.out_dir, "predictions.csv")
     with open(path, "w") as fh:
         fh.write("t,horizon,sensor,value\n")
         for w in range(preds.shape[0]):
@@ -171,6 +180,7 @@ def cmd_gradcheck(cfg, quick=False):
 
 def cmd_inspect_graph(cfg):
     _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
+    edge_path, hist_path = _outputs(cfg, "graph_edges.csv", "hop_histogram.csv")
     model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
     if len(test_ds) == 0:
         raise DataError("inspect-graph: test split holds no windows")
@@ -189,7 +199,6 @@ def cmd_inspect_graph(cfg):
     with dc.no_grad():
         seq = model.graph_block.build(Tensor(model.scaler.apply(windows)), "eval")
 
-    edge_path = os.path.join(cfg.out_dir, "graph_edges.csv")
     with open(edge_path, "w") as fh:
         fh.write("t,i,j,weight,hop_i\n")
         rows, cols = seq.pattern.rows, seq.pattern.cols  # row-major, as np.nonzero lists pairs
@@ -198,7 +207,6 @@ def cmd_inspect_graph(cfg):
             for p in np.flatnonzero(weights):
                 fh.write(f"{t},{rows[p]},{cols[p]},{float(weights[p])!r},{hops[rows[p]]}\n")
 
-    hist_path = os.path.join(cfg.out_dir, "hop_histogram.csv")
     levels = model.cfg.levels
     counts = np.bincount(seq.hop_choices.ravel(), minlength=levels + 1)[1:]
     total = counts.sum()

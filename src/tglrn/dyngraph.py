@@ -454,21 +454,19 @@ class GraphConstruction:
         self.hop_l1 = Linear(m, m, rng)
         self.hop_l2 = Linear(m, masks.shape[0], rng)
 
-    def build(self, window, mode, rng=None, sample_edges=None, hop_mode="hard", want_diag=False):
+    def build(self, window, mode, rng=None, hop_mode="hard", want_diag=False):
         """Compose the per-step pipeline over the whole input window.
 
-        ``mode`` is "train" or "eval". Edge thinning defaults to train-only
-        but can be forced on or off via ``sample_edges``. ``hop_mode="soft"``
-        replaces the straight-through hard hop mask with its relaxed value,
-        which makes the full path exactly differentiable for gradient
-        checking.
+        ``mode`` is "train" or "eval". Training draws the relaxation noise,
+        the edge thinning and the hop uniforms from ``rng``; evaluation
+        draws nothing and needs no ``rng``. ``hop_mode="soft"`` replaces the
+        straight-through hard hop mask with its relaxed value, which makes
+        the full path exactly differentiable for gradient checking.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"unknown mode {mode!r}")
         training = mode == "train"
-        if sample_edges is None:
-            sample_edges = training
-        if (training or sample_edges) and rng is None:
+        if training and rng is None:
             raise ConfigError("stochastic graph construction requires a random generator")
 
         emb_st = self.chain_st.run(window)
@@ -477,18 +475,16 @@ class GraphConstruction:
 
         b, n, t_in = window.shape[0], self.num_nodes, self.t_in
         pattern = self.pattern
-        # Each step draws delta, rho, then its hop uniforms, as a step-by-step pass does, so
-        # every stream stays the same. Full (B, N, N) draws, gathered on the pattern.
-        noise, keep, uniforms = [], [], []
-        for _ in range(t_in):
-            if training:
+        noise = keep = None
+        if training:
+            # Each step draws delta, rho, then its hop uniforms, as a step-by-step pass does,
+            # so every stream stays the same. Full (B, N, N) draws, gathered on the pattern.
+            noise, keep, uniforms = [], [], []
+            for _ in range(t_in):
                 noise.append(logistic_noise(pattern.gather(rng.uniform(size=(b, n, n)))))
-            if sample_edges:
                 keep.append(keep_pattern(pattern.gather(rng.uniform(size=(b, n, n))), self.gamma))
-            if training:
                 uniforms.append(rng.uniform(size=(b, n, pattern.levels)))
-        noise = np.stack(noise, axis=1) if training else None
-        keep = np.stack(keep, axis=1) if sample_edges else None
+            noise, keep, uniforms = (np.stack(x, axis=1) for x in (noise, keep, uniforms))
 
         # Only the chains are recurrent: the rest runs once over (B, T_in, ...) arrays.
         e_st = gate(emb_st, self.base_st, self.gate_st)
@@ -496,8 +492,7 @@ class GraphConstruction:
         u, v = edge_logits(e_st, e_ed, self.edge_w)
         probs = hop_probs(emb_h, self.hop_l1, self.hop_l2)
         if training:
-            draws = np.stack(uniforms, axis=1)
-            h, mixing = select_hops(probs, self.tau, "train", draws, hop_mode == "hard")
+            h, mixing = select_hops(probs, self.tau, "train", uniforms, hop_mode == "hard")
         else:
             h, _ = select_hops(probs, self.tau, "eval")
             mixing = Tensor(_one_hot(h, pattern.levels))

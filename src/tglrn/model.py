@@ -52,7 +52,6 @@ class ModelConfig:
     alpha: float = 1.0  # target std of normalized edge logits
     tau: float = 1.0  # relaxation temperature
     dropout_rate: float = 0.1  # dropout after each temporal layer (tuned in {0.05..0.2})
-    eval_sampling_override: bool = False  # apply edge thinning at evaluation time too
 
     def check_fields(self):
         """Range checks that each field passes or fails on its own."""
@@ -198,13 +197,7 @@ class TGLRN:
                 f"forward: expected window of shape (B, {cfg.t_in}, {cfg.num_nodes}, {cfg.in_features}), got {x.shape}"
             )
         window = Tensor(self.scaler.apply(x))
-
-        sample_edges = None
-        if mode == "eval" and cfg.eval_sampling_override:
-            sample_edges = True
-        seq = self.graph_block.build(
-            window, mode, rng=rng, sample_edges=sample_edges, hop_mode=hop_mode
-        )
+        seq = self.graph_block.build(window, mode, rng=rng, hop_mode=hop_mode)
 
         stream = self.input_layer(window)
         dropout = (cfg.dropout_rate, rng) if mode == "train" else None

@@ -432,7 +432,6 @@ class SpatioTemporalBlock:
     """
 
     def __init__(self, width, diff_steps, ks, t_in_block, rng):
-        self.width = width
         self.diff_steps = diff_steps
         self.ks = ks
         shape = (diff_steps, 2, width, width)

@@ -53,12 +53,11 @@ def mae_loss(pred, target):
 class Adam:
     """Adam with bias correction over a fixed ordered parameter list."""
 
-    def __init__(self, named_params, lr=0.005, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, lr):
         self.named_params = list(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in self.named_params]
         self.v = [np.zeros_like(p.data) for _, p in self.named_params]
@@ -69,7 +68,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for (name, p), m, v in zip(self.named_params, self.m, self.v):
@@ -78,7 +77,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
 
 @dataclass
@@ -291,10 +290,8 @@ def checkpoint_save(path, model, extra_config=None):
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
-# Value types a checkpoint header may give each ModelConfig field.
-_MODEL_TYPES = {
-    f.name: {"int": int, "float": (int, float), "bool": bool}[f.type] for f in fields(ModelConfig)
-}
+# Value types a checkpoint header may give each ModelConfig field; JSON's true and false are neither.
+_MODEL_TYPES = {f.name: {"int": int, "float": (int, float)}[f.type] for f in fields(ModelConfig)}
 
 
 def _is_int(value):
@@ -313,6 +310,8 @@ def _parse_header(header):
     """(ModelConfig, Scaler, edges, symmetrize_hops, param specs, extra config) of a header."""
     try:
         m = dict(header["model"])
+        # Headers from while eval-time edge thinning was a key carry it as false; true never evaluated.
+        legacy = m.pop("eval_sampling_override", False)
         sc = header["scaler"]
         scaler = Scaler(
             mean=np.asarray(sc["mean"], dtype=np.float64).reshape(_shape(sc["mean_shape"])),
@@ -331,6 +330,8 @@ def _parse_header(header):
         raise CheckpointError(f"corrupt checkpoint header: symmetrize_hops = {symmetrize!r}")
     if not isinstance(extra, dict):
         raise CheckpointError(f"corrupt checkpoint header: extra_config = {extra!r}")
+    if legacy is not False:
+        raise CheckpointError(f"corrupt checkpoint header: model key eval_sampling_override = {legacy!r}")
     unknown = sorted(set(m) - set(_MODEL_TYPES))
     if unknown:
         raise CheckpointError(f"corrupt checkpoint header: unknown model keys {unknown}")
@@ -338,7 +339,7 @@ def _parse_header(header):
         raise CheckpointError("corrupt checkpoint header: model section lacks num_nodes")
     for key, value in m.items():
         kind = _MODEL_TYPES[key]
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        if isinstance(value, bool) or not isinstance(value, kind):
             raise CheckpointError(f"corrupt checkpoint header: model key {key} = {value!r}")
     cfg = ModelConfig(**m)
     # The scaler meets every (..., N, F) window: it must broadcast to (N, F) and divide by std.

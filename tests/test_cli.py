@@ -57,6 +57,19 @@ def train_args(data_dir, out_dir, extra=()):
     return args
 
 
+def command_args(command, data_dir, out_dir):
+    """``command`` writing to ``out_dir``, with every input it needs named under ``data_dir``."""
+    sets = [f"out_dir={out_dir}", "num_nodes=8"]
+    if command == "train":
+        sets += [f"edges_path={data_dir}/edges.csv", f"flows_path={data_dir}/flow.csv"]
+    elif command != "synth":
+        sets += [f"checkpoint_path={data_dir}/model.ckpt", f"flows_path={data_dir}/flow.csv"]
+    args = [command]
+    for s in sets:
+        args += ["--set", s]
+    return args
+
+
 class TestSynth:
     def test_writes_three_csvs_with_headers(self, tmp_path):
         out = tmp_path / "synthout"
@@ -207,6 +220,10 @@ class TestTrainEval:
             ),
             "scaler_mean_nan": lambda h: h["scaler"]["mean"][0].__setitem__(0, float("nan")),
             "scaler_std_zero": lambda h: h["scaler"]["std"][0].__setitem__(0, 0.0),
+            "legacy_eval_sampling_true": lambda h: h["model"].update(eval_sampling_override=True),
+            "legacy_eval_sampling_string": lambda h: h["model"].update(
+                eval_sampling_override="false"
+            ),
         }
         for label, mutate in mutations.items():
             header = json.loads(blob[m + 4 : m + 4 + hlen])
@@ -285,6 +302,14 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("ERROR:2:")
         assert "no_such_key" in err
+
+    def test_removed_eval_sampling_key_exits_2_before_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(train_args(tmp_path, out, extra=["eval_sampling_override=true"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:2: unknown config key 'eval_sampling_override'"), err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_flow_file_exits_3(self, tmp_path, capsys):
         args = ["train"]
@@ -469,18 +494,33 @@ class TestErrors:
     def test_out_dir_under_a_regular_file_exits_2(self, tmp_path, capsys, command):
         (tmp_path / "afile").write_text("")
         out = tmp_path / "afile" / "sub"
-        sets = [f"out_dir={out}", "num_nodes=8"]
-        if command == "train":
-            sets += [f"edges_path={tmp_path}/edges.csv", f"flows_path={tmp_path}/flow.csv"]
-        elif command != "synth":
-            sets += [f"checkpoint_path={tmp_path}/model.ckpt", f"flows_path={tmp_path}/flow.csv"]
-        args = [command]
-        for s in sets:
-            args += ["--set", s]
-        assert run(args) == 2
+        assert run(command_args(command, tmp_path, out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("ERROR:2: out_dir") and len(err.splitlines()) == 1, err
         assert str(out) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("synth", "edges.csv"),
+            ("synth", "flow.csv"),
+            ("synth", "planted.csv"),
+            ("train", "history.csv"),
+            ("train", "metrics.csv"),
+            ("eval", "metrics.csv"),
+            ("predict", "predictions.csv"),
+            ("inspect-graph", "graph_edges.csv"),
+            ("inspect-graph", "hop_histogram.csv"),
+        ],
+    )
+    def test_output_that_is_a_directory_exits_2_before_work(self, tmp_path, capsys, command, name):
+        # The input files do not exist: reading any of them would exit 3 instead.
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert run(command_args(command, tmp_path, out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"ERROR:2: output {str(out / name)!r} is a directory\n"
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, "effective_config.cfg"])
 
 
 @pytest.fixture(scope="module")

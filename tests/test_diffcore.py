@@ -273,8 +273,9 @@ def test_max_relative_error_floor():
 
 
 def test_report_line_format():
-    rep = GradCheckReport("layer/w", 1e-6, 1e-4)
-    assert rep.passed and "PASS" in rep.line()
+    rep = GradCheckReport("layer/w", 1e-6)
+    assert rep.passed and "PASS" in rep.line() and "(tol 0.0001)" in rep.line()
+    assert "FAIL" in GradCheckReport("layer/w", 1e-4).line()
 
 
 # -- streaming backward -----------------------------------------------------------

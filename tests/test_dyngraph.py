@@ -581,14 +581,18 @@ class TestBuildGraphSequence:
                 assert abs(pre[b].mean()) < 1e-9
                 assert abs(pre[b].std() - 1.0) < 1e-9
 
-    def test_eval_sampling_override_thins_edges(self):
+    def test_only_training_draws(self):
         block = build_block(gamma=0.2)
         window = Tensor(np.random.default_rng(6).standard_normal((1, 3, 4, 1)))
         plain = block.build(window, "eval")
-        thinned = block.build(window, "eval", rng=np.random.default_rng(7), sample_edges=True)
-        nz_plain = sum(int(np.count_nonzero(a.data)) for a in plain.adjacencies)
-        nz_thin = sum(int(np.count_nonzero(a.data)) for a in thinned.adjacencies)
-        assert nz_thin < nz_plain
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        given = block.build(window, "eval", rng=rng)
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(given.values.data, plain.values.data)
+        np.testing.assert_array_equal(given.hop_choices, plain.hop_choices)
+        with pytest.raises(ConfigError, match="random generator"):
+            block.build(window, "train")
 
 
 class TestGradientFlow:
@@ -658,14 +662,12 @@ def oracle_edge_op(w, mask, alpha, tau, delta=None, gamma=None, rho=None):
     return p * mask
 
 
-def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="hard"):
+def oracle_build(block, window, mode, rng=None, hop_mode="hard"):
     """GraphConstruction.build one step at a time, with every edge stage its own tape node.
 
-    Each step draws delta, rho and its hop uniforms just before it uses them.
+    In training each step draws delta, rho and its hop uniforms just before it uses them.
     """
     training = mode == "train"
-    if sample_edges is None:
-        sample_edges = training
     emb_st = block.chain_st.run(window)
     emb_ed = block.chain_ed.run(window)
     emb_h = block.chain_h.run(window)
@@ -677,7 +679,7 @@ def oracle_build(block, window, mode, rng=None, sample_edges=None, hop_mode="har
         u, v = dg.edge_logits(e_st, e_ed, block.edge_w)
         w = u + transpose(v, (0, 2, 1))
         delta = rng.uniform(size=(b, n, n)) if training else None
-        rho = rng.uniform(size=(b, n, n)) if sample_edges else None
+        rho = rng.uniform(size=(b, n, n)) if training else None
         probs = dg.hop_probs(emb_h[:, j], block.hop_l1, block.hop_l2)
         if training:
             uniforms = rng.uniform(size=probs.shape)
@@ -725,29 +727,20 @@ def assert_grads_close(got, want, rtol=1e-12):
 
 class TestEdgeOp:
     @pytest.mark.parametrize(
-        "mode, sample_edges, hop_mode",
-        [
-            ("train", None, "hard"),
-            ("train", None, "soft"),
-            ("train", False, "hard"),
-            ("eval", None, "hard"),
-            ("eval", True, "hard"),
-        ],
+        "mode, hop_mode", [("train", "hard"), ("train", "soft"), ("eval", "hard")]
     )
-    def test_build_matches_per_op_oracle(self, mode, sample_edges, hop_mode):
+    def test_build_matches_per_op_oracle(self, mode, hop_mode):
         block = build_block(n=5, t_in=4, levels=3, gamma=0.6, seed=11)
         data = np.random.default_rng(12)
         window = Tensor(data.standard_normal((3, 4, 5, 1)))
         weights = data.standard_normal((3, 4, 5, 5))  # (B, T, N, N)
-        stochastic = mode == "train" or sample_edges
-        rngs = [np.random.default_rng(13) if stochastic else None for _ in range(2)]
-        seq = block.build(window, mode, rng=rngs[0], sample_edges=sample_edges, hop_mode=hop_mode)
+        training = mode == "train"
+        rngs = [np.random.default_rng(13) if training else None for _ in range(2)]
+        seq = block.build(window, mode, rng=rngs[0], hop_mode=hop_mode)
         pattern = block.pattern
         got = grads_after(block, seq.values, pattern.gather(weights))
-        adjs, hops = oracle_build(
-            block, window, mode, rng=rngs[1], sample_edges=sample_edges, hop_mode=hop_mode
-        )
-        if stochastic:
+        adjs, hops = oracle_build(block, window, mode, rng=rngs[1], hop_mode=hop_mode)
+        if training:
             # both consumed the same number of draws: the streams continue alike
             assert rngs[0].uniform() == rngs[1].uniform()
         np.testing.assert_array_equal(seq.hop_choices, hops)

@@ -442,7 +442,7 @@ class TestCheckpoint:
             trainer.checkpoint_load(path)
 
     def test_header_model_section_is_the_model_config(self, tmp_path):
-        model, _, _, _ = quick_setup(gamma=0.25, tau=0.7, eval_sampling_override=True)
+        model, _, _, _ = quick_setup(gamma=0.25, tau=0.7, alpha=1.5)
         path = tmp_path / "m.ckpt"
         trainer.checkpoint_save(path, model)
         blob = path.read_bytes()
@@ -496,6 +496,8 @@ class TestCheckpoint:
             lambda h: h.update(symmetrize_hops={"a": 1}),
             lambda h: h.update(symmetrize_hops=0),
             lambda h: h.update(extra_config=[1, 2]),
+            lambda h: h["model"].update(eval_sampling_override=True),
+            lambda h: h["model"].update(eval_sampling_override="false"),
         ],
         ids=[
             "unknown_model_key",
@@ -532,6 +534,8 @@ class TestCheckpoint:
             "symmetrize_object",
             "symmetrize_int",
             "extra_config_list",
+            "legacy_eval_sampling_true",
+            "legacy_eval_sampling_string",
         ],
     )
     def test_mutated_header_rejected(self, tmp_path, mutate):
@@ -562,6 +566,20 @@ class TestCheckpoint:
         assert [name for name, _ in loaded.parameters()] == [name for name, _ in model.parameters()]
         for (_, a), (_, b) in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
+        window = test_ds.inputs[:8]
+        np.testing.assert_array_equal(loaded.predict_raw(window), model.predict_raw(window))
+
+    def test_checkpoint_with_eval_sampling_false_loads_the_same_model(self, tmp_path):
+        # Older headers end the model section with eval_sampling_override: false.
+        model, (_, _, test_ds), _, _ = quick_setup(seed=6)
+        path = tmp_path / "m.ckpt"
+        trainer.checkpoint_save(path, model)
+        header, payload = split_checkpoint(path.read_bytes())
+        header["model"]["eval_sampling_override"] = False
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(join_checkpoint(header, payload))
+        loaded, _ = trainer.checkpoint_load(old)
+        assert loaded.cfg == model.cfg
         window = test_ds.inputs[:8]
         np.testing.assert_array_equal(loaded.predict_raw(window), model.predict_raw(window))
 
