@@ -178,6 +178,17 @@ def cmd_gradcheck(cfg, quick=False):
     return 0 if not failed else GRADCHECK_EXIT
 
 
+def _write_edges(path, seq, w):
+    """One line per nonzero weight of window ``w`` of ``seq``, step by step, row-major."""
+    with open(path, "w") as fh:
+        fh.write("t,i,j,weight,hop_i\n")
+        rows, cols = seq.pattern.rows, seq.pattern.cols  # row-major, as np.nonzero lists pairs
+        for t, weights in enumerate(seq.values.data[w]):
+            hops = seq.hop_choices[w, t]
+            for p in np.flatnonzero(weights):
+                fh.write(f"{t},{rows[p]},{cols[p]},{float(weights[p])!r},{hops[rows[p]]}\n")
+
+
 def cmd_inspect_graph(cfg):
     _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
     edge_path, hist_path = _outputs(cfg, "graph_edges.csv", "hop_histogram.csv")
@@ -195,20 +206,17 @@ def cmd_inspect_graph(cfg):
     from . import diffcore as dc
     from .diffcore import Tensor
 
-    windows = test_ds.inputs[:count]
-    with dc.no_grad():
-        seq = model.graph_block.build(Tensor(model.scaler.apply(windows)), "eval")
-
-    with open(edge_path, "w") as fh:
-        fh.write("t,i,j,weight,hop_i\n")
-        rows, cols = seq.pattern.rows, seq.pattern.cols  # row-major, as np.nonzero lists pairs
-        for t, weights in enumerate(seq.values.data[widx]):
-            hops = seq.hop_choices[widx, t]
-            for p in np.flatnonzero(weights):
-                fh.write(f"{t},{rows[p]},{cols[p]},{float(weights[p])!r},{hops[rows[p]]}\n")
-
+    # Built in evaluation's chunks, so memory does not grow with inspect_windows.
     levels = model.cfg.levels
-    counts = np.bincount(seq.hop_choices.ravel(), minlength=levels + 1)[1:]
+    counts = np.zeros(levels, dtype=np.int64)
+    for lo in range(0, count, trainer.EVAL_BATCH):
+        windows = test_ds.inputs[lo : min(count, lo + trainer.EVAL_BATCH)]
+        with dc.no_grad():
+            seq = model.graph_block.build(Tensor(model.scaler.apply(windows)), "eval")
+        counts += np.bincount(seq.hop_choices.ravel(), minlength=levels + 1)[1:]
+        if lo <= widx < lo + len(windows):
+            _write_edges(edge_path, seq, widx - lo)
+
     total = counts.sum()
     with open(hist_path, "w") as fh:
         fh.write("hop,count,fraction\n")

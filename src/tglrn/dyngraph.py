@@ -298,7 +298,7 @@ def _slot_sums(g, slots, width):
     return np.bincount(index.ravel(), weights=g.ravel(), minlength=m * width).reshape(m, width)
 
 
-def edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=None):
+def edge_adjacency(u, v, mixing, pattern, alpha, tau, draws=None):
     """The graph steps, from the edge projections to the adjacency weights, as one tape node.
 
     ``u`` and ``v`` are the (..., N, 1) projections from ``edge_logits`` and
@@ -306,28 +306,25 @@ def edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=None):
     one graph step. Returns the (..., nnz) values on ``pattern`` of
     ``edge_sample(gumbel_relax(bernoulli_means(w_hat), tau, noise), keep) * mask``,
     where w_hat is ``normalize_logits``' result and mask the hop mask; outside
-    the pattern the adjacency is 0 (``SupportPattern.scatter`` forms it). The
-    relaxation is skipped when ``noise`` is None and the thinning when ``keep``
-    is None; both are (..., nnz) arrays on the pattern. The node keeps its
-    parents, ``noise`` and the boolean ``keep``: its backward recomputes every
-    other stage, trading compute for memory (Chen et al., arXiv 1604.06174).
+    the pattern the adjacency is 0 (``SupportPattern.scatter`` forms it).
+    ``draws`` is the training pair ``(noise, keep)`` of (..., nnz) arrays on the
+    pattern; without it both the relaxation and the thinning are skipped, as in
+    evaluation. The node keeps its parents, ``noise`` and the boolean ``keep``:
+    its backward recomputes every other stage, trading compute for memory
+    (Chen et al., arXiv 1604.06174).
     """
     lead, n = u.shape[:-2], u.shape[-2]
     u2, v2 = u.data.reshape(-1, n), v.data.reshape(-1, n)
     m = u2.shape[0]
     mix = mixing.data.reshape(m, n, -1)
-    if noise is not None:
-        noise = noise.reshape(m, -1)
-    if keep is not None:
-        keep = keep.reshape(m, -1)
+    if draws is not None:
+        noise, keep = (x.reshape(m, -1) for x in draws)
     rows, cols = pattern.rows, pattern.cols
 
     u_hat, v_hat = normalize_logits(u2, v2, alpha)
     p = bernoulli_means(u_hat[:, rows] + v_hat[:, cols])
-    if noise is not None:
-        p = gumbel_relax(p, tau, noise)
-    if keep is not None:
-        p = edge_sample(p, keep)
+    if draws is not None:
+        p = edge_sample(gumbel_relax(p, tau, noise), keep)
     out = (p * pattern.hop_mask(mix)).reshape(lead + (pattern.nnz,))
 
     def bwd(g):
@@ -335,17 +332,15 @@ def edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=None):
         a, e, rstd, scale = _normalize(u2, v2, alpha)
         c = rstd * scale
         w_bar = bernoulli_means((a * c)[:, rows] + (e * c)[:, cols])
-        p = w_bar if noise is None else gumbel_relax(w_bar, tau, noise)
+        p = w_bar if draws is None else gumbel_relax(w_bar, tau, noise)
         if mixing._track:
-            kept = p if keep is None else edge_sample(p, keep)
+            kept = p if draws is None else edge_sample(p, keep)
             mixing._acc(pattern.hop_mask_grad(g * kept).reshape(mixing.shape))
         if not (u._track or v._track):
             return
         g = g * pattern.hop_mask(mix)
-        if keep is not None:
-            g = g * keep
-        if noise is not None:
-            g = g * p * (1.0 - p) * (1.0 / tau)
+        if draws is not None:
+            g = g * keep * p * (1.0 - p) * (1.0 / tau)
             g = g / w_bar + g / (1.0 - w_bar)
         del p
         # Inside the clamp w_bar is the sigmoid itself; outside it the gradient is zero.
@@ -475,7 +470,7 @@ class GraphConstruction:
 
         b, n, t_in = window.shape[0], self.num_nodes, self.t_in
         pattern = self.pattern
-        noise = keep = None
+        draws = None
         if training:
             # Each step draws delta, rho, then its hop uniforms, as a step-by-step pass does,
             # so every stream stays the same. Full (B, N, N) draws, gathered on the pattern.
@@ -485,6 +480,7 @@ class GraphConstruction:
                 keep.append(keep_pattern(pattern.gather(rng.uniform(size=(b, n, n))), self.gamma))
                 uniforms.append(rng.uniform(size=(b, n, pattern.levels)))
             noise, keep, uniforms = (np.stack(x, axis=1) for x in (noise, keep, uniforms))
+            draws = noise, keep
 
         # Only the chains are recurrent: the rest runs once over (B, T_in, ...) arrays.
         e_st = gate(emb_st, self.base_st, self.gate_st)
@@ -496,7 +492,7 @@ class GraphConstruction:
         else:
             h, _ = select_hops(probs, self.tau, "eval")
             mixing = Tensor(_one_hot(h, pattern.levels))
-        values = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, noise, keep)
+        values = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, draws)
         seq = GraphSequence(values=values, pattern=pattern, hop_choices=h + 1)
         if not want_diag:
             return seq

@@ -202,7 +202,7 @@ def _check_gumbel_path(seed):
     r = pattern.gather(rng.standard_normal((2, 4, 4)))
 
     def build():
-        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, noise, keep), r)
+        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, (noise, keep)), r)
 
     return finite_diff_check(build, [("u", u), ("v", v), ("mixing", mixing)])
 

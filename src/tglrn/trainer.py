@@ -39,7 +39,13 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TGLRN\x01"
-EVAL_BATCH = 256  # windows per predict_raw call in batched_predictions, whatever batch_size is
+# Windows per predict_raw call in batched_predictions, whatever batch_size is. An
+# eval call's memory grows linearly with its windows (at N=170, D=64, L=10 about
+# 5 MB a window above the model), and at that shape 16-window calls also run
+# faster per window than larger ones; smaller chunks add per-call overhead at
+# small N. tests/test_trainer.py checks that chunked predictions equal one
+# whole-split call bitwise.
+EVAL_BATCH = 16
 
 
 def mae_loss(pred, target):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from tglrn import trainer
 from tglrn.cli import main
 
 
@@ -247,6 +248,16 @@ class TestTrainEval:
             assert "Traceback" not in err, label
 
     def test_inspect_graph_dumps(self, trained, tmp_path):
+        self.check_inspect_graph(trained, tmp_path, windows=4, index=2)
+
+    def test_inspect_graph_dumps_a_window_past_the_first_chunk(self, trained, tmp_path):
+        # Two eval chunks, the second one partial and holding the dumped window.
+        windows = trainer.EVAL_BATCH + 8
+        self.check_inspect_graph(trained, tmp_path, windows, index=trainer.EVAL_BATCH + 2)
+
+    @staticmethod
+    def check_inspect_graph(trained, tmp_path, windows, index):
+        """Both CSVs of inspect-graph against the per-op oracle over the same windows."""
         data_dir, out = trained
         ins_out = tmp_path / "insout"
         args = ["inspect-graph"]
@@ -258,38 +269,40 @@ class TestTrainEval:
             "t_out=3",
             f"checkpoint_path={out}/model.ckpt",
             f"out_dir={ins_out}",
-            "inspect_windows=4",
-            "inspect_window_index=2",
+            f"inspect_windows={windows}",
+            f"inspect_window_index={index}",
         ):
             args += ["--set", s]
         assert run(args) == 0
         edge_lines = (ins_out / "graph_edges.csv").read_text().strip().splitlines()
         assert edge_lines[0] == "t,i,j,weight,hop_i"
-        # The rows are the nonzeros of window 2's dense adjacencies, from the per-op oracle.
+        # The rows are the nonzeros of the window's dense adjacencies, from the per-op oracle.
         from tglrn.data import load_flows, make_windows
         from tglrn.diffcore import Tensor, no_grad
-        from tglrn.trainer import checkpoint_load
         from test_dyngraph import oracle_build
 
-        model, _ = checkpoint_load(out / "model.ckpt")
+        model, _ = trainer.checkpoint_load(out / "model.ckpt")
         test_ds = make_windows(load_flows(data_dir / "flow.csv", 8), 6, 3)[2]
-        window = Tensor(model.scaler.apply(test_ds.inputs[:4]))
+        assert len(test_ds) >= windows
+        window = Tensor(model.scaler.apply(test_ds.inputs[:windows]))
         with no_grad():
             adjs, hops = oracle_build(model.graph_block, window, "eval")
         want = [
-            (t, i, j, hops[2, t, i])
+            (t, i, j, hops[index, t, i])
             for t, a in enumerate(adjs)
-            for i, j in zip(*np.nonzero(a.data[2]))
+            for i, j in zip(*np.nonzero(a.data[index]))
         ]
         assert want
         rows = [line.split(",") for line in edge_lines[1:]]
         assert [(int(t), int(i), int(j), int(h)) for t, i, j, _, h in rows] == want
         weights = np.array([float(row[3]) for row in rows])
-        dense = np.array([adjs[t].data[2, i, j] for t, i, j, _ in want])
+        dense = np.array([adjs[t].data[index, i, j] for t, i, j, _ in want])
         np.testing.assert_allclose(weights, dense, rtol=1e-12, atol=0.0)
         hist = (ins_out / "hop_histogram.csv").read_text().strip().splitlines()
         assert hist[0] == "hop,count,fraction"
         assert len(hist) == 3  # levels=2
+        counts = [int(line.split(",")[1]) for line in hist[1:]]
+        assert counts == np.bincount(hops.ravel(), minlength=3)[1:].tolist()
         fracs = [float(line.split(",")[2]) for line in hist[1:]]
         assert abs(sum(fracs) - 1.0) < 1e-9
 

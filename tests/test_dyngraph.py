@@ -694,7 +694,7 @@ def oracle_build(block, window, mode, rng=None, hop_mode="hard"):
     return adjacencies, np.stack(hops, axis=1)
 
 
-def per_step_edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=None):
+def per_step_edge_adjacency(u, v, mixing, pattern, alpha, tau, draws=None):
     """edge_adjacency once per step on time slices of (B, T, ...) inputs, stacked along time.
 
     The composition that build ran before one node covered the window.
@@ -702,7 +702,7 @@ def per_step_edge_adjacency(u, v, mixing, pattern, alpha, tau, noise=None, keep=
     steps = [
         dg.edge_adjacency(
             u[:, j], v[:, j], mixing[:, j], pattern, alpha, tau,
-            None if noise is None else noise[:, j], None if keep is None else keep[:, j],
+            None if draws is None else tuple(x[:, j] for x in draws),
         )
         for j in range(u.shape[1])
     ]
@@ -767,7 +767,7 @@ class TestEdgeOp:
                 if fused:
                     noise = dg.logistic_noise(pattern.gather(delta))
                     keep = dg.keep_pattern(pattern.gather(rho), 0.7)
-                    out = dg.edge_adjacency(u, v, mixing, pattern, alpha, 0.5, noise, keep)
+                    out = dg.edge_adjacency(u, v, mixing, pattern, alpha, 0.5, (noise, keep))
                     (out * Tensor(pattern.gather(r))).sum().backward()
                     dense = pattern.scatter(out.data)
                 else:
@@ -782,20 +782,23 @@ class TestEdgeOp:
             assert_grads_close(g_f, g_o)
             assert np.all(g_f["u"][1] == 0.0) and np.all(g_f["v"][1] == 0.0)
 
-    @pytest.mark.parametrize("relax, thin", [(True, True), (False, False), (False, True)])
-    def test_one_node_matches_per_step_composition(self, relax, thin):
+    # The ids name (relaxation, thinning): edge_adjacency takes both draws or neither.
+    @pytest.mark.parametrize("drawn", [True, False], ids=["True-True", "False-False"])
+    def test_one_node_matches_per_step_composition(self, drawn):
         rng = np.random.default_rng(24)
         pattern = dg.SupportPattern(chain_masks(5, 3))
         b, t, nnz = 2, 4, pattern.nnz
         u_vals, v_vals = rng.standard_normal((2, b, t, 5, 1))
         mix_vals = rng.uniform(size=(b, t, 5, 3))
-        noise = dg.logistic_noise(rng.uniform(size=(b, t, nnz))) if relax else None
-        keep = dg.keep_pattern(rng.uniform(size=(b, t, nnz)), 0.6) if thin else None
+        draws = None
+        if drawn:
+            noise = dg.logistic_noise(rng.uniform(size=(b, t, nnz)))
+            draws = noise, dg.keep_pattern(rng.uniform(size=(b, t, nnz)), 0.6)
         r = rng.standard_normal((b, t, nnz))
         results = []
         for fn in (dg.edge_adjacency, per_step_edge_adjacency):
             u, v, mixing = (Parameter(x.copy()) for x in (u_vals, v_vals, mix_vals))
-            out = fn(u, v, mixing, pattern, 1.3, 0.7, noise, keep)
+            out = fn(u, v, mixing, pattern, 1.3, 0.7, draws)
             (out * Tensor(r)).sum().backward()
             results.append((out.data, [u.grad, v.grad, mixing.grad]))
         (got, got_grads), (want, want_grads) = results
@@ -803,18 +806,20 @@ class TestEdgeOp:
         for g, w in zip(got_grads, want_grads):
             assert_within(g, w)
 
-    @pytest.mark.parametrize("relax, thin", [(True, True), (False, False), (False, True)])
-    def test_gradients_match_finite_differences(self, relax, thin):
+    @pytest.mark.parametrize("drawn", [True, False], ids=["True-True", "False-False"])
+    def test_gradients_match_finite_differences(self, drawn):
         rng = np.random.default_rng(15)
         pattern = dg.SupportPattern(chain_masks(4, 2))
         u = Parameter(rng.standard_normal((2, 4, 1)), "u")
         v = Parameter(rng.standard_normal((2, 4, 1)), "v")
         mixing = Parameter(rng.uniform(size=(2, 4, 2)), "mixing")
-        noise = dg.logistic_noise(pattern.gather(rng.uniform(size=(2, 4, 4)))) if relax else None
-        keep = dg.keep_pattern(pattern.gather(rng.uniform(size=(2, 4, 4))), 0.6) if thin else None
+        draws = None
+        if drawn:
+            noise = dg.logistic_noise(pattern.gather(rng.uniform(size=(2, 4, 4))))
+            draws = noise, dg.keep_pattern(pattern.gather(rng.uniform(size=(2, 4, 4))), 0.6)
         r = pattern.gather(rng.standard_normal((2, 4, 4)))
         reports = finite_diff_check(
-            lambda: (dg.edge_adjacency(u, v, mixing, pattern, 1.5, 0.7, noise, keep) * Tensor(r)).sum(),
+            lambda: (dg.edge_adjacency(u, v, mixing, pattern, 1.5, 0.7, draws) * Tensor(r)).sum(),
             [("u", u), ("v", v), ("mixing", mixing)],
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]

@@ -330,6 +330,18 @@ def test_acceptance_shape_train_step_records_few_op_nodes():
     assert not sliced, [t.shape for t in sliced]
 
 
+def traced_peak(fn):
+    """tracemalloc peak of ``fn()`` above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 # tracemalloc peak of one predict_raw at N=64, B=64, T_in=12, with widths of 2 and a
 # chain graph whose widest hop mask holds 189 pairs. The 12 dense (64, 64, 64)
 # adjacencies alone are 25 MB; one reused (64, 64, 64) scratch is 2 MB. Measured:
@@ -343,15 +355,58 @@ def test_eval_peak_memory_holds_no_dense_adjacency_per_step():
         n=64, t_total=500, t_in=12, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=2
     )
     windows = np.repeat(test_ds.inputs[:1], 64, axis=0)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        model.predict_raw(windows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - base < EVAL_PEAK_BYTES, peak - base
+    peak = traced_peak(lambda: model.predict_raw(windows))
+    assert peak < EVAL_PEAK_BYTES, peak
+
+
+def pems_like_setup(seed=0):
+    """A small PeMS08-like model: 36-sensor grid, T_in = T_out = 12, Ks = 6, 1 block, L = 10."""
+    net, series, _ = dmod.synth_generate(36, 300, topology="grid", noise_std=0.5, seed=seed)
+    splits = dmod.make_windows(series, 12, 12)
+    b1, _ = dmod.split_boundaries(300)
+    cfg = ModelConfig(
+        num_nodes=36, t_in=12, t_out=12, embed_dim=8, hop_dim=8, hidden_dim=16, levels=10,
+        diff_steps=2, kernel_size=6, n_blocks=1, gamma=0.3, dropout_rate=0.1,
+    )
+    return trainer.build_model(cfg, net.edges, dmod.fit_scaler(series.values[:b1]), seed), splits
+
+
+def first_windows(ds, m):
+    """The first ``m`` windows of ``ds``, cycling through it when it holds fewer."""
+    idx = np.arange(m) % len(ds)
+    return dmod.WindowedDataset(ds.inputs[idx], ds.targets[idx], ds.anchors[idx], ds.split)
+
+
+@pytest.mark.parametrize("shape", ["acceptance", "pems_like"])
+def test_batched_predictions_equal_one_whole_split_call(shape):
+    model, (_, val_ds, _) = overfit_setup(seed=0) if shape == "acceptance" else pems_like_setup()
+    # Two full chunks and a partial one.
+    ds = first_windows(val_ds, 2 * trainer.EVAL_BATCH + 5)
+    assert len(set(ds.anchors.tolist())) == len(ds)  # distinct windows, not a cycle
+    np.testing.assert_array_equal(
+        trainer.batched_predictions(model, ds), model.predict_raw(ds.inputs)
+    )
+
+
+# Windows of the one predict_raw call whose tracemalloc peak bounds evaluate's over
+# any split: evaluation's memory budget. On top of that call evaluate may hold four
+# prediction-sized arrays (the chunks' outputs, their concatenation and the error
+# temporaries of compute_metrics) and EVAL_MARGIN_BYTES of allocator and numpy
+# iteration-buffer noise. Measured at the shape below (N=64, T_in=12, widths 2):
+# one 16-window call peaks at 3.2 MB, evaluate over 64 windows in 16-window chunks
+# 75 KB above it, and over 1,024 windows in 256-window chunks at 52 MB.
+EVAL_BUDGET_WINDOWS = 16
+EVAL_MARGIN_BYTES = 256_000
+
+
+def test_eval_peak_memory_does_not_grow_with_the_split():
+    model, (_, _, test_ds), _, _ = quick_setup(
+        n=64, t_total=500, t_in=12, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=2
+    )
+    ds = first_windows(test_ds, 4 * trainer.EVAL_BATCH)
+    one_call = traced_peak(lambda: model.predict_raw(ds.inputs[:EVAL_BUDGET_WINDOWS]))
+    peak = traced_peak(lambda: trainer.evaluate(model, ds))
+    assert peak < one_call + 4 * ds.targets.nbytes + EVAL_MARGIN_BYTES, (peak, one_call)
 
 
 class TestMetrics:
