@@ -36,8 +36,6 @@ __all__ = [
     "Linear",
     "no_grad",
     "recording",
-    "stack",
-    "einsum2",
     "softmax",
     "rsqrt_or_zero_array",
     "sigmoid_array",
@@ -343,19 +341,19 @@ class Tensor:
 
         topo = []
         visited = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
+        todo = [(self, False)]
+        while todo:
+            node, processed = todo.pop()
             if processed:
                 topo.append(node)
                 continue
             if id(node) in visited:
                 continue
             visited.add(id(node))
-            stack.append((node, True))
+            todo.append((node, True))
             for p in node._parents:
                 if p._track and id(p) not in visited:
-                    stack.append((p, False))
+                    todo.append((p, False))
         del visited  # one boxed id per node: freed before the closures allocate
 
         self.grad = np.ones_like(self.data)
@@ -406,56 +404,6 @@ def sigmoid_array(x):
     np.divide(z, d, out=z)
     np.divide(1.0, d, out=d)
     return np.where(x < 0, z, d)
-
-
-def stack(tensors, axis=0):
-    """np.stack of equally shaped tensors along a new ``axis``; each input's gradient is a view."""
-    tensors = [_ensure_tensor(t) for t in tensors]
-    try:
-        out_data = np.stack([t.data for t in tensors], axis=axis)
-    except ValueError:
-        shapes = [t.shape for t in tensors]
-        raise ConfigError(f"stack: cannot stack shapes {shapes} on axis {axis}") from None
-    ax = axis % out_data.ndim
-
-    def bwd(g):
-        lead = (slice(None),) * ax
-        for i, t in enumerate(tensors):
-            t._acc(g[lead + (i,)])
-
-    return Tensor._from_op(out_data, tuple(tensors), bwd)
-
-
-def einsum2(subscripts, a, b):
-    """Two-operand einsum with exact reverse-mode gradients.
-
-    Restricted to subscripts where no index repeats within an operand and
-    every input index appears in the output or in the other operand, which
-    makes both gradients expressible as einsums themselves.
-    """
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
-    try:
-        inputs, out_sub = subscripts.split("->")
-        sub_a, sub_b = inputs.split(",")
-    except ValueError:
-        raise ConfigError(f"einsum2: malformed subscripts {subscripts!r}") from None
-    for sub in (sub_a, sub_b, out_sub):
-        if len(set(sub)) != len(sub):
-            raise ConfigError(f"einsum2: repeated index within one operand in {subscripts!r}")
-    if not set(sub_a) <= set(sub_b) | set(out_sub) or not set(sub_b) <= set(sub_a) | set(out_sub):
-        raise ConfigError(f"einsum2: {subscripts!r} sums an index visible in only one operand")
-    if len(sub_a) != a.ndim or len(sub_b) != b.ndim:
-        raise ConfigError(f"einsum2: operand ranks do not match {subscripts!r}")
-
-    out_data = np.einsum(subscripts, a.data, b.data)
-
-    def bwd(g):
-        if a._track:
-            a._acc(np.einsum(f"{out_sub},{sub_b}->{sub_a}", g, b.data))
-        if b._track:
-            b._acc(np.einsum(f"{sub_a},{out_sub}->{sub_b}", a.data, g))
-
-    return Tensor._from_op(out_data, (a, b), bwd)
 
 
 def softmax(x, axis=-1):

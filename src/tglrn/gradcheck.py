@@ -262,7 +262,7 @@ def _check_diffusion_conv(seed):
 
 
 def _check_spl(seed):
-    from .diffcore import Parameter, stack
+    from .diffcore import Parameter
     from .dyngraph import GraphSequence, SupportPattern
     from .stnet import spl
 
@@ -273,19 +273,16 @@ def _check_spl(seed):
     support[:, 1, :] = 0.0
     support[:, :, 3] = 0.0
     pattern = SupportPattern(support)
-    a_raw = [
-        Parameter(pattern.gather(rng.standard_normal((1, 5, 5))), f"a_raw{t}") for t in range(3)
-    ]
+    a_raw = Parameter(rng.standard_normal((1, 3, pattern.nnz)), "a_raw")
     theta = Parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4, "theta")
     r = rng.standard_normal((1, 3, 5, 3))
     hops = np.ones((1, 3, 5), dtype=int)
 
     def build():
-        values = stack([a.sigmoid() for a in a_raw], axis=1)
-        return _weighted_sum(spl(x, GraphSequence(values, pattern, hops), 0, theta, 2), r)
+        graphs = GraphSequence(a_raw.sigmoid(), pattern, hops)
+        return _weighted_sum(spl(x, graphs, theta, 2), r)
 
-    params = [("x", x), ("theta", theta)] + [(a.name, a) for a in a_raw]
-    return finite_diff_check(build, params)
+    return finite_diff_check(build, [("x", x), ("theta", theta), ("a_raw", a_raw)])
 
 
 def _check_gtu(seed):
@@ -341,20 +338,15 @@ def _check_output_layer(seed):
 
 
 def _check_prediction_head(seed):
-    from . import diffcore as dc
     from .diffcore import Parameter
+    from .model import PredictionHead
 
     rng = np.random.default_rng([seed, 12])
-    feats = Parameter(rng.standard_normal((2, 3, 8)), "feats")
-    w = Parameter(rng.standard_normal((8, 2, 1)) * 0.3, "w")
-    b = Parameter(rng.standard_normal((2, 1)), "b")
+    head = PredictionHead(8, 2, 1, rng)
+    outputs = [Parameter(rng.standard_normal((2, 3, 4)), f"out{i}") for i in range(2)]
     r = rng.standard_normal((2, 2, 3, 1))
-
-    def build():
-        pred = dc.einsum2("bic,ctf->btif", feats, w) + b.reshape(1, 2, 1, 1)
-        return _weighted_sum(pred, r)
-
-    return finite_diff_check(build, [("feats", feats), ("w", w), ("b", b)])
+    params = [(o.name, o) for o in outputs] + head.params()
+    return finite_diff_check(lambda: _weighted_sum(head(outputs), r), params)
 
 
 def toy_model(seed=0):

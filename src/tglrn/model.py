@@ -2,8 +2,8 @@
 
 The forward pass z-scores the raw input window, builds one weighted
 adjacency per input step, lifts features through the input layer, runs
-the spatio-temporal blocks over the shrinking stream, concatenates the
-per-block outputs along channels, and maps them to all horizons at once
+the spatio-temporal blocks over the shrinking stream, and maps the
+channel concatenation of the per-block outputs to all horizons at once
 through the prediction head. Predictions come back in normalized space;
 ``predict_raw`` undoes the scaling.
 """
@@ -22,7 +22,7 @@ from .dyngraph import GraphConstruction
 from .errors import ConfigError
 from .stnet import TPL_PER_BLOCK, SpatioTemporalBlock, block_schedule
 
-__all__ = ["ModelConfig", "TGLRN"]
+__all__ = ["ModelConfig", "PredictionHead", "TGLRN"]
 
 
 def _physical_memory():
@@ -140,6 +140,37 @@ class ModelConfig:
         return rows
 
 
+class PredictionHead:
+    """Block outputs to every horizon at once: one tape node over the list of outputs."""
+
+    def __init__(self, width, t_out, features, rng):
+        """``width`` is the channel count of all block outputs together."""
+        limit = np.sqrt(6.0 / (width + t_out * features))
+        self.w = Parameter(rng.uniform(-limit, limit, size=(width, t_out, features)))
+        self.b = Parameter(np.zeros((t_out, features)))
+
+    def __call__(self, outputs):
+        """(B, N, D) block outputs to (B, T_out, N, F): their channel concatenation @ w, plus b."""
+        w, b = self.w, self.b
+        # (B, N, n_blocks, D) is laid out as the channel concatenation (B, N, n_blocks * D).
+        stacked = np.stack([o.data for o in outputs], axis=-2)
+        feats = stacked.reshape(stacked.shape[:2] + (-1,))
+        out = np.einsum("bic,ctf->btif", feats, w.data)
+        out += b.data[:, None, :]
+
+        def bwd(g):
+            b._acc(g.sum(axis=(0, 2)))
+            w._acc(np.einsum("bic,btif->ctf", feats, g))
+            dfeats = np.einsum("btif,ctf->bic", g, w.data).reshape(stacked.shape)
+            for i, o in enumerate(outputs):
+                o._acc(dfeats[:, :, i])
+
+        return Tensor._from_op(out, (*outputs, w, b), bwd)
+
+    def params(self):
+        return [("w", self.w), ("b", self.b)]
+
+
 class TGLRN:
     """Traffic forecaster over learned per-step graphs."""
 
@@ -157,16 +188,9 @@ class TGLRN:
         self.input_layer = Linear(cfg.in_features, cfg.hidden_dim, rng)
         lengths = block_schedule(cfg.t_in, cfg.n_blocks, cfg.kernel_size)
         self.blocks = [
-            SpatioTemporalBlock(cfg.hidden_dim, cfg.diff_steps, cfg.kernel_size, t, rng)
-            for t in [cfg.t_in] + lengths[:-1]
+            SpatioTemporalBlock(cfg.hidden_dim, cfg.diff_steps, cfg.kernel_size, t, rng) for t in lengths
         ]
-
-        total = cfg.n_blocks * cfg.hidden_dim
-        limit = np.sqrt(6.0 / (total + cfg.t_out * cfg.in_features))
-        self.head_w = Parameter(
-            rng.uniform(-limit, limit, size=(total, cfg.t_out, cfg.in_features))
-        )
-        self.head_b = Parameter(np.zeros((cfg.t_out, cfg.in_features)))
+        self.head = PredictionHead(cfg.n_blocks * cfg.hidden_dim, cfg.t_out, cfg.in_features, rng)
         self._named = self._collect_params()
 
     def _collect_params(self):
@@ -174,8 +198,7 @@ class TGLRN:
         named.extend(("input." + k, p) for k, p in self.input_layer.params())
         for i, block in enumerate(self.blocks):
             named.extend((f"block{i}.{k}", p) for k, p in block.params())
-        named.append(("head.w", self.head_w))
-        named.append(("head.b", self.head_b))
+        named.extend(("head." + k, p) for k, p in self.head.params())
         seen = set()
         for name, p in named:
             if name in seen:
@@ -201,16 +224,11 @@ class TGLRN:
 
         stream = self.input_layer(window)
         dropout = (cfg.dropout_rate, rng) if mode == "train" else None
-        offset = 0
         outputs = []
         for block in self.blocks:
-            stream, block_out, offset = block.forward(stream, seq, offset, dropout=dropout)
+            stream, block_out = block.forward(stream, seq, dropout=dropout)
             outputs.append(block_out)
-
-        # (B, N, n_blocks, D) is laid out as the channel concatenation (B, N, n_blocks * D).
-        feats = dc.stack(outputs, axis=-2).reshape(x.shape[0], cfg.num_nodes, -1)
-        pred = dc.einsum2("bic,ctf->btif", feats, self.head_w)
-        return pred + self.head_b.reshape(1, cfg.t_out, 1, cfg.in_features)
+        return self.head(outputs)
 
     def predict_raw(self, window_raw):
         """Eval-mode predictions in original units (no tape)."""

@@ -142,18 +142,19 @@ def diffusion_conv(x, a, theta, num_steps):
     return Tensor._from_op(out, (x, a, theta), bwd)
 
 
-def spl(x, graphs, offset, theta, num_steps):
+def spl(x, graphs, theta, num_steps):
     """Spatial processing of a stream: ReLU(diffusion_conv(x_t, A_t) + x_t) for every step t.
 
     ``x`` is (B, T, N, D); ``graphs`` is a ``GraphSequence`` whose (B, T_in,
-    nnz) ``values`` hold the adjacency weights on its ``pattern``, and slice
-    t of the stream uses graph step ``offset + t``. The residual needs
-    D == D'. One tape node whose parents are ``x``, ``theta`` and the values:
-    each slice's weights are written into one reused dense (B, N, N) scratch,
-    whose entries off the pattern stay 0, because dense products beat
-    products on the pattern at every measured shape. Backward recomputes the
-    diffusion powers slice by slice and gathers each slice's adjacency
-    gradient back onto the pattern.
+    nnz) ``values`` hold the adjacency weights on its ``pattern``. The stream
+    is end-aligned with the window, because every temporal conv before this
+    layer is valid and keeps the last steps: slice j uses graph step
+    T_in - T + j. The residual needs D == D'. One tape node whose parents are
+    ``x``, ``theta`` and the values: each slice's weights are written into
+    one reused dense (B, N, N) scratch, whose entries off the pattern stay 0,
+    because dense products beat products on the pattern at every measured
+    shape. Backward recomputes the diffusion powers slice by slice and
+    gathers each slice's adjacency gradient back onto the pattern.
     """
     if theta.shape[-2] != theta.shape[-1]:
         raise ConfigError(
@@ -168,20 +169,21 @@ def spl(x, graphs, offset, theta, num_steps):
         or values.shape[0] != b
         or values.shape[2] != pattern.nnz
         or pattern.n != n
-        or not 0 <= offset <= values.shape[1] - t_len
+        or t_len > values.shape[1]
     ):
         raise ConfigError(
             f"spl: graph values {values.shape} on a {pattern.n}-node pattern with {pattern.nnz} "
-            f"pairs do not cover steps {offset}..{offset + t_len - 1} of a stream of shape {x.shape}"
+            f"pairs do not cover the {t_len} steps of a stream of shape {x.shape}"
         )
     _check_diffusion("spl", (b, n, x.shape[3]), (b, n, n), theta.shape, num_steps)
+    first = values.shape[1] - t_len
 
     def dense_steps():
-        """(t, the dense adjacency of step offset + t) per slice, all in one (B, N, N) scratch."""
+        """(t, the dense adjacency of step first + t) per slice, all in one (B, N, N) scratch."""
         scratch = np.zeros((b, n * n))
         a = scratch.reshape(b, n, n)
         for t in range(t_len):
-            scratch[:, pattern.flat] = values.data[:, offset + t]
+            scratch[:, pattern.flat] = values.data[:, first + t]
             yield t, a
 
     out = np.empty(x.shape)
@@ -199,7 +201,7 @@ def spl(x, graphs, offset, theta, num_steps):
             dx_t += g[:, t]
             g[:, t] = dx_t  # slice t of g is spent: it now holds slice t of dx
             if dvalues is not None:
-                dvalues[:, offset + t] = pattern.gather(da)
+                dvalues[:, first + t] = pattern.gather(da)
             dtheta += dth
         x._acc(g)
         theta._acc(dtheta)
@@ -424,63 +426,46 @@ def block_schedule(t_in, n_blocks, ks):
 class SpatioTemporalBlock:
     """[spatial -> temporal] twice, then a block output tap.
 
-    Keeps track of the alignment between the shrinking stream and the
-    original window positions: the spatial layer at stream index j uses
-    the graph of original position offset + j, and each temporal conv
-    advances the offset by Ks - 1 (its output at index j covers original
-    positions up to offset + j + Ks - 1).
+    Each temporal conv is valid and keeps the last steps, so the stream
+    stays end-aligned with the window: slice j of a length-T stream covers
+    window positions up to T_in - T + j, and ``spl`` uses that step's graph.
     """
 
-    def __init__(self, width, diff_steps, ks, t_in_block, rng):
+    def __init__(self, width, diff_steps, ks, t_out, rng):
+        """``t_out`` is the stream length the block leaves, as ``block_schedule`` gives it."""
         self.diff_steps = diff_steps
         self.ks = ks
         shape = (diff_steps, 2, width, width)
         limit = np.sqrt(6.0 / (2 * width)) / (2 * diff_steps)
-        self.theta1 = Parameter(rng.uniform(-limit, limit, size=shape))
-        self.theta2 = Parameter(rng.uniform(-limit, limit, size=shape))
+        self.thetas = [Parameter(rng.uniform(-limit, limit, size=shape)) for _ in range(TPL_PER_BLOCK)]
         klim = np.sqrt(6.0 / (3 * width)) / ks
-        self.lam1 = Parameter(rng.uniform(-klim, klim, size=(ks, width, 2 * width)))
-        self.lam2 = Parameter(rng.uniform(-klim, klim, size=(ks, width, 2 * width)))
-        self.ln1_scale = Parameter(np.ones(width))
-        self.ln1_shift = Parameter(np.zeros(width))
-        self.ln2_scale = Parameter(np.ones(width))
-        self.ln2_shift = Parameter(np.zeros(width))
-        t_out_block = t_in_block - TPL_PER_BLOCK * (ks - 1)
-        if t_out_block < 1:
-            raise ConfigError(f"block construction: output time length {t_out_block} < 1")
-        self.output = OutputLayer(t_out_block, width, rng)
+        self.lams = [
+            Parameter(rng.uniform(-klim, klim, size=(ks, width, 2 * width))) for _ in range(TPL_PER_BLOCK)
+        ]
+        self.ln_scales = [Parameter(np.ones(width)) for _ in range(TPL_PER_BLOCK)]
+        self.ln_shifts = [Parameter(np.zeros(width)) for _ in range(TPL_PER_BLOCK)]
+        self.output = OutputLayer(t_out, width, rng)
 
-    def forward(self, stream, graphs, offset, dropout=None):
-        """Returns (next stream, block output, next offset).
+    def forward(self, stream, graphs, dropout=None):
+        """Returns (next stream, block output).
 
         ``graphs`` is the window's ``GraphSequence``. ``dropout`` is None at
         eval, or a (rate, generator) pair; an inverted dropout pattern over
         each temporal conv's output is drawn before that conv runs.
         """
         rate, rng = dropout if dropout is not None else (0.0, None)
-        for theta, lam, scale, shift in (
-            (self.theta1, self.lam1, self.ln1_scale, self.ln1_shift),
-            (self.theta2, self.lam2, self.ln2_scale, self.ln2_shift),
-        ):
-            stream = spl(stream, graphs, offset, theta, self.diff_steps)
+        for theta, lam, scale, shift in zip(self.thetas, self.lams, self.ln_scales, self.ln_shifts):
+            stream = spl(stream, graphs, theta, self.diff_steps)
             keep = None
             if rate > 0.0:
                 t_next = stream.shape[1] - self.ks + 1
                 keep = rng.uniform(size=stream.shape[:1] + (t_next,) + stream.shape[2:]) >= rate
             stream = tpl(stream, lam, self.ks, scale, shift, keep, rate)
-            offset += self.ks - 1
-        return stream, self.output(stream), offset
+        return stream, self.output(stream)
 
     def params(self):
-        out = [
-            ("spl0.theta", self.theta1),
-            ("spl1.theta", self.theta2),
-            ("tpl0.kernel", self.lam1),
-            ("tpl0.ln_scale", self.ln1_scale),
-            ("tpl0.ln_shift", self.ln1_shift),
-            ("tpl1.kernel", self.lam2),
-            ("tpl1.ln_scale", self.ln2_scale),
-            ("tpl1.ln_shift", self.ln2_shift),
-        ]
+        out = [(f"spl{i}.theta", theta) for i, theta in enumerate(self.thetas)]
+        for i, (lam, scale, shift) in enumerate(zip(self.lams, self.ln_scales, self.ln_shifts)):
+            out += [(f"tpl{i}.kernel", lam), (f"tpl{i}.ln_scale", scale), (f"tpl{i}.ln_shift", shift)]
         out.extend((f"out.{k}", p) for k, p in self.output.params())
         return out

@@ -1,11 +1,11 @@
 """Training loop, metrics, the historical-average baseline, and checkpoints.
 
-Training minimizes mean absolute error, by default measured in original
-units (a config toggle switches to normalized space). Optimization is
-Adam with fixed moments; early stopping watches validation MAE with a
-patience budget and the best-on-validation parameters are what gets
-checkpointed. All stochasticity flows from generators derived from one
-seed, so a fixed seed reproduces the history file bitwise.
+Training minimizes mean absolute error measured in original units.
+Optimization is Adam with fixed moments; early stopping watches
+validation MAE with a patience budget and the best-on-validation
+parameters are what gets checkpointed. All stochasticity flows from
+generators derived from one seed, so a fixed seed reproduces the
+history file bitwise.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ class TrainSettings:
     batch_size: int = 64  # windows per optimization step
     max_epochs: int = 200  # epoch cap
     patience: int = 15  # early-stopping patience on validation MAE
-    normalized_loss: bool = False  # train on z-scored values instead of original units
     mape_threshold: float = 1.0  # targets with |y| below this are excluded from MAPE
 
 
@@ -218,20 +217,12 @@ def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
 
             opt.zero_grad()
             pred = model.forward(window, mode="train", rng=noise_rng)
-            if settings.normalized_loss:
-                loss = mae_loss(pred, scaler.apply(target))
-                raw_mae = float(
-                    np.mean(np.abs(scaler.invert(pred.data) - target))
-                )
-            else:
-                pred_raw = pred * scaler.std + scaler.mean
-                loss = mae_loss(pred_raw, target)
-                raw_mae = loss.item()
+            loss = mae_loss(pred * scaler.std + scaler.mean, target)
             loss.backward()
             _check_finite(loss.item(), model)
             opt.step()
 
-            total_abs += raw_mae * len(idx)
+            total_abs += loss.item() * len(idx)
             total_count += len(idx)
 
         train_loss = total_abs / total_count

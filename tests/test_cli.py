@@ -324,6 +324,16 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_removed_normalized_loss_key_exits_2_before_out_dir(self, tmp_path, capsys):
+        cfgfile = tmp_path / "echoed.cfg"
+        cfgfile.write_text("normalized_loss = false\n")
+        out = tmp_path / "o"
+        assert run(["train", cfgfile] + train_args(tmp_path, out)[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:2: unknown config key 'normalized_loss'"), err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_flow_file_exits_3(self, tmp_path, capsys):
         args = ["train"]
         for s in (
@@ -544,7 +554,7 @@ def default_run(tmp_path_factory):
     return root / "d", (root / "default" / "metrics.csv").read_bytes()
 
 
-@pytest.mark.parametrize("option", ["symmetrize_hops=true", "scaler_scope=global", "normalized_loss=true"])
+@pytest.mark.parametrize("option", ["symmetrize_hops=true", "scaler_scope=global"])
 def test_option_changes_metrics_and_eval_reproduces_them(default_run, tmp_path, option):
     data_dir, default_metrics = default_run
     out = tmp_path / "train"

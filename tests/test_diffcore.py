@@ -11,8 +11,8 @@ from tglrn.errors import ConfigError, StateError
 from tglrn.gradcheck import GradCheckReport, finite_diff_check, max_relative_error
 
 from tensor_ops import (
-    broadcast_to, concat, div, exp, neg, power, relu, rsqrt_or_zero, rsub, safe_recip, sqrt,
-    transpose,
+    broadcast_to, concat, div, einsum2, exp, neg, power, relu, rsqrt_or_zero, rsub, safe_recip,
+    sqrt, stack, transpose,
 )
 
 
@@ -91,7 +91,7 @@ def _random_graph_loss(rng, params):
     m = m @ Tensor(rng.standard_normal((m.shape[-1], 4)))
     bt = transpose(b, (1, 0))
     m = dc.softmax(m, axis=-1) + relu(a @ bt).mean(axis=-1, keepdims=True)
-    m = dc.stack([m, m * 2.0], axis=0).sum(axis=0)
+    m = stack([m, m * 2.0], axis=0).sum(axis=0)
     v = power(m - m.mean(axis=-1, keepdims=True), 2).mean()
     return (m.abs().sum() + sqrt(v + 1e-3) + safe_recip(v + 1.0).sum()) * 0.5
 
@@ -139,16 +139,16 @@ def test_unary_op_gradients(op, seed):
 def test_stack_gradients(axis):
     rng = np.random.default_rng(4)
     ps = [Parameter(rng.standard_normal((3, 2)), f"p{i}") for i in range(3)]
-    out = dc.stack(ps, axis=axis)
+    out = stack(ps, axis=axis)
     want = np.stack([p.data for p in ps], axis=axis)
     assert out.shape == want.shape and out.data.tobytes() == want.tobytes()
     r = rng.standard_normal(want.shape)
-    reports = finite_diff_check(lambda: (dc.stack(ps, axis=axis) * Tensor(r)).sum(), ps)
+    reports = finite_diff_check(lambda: (stack(ps, axis=axis) * Tensor(r)).sum(), ps)
     assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
     # each input receives exactly its own slice of the output gradient
     for p in ps:
         p.zero_grad()
-    (dc.stack(ps, axis=axis) * Tensor(r)).sum().backward()
+    (stack(ps, axis=axis) * Tensor(r)).sum().backward()
     for i, p in enumerate(ps):
         assert p.grad.tobytes() == np.take(r, i, axis=axis).tobytes()
 
@@ -159,7 +159,7 @@ def test_stack_then_reshape_is_the_channel_concat():
     vals = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
     r = rng.standard_normal((2, 3, 12))
     results = []
-    stacked = lambda ts: dc.stack(ts, axis=-2).reshape(2, 3, -1)
+    stacked = lambda ts: stack(ts, axis=-2).reshape(2, 3, -1)
     for join in (stacked, lambda ts: concat(ts, axis=-1)):
         ps = [Parameter(v.copy()) for v in vals]
         out = join(ps)
@@ -170,7 +170,7 @@ def test_stack_then_reshape_is_the_channel_concat():
 
 def test_stack_rejects_mismatched_shapes():
     with pytest.raises(ConfigError, match="stack"):
-        dc.stack([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
+        stack([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
 
 
 def test_einsum2_gradients():
@@ -179,7 +179,7 @@ def test_einsum2_gradients():
     b = Parameter(rng.standard_normal((3, 4, 5)), "b")
     r = rng.standard_normal((2, 4, 5))
     reports = finite_diff_check(
-        lambda: (dc.einsum2("bnl,lnj->bnj", a, b) * Tensor(r)).sum(), [a, b]
+        lambda: (einsum2("bnl,lnj->bnj", a, b) * Tensor(r)).sum(), [a, b]
     )
     assert all(rep.passed for rep in reports)
 
@@ -197,7 +197,7 @@ def test_untracked_operand_gets_no_contraction(monkeypatch, tracked):
         for name, vals in (("a", a_vals), ("b", b_vals), ("m", m_vals)):
             keep = track_both or name == tracked or (name == "m" and tracked == "b")
             leaves[name] = Parameter(vals.copy()) if keep else Tensor(vals)
-        out = dc.einsum2("inl,lnj->inj", leaves["a"], leaves["b"]) + leaves["a"] @ leaves["m"]
+        out = einsum2("inl,lnj->inj", leaves["a"], leaves["b"]) + leaves["a"] @ leaves["m"]
         (out * Tensor(r)).sum().backward()
         return leaves
 
@@ -225,9 +225,9 @@ def test_untracked_operand_gets_no_contraction(monkeypatch, tracked):
 def test_einsum2_rejects_unsupported_subscripts():
     a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
     with pytest.raises(ConfigError):
-        dc.einsum2("ii,jk->jk", a, b)
+        einsum2("ii,jk->jk", a, b)
     with pytest.raises(ConfigError):
-        dc.einsum2("ij,kl->il", a, b)  # j summed but invisible to the other operand
+        einsum2("ij,kl->il", a, b)  # j summed but invisible to the other operand
 
 
 def test_corrupted_gradient_fails_check():

@@ -10,7 +10,7 @@ from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 
-from tensor_ops import power, relu, safe_recip, transpose
+from tensor_ops import power, relu, safe_recip, stack, transpose
 
 
 def naive_diffusion(x, a, theta, k_steps):
@@ -115,7 +115,7 @@ def oracle_spl(x, graphs, theta, num_steps):
         relu(oracle_diffusion_conv(x[:, t], a, theta, num_steps) + x[:, t])
         for t, a in enumerate(graphs)
     ]
-    return dc.stack(slices, axis=1)
+    return stack(slices, axis=1)
 
 
 def oracle_gtu_conv(x, kernel, ks):
@@ -148,21 +148,19 @@ def oracle_output(layer, x):
     return acc + layer.bias
 
 
-def oracle_block_forward(block, stream, seq, offset, dropout=None):
-    """SpatioTemporalBlock.forward from per-op nodes, drawing the dropout masks in the same order."""
+def oracle_block_forward(block, stream, seq, dropout=None):
+    """SpatioTemporalBlock.forward from per-op nodes, drawing the dropout masks in the same order.
+
+    The stream is end-aligned with the graphs: a length-T stream uses the last T of them.
+    """
     graphs = scattered(seq.values, seq.pattern)
-    for theta, lam, scale, shift in (
-        (block.theta1, block.lam1, block.ln1_scale, block.ln1_shift),
-        (block.theta2, block.lam2, block.ln2_scale, block.ln2_shift),
-    ):
-        t_cur = stream.shape[1]
-        stream = oracle_spl(stream, graphs[offset : offset + t_cur], theta, block.diff_steps)
+    for theta, lam, scale, shift in zip(block.thetas, block.lams, block.ln_scales, block.ln_shifts):
+        stream = oracle_spl(stream, graphs[len(graphs) - stream.shape[1] :], theta, block.diff_steps)
         stream = oracle_tpl(stream, lam, block.ks, scale, shift)
-        offset += block.ks - 1
         if dropout is not None and dropout[0] > 0.0:
             rate, rng = dropout
             stream = stream * Tensor((rng.uniform(size=stream.shape) >= rate) / (1.0 - rate))
-    return stream, oracle_output(block.output, stream), offset
+    return stream, oracle_output(block.output, stream)
 
 
 def closure_arrays(node):
@@ -296,19 +294,19 @@ class TestSpl:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 1, 4, 3))
         theta = Parameter(np.zeros((2, 2, 3, 3)))
-        out = stnet.spl(Tensor(x), full_sequence(np.eye(4)[None]), 0, theta, 2)
+        out = stnet.spl(Tensor(x), full_sequence(np.eye(4)[None]), theta, 2)
         np.testing.assert_array_equal(out.data, np.maximum(x, 0.0))
 
     def test_nonpositive_input_zero_filter(self):
         x = -np.abs(np.random.default_rng(3).standard_normal((1, 1, 4, 3)))
         theta = Parameter(np.zeros((2, 2, 3, 3)))
-        out = stnet.spl(Tensor(x), full_sequence(np.eye(4)[None]), 0, theta, 2)
+        out = stnet.spl(Tensor(x), full_sequence(np.eye(4)[None]), theta, 2)
         np.testing.assert_array_equal(out.data, np.zeros((1, 1, 4, 3)))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ConfigError, match="spl"):
             theta = Parameter(np.ones((1, 2, 2, 3)))
-            stnet.spl(Tensor(np.ones((1, 1, 3, 2))), full_sequence(np.eye(3)[None]), 0, theta, 1)
+            stnet.spl(Tensor(np.ones((1, 1, 3, 2))), full_sequence(np.eye(3)[None]), theta, 1)
 
     @pytest.mark.parametrize("t_len", [1, 3])
     def test_graph_count_and_shape_rejected(self, t_len):
@@ -317,18 +315,20 @@ class TestSpl:
         batch = 2 if t_len == 1 else 1
         seq = full_sequence(*[np.ones((batch, 4, 4))] * t_len)
         with pytest.raises(ConfigError, match="spl"):
-            stnet.spl(x, seq, 0, Parameter(np.ones((1, 2, 2, 2))), 1)
+            stnet.spl(x, seq, Parameter(np.ones((1, 2, 2, 2))), 1)
 
+    # The ids keep the names the cases had when spl also took the first graph step.
     @pytest.mark.parametrize(
-        "shape, offset",
-        [((2, 5, 15), 0), ((2, 5), 0), ((2, 5, 16, 1), 0), ((2, 5, 16), 3), ((2, 5, 16), -1)],
+        "shape",
+        [(2, 5, 15), (2, 5), (2, 5, 16, 1), (2, 2, 16)],
+        ids=["shape0-0", "shape1-0", "shape2-0", "shape3-3"],
     )
-    def test_values_not_b_t_nnz_rejected(self, shape, offset):
-        # The pattern has 16 pairs and the stream 3 steps: only (2, T >= offset + 3, 16) fits.
+    def test_values_not_b_t_nnz_rejected(self, shape):
+        # The pattern has 16 pairs and the stream 3 steps: only (2, T >= 3, 16) fits.
         seq = full_sequence(np.ones((2, 4, 4)))
         seq.values = Tensor(np.ones(shape))
         with pytest.raises(ConfigError, match="spl"):
-            stnet.spl(Tensor(np.ones((2, 3, 4, 2))), seq, offset, Parameter(np.ones((1, 2, 2, 2))), 1)
+            stnet.spl(Tensor(np.ones((2, 3, 4, 2))), seq, Parameter(np.ones((1, 2, 2, 2))), 1)
 
     def test_gradients_four_node_instance(self):
         rng = np.random.default_rng(4)
@@ -341,19 +341,20 @@ class TestSpl:
         r = rng.standard_normal((1, 2, 4, 3))
 
         def build():
-            seq = sequence(dc.stack([a.sigmoid() for a in a_raw], axis=1), pattern)
-            return (stnet.spl(x, seq, 0, theta, 2) * Tensor(r)).sum()
+            seq = sequence(stack([a.sigmoid() for a in a_raw], axis=1), pattern)
+            return (stnet.spl(x, seq, theta, 2) * Tensor(r)).sum()
 
         reports = finite_diff_check(
             build, [("x", x), ("a_raw0", a_raw[0]), ("a_raw1", a_raw[1]), ("theta", theta)]
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
 
-    @pytest.mark.parametrize("offset, t_len, n, num_steps", [(0, 3, 5, 3), (2, 3, 7, 2), (1, 1, 6, 1)])
-    def test_matches_dense_oracle(self, offset, t_len, n, num_steps):
-        # Forward bitwise; the value gradient against the gathered dense gradients.
+    @pytest.mark.parametrize("lead, t_len, n, num_steps", [(0, 3, 5, 3), (2, 3, 7, 2), (1, 1, 6, 1)])
+    def test_matches_dense_oracle(self, lead, t_len, n, num_steps):
+        # Forward bitwise; the value gradient against the gathered dense gradients. The
+        # stream is end-aligned: it uses the last t_len of lead + t_len graph steps.
         rng = np.random.default_rng(60 + n)
-        t_total, b = offset + t_len + 1, 2
+        t_total, b = lead + t_len, 2
         keep = rng.uniform(size=(n, n)) < 0.4
         keep[1, :] = False  # a node with no out-edges
         keep[:, 3] = False  # and one with no in-edges
@@ -364,11 +365,11 @@ class TestSpl:
         r = rng.standard_normal(x_vals.shape)
 
         x, values, theta = (Parameter(v.copy()) for v in (x_vals, v_vals, theta_vals))
-        out = stnet.spl(x, sequence(values, pattern), offset, theta, num_steps)
+        out = stnet.spl(x, sequence(values, pattern), theta, num_steps)
         (out * Tensor(r)).sum().backward()
 
         ox, otheta = Parameter(x_vals.copy()), Parameter(theta_vals.copy())
-        dense = [Parameter(pattern.scatter(v_vals[:, offset + t])) for t in range(t_len)]
+        dense = [Parameter(pattern.scatter(v_vals[:, lead + t])) for t in range(t_len)]
         want = dense_spl(ox, dense, otheta, num_steps)
         (want * Tensor(r)).sum().backward()
 
@@ -376,7 +377,7 @@ class TestSpl:
         assert_within(x.grad, ox.grad)
         assert_within(theta.grad, otheta.grad)
         want_dv = np.zeros(v_vals.shape)
-        want_dv[:, offset : offset + t_len] = pattern.gather(np.stack([a.grad for a in dense], axis=1))
+        want_dv[:, lead:] = pattern.gather(np.stack([a.grad for a in dense], axis=1))
         assert_within(values.grad, want_dv)
 
 
@@ -498,50 +499,53 @@ class TestBlock:
 
     def test_shapes_and_alignment(self, monkeypatch):
         rng = np.random.default_rng(10)
-        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_out=3, rng=rng)
         stream = Tensor(rng.standard_normal((2, 5, 3, 4)))
         used, spl = [], stnet.spl
 
-        def logged_spl(x, graphs, offset, theta, num_steps):
-            used.append((offset, x.shape[1]))
-            return spl(x, graphs, offset, theta, num_steps)
+        def logged_spl(x, graphs, theta, num_steps):
+            out = spl(x, graphs, theta, num_steps)
+            # End-aligned: the call equals one given only the last T graph steps.
+            last = sequence(Tensor(graphs.values.data[:, -x.shape[1] :]), graphs.pattern)
+            np.testing.assert_array_equal(out.data, spl(x, last, theta, num_steps).data)
+            used.append(x.shape[1])
+            return out
 
         monkeypatch.setattr(stnet, "spl", logged_spl)
-        out_stream, block_out, offset = block.forward(stream, self._graphs(5, 3, rng), 0)
+        out_stream, block_out = block.forward(stream, self._graphs(5, 3, rng))
         assert out_stream.shape == (2, 3, 3, 4)
         assert block_out.shape == (2, 3, 4)
-        assert offset == 2
         # first pass takes graphs 0..4, second (after one conv) graphs 1..4
-        assert used == [(0, 5), (1, 4)]
+        assert used == [5, 4]
 
     def test_paper_kernel_single_block_shapes(self):
         # window 12, kernel 6: stream shrinks 12 -> 7 -> 2, output kernel spans 2
         rng = np.random.default_rng(20)
-        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=6, t_in_block=12, rng=rng)
+        (t_out,) = stnet.block_schedule(12, 1, 6)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=6, t_out=t_out, rng=rng)
         assert block.output.t_in == 2
         stream = Tensor(rng.standard_normal((1, 12, 3, 4)))
-        out_stream, block_out, offset = block.forward(stream, self._graphs(12, 3, rng, batch=1), 0)
+        out_stream, block_out = block.forward(stream, self._graphs(12, 3, rng, batch=1))
         assert out_stream.shape == (1, 2, 3, 4)
         assert block_out.shape == (1, 3, 4)
-        assert offset == 10
 
     def test_zero_parameters_finite(self):
         rng = np.random.default_rng(11)
-        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=4, rng=rng)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_out=2, rng=rng)
         for _, p in block.params():
             p.data[:] = 0.0
         stream = Tensor(rng.standard_normal((1, 4, 3, 4)))
-        out_stream, block_out, _ = block.forward(stream, self._graphs(4, 3, rng, batch=1), 0)
+        out_stream, block_out = block.forward(stream, self._graphs(4, 3, rng, batch=1))
         assert np.all(np.isfinite(out_stream.data))
         np.testing.assert_array_equal(block_out.data, np.zeros((1, 3, 4)))
 
     def test_dropout_train_only_changes_stream(self):
         rng = np.random.default_rng(12)
-        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=4, rng=rng)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_out=2, rng=rng)
         stream = Tensor(rng.standard_normal((1, 4, 3, 4)))
         graphs = self._graphs(4, 3, rng, batch=1)
-        plain, _, _ = block.forward(stream, graphs, 0)
-        dropped, _, _ = block.forward(stream, graphs, 0, dropout=(0.5, np.random.default_rng(1)))
+        plain, _ = block.forward(stream, graphs)
+        dropped, _ = block.forward(stream, graphs, dropout=(0.5, np.random.default_rng(1)))
         assert not np.array_equal(plain.data, dropped.data)
 
 
@@ -594,7 +598,7 @@ def fused_cases():
             [stream[:, 0], a_vals, theta],
         ),
         "spl": (
-            lambda x, v, th: stnet.spl(x, sequence(v, pattern), 0, th, 3),
+            lambda x, v, th: stnet.spl(x, sequence(v, pattern), th, 3),
             lambda x, v, th: oracle_spl(x, scattered(v, pattern), th, 3),
             [stream, values, theta],
         ),
@@ -636,17 +640,17 @@ def test_fused_node_matches_composition(name):
 class TestFusedBlock:
     def _run(self, forward, stream, graphs, dropout_seed):
         rng = np.random.default_rng(30)
-        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_out=3, rng=rng)
         stream = Parameter(stream.copy())
         pattern, values = on_pattern(graphs)
         values = Parameter(values)
         dropout = None if dropout_seed is None else (0.4, np.random.default_rng(dropout_seed))
-        out_stream, block_out, offset = forward(block, stream, sequence(values, pattern), 0, dropout)
+        out_stream, block_out = forward(block, stream, sequence(values, pattern), dropout)
         r = np.random.default_rng(31)
         loss = (out_stream * Tensor(r.standard_normal(out_stream.shape))).sum()
         (loss + (block_out * Tensor(r.standard_normal(block_out.shape))).sum()).backward()
         grads = [stream.grad, values.grad] + [p.grad for _, p in block.params()]
-        return out_stream.data, block_out.data, offset, grads
+        return out_stream.data, block_out.data, grads
 
     @pytest.mark.parametrize("dropout_seed", [None, 5])
     def test_matches_per_slice_composition(self, dropout_seed):
@@ -657,17 +661,16 @@ class TestFusedBlock:
         oracle = self._run(oracle_block_forward, stream, graphs, dropout_seed)
         assert_within(fused[0], oracle[0])
         assert_within(fused[1], oracle[1])
-        assert fused[2] == oracle[2]
-        for g, w in zip(fused[3], oracle[3]):
+        for g, w in zip(fused[2], oracle[2]):
             assert_within(g, w)
 
     def test_train_forward_records_at_most_five_nodes(self):
         rng = np.random.default_rng(33)
-        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_out=3, rng=rng)
         stream = Parameter(rng.standard_normal((2, 5, 3, 4)))
         graphs = full_sequence(*[rng.uniform(size=(2, 3, 3)) for _ in range(5)])
         graphs.values = Parameter(graphs.values.data)
-        out_stream, block_out, _ = block.forward(stream, graphs, 0, dropout=(0.3, rng))
+        out_stream, block_out = block.forward(stream, graphs, dropout=(0.3, rng))
         inputs = {id(t) for t in [stream, graphs.values] + [p for _, p in block.params()]}
         seen, todo = {}, [out_stream, block_out]
         while todo:
@@ -679,11 +682,11 @@ class TestFusedBlock:
 
     def test_nodes_keep_only_parents_output_and_row_statistics(self):
         rng = np.random.default_rng(34)
-        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_in_block=5, rng=rng)
+        block = stnet.SpatioTemporalBlock(width=4, diff_steps=2, ks=2, t_out=3, rng=rng)
         stream = Parameter(rng.standard_normal((2, 5, 3, 4)))
         graphs = full_sequence(*[rng.uniform(size=(2, 3, 3)) for _ in range(5)])
         graphs.values = Parameter(graphs.values.data)
-        out_stream, block_out, _ = block.forward(stream, graphs, 0, dropout=(0.3, rng))
+        out_stream, block_out = block.forward(stream, graphs, dropout=(0.3, rng))
         node, checked = out_stream, 0
         while node is not stream:
             own = {id(node.data)} | {id(p.data) for p in node._parents}

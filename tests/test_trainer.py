@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 
 from tglrn import data as dmod
 from tglrn import trainer
-from tglrn.diffcore import Tensor
+from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import CheckpointError, ConfigError, DataError, NumericError
-from tglrn.model import TGLRN, ModelConfig
+from tglrn.model import TGLRN, ModelConfig, PredictionHead
 
+from tensor_ops import einsum2, stack
 from test_acceptance import overfit_setup
 
 
@@ -85,9 +86,9 @@ class TestForwardContract:
         model, (train_ds, _, _), _, _ = quick_setup()
         for _, p in model.parameters():
             p.data[:] = 0.0
-        model.head_b.data[:, 0] = [1.5, -2.0, 0.25]
+        model.head.b.data[:, 0] = [1.5, -2.0, 0.25]
         pred = model.forward(train_ds.inputs[:4], mode="eval")
-        expected = np.broadcast_to(model.head_b.data[None, :, None, :], (4, 3, 6, 1))
+        expected = np.broadcast_to(model.head.b.data[None, :, None, :], (4, 3, 6, 1))
         np.testing.assert_array_equal(pred.data, expected)
 
     @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 5, 5), (2, 4, 5), (4, 4)])
@@ -224,7 +225,7 @@ print(digest.hexdigest())
 
     def test_nan_loss_aborts_with_parameter_name(self):
         model, (train_ds, val_ds, _), _, _ = quick_setup()
-        model.head_w.data[0, 0, 0] = np.nan
+        model.head.w.data[0, 0, 0] = np.nan
         names = {name for name, _ in model.parameters()}
         with pytest.raises(NumericError) as exc:
             trainer.train(model, train_ds, val_ds, settings(max_epochs=1), seed=0)
@@ -294,9 +295,9 @@ def test_backward_peak_memory_stays_small_next_to_tape():
 
 # Op nodes one train step may record at the acceptance shape (the 8-node model of
 # criterion 5, T_in = 12, B = 32). Each embedding chain is one node, and the gate,
-# edge projection, hop selection and the adjacency run once per window (54 nodes);
-# a per-step pass records about 420.
-TRAIN_STEP_OP_NODES = 60
+# edge projection, hop selection and the adjacency run once per window; the
+# prediction head is one node (50 nodes). A per-step pass records about 420.
+TRAIN_STEP_OP_NODES = 56
 
 
 def test_acceptance_shape_train_step_records_few_op_nodes():
@@ -318,9 +319,12 @@ def test_acceptance_shape_train_step_records_few_op_nodes():
     assert len(chains) == 3, len(chains)
     assert all(p._bwd is None for t in chains for p in t._parents)
     assert not [k for k in kinds if "broadcast" in k or "Gru" in k or "step" in k], kinds
-    # The one stack is the head's, over the block outputs, not an embedding stack.
-    stacks = [t for t, kind in zip(ops, kinds) if kind == "stack"]
-    assert len(stacks) == 1 and len(stacks[0]._parents) == len(model.blocks)
+    # One head node, fed every block output plus head.w and head.b.
+    (head,) = [t for t, kind in zip(ops, kinds) if kind == "PredictionHead.__call__"]
+    assert head._parents[-2:] == (model.head.w, model.head.b)
+    assert [p._bwd.__qualname__.split(".<locals>")[0] for p in head._parents[:-2]] == [
+        "OutputLayer.__call__"
+    ] * len(model.blocks)
     # One adjacency node for the whole window, fed u, v and the mixing unsliced.
     graph = [t for t in ops if t._bwd.__qualname__.startswith("edge_adjacency.")]
     assert len(graph) == 1, len(graph)
@@ -328,6 +332,32 @@ def test_acceptance_shape_train_step_records_few_op_nodes():
     sliced = [t for t in ops if t._bwd.__qualname__.startswith("Tensor.__getitem__.")
               and any(id(p) in inputs for p in t._parents)]
     assert not sliced, [t.shape for t in sliced]
+
+
+def head_composition(head, outputs):
+    """The prediction head as the stack, reshape, einsum2 and add nodes it replaced."""
+    b, n = outputs[0].shape[:2]
+    feats = stack(outputs, axis=-2).reshape(b, n, -1)
+    t_out, f = head.b.shape
+    return einsum2("bic,ctf->btif", feats, head.w) + head.b.reshape(1, t_out, 1, f)
+
+
+@pytest.mark.parametrize(
+    "b, n, blocks, d, f", [(32, 8, 2, 16, 1), (4, 170, 1, 64, 1), (3, 5, 3, 4, 2), (1, 1, 2, 3, 2)]
+)
+def test_prediction_head_node_equals_composition_bitwise(b, n, blocks, d, f):
+    results = []
+    for build in (lambda head, outputs: head(outputs), head_composition):
+        rng = np.random.default_rng(7)
+        head = PredictionHead(blocks * d, 12, f, rng)
+        head.b.data[...] = rng.standard_normal(head.b.shape)
+        outputs = [Parameter(rng.standard_normal((b, n, d))) for _ in range(blocks)]
+        pred = build(head, outputs)
+        (pred * Tensor(rng.standard_normal(pred.shape))).sum().backward()
+        results.append([pred.data] + [p.grad for p in outputs] + [head.w.grad, head.b.grad])
+    assert len(results[0]) == blocks + 3
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def traced_peak(fn):
