@@ -26,6 +26,8 @@ fixed inputs; no operation draws randomness.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import ConfigError, StateError
@@ -41,25 +43,35 @@ __all__ = [
     "sigmoid_array",
 ]
 
-_GRAD_ENABLED = [True]
+
+class _GradMode(threading.local):
+    """Grad mode of the calling thread; every thread starts with recording on."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables tape recording (cheap eval passes)."""
+    """Context manager that disables tape recording (cheap eval passes) in the calling thread.
+
+    Threads evaluating under ``no_grad`` leave every other thread's mode alone.
+    """
 
     def __enter__(self):
-        self._prev = _GRAD_ENABLED[0]
-        _GRAD_ENABLED[0] = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, *exc):
-        _GRAD_ENABLED[0] = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
 def recording(parents):
     """True when an op over ``parents`` goes on the tape: grad mode is on and a parent is tracked."""
-    return _GRAD_ENABLED[0] and any(p._track for p in parents)
+    return _GRAD_MODE.enabled and any(p._track for p in parents)
 
 
 def _as_array(x):

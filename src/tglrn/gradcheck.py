@@ -53,17 +53,18 @@ def max_relative_error(analytic, numeric):
 
 
 def _numeric_grad(build_loss, param):
-    grad = np.zeros_like(param.data)
-    flat = param.data.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + EPS
+    # Perturbs param.data itself, index by index: a ravel() of a non-contiguous
+    # array would be a copy the loss never reads.
+    data = param.data
+    grad = np.zeros_like(data)
+    for i in np.ndindex(data.shape):
+        orig = data[i]
+        data[i] = orig + EPS
         f_plus = float(build_loss().data)
-        flat[i] = orig - EPS
+        data[i] = orig - EPS
         f_minus = float(build_loss().data)
-        flat[i] = orig
-        gflat[i] = (f_plus - f_minus) / (2.0 * EPS)
+        data[i] = orig
+        grad[i] = (f_plus - f_minus) / (2.0 * EPS)
     return grad
 
 

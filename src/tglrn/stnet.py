@@ -88,7 +88,8 @@ def _diffuse_grad(g, x, a, theta, num_steps):
 
     lead = tuple(range(g.ndim - 1))
     dtheta = np.zeros_like(theta)
-    for k, (z_fwd, z_rev) in enumerate(zs):
+    dtheta[0] = np.tensordot(x, g, axes=(lead, lead))  # both directions: zs[0] is (x, x)
+    for k, (z_fwd, z_rev) in enumerate(zs[1:], 1):
         dtheta[k, 0] = np.tensordot(z_fwd, g, axes=(lead, lead))
         dtheta[k, 1] = np.tensordot(z_rev, g, axes=(lead, lead))
 

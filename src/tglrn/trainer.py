@@ -39,13 +39,23 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TGLRN\x01"
-# Windows per predict_raw call in batched_predictions, whatever batch_size is. An
-# eval call's memory grows linearly with its windows (at N=170, D=64, L=10 about
-# 5 MB a window above the model), and at that shape 16-window calls also run
-# faster per window than larger ones; smaller chunks add per-call overhead at
-# small N. tests/test_trainer.py checks that chunked predictions equal one
-# whole-split call bitwise.
+# Windows in flight in batched_predictions, whatever batch_size is: one
+# predict_raw call of EVAL_BATCH windows, or at most EVAL_BATCH // workers on
+# each of its threads. An eval call's memory grows linearly with its windows (at
+# N=170, D=64, L=10 about 5 MB a window above the model), and at that shape
+# 16-window calls also run faster per window than larger ones; smaller chunks add
+# per-call overhead at small N. tests/test_trainer.py checks that chunked
+# predictions, on one thread or two, equal one whole-split call bitwise.
 EVAL_BATCH = 16
+# num_nodes * hidden_dim from which batched_predictions runs its sub-chunks on
+# one thread per CPU. numpy releases the GIL in BLAS products and ufunc loops,
+# which dominate a large window's forward; below this width the per-op Python
+# work dominates and threads only contend for the GIL. Two threads' time over
+# one thread's for 48 windows (74 at N=8), median of 6-12 alternating calls, on
+# 2 CPUs with one BLAS thread; D=16 except at N=169:
+#   num_nodes * hidden_dim   128 (N=8)  400   576        784        1,024  1,600  10,816 (D=64)
+#   time ratio               1.40       1.24  1.02-1.13  0.91-0.96  0.66   0.61   0.47
+PARALLEL_EVAL_WIDTH = 768
 
 
 def mae_loss(pred, target):
@@ -132,11 +142,50 @@ def compute_metrics(pred, target, mape_threshold=1.0):
     return MetricsReport(mae=overall[0], rmse=overall[1], mape=overall[2], per_horizon=horizons)
 
 
+def _blas_threads(cpus):
+    """Threads OpenBLAS runs per call, as it reads them from the environment at load.
+
+    With none set it runs one per CPU, and eval threads on top of those only
+    queue for the same cores (evaluation measured 11-15% slower than on one
+    thread at N=170, D=64).
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
 def batched_predictions(model, dataset):
-    preds = []
-    for lo in range(0, len(dataset), EVAL_BATCH):
-        window = dataset.inputs[lo : lo + EVAL_BATCH]
-        preds.append(model.predict_raw(window))
+    """``model.predict_raw`` over every window of ``dataset``, in order.
+
+    At most EVAL_BATCH windows are in flight. From PARALLEL_EVAL_WIDTH up they
+    run as sub-chunks on one thread per available CPU that BLAS threads leave
+    free, capped by the sub-chunk count; a split shorter than EVAL_BATCH is
+    spread over the threads. The pool lives only for this call.
+    """
+    windows = len(dataset)
+    workers = 1
+    if model.cfg.num_nodes * model.cfg.hidden_dim >= PARALLEL_EVAL_WIDTH:
+        # sched_getaffinity (Linux) counts only the CPUs this process may use.
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+        workers = max(1, min(cpus // _blas_threads(cpus), EVAL_BATCH))
+    size = max(1, min(math.ceil(windows / workers), EVAL_BATCH // workers))
+    chunks = [dataset.inputs[lo : lo + size] for lo in range(0, windows, size)]
+    workers = min(workers, len(chunks))
+    if workers <= 1:
+        preds = [model.predict_raw(chunk) for chunk in chunks]
+    else:
+        # Imported here: the module adds ~0.7 MB of resident memory, which runs
+        # that never start a pool should not pay.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        try:
+            preds = list(pool.map(model.predict_raw, chunks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     return np.concatenate(preds, axis=0)
 
 

@@ -1,5 +1,6 @@
 """Engine-level checks: op correctness, gradient exactness, determinism."""
 
+import threading
 import weakref
 
 import numpy as np
@@ -82,6 +83,36 @@ class TestBackwardBasics:
         with dc.no_grad():
             out = p * p
         assert out._parents == ()
+
+    def test_grad_mode_is_per_thread(self):
+        # A enters no_grad, B enters, A exits, then B reads its mode; events fix the order.
+        p = Parameter(2.0)
+        a_entered, b_entered, a_exited = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with dc.no_grad():
+                a_entered.set()
+                seen["a_saw_b_enter"] = b_entered.wait(10)
+            a_exited.set()
+
+        def thread_b():
+            seen["b_saw_a_enter"] = a_entered.wait(10)
+            with dc.no_grad():
+                b_entered.set()
+                seen["b_saw_a_exit"] = a_exited.wait(10)
+                seen["b_recording"] = dc.recording([p])
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {
+            "a_saw_b_enter": True, "b_saw_a_enter": True, "b_saw_a_exit": True, "b_recording": False
+        }
+        assert dc.recording([p])
 
 
 def _random_graph_loss(rng, params):
@@ -228,6 +259,15 @@ def test_einsum2_rejects_unsupported_subscripts():
         einsum2("ii,jk->jk", a, b)
     with pytest.raises(ConfigError):
         einsum2("ij,kl->il", a, b)  # j summed but invisible to the other operand
+
+
+def test_finite_differences_perturb_a_non_contiguous_parameter():
+    rng = np.random.default_rng(5)
+    p = Parameter(rng.standard_normal((3, 4)).T, "p")  # a transposed view
+    assert not p.data.flags.c_contiguous
+    r = rng.standard_normal(p.shape)
+    reports = finite_diff_check(lambda: (p * p * Tensor(r)).sum(), [p])
+    assert reports[0].passed, reports[0].line()
 
 
 def test_corrupted_gradient_fails_check():

@@ -5,7 +5,10 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -407,6 +410,41 @@ def first_windows(ds, m):
     return dmod.WindowedDataset(ds.inputs[idx], ds.targets[idx], ds.anchors[idx], ds.split)
 
 
+def threaded_setup():
+    """A model above PARALLEL_EVAL_WIDTH with small widths: N=64, T_in=12, embeddings of 2.
+
+    hidden_dim is 16: at 12 this BLAS build rounds some products differently for 8
+    and for 16 windows, so no chunking, threaded or not, equals a whole-split call.
+    """
+    n, hidden = 64, 16
+    assert n * hidden >= trainer.PARALLEL_EVAL_WIDTH
+    return quick_setup(
+        n=n, t_total=500, t_in=12, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=hidden
+    )
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Sets the CPU count batched_predictions sees, with one BLAS thread; returns its pools' sizes."""
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    for var in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def set_count(count):
+        monkeypatch.setattr(trainer.os, "sched_getaffinity", lambda pid: set(range(count)))
+        return pools
+
+    return set_count
+
+
 @pytest.mark.parametrize("shape", ["acceptance", "pems_like"])
 def test_batched_predictions_equal_one_whole_split_call(shape):
     model, (_, val_ds, _) = overfit_setup(seed=0) if shape == "acceptance" else pems_like_setup()
@@ -418,25 +456,105 @@ def test_batched_predictions_equal_one_whole_split_call(shape):
     )
 
 
+# (CPUs seen, windows, pool size): one CPU runs in the calling thread; two run
+# 8-window sub-chunks with a partial last one, or spread 5 windows as 3 + 2; eight
+# CPUs over 2 windows are capped at the 2 sub-chunks; 1 window starts no pool.
+@pytest.mark.parametrize(
+    "count, windows, pool",
+    [
+        (1, 2 * trainer.EVAL_BATCH + 5, None),
+        (2, 2 * trainer.EVAL_BATCH + 5, 2),
+        (2, 5, 2),
+        (8, 2, 2),
+        (2, 1, None),
+    ],
+)
+def test_threaded_predictions_equal_one_whole_split_call(cpus, count, windows, pool):
+    model, (_, _, test_ds), _, _ = threaded_setup()
+    ds = first_windows(test_ds, windows)
+    assert len(set(ds.anchors.tolist())) == len(ds)
+    pools = cpus(count)
+    before = threading.active_count()
+    got = trainer.batched_predictions(model, ds)
+    assert threading.active_count() == before
+    assert pools == ([] if pool is None else [pool])
+    np.testing.assert_array_equal(got, model.predict_raw(ds.inputs))
+
+
+# BLAS threads as OpenBLAS reads them (OPENBLAS_NUM_THREADS, then GOTO_NUM_THREADS,
+# then OMP_NUM_THREADS; unset, zero or not a number falls through, and the default
+# is one per CPU) -> pool size on 2 CPUs.
+@pytest.mark.parametrize(
+    "env, pool",
+    [
+        ({}, None),
+        ({"OPENBLAS_NUM_THREADS": "2"}, None),
+        ({"OMP_NUM_THREADS": "1"}, 2),
+        ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, None),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "one", "OMP_NUM_THREADS": "1"}, 2),
+    ],
+)
+def test_eval_threads_leave_room_for_blas_threads(cpus, monkeypatch, env, pool):
+    model, (_, _, test_ds), _, _ = threaded_setup()
+    ds = first_windows(test_ds, trainer.EVAL_BATCH)
+    pools = cpus(2)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    np.testing.assert_array_equal(
+        trainer.batched_predictions(model, ds), model.predict_raw(ds.inputs)
+    )
+    assert pools == ([] if pool is None else [pool])
+
+
+def test_threaded_predictions_raise_config_error_for_a_malformed_window(cpus):
+    model, (_, _, test_ds), _, _ = threaded_setup()
+    ds = first_windows(test_ds, 2 * trainer.EVAL_BATCH)
+    bad = dmod.WindowedDataset(ds.inputs[:, :, 1:], ds.targets, ds.anchors, ds.split)
+    pools = cpus(2)
+    before = threading.active_count()
+    with pytest.raises(ConfigError, match="expected window of shape"):
+        trainer.batched_predictions(model, bad)
+    assert threading.active_count() == before
+    assert pools == [2]
+
+
 # Windows of the one predict_raw call whose tracemalloc peak bounds evaluate's over
 # any split: evaluation's memory budget. On top of that call evaluate may hold four
 # prediction-sized arrays (the chunks' outputs, their concatenation and the error
 # temporaries of compute_metrics) and EVAL_MARGIN_BYTES of allocator and numpy
 # iteration-buffer noise. Measured at the shape below (N=64, T_in=12, widths 2):
 # one 16-window call peaks at 3.2 MB, evaluate over 64 windows in 16-window chunks
-# 75 KB above it, and over 1,024 windows in 256-window chunks at 52 MB.
+# 75 KB above it, and over 1,024 windows in 256-window chunks at 52 MB. On two
+# threads (threaded_setup, D=16) one 16-window call peaks at 9.65 MB, two 8-window
+# calls at 71 KB more together, and evaluate at 9.1-9.75 MB as their peaks overlap.
 EVAL_BUDGET_WINDOWS = 16
 EVAL_MARGIN_BYTES = 256_000
 
 
-def test_eval_peak_memory_does_not_grow_with_the_split():
-    model, (_, _, test_ds), _, _ = quick_setup(
-        n=64, t_total=500, t_in=12, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=2
-    )
+def check_eval_peak_within_budget(model, test_ds):
     ds = first_windows(test_ds, 4 * trainer.EVAL_BATCH)
     one_call = traced_peak(lambda: model.predict_raw(ds.inputs[:EVAL_BUDGET_WINDOWS]))
     peak = traced_peak(lambda: trainer.evaluate(model, ds))
     assert peak < one_call + 4 * ds.targets.nbytes + EVAL_MARGIN_BYTES, (peak, one_call)
+
+
+def test_eval_peak_memory_does_not_grow_with_the_split(cpus):
+    model, (_, _, test_ds), _, _ = quick_setup(
+        n=64, t_total=500, t_in=12, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=2
+    )
+    pools = cpus(2)
+    check_eval_peak_within_budget(model, test_ds)
+    assert pools == []
+
+
+def test_threaded_eval_peak_memory_does_not_grow_with_the_split(cpus):
+    model, (_, _, test_ds), _, _ = threaded_setup()
+    pools = cpus(2)
+    check_eval_peak_within_budget(model, test_ds)
+    assert pools == [2]
 
 
 class TestMetrics:
