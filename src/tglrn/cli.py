@@ -15,9 +15,10 @@ import sys
 import numpy as np
 
 from . import data as data_mod
-from . import gradcheck, trainer
+from . import diffcore as dc
+from . import gradcheck, roadnet, trainer
 from .config import config_text, load_config, section
-from .errors import ConfigError, DataError, TglrnError
+from .errors import ConfigError, DataError, TglrnError, open_output
 from .model import ModelConfig
 
 GRADCHECK_EXIT = 5
@@ -56,8 +57,6 @@ def _outputs(cfg, *names):
 
 
 def _load_dataset(cfg):
-    from . import roadnet
-
     edges = roadnet.load_edges(cfg.edges_path)
     series = data_mod.load_flows(cfg.flows_path, cfg.num_nodes)
     ratios = (cfg.train_frac, cfg.val_frac, cfg.test_frac)
@@ -68,7 +67,7 @@ def _load_dataset(cfg):
 
 
 def _write_metrics(path, report):
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("horizon,mae,rmse,mape\n")
         for horizon, mae, rmse, mape in report.rows():
             fh.write(f"{horizon},{mae!r},{rmse!r},{mape!r}\n")
@@ -90,17 +89,17 @@ def cmd_synth(cfg):
         amplitude=cfg.synth_amplitude,
         offset=cfg.synth_offset,
     )
-    with open(edges_path, "w") as fh:
+    with open_output(edges_path) as fh:
         fh.write("from,to\n")
         for i, j in net.edges:
             fh.write(f"{i},{j}\n")
     n = series.num_nodes
-    with open(flow_path, "w") as fh:
+    with open_output(flow_path) as fh:
         fh.write("t," + ",".join(f"s{i}" for i in range(n)) + "\n")
         for t in range(series.num_steps):
             row = ",".join(repr(float(v)) for v in series.values[t, :, 0])
             fh.write(f"{t},{row}\n")
-    with open(planted_path, "w") as fh:
+    with open_output(planted_path) as fh:
         fh.write("t,from,to,coeff\n")
         for t, u, v, c in planted.records():
             fh.write(f"{t},{u},{v},{c!r}\n")
@@ -115,6 +114,8 @@ def cmd_train(cfg):
     ckpt = _checkpoint_target(cfg)
     history_path, metrics_path = _outputs(cfg, "history.csv", "metrics.csv")
     edges, series, (train_ds, val_ds, test_ds), scaler = _load_dataset(cfg)
+    if len(test_ds) == 0:
+        raise DataError("train: test split holds no windows; raise test_frac or the series length")
     model = trainer.build_model(mcfg, edges, scaler, cfg.seed, cfg.symmetrize_hops)
     settings = section(cfg, trainer.TrainSettings)
     history, _ = trainer.train(model, train_ds, val_ds, settings, cfg.seed)
@@ -155,10 +156,8 @@ def cmd_predict(cfg):
     _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
     (path,) = _outputs(cfg, "predictions.csv")
     model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
-    if len(test_ds) == 0:
-        raise DataError("predict: test split holds no windows")
     preds = trainer.batched_predictions(model, test_ds)
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("t,horizon,sensor,value\n")
         for w in range(preds.shape[0]):
             anchor = int(test_ds.anchors[w])
@@ -180,7 +179,7 @@ def cmd_gradcheck(cfg, quick=False):
 
 def _write_edges(path, seq, w):
     """One line per nonzero weight of window ``w`` of ``seq``, step by step, row-major."""
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("t,i,j,weight,hop_i\n")
         rows, cols = seq.pattern.rows, seq.pattern.cols  # row-major, as np.nonzero lists pairs
         for t, weights in enumerate(seq.values.data[w]):
@@ -203,22 +202,18 @@ def cmd_inspect_graph(cfg):
             f"(raise inspect_windows or lower the index)"
         )
 
-    from . import diffcore as dc
-    from .diffcore import Tensor
-
     # Built in evaluation's chunks, so memory does not grow with inspect_windows.
     levels = model.cfg.levels
     counts = np.zeros(levels, dtype=np.int64)
-    for lo in range(0, count, trainer.EVAL_BATCH):
-        windows = test_ds.inputs[lo : min(count, lo + trainer.EVAL_BATCH)]
+    for part in trainer.eval_chunks(model, count):
         with dc.no_grad():
-            seq = model.graph_block.build(Tensor(model.scaler.apply(windows)), "eval")
+            seq = model.graph_block.build(dc.Tensor(model.scaler.apply(test_ds.inputs[part])), "eval")
         counts += np.bincount(seq.hop_choices.ravel(), minlength=levels + 1)[1:]
-        if lo <= widx < lo + len(windows):
-            _write_edges(edge_path, seq, widx - lo)
+        if part.start <= widx < part.stop:
+            _write_edges(edge_path, seq, widx - part.start)
 
     total = counts.sum()
-    with open(hist_path, "w") as fh:
+    with open_output(hist_path) as fh:
         fh.write("hop,count,fraction\n")
         for k in range(levels):
             frac = float(counts[k] / total) if total else 0.0
@@ -237,10 +232,10 @@ def build_parser():
         p.add_argument("config", nargs="?", default=None, help="key = value config file")
         p.add_argument("--set", dest="overrides", action="append", default=[], metavar="KEY=VALUE")
         if name == "synth":
-            p.add_argument("--topology", default=None, choices=("chain", "ring", "grid"))
-            p.add_argument("--nodes", type=int, default=None)
-            p.add_argument("--steps", type=int, default=None)
-            p.add_argument("--out", default=None)
+            p.add_argument("--topology", dest="synth_topology", choices=("chain", "ring", "grid"))
+            p.add_argument("--nodes", dest="synth_nodes", type=int, metavar="N")
+            p.add_argument("--steps", dest="synth_steps", type=int, metavar="T")
+            p.add_argument("--out", dest="out_dir", metavar="DIR")
         if name == "gradcheck":
             p.add_argument("--quick", action="store_true", help="skip the end-to-end model check")
     return parser
@@ -250,15 +245,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         overrides = list(args.overrides)
-        if args.command == "synth":
-            if args.topology:
-                overrides.append(f"synth_topology={args.topology}")
-            if args.nodes is not None:
-                overrides.append(f"synth_nodes={args.nodes}")
-            if args.steps is not None:
-                overrides.append(f"synth_steps={args.steps}")
-            if args.out is not None:
-                overrides.append(f"out_dir={args.out}")
+        if args.command == "synth":  # its flags, stored under their config keys, override --set
+            keys = ("synth_topology", "synth_nodes", "synth_steps", "out_dir")
+            overrides += [f"{key}={getattr(args, key)}" for key in keys if getattr(args, key) is not None]
         cfg = load_config(args.config, overrides)
         commands = {
             "synth": cmd_synth, "train": cmd_train, "eval": cmd_eval, "predict": cmd_predict,
@@ -272,6 +261,9 @@ def main(argv=None):
         code = getattr(e, "exit_code", 2)
         print(f"ERROR:{code}: {e}", file=sys.stderr)
         return code
+    except OSError as e:  # a file that cannot be read or written, such as a full disk
+        print(f"ERROR:{DataError.exit_code}: {e}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

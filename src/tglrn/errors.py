@@ -1,8 +1,22 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, data/file problems with 3, numeric failures (NaN/Inf) with 4.
+with 2, data/file problems (an OSError too) with 3, numeric failures (NaN/Inf) with 4.
 """
+
+import contextlib
+import os
+
+
+@contextlib.contextmanager
+def open_output(path, mode="w"):
+    """``open(path, mode)`` whose OSError, from a write or the close too, names ``path``."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as e:
+        e.filename = e.filename or os.fspath(path)
+        raise
 
 
 class TglrnError(Exception):

@@ -20,7 +20,7 @@ from . import diffcore as dc
 from .diffcore import Linear, Parameter, Tensor
 from .dyngraph import GraphConstruction
 from .errors import ConfigError
-from .stnet import TPL_PER_BLOCK, SpatioTemporalBlock, block_schedule
+from .stnet import SpatioTemporalBlock, block_schedule
 
 __all__ = ["ModelConfig", "PredictionHead", "TGLRN"]
 
@@ -76,11 +76,7 @@ class ModelConfig:
                 f"input layer must lift features: hidden_dim {self.hidden_dim} "
                 f"must exceed in_features {self.in_features}"
             )
-        # The same condition as block_schedule's, tested first so that a valid
-        # config never builds the per-block list (n_blocks long) just to be checked.
-        shrink = self.kernel_size - 1
-        if self.t_in - (TPL_PER_BLOCK * self.n_blocks - 1) * shrink < self.kernel_size:
-            block_schedule(self.t_in, self.n_blocks, self.kernel_size)
+        block_schedule(self.t_in, self.n_blocks, self.kernel_size)  # checks at once, builds nothing
         # numpy sizes every array in intp bytes; a larger one raises only once the
         # model is built, after the run has started.
         limit = int(np.iinfo(np.intp).max)

@@ -408,7 +408,7 @@ class OutputLayer:
 
 
 def block_schedule(t_in, n_blocks, ks):
-    """Stream length left after each block; raises if a temporal conv underflows.
+    """Stream lengths left after each block, lazily; raises at once if a temporal conv underflows.
 
     Every temporal conv shrinks the time axis by Ks - 1, so conv k (from 0)
     sees t_in - k * (Ks - 1) steps and the last conv sees the fewest. The
@@ -421,7 +421,7 @@ def block_schedule(t_in, n_blocks, ks):
             f"temporal schedule underflow: block {k // TPL_PER_BLOCK} sees time length "
             f"{t_in - k * shrink} < kernel {ks} (t_in={t_in}, n_blocks={n_blocks}, ks={ks})"
         )
-    return [t_in - (b + 1) * TPL_PER_BLOCK * shrink for b in range(n_blocks)]
+    return (t_in - (b + 1) * TPL_PER_BLOCK * shrink for b in range(n_blocks))
 
 
 class SpatioTemporalBlock:

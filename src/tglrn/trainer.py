@@ -21,7 +21,7 @@ import numpy as np
 from . import diffcore as dc
 from . import roadnet
 from .data import Scaler
-from .errors import CheckpointError, ConfigError, DataError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, NumericError, open_output
 from .model import ModelConfig, TGLRN
 
 __all__ = [
@@ -39,20 +39,19 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TGLRN\x01"
-# Windows in flight in batched_predictions, whatever batch_size is: one
-# predict_raw call of EVAL_BATCH windows, or at most EVAL_BATCH // workers on
-# each of its threads. An eval call's memory grows linearly with its windows (at
-# N=170, D=64, L=10 about 5 MB a window above the model), and at that shape
-# 16-window calls also run faster per window than larger ones; smaller chunks add
-# per-call overhead at small N. tests/test_trainer.py checks that chunked
-# predictions, on one thread or two, equal one whole-split call bitwise.
+# Windows per evaluation predict_raw call, and the most in flight at once, whatever
+# batch_size is. An eval call's memory grows linearly with its windows (at N=170,
+# D=64, L=10 about 5 MB a window above the model), and at that shape 16-window
+# calls also run faster per window than larger ones; smaller calls add per-call
+# overhead at small N. tests/test_trainer.py checks that chunked predictions, on
+# one thread or several, equal one whole-split call bitwise.
 EVAL_BATCH = 16
-# num_nodes * hidden_dim from which batched_predictions runs its sub-chunks on
-# one thread per CPU. numpy releases the GIL in BLAS products and ufunc loops,
-# which dominate a large window's forward; below this width the per-op Python
-# work dominates and threads only contend for the GIL. Two threads' time over
-# one thread's for 48 windows (74 at N=8), median of 6-12 alternating calls, on
-# 2 CPUs with one BLAS thread; D=16 except at N=169:
+# num_nodes * hidden_dim from which eval_chunks cuts EVAL_BATCH // 4 windows per
+# call, run on up to four threads. numpy releases the GIL in BLAS products and
+# ufunc loops, which dominate a large window's forward; below this width the
+# per-op Python work dominates and threads only contend for the GIL. Two threads'
+# time over one thread's for 48 windows (74 at N=8), median of 6-12 alternating
+# calls, on 2 CPUs with one BLAS thread; D=16 except at N=169:
 #   num_nodes * hidden_dim   128 (N=8)  400   576        784        1,024  1,600  10,816 (D=64)
 #   time ratio               1.40       1.24  1.02-1.13  0.91-0.96  0.66   0.61   0.47
 PARALLEL_EVAL_WIDTH = 768
@@ -143,12 +142,8 @@ def compute_metrics(pred, target, mape_threshold=1.0):
 
 
 def _blas_threads(cpus):
-    """Threads OpenBLAS runs per call, as it reads them from the environment at load.
-
-    With none set it runs one per CPU, and eval threads on top of those only
-    queue for the same cores (evaluation measured 11-15% slower than on one
-    thread at N=170, D=64).
-    """
+    """Threads OpenBLAS runs per call, as it reads them from the environment at load: with
+    none set, one per CPU (eval threads on top measured 11-15% slower at N=170, D=64)."""
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(var, "").strip()
         if value.isdigit() and int(value) > 0:
@@ -156,24 +151,29 @@ def _blas_threads(cpus):
     return cpus
 
 
-def batched_predictions(model, dataset):
-    """``model.predict_raw`` over every window of ``dataset``, in order.
+def eval_chunks(model, windows):
+    """Slices of evaluation's predict_raw calls over ``windows`` windows, in order: EVAL_BATCH
+    windows each, or EVAL_BATCH // 4 from PARALLEL_EVAL_WIDTH up. Nothing else sets them."""
+    size = EVAL_BATCH // 4 if model.cfg.num_nodes * model.cfg.hidden_dim >= PARALLEL_EVAL_WIDTH else EVAL_BATCH
+    return [slice(lo, min(lo + size, windows)) for lo in range(0, windows, size)]
 
-    At most EVAL_BATCH windows are in flight. From PARALLEL_EVAL_WIDTH up they
-    run as sub-chunks on one thread per available CPU that BLAS threads leave
-    free, capped by the sub-chunk count; a split shorter than EVAL_BATCH is
-    spread over the threads. The pool lives only for this call.
+
+def batched_predictions(model, dataset):
+    """``model.predict_raw`` over every window of ``dataset``, in eval_chunks' calls.
+
+    Chunks under EVAL_BATCH windows (a wide model's) run on as many threads as keep
+    EVAL_BATCH in flight, capped by the chunk count and the CPUs BLAS leaves free.
+    The pool lives only for this call.
     """
-    windows = len(dataset)
-    workers = 1
-    if model.cfg.num_nodes * model.cfg.hidden_dim >= PARALLEL_EVAL_WIDTH:
+    if len(dataset) == 0:
+        raise DataError(f"split {dataset.split!r} holds no windows")
+    chunks = [dataset.inputs[part] for part in eval_chunks(model, len(dataset))]
+    workers = min(EVAL_BATCH // len(chunks[0]), len(chunks))
+    if workers > 1:
         # sched_getaffinity (Linux) counts only the CPUs this process may use.
         affinity = getattr(os, "sched_getaffinity", None)
         cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        workers = max(1, min(cpus // _blas_threads(cpus), EVAL_BATCH))
-    size = max(1, min(math.ceil(windows / workers), EVAL_BATCH // workers))
-    chunks = [dataset.inputs[lo : lo + size] for lo in range(0, windows, size)]
-    workers = min(workers, len(chunks))
+        workers = min(workers, cpus // _blas_threads(cpus))
     if workers <= 1:
         preds = [model.predict_raw(chunk) for chunk in chunks]
     else:
@@ -191,8 +191,6 @@ def batched_predictions(model, dataset):
 
 def evaluate(model, dataset, mape_threshold=1.0):
     """Eval-mode metrics in original units; deterministic and repeatable."""
-    if len(dataset) == 0:
-        raise DataError(f"evaluate: split {dataset.split!r} holds no windows")
     preds = batched_predictions(model, dataset)
     return compute_metrics(preds, dataset.targets, mape_threshold)
 
@@ -302,7 +300,7 @@ def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
 
 
 def write_history(path, history):
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("epoch,train_loss,val_mae,val_rmse,val_mape\n")
         for rec in history:
             fh.write(rec.csv_row() + "\n")
@@ -328,7 +326,7 @@ def checkpoint_save(path, model, extra_config=None):
         "extra_config": extra_config or {},
     }
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

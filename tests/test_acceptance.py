@@ -242,6 +242,7 @@ def test_criterion_4_structural_invariants_during_training():
 # -- criterion 5: synthetic overfit ------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_5_synthetic_overfit():
     t0 = time.time()
     wins = 0
@@ -303,6 +304,7 @@ def recovery_setup(seed):
     return model, splits, net, planted
 
 
+@pytest.mark.slow
 def test_criterion_6_planted_dependency_recovery():
     wins = 0
     details = []

@@ -307,6 +307,37 @@ class TestTrainEval:
         assert abs(sum(fracs) - 1.0) < 1e-9
 
 
+def test_inspect_graph_on_a_wide_model_matches_the_whole_chunk_plan(tmp_path, monkeypatch):
+    # A model at PARALLEL_EVAL_WIDTH (64 nodes, hidden_dim 12) builds its graphs in
+    # 4-window chunks; window 6 lies in the second one. Both CSVs must equal those
+    # of one 12-window build, the plan below the width.
+    from tglrn.data import fit_scaler, load_flows
+    from tglrn.model import ModelConfig
+
+    data_dir = tmp_path / "d"
+    assert run(["synth", "--nodes", "64", "--steps", "200", "--out", data_dir]) == 0
+    cfg = ModelConfig(num_nodes=64, t_in=6, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=12, levels=2, n_blocks=1)
+    assert cfg.num_nodes * cfg.hidden_dim >= trainer.PARALLEL_EVAL_WIDTH
+    edges = [tuple(map(int, line.split(","))) for line in (data_dir / "edges.csv").read_text().split()[1:]]
+    scaler = fit_scaler(load_flows(data_dir / "flow.csv", 64).values[:120])
+    trainer.checkpoint_save(tmp_path / "wide.ckpt", trainer.build_model(cfg, edges, scaler, seed=3))
+
+    def inspect(out):
+        args = ["inspect-graph"]
+        for s in (f"flows_path={data_dir}/flow.csv", f"checkpoint_path={tmp_path}/wide.ckpt",
+                  f"out_dir={out}", "inspect_windows=12", "inspect_window_index=6"):
+            args += ["--set", s]
+        assert run(args) == 0
+        return [(out / name).read_bytes() for name in ("graph_edges.csv", "hop_histogram.csv")]
+
+    model, _ = trainer.checkpoint_load(tmp_path / "wide.ckpt")
+    assert [part.start for part in trainer.eval_chunks(model, 12)] == [0, 4, 8]
+    chunked = inspect(tmp_path / "chunked")
+    monkeypatch.setattr(trainer, "PARALLEL_EVAL_WIDTH", cfg.num_nodes * cfg.hidden_dim + 1)
+    assert inspect(tmp_path / "whole") == chunked
+    assert chunked[0].count(b"\n") > 1
+
+
 class TestErrors:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -488,6 +519,31 @@ class TestErrors:
         assert "validation" in err and "Traceback" not in err
         assert steps == []
 
+    def test_empty_test_split_exits_3_before_training(self, tmp_path, capsys, monkeypatch):
+        from tglrn import cli as cli_mod
+
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        capsys.readouterr()
+        steps = []
+        monkeypatch.setattr(cli_mod.trainer.Adam, "step", lambda self: steps.append(self.t))
+        fracs = ["train_frac=0.8", "val_frac=0.2", "test_frac=0"]
+        assert run(train_args(data_dir, tmp_path / "o", extra=fracs)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:3: train: test split") and len(err.splitlines()) == 1, err
+        assert steps == []
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["effective_config.cfg"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+    def test_failed_checkpoint_write_exits_3_with_one_line(self, tmp_path):
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        proc = run_cli(train_args(data_dir, tmp_path / "o", extra=["checkpoint_path=/dev/full"]))
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:3: "), proc.stderr
+        assert "/dev/full" in lines[0] and "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("kind", ["directory", "under_a_file", "missing_parent"])
     def test_unusable_checkpoint_path_exits_2_before_training(
         self, tmp_path, capsys, monkeypatch, kind
@@ -575,16 +631,20 @@ class TestGradcheckCommand:
         assert "PASS" in out and "FAIL" not in out
 
 
-def test_overflowing_learning_rate_prints_only_the_error_line(tmp_path):
-    data_dir = tmp_path / "d"
-    run(synth_args(data_dir))
-    args = train_args(data_dir, tmp_path / "o", extra=["learning_rate=1e300"])
+def run_cli(args):
+    """``args`` through the CLI in a child process, whose whole stderr is then seen."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "tglrn.cli"] + [str(a) for a in args],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def test_overflowing_learning_rate_prints_only_the_error_line(tmp_path):
+    data_dir = tmp_path / "d"
+    run(synth_args(data_dir))
+    proc = run_cli(train_args(data_dir, tmp_path / "o", extra=["learning_rate=1e300"]))
     assert proc.returncode == 4, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR:4: "), proc.stderr

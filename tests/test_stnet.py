@@ -478,11 +478,11 @@ class TestOutputLayer:
 class TestSchedule:
     def test_paper_kernel_single_block(self):
         # one block, window 12, kernel 6: stream 12 -> 7 -> 2
-        lengths = stnet.block_schedule(12, 1, 6)
+        lengths = list(stnet.block_schedule(12, 1, 6))
         assert lengths == [2]
 
     def test_desk_default_three_blocks(self):
-        assert stnet.block_schedule(12, 3, 2) == [10, 8, 6]
+        assert list(stnet.block_schedule(12, 3, 2)) == [10, 8, 6]
 
     def test_underflow_rejected(self):
         with pytest.raises(ConfigError, match="underflow"):

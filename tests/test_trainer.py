@@ -203,6 +203,7 @@ print(digest.hexdigest())
         assert len(outputs[0].splitlines()) == 3
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.slow
     def test_monotonic_train_loss_on_most_seeds(self):
         # chain of 8 sensors, 200 training windows, five epochs, ten seeds
         good = 0
@@ -410,13 +411,14 @@ def first_windows(ds, m):
     return dmod.WindowedDataset(ds.inputs[idx], ds.targets[idx], ds.anchors[idx], ds.split)
 
 
-def threaded_setup():
+def threaded_setup(hidden=16):
     """A model above PARALLEL_EVAL_WIDTH with small widths: N=64, T_in=12, embeddings of 2.
 
-    hidden_dim is 16: at 12 this BLAS build rounds some products differently for 8
-    and for 16 windows, so no chunking, threaded or not, equals a whole-split call.
+    hidden_dim is 16 by default: at 12 this BLAS build rounds some products
+    differently for 4- or 8-window calls and for a 48-window one, so no chunking
+    equals a whole-split call there.
     """
-    n, hidden = 64, 16
+    n = 64
     assert n * hidden >= trainer.PARALLEL_EVAL_WIDTH
     return quick_setup(
         n=n, t_total=500, t_in=12, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=hidden
@@ -457,15 +459,17 @@ def test_batched_predictions_equal_one_whole_split_call(shape):
 
 
 # (CPUs seen, windows, pool size): one CPU runs in the calling thread; two run
-# 8-window sub-chunks with a partial last one, or spread 5 windows as 3 + 2; eight
-# CPUs over 2 windows are capped at the 2 sub-chunks; 1 window starts no pool.
+# 4-window chunks with a partial last one, or 5 windows as 4 + 1; eight CPUs are
+# capped at the 4 threads that keep EVAL_BATCH windows in flight; 2 windows, or 1,
+# are one chunk and start no pool.
 @pytest.mark.parametrize(
     "count, windows, pool",
     [
         (1, 2 * trainer.EVAL_BATCH + 5, None),
         (2, 2 * trainer.EVAL_BATCH + 5, 2),
         (2, 5, 2),
-        (8, 2, 2),
+        (8, 2 * trainer.EVAL_BATCH + 5, 4),
+        (8, 2, None),
         (2, 1, None),
     ],
 )
@@ -479,6 +483,34 @@ def test_threaded_predictions_equal_one_whole_split_call(cpus, count, windows, p
     assert threading.active_count() == before
     assert pools == ([] if pool is None else [pool])
     np.testing.assert_array_equal(got, model.predict_raw(ds.inputs))
+
+
+def test_eval_chunks_depend_only_on_width_and_window_count():
+    wide, _, _, _ = threaded_setup()
+    narrow, _, _, _ = quick_setup(n=64, t_total=500, t_in=12, t_out=3, hidden_dim=2)
+
+    def plan(model, windows):
+        return [(part.start, part.stop) for part in trainer.eval_chunks(model, windows)]
+
+    assert plan(narrow, 37) == [(0, 16), (16, 32), (32, 37)]
+    assert plan(wide, 37) == [(lo, lo + 4) for lo in range(0, 36, 4)] + [(36, 37)]
+    assert plan(wide, 3) == [(0, 3)]
+    assert plan(wide, 0) == []
+
+
+def test_wide_predictions_do_not_depend_on_the_cpu_count(cpus):
+    # At hidden_dim 12 a 16-window call rounds some products differently from a
+    # 4- or 8-window one, so a chunk size set by the CPU count would show here.
+    model, (_, _, test_ds), _, _ = threaded_setup(hidden=12)
+    ds = first_windows(test_ds, 48)
+    assert len(set(ds.anchors.tolist())) == len(ds)
+    got = []
+    for count in (1, 2, 8):
+        pools = cpus(count)
+        got.append(trainer.batched_predictions(model, ds))
+    assert pools == [2, 4]
+    np.testing.assert_array_equal(got[1], got[0])
+    np.testing.assert_array_equal(got[2], got[0])
 
 
 # BLAS threads as OpenBLAS reads them (OPENBLAS_NUM_THREADS, then GOTO_NUM_THREADS,
@@ -528,8 +560,8 @@ def test_threaded_predictions_raise_config_error_for_a_malformed_window(cpus):
 # iteration-buffer noise. Measured at the shape below (N=64, T_in=12, widths 2):
 # one 16-window call peaks at 3.2 MB, evaluate over 64 windows in 16-window chunks
 # 75 KB above it, and over 1,024 windows in 256-window chunks at 52 MB. On two
-# threads (threaded_setup, D=16) one 16-window call peaks at 9.65 MB, two 8-window
-# calls at 71 KB more together, and evaluate at 9.1-9.75 MB as their peaks overlap.
+# threads (threaded_setup, D=16) one 16-window call peaks at 9.65 MB, one 4-window
+# call at 2.47 MB, and evaluate at 4.7-4.8 MB as two 4-window calls overlap.
 EVAL_BUDGET_WINDOWS = 16
 EVAL_MARGIN_BYTES = 256_000
 
