@@ -8,7 +8,7 @@ prediction, all on a self-contained float64 reverse-mode autodiff core.
 
 __version__ = "0.1.0"
 
-from .data import FlowSeries, Scaler, WindowedDataset, load_flows, make_windows, synth_generate
+from .data import FlowSeries, Scaler, SynthSettings, WindowedDataset, load_flows, make_windows, synth_generate
 from .diffcore import Linear, Parameter, Tensor
 from .model import ModelConfig, TGLRN
 from .roadnet import RoadNetwork, build_asp, hop_distances, structure_group
@@ -17,6 +17,7 @@ from .trainer import MetricsReport, baseline_ha, evaluate, mae_loss, train
 __all__ = [
     "FlowSeries",
     "Scaler",
+    "SynthSettings",
     "WindowedDataset",
     "load_flows",
     "make_windows",

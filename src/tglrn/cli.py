@@ -3,7 +3,7 @@
 Every command accepts an optional config file plus repeated --set
 key=value overrides; the effective configuration is echoed into the
 output directory. Errors print a single machine-parseable line
-``ERROR:<exit_code>: message`` on stderr.
+``ERROR:<exit_code>: message`` on stderr; running out of memory is one too.
 """
 
 from __future__ import annotations
@@ -76,19 +76,7 @@ def _write_metrics(path, report):
 def cmd_synth(cfg):
     _ensure_out_dir(cfg)
     edges_path, flow_path, planted_path = _outputs(cfg, "edges.csv", "flow.csv", "planted.csv")
-    net, series, planted = data_mod.synth_generate(
-        n=cfg.synth_nodes,
-        t_total=cfg.synth_steps,
-        topology=cfg.synth_topology,
-        regime_switch_period=cfg.synth_regime_period,
-        noise_std=cfg.synth_noise_std,
-        seed=cfg.seed,
-        period=cfg.synth_period,
-        coupling_a=cfg.synth_coupling_a,
-        coupling_b=cfg.synth_coupling_b,
-        amplitude=cfg.synth_amplitude,
-        offset=cfg.synth_offset,
-    )
+    net, series, planted = data_mod.synth_generate(section(cfg, data_mod.SynthSettings), cfg.seed)
     with open_output(edges_path) as fh:
         fh.write("from,to\n")
         for i, j in net.edges:
@@ -264,6 +252,9 @@ def main(argv=None):
     except OSError as e:  # a file that cannot be read or written, such as a full disk
         print(f"ERROR:{DataError.exit_code}: {e}", file=sys.stderr)
         return DataError.exit_code
+    except MemoryError as e:  # settings that ask for more memory than the machine can give
+        print(f"ERROR:{ConfigError.exit_code}: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 if __name__ == "__main__":

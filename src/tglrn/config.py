@@ -1,8 +1,9 @@
 """Flat ``key = value`` run configuration.
 
-The keys are the fields of ``ModelConfig`` and ``TrainSettings`` plus the
-run's own (seed, paths, splits, synthetic data, inspection); each key's
-default and one-line help sit next to its field. Unknown keys are hard
+The keys are the fields of ``ModelConfig``, ``TrainSettings`` and
+``SynthSettings`` plus the run's own (seed, paths, splits, inspection);
+each key's default, one-line help and range check sit next to its field,
+and this module only composes them. Unknown keys are hard
 errors so typos never silently fall back to a default. The effective
 configuration (defaults, then file, then command line overrides) is
 echoed into the output directory of every run, and re-running from the
@@ -11,9 +12,9 @@ echoed file reproduces the results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
+from .data import SPLIT_RATIOS, Scaler, SynthSettings, check_split_ratios
 from .errors import ConfigError
 from .model import ModelConfig
 from .trainer import TrainSettings
@@ -23,7 +24,7 @@ __all__ = ["RunConfig", "load_config", "config_text", "section"]
 
 @dataclass
 class _RunKeys:
-    """The run keys that neither ModelConfig nor TrainSettings declares."""
+    """The run keys that no settings group declares."""
 
     seed: int = 0  # master seed; every random draw in a run derives from it
     edges_path: str = ""  # edge-list CSV (header from,to; extra columns ignored)
@@ -31,21 +32,11 @@ class _RunKeys:
     out_dir: str = "out"  # directory receiving artifacts (created if absent)
     checkpoint_path: str = ""  # checkpoint to load (eval/predict/inspect) or write (train)
     num_nodes: int = 0  # sensor count, 0 = unset; required whenever flows are loaded
-    train_frac: float = 0.6  # chronological share of steps for training
-    val_frac: float = 0.2  # chronological share for validation
-    test_frac: float = 0.2  # chronological share for testing
-    scaler_scope: str = "per_sensor"  # z-score statistics per_sensor or global
+    train_frac: float = SPLIT_RATIOS[0]  # chronological share of steps for training
+    val_frac: float = SPLIT_RATIOS[1]  # chronological share for validation
+    test_frac: float = SPLIT_RATIOS[2]  # chronological share for testing
+    scaler_scope: str = Scaler.scope  # z-score statistics per_sensor or global
     symmetrize_hops: bool = False  # treat edges as bidirectional for hop distances
-    synth_topology: str = "chain"  # chain, ring, or grid
-    synth_nodes: int = 8  # synthetic sensor count (>= 4; a square for grid)
-    synth_steps: int = 372  # synthetic series length
-    synth_period: int = 288  # sinusoid period in steps
-    synth_noise_std: float = 0.05  # innovation noise level
-    synth_regime_period: int = 48  # steps between coupling regime switches
-    synth_coupling_a: float = 0.8  # lag-1 coupling coefficient in regime A
-    synth_coupling_b: float = 0.0  # lag-1 coupling coefficient in regime B
-    synth_amplitude: float = 20.0  # sinusoid amplitude scale
-    synth_offset: float = 50.0  # baseline flow level
     inspect_windows: int = 8  # test windows aggregated in inspect-graph histograms
     inspect_window_index: int = 0  # test window dumped edge-by-edge
 
@@ -56,7 +47,7 @@ RunConfig = make_dataclass(
     "RunConfig",
     [
         (f.name, f.type, field(default=f.default))
-        for spec in (ModelConfig, TrainSettings)
+        for spec in (ModelConfig, TrainSettings, SynthSettings)
         for f in fields(spec)
         if f.name not in ("num_nodes", "in_features")
     ],
@@ -123,63 +114,25 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-# Lengths and counts outside the model shape that must be at least 1.
-_AT_LEAST_ONE = (
-    "batch_size",
-    "max_epochs",
-    "synth_steps",
-    "synth_period",
-    "synth_regime_period",
-    "inspect_windows",
-)
-
-
-# Synthetic-generator coefficients that must be finite and non-negative.
-_SYNTH_COEFFICIENTS = (
-    "synth_noise_std",
-    "synth_coupling_a",
-    "synth_coupling_b",
-    "synth_amplitude",
-    "synth_offset",
-)
-
-
 def section(cfg, cls):
     """``cls`` built from every field it shares with ``cfg``; the rest keep their defaults."""
     return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in _FIELDS})
 
 
 def _validate(cfg):
-    for key in _AT_LEAST_ONE:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    for key in ("seed", "patience"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"{key} must be at least 0, got {getattr(cfg, key)}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {cfg.seed}")
+    if cfg.inspect_windows < 1:
+        raise ConfigError(f"inspect_windows must be at least 1, got {cfg.inspect_windows}")
     # Per-field checks only: eval, predict and inspect-graph take the model shape
     # from the checkpoint, and train runs the full validate before any work.
     # 1 stands in for an unset num_nodes, which only commands that load flows need.
     replace(section(cfg, ModelConfig), num_nodes=max(cfg.num_nodes, 1)).check_fields()
-    if not 0.0 < cfg.learning_rate < float("inf"):
-        raise ConfigError(f"learning_rate must be positive and finite, got {cfg.learning_rate}")
-    if not 0.0 <= cfg.mape_threshold < float("inf"):
-        raise ConfigError(f"mape_threshold must be non-negative and finite, got {cfg.mape_threshold}")
-    for key in _SYNTH_COEFFICIENTS:
-        if not 0.0 <= getattr(cfg, key) < float("inf"):
-            raise ConfigError(f"{key} must be non-negative and finite, got {getattr(cfg, key)}")
-    if cfg.synth_topology not in ("chain", "ring", "grid"):
-        raise ConfigError(f"synth_topology must be chain, ring or grid, got {cfg.synth_topology!r}")
-    if cfg.synth_nodes < 4:
-        raise ConfigError(f"synth_nodes must be at least 4, got {cfg.synth_nodes}")
-    if cfg.synth_topology == "grid" and math.isqrt(cfg.synth_nodes) ** 2 != cfg.synth_nodes:
-        raise ConfigError(f"synth_topology grid needs a square synth_nodes, got {cfg.synth_nodes}")
+    section(cfg, TrainSettings).check_fields()
+    section(cfg, SynthSettings).check_fields()
     if cfg.scaler_scope not in ("per_sensor", "global"):
         raise ConfigError(f"scaler_scope must be per_sensor or global, got {cfg.scaler_scope!r}")
-    fracs = (cfg.train_frac, cfg.val_frac, cfg.test_frac)
-    if not (min(fracs) >= 0 and abs(sum(fracs) - 1.0) <= 1e-9):
-        raise ConfigError(
-            f"train_frac, val_frac and test_frac must be non-negative and sum to 1, got {fracs}"
-        )
+    check_split_ratios((cfg.train_frac, cfg.val_frac, cfg.test_frac))
 
 
 def config_text(cfg):

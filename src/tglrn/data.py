@@ -11,6 +11,7 @@ split's windows are read-only strided views of the series.
 from __future__ import annotations
 
 import csv
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -18,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import roadnet
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "FlowSeries",
     "Scaler",
     "WindowedDataset",
     "PlantedCoupling",
+    "SynthSettings",
     "load_flows",
     "fit_scaler",
     "make_windows",
@@ -32,6 +34,7 @@ __all__ = [
 ]
 
 STD_FLOOR = 1e-8
+SPLIT_RATIOS = (0.6, 0.2, 0.2)  # default chronological train, validation and test shares
 
 
 @dataclass
@@ -93,11 +96,37 @@ class PlantedCoupling:
                     rows.append((t, u, v, float(c)))
         return rows
 
-    def active_pairs(self):
-        """Pairs that carry nonzero coupling at any step."""
-        if np.any(self.coeff_by_step != 0.0):
-            return list(self.pairs)
-        return []
+
+@dataclass
+class SynthSettings:
+    """Synthetic generator settings; each field is the run config key of the same name."""
+
+    synth_topology: str = "chain"  # chain, ring, or grid
+    synth_nodes: int = 8  # synthetic sensor count (>= 4; a square for grid)
+    synth_steps: int = 372  # synthetic series length
+    synth_period: int = 288  # sinusoid period in steps
+    synth_noise_std: float = 0.05  # innovation noise level
+    synth_regime_period: int = 48  # steps between coupling regime switches
+    synth_coupling_a: float = 0.8  # lag-1 coupling coefficient in regime A
+    synth_coupling_b: float = 0.0  # lag-1 coupling coefficient in regime B
+    synth_amplitude: float = 20.0  # sinusoid amplitude scale
+    synth_offset: float = 50.0  # baseline flow level
+
+    def check_fields(self):
+        """Raise ConfigError naming the first field out of range."""
+        if self.synth_topology not in ("chain", "ring", "grid"):
+            raise ConfigError(f"synth_topology must be chain, ring or grid, got {self.synth_topology!r}")
+        if self.synth_nodes < 4:
+            raise ConfigError(f"synth_nodes must be at least 4, got {self.synth_nodes}")
+        if self.synth_topology == "grid" and math.isqrt(self.synth_nodes) ** 2 != self.synth_nodes:
+            raise ConfigError(f"synth_topology grid needs a square synth_nodes, got {self.synth_nodes}")
+        for key in ("synth_steps", "synth_period", "synth_regime_period"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        coefficients = ("synth_noise_std", "synth_coupling_a", "synth_coupling_b", "synth_amplitude", "synth_offset")
+        for key in coefficients:
+            if not 0.0 <= getattr(self, key) < float("inf"):
+                raise ConfigError(f"{key} must be non-negative and finite, got {getattr(self, key)}")
 
 
 def _interpolate_missing(values):
@@ -218,7 +247,7 @@ def _is_number(s):
         return False
 
 
-def fit_scaler(train_values, scope="per_sensor"):
+def fit_scaler(train_values, scope=Scaler.scope):
     """Population-moment z-score statistics from the train portion only."""
     if scope == "per_sensor":
         mean = train_values.mean(axis=0, keepdims=False)  # (N, F)
@@ -234,15 +263,23 @@ def fit_scaler(train_values, scope="per_sensor"):
     return Scaler(mean=mean, std=std, scope=scope)
 
 
-def split_boundaries(t_total, ratios=(0.6, 0.2, 0.2)):
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise DataError(f"split ratios must be three non-negative values summing to 1, got {ratios}")
+def check_split_ratios(ratios):
+    """Raise ConfigError unless ``ratios`` are three non-negative shares that sum to 1."""
+    if len(ratios) != 3 or not (all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"train_frac, val_frac and test_frac must be non-negative and sum to 1, got {tuple(ratios)}"
+        )
+
+
+def split_boundaries(t_total, ratios=SPLIT_RATIOS):
+    """First validation step and first test step of a ``t_total``-step series."""
+    check_split_ratios(ratios)
     b1 = int(np.floor(ratios[0] * t_total))
     b2 = int(np.floor((ratios[0] + ratios[1]) * t_total))
     return b1, b2
 
 
-def make_windows(series, t_in=12, t_out=12, ratios=(0.6, 0.2, 0.2)):
+def make_windows(series, t_in, t_out, ratios=SPLIT_RATIOS):
     """Stride-1 sliding windows split chronologically into train/val/test.
 
     A window starting at s consumes inputs [s, s+t_in) and targets
@@ -283,10 +320,8 @@ def _upstream_map(topology, n):
     elif topology == "ring":
         edges = [(i, (i + 1) % n) for i in range(n)]
         upstream = [(i - 1) % n for i in range(n)]
-    elif topology == "grid":
-        side = int(round(np.sqrt(n)))
-        if side * side != n:
-            raise DataError(f"synth_generate: grid topology needs a square node count, got {n}")
+    else:  # grid
+        side = math.isqrt(n)
         edges = []
         upstream = [None] * n
         for r in range(side):
@@ -300,47 +335,35 @@ def _upstream_map(topology, n):
                     upstream[u] = u - 1
                 elif r > 0:
                     upstream[u] = u - side
-    else:
-        raise DataError(f"synth_generate: unknown topology {topology!r}")
     return edges, upstream
 
 
-def synth_generate(
-    n,
-    t_total,
-    topology="chain",
-    regime_switch_period=48,
-    noise_std=0.05,
-    seed=0,
-    period=288,
-    coupling_a=0.8,
-    coupling_b=0.0,
-    amplitude=20.0,
-    offset=50.0,
-):
-    """Synthetic flows: daily sinusoid + regime-switching lag-1 coupling + noise.
+def synth_generate(settings, seed):
+    """Synthetic flows from ``SynthSettings``: daily sinusoid + regime-switching lag-1 coupling + noise.
 
     Each sensor carries a sinusoid with its own phase and amplitude. On top
     rides a deviation process dev_i(t) = c(t) * dev_up(i)(t-1) + noise, where
-    the coefficient c alternates between ``coupling_a`` and ``coupling_b``
-    every ``regime_switch_period`` steps. Fixed seed gives bitwise identical
-    output.
+    the coefficient c alternates between ``synth_coupling_a`` and
+    ``synth_coupling_b`` every ``synth_regime_period`` steps. Fixed seed
+    gives bitwise identical output.
     """
-    if n < 4:
-        raise DataError(f"synth_generate: need at least 4 nodes, got {n}")
+    settings.check_fields()
+    n, t_total = settings.synth_nodes, settings.synth_steps
     rng = np.random.default_rng(seed)
-    edges, upstream = _upstream_map(topology, n)
+    edges, upstream = _upstream_map(settings.synth_topology, n)
     net = roadnet.build_asp(edges, n)
 
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    amps = amplitude * rng.uniform(0.5, 1.0, size=n)
+    amps = settings.synth_amplitude * rng.uniform(0.5, 1.0, size=n)
 
     steps = np.arange(t_total)
-    regime_a = (steps // max(1, regime_switch_period)) % 2 == 0
-    coeff = np.where(regime_a, coupling_a, coupling_b)
+    regime_a = (steps // settings.synth_regime_period) % 2 == 0
+    coeff = np.where(regime_a, settings.synth_coupling_a, settings.synth_coupling_b)
 
-    base = offset + amps[None, :] * np.sin(2.0 * np.pi * steps[:, None] / period + phases[None, :])
+    wave = np.sin(2.0 * np.pi * steps[:, None] / settings.synth_period + phases[None, :])
+    base = settings.synth_offset + amps[None, :] * wave
 
+    noise_std = settings.synth_noise_std
     noise = rng.normal(0.0, noise_std, size=(t_total, n)) if noise_std > 0 else np.zeros((t_total, n))
     dev = np.zeros((t_total, n))
     dev[0] = noise[0]

@@ -254,17 +254,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (a,), bwd)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        a = self
-        old_shape = a.shape
-
-        def bwd(g):
-            a._acc(g.reshape(old_shape))
-
-        return Tensor._from_op(a.data.reshape(shape), (a,), bwd)
-
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):

@@ -190,7 +190,7 @@ def edge_logits(e_st, e_ed, weight):
     return e_st.tanh() @ weight[:d], e_ed.tanh() @ weight[d:]
 
 
-def normalize_logits(u, v, alpha=1.0):
+def normalize_logits(u, v, alpha):
     """Shift/scale the logits w[i, j] = u_i + v_j per step to mean 0 and std alpha over all pairs.
 
     ``u`` and ``v`` are (..., N) arrays; returns (u_hat, v_hat) with normalized

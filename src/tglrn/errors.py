@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto process exit codes: configuration problems exit
-with 2, data/file problems (an OSError too) with 3, numeric failures (NaN/Inf) with 4.
+with 2 (a MemoryError too: the settings ask for more than the machine has),
+data/file problems (an OSError too) with 3, numeric failures (NaN/Inf) with 4.
 """
 
 import contextlib

@@ -14,6 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Scaler
+from .diffcore import Linear, Parameter, Tensor
+from .dyngraph import (
+    EmbeddingChain,
+    GraphConstruction,
+    GraphSequence,
+    SupportPattern,
+    edge_adjacency,
+    edge_logits,
+    gate,
+    hop_probs,
+    keep_pattern,
+    logistic_noise,
+)
+from .model import ModelConfig, PredictionHead
+from .roadnet import build_asp, hop_distances, structure_group
+from .stnet import OutputLayer, diffusion_conv, gtu_conv, spl, tpl
+from .trainer import build_model, mae_loss
+
 __all__ = ["GradCheckReport", "finite_diff_check", "max_relative_error"]
 
 EPS = 1e-5  # central-difference step
@@ -99,14 +118,10 @@ def finite_diff_check(build_loss, params):
 
 
 def _weighted_sum(out, weights):
-    from .diffcore import Tensor
-
     return (out * Tensor(weights)).sum()
 
 
 def _check_linear_input_layer(seed):
-    from .diffcore import Linear, Parameter
-
     rng = np.random.default_rng([seed, 1])
     lin = Linear(1, 8, rng)
     x = Parameter(rng.standard_normal((4, 1)), "x")
@@ -116,9 +131,6 @@ def _check_linear_input_layer(seed):
 
 
 def _check_gru_step(seed):
-    from .diffcore import Parameter
-    from .dyngraph import EmbeddingChain
-
     # One chain node over three window positions (two GRU steps) and a batch of two,
     # with a two-feature window whose gradient is checked too.
     rng = np.random.default_rng([seed, 17])
@@ -131,9 +143,6 @@ def _check_gru_step(seed):
 
 
 def _check_gating(seed):
-    from .diffcore import Linear, Parameter
-    from .dyngraph import gate
-
     rng = np.random.default_rng([seed, 3])
     lin = Linear(4, 4, rng)
     e = Parameter(rng.standard_normal((3, 4)), "e")
@@ -144,9 +153,6 @@ def _check_gating(seed):
 
 
 def _check_edge_logits(seed):
-    from .diffcore import Parameter, Tensor
-    from .dyngraph import SupportPattern, edge_adjacency, edge_logits
-
     # Through the graph node: the logits only reach the output normalized.
     rng = np.random.default_rng([seed, 4])
     e_st = Parameter(rng.standard_normal((3, 4)), "e_st")
@@ -164,9 +170,6 @@ def _check_edge_logits(seed):
 
 
 def _check_normalize_sigmoid(seed):
-    from .diffcore import Parameter, Tensor
-    from .dyngraph import SupportPattern, edge_adjacency
-
     rng = np.random.default_rng([seed, 5])
     u = Parameter(rng.standard_normal((4, 1)), "u")
     v = Parameter(rng.standard_normal((4, 1)), "v")
@@ -182,16 +185,11 @@ def _check_normalize_sigmoid(seed):
 
 def _chain_masks(n, levels):
     """Nested hop masks of the directed chain 0 -> 1 -> ... -> N-1."""
-    from .roadnet import build_asp, hop_distances, structure_group
-
     net = build_asp([(i, i + 1) for i in range(n - 1)], n)
     return structure_group(hop_distances(net), levels)
 
 
 def _check_gumbel_path(seed):
-    from .diffcore import Parameter
-    from .dyngraph import SupportPattern, edge_adjacency, keep_pattern, logistic_noise
-
     # Soft hop mixing, so the mixing gradient is checked along with u and v.
     rng = np.random.default_rng([seed, 6])
     pattern = SupportPattern(_chain_masks(4, 2))
@@ -209,10 +207,6 @@ def _check_gumbel_path(seed):
 
 
 def _check_graph_build(seed):
-    from .diffcore import Parameter
-    from .dyngraph import GraphConstruction
-    from .model import ModelConfig
-
     # Train-mode build: through the relaxation, the thinning and the soft hop mixing.
     rng = np.random.default_rng([seed, 18])
     cfg = ModelConfig(
@@ -232,9 +226,6 @@ def _check_graph_build(seed):
 
 
 def _check_hop_selector(seed):
-    from .diffcore import Linear, Parameter
-    from .dyngraph import hop_probs
-
     rng = np.random.default_rng([seed, 7])
     lin1 = Linear(4, 4, rng)
     lin2 = Linear(4, 3, rng)
@@ -247,9 +238,6 @@ def _check_hop_selector(seed):
 
 
 def _check_diffusion_conv(seed):
-    from .diffcore import Parameter
-    from .stnet import diffusion_conv
-
     rng = np.random.default_rng([seed, 8])
     x = Parameter(rng.standard_normal((5, 4)), "x")
     a_raw = Parameter(rng.standard_normal((5, 5)), "a_raw")
@@ -263,10 +251,6 @@ def _check_diffusion_conv(seed):
 
 
 def _check_spl(seed):
-    from .diffcore import Parameter
-    from .dyngraph import GraphSequence, SupportPattern
-    from .stnet import spl
-
     rng = np.random.default_rng([seed, 15])
     x = Parameter(rng.standard_normal((1, 3, 5, 3)), "x")
     # node 1 has no out-edges and node 3 no in-edges: zero degrees on both sides
@@ -287,9 +271,6 @@ def _check_spl(seed):
 
 
 def _check_gtu(seed):
-    from .diffcore import Parameter
-    from .stnet import gtu_conv
-
     rng = np.random.default_rng([seed, 9])
     x = Parameter(rng.standard_normal((4, 3, 2)), "x")
     lam = Parameter(rng.standard_normal((2, 2, 4)) * 0.5, "lam")
@@ -298,9 +279,6 @@ def _check_gtu(seed):
 
 
 def _check_tpl(seed):
-    from .diffcore import Parameter
-    from .stnet import tpl
-
     rng = np.random.default_rng([seed, 10])
     x = Parameter(rng.standard_normal((4, 3, 2)), "x")
     lam = Parameter(rng.standard_normal((2, 2, 4)) * 0.5, "lam")
@@ -312,9 +290,6 @@ def _check_tpl(seed):
 
 
 def _check_tpl_dropout(seed):
-    from .diffcore import Parameter
-    from .stnet import tpl
-
     rng = np.random.default_rng([seed, 16])
     x = Parameter(rng.standard_normal((2, 4, 3, 2)), "x")
     lam = Parameter(rng.standard_normal((2, 2, 4)) * 0.5, "lam")
@@ -327,9 +302,6 @@ def _check_tpl_dropout(seed):
 
 
 def _check_output_layer(seed):
-    from .diffcore import Parameter
-    from .stnet import OutputLayer
-
     rng = np.random.default_rng([seed, 11])
     layer = OutputLayer(3, 4, rng)
     x = Parameter(rng.standard_normal((3, 2, 4)), "x")
@@ -339,9 +311,6 @@ def _check_output_layer(seed):
 
 
 def _check_prediction_head(seed):
-    from .diffcore import Parameter
-    from .model import PredictionHead
-
     rng = np.random.default_rng([seed, 12])
     head = PredictionHead(8, 2, 1, rng)
     outputs = [Parameter(rng.standard_normal((2, 3, 4)), f"out{i}") for i in range(2)]
@@ -352,10 +321,6 @@ def _check_prediction_head(seed):
 
 def toy_model(seed=0):
     """4-node chain model small enough for exhaustive finite differencing."""
-    from .data import Scaler
-    from .model import ModelConfig
-    from .trainer import build_model
-
     cfg = ModelConfig(
         num_nodes=4,
         t_in=6,
@@ -375,8 +340,6 @@ def toy_model(seed=0):
 
 
 def _check_end_to_end(seed):
-    from .trainer import mae_loss
-
     model = toy_model(seed)
     data_rng = np.random.default_rng([seed, 13])
     window = data_rng.normal(5.0, 2.0, size=(1, 6, 4, 1))

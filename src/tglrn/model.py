@@ -20,7 +20,7 @@ from . import diffcore as dc
 from .diffcore import Linear, Parameter, Tensor
 from .dyngraph import GraphConstruction
 from .errors import ConfigError
-from .stnet import SpatioTemporalBlock, block_schedule
+from .stnet import TPL_PER_BLOCK, SpatioTemporalBlock, block_schedule
 
 __all__ = ["ModelConfig", "PredictionHead", "TGLRN"]
 
@@ -101,7 +101,7 @@ class ModelConfig:
 
         Closed form: its cost does not grow with the sizes. A ``block*`` row
         covers the parameter in all ``n_blocks`` blocks; the output kernel of
-        block b spans t_in - 2 (b + 1) (Ks - 1) steps, so block 0's is the largest.
+        block b spans t_in - TPL_PER_BLOCK (b + 1) (Ks - 1) steps, so block 0's is the largest.
         """
         n, t, f, d, m = self.num_nodes, self.t_in, self.in_features, self.embed_dim, self.hop_dim
         w, nb, shrink = self.hidden_dim, self.n_blocks, self.kernel_size - 1
@@ -125,12 +125,15 @@ class ModelConfig:
         rows.append(row("graph.edge_w", (2 * d, 1)))
         rows += linear("graph.hop_l1", m, m) + linear("graph.hop_l2", m, self.levels)
         rows += linear("input", f, w)
-        rows += [row(f"block*.spl{i}.theta", (self.diff_steps, 2, w, w), nb) for i in (0, 1)]
-        for i in (0, 1):
+        layers = range(TPL_PER_BLOCK)
+        rows += [row(f"block*.spl{i}.theta", (self.diff_steps, 2, w, w), nb) for i in layers]
+        for i in layers:
             rows.append(row(f"block*.tpl{i}.kernel", (self.kernel_size, w, 2 * w), nb))
             rows += [row(f"block*.tpl{i}.ln_{k}", (w,), nb) for k in ("scale", "shift")]
-        spans = nb * t - shrink * nb * (nb + 1)  # output-kernel time steps over all blocks
-        rows.append(("block*.out.kernel", 8 * (t - 2 * shrink) * w * w, 8 * spans * w * w))
+        # Output-kernel time steps, block 0's and over all blocks: block_schedule's lengths, summed.
+        first = t - TPL_PER_BLOCK * shrink
+        spans = nb * t - TPL_PER_BLOCK * shrink * nb * (nb + 1) // 2
+        rows.append(("block*.out.kernel", 8 * first * w * w, 8 * spans * w * w))
         rows.append(row("block*.out.bias", (w,), nb))
         rows += [row("head.w", (nb * w, self.t_out, f)), row("head.b", (self.t_out, f))]
         return rows

@@ -103,6 +103,18 @@ class TrainSettings:
     patience: int = 15  # early-stopping patience on validation MAE
     mape_threshold: float = 1.0  # targets with |y| below this are excluded from MAPE
 
+    def check_fields(self):
+        """Raise ConfigError naming the first field out of range."""
+        for key in ("batch_size", "max_epochs"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be at least 0, got {self.patience}")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 <= self.mape_threshold < float("inf"):
+            raise ConfigError(f"mape_threshold must be non-negative and finite, got {self.mape_threshold}")
+
 
 @dataclass
 class MetricsReport:
@@ -128,7 +140,7 @@ def _metric_triple(pred, target, mape_threshold):
     return mae, rmse, mape
 
 
-def compute_metrics(pred, target, mape_threshold=1.0):
+def compute_metrics(pred, target, mape_threshold=TrainSettings.mape_threshold):
     """MetricsReport from prediction/target arrays shaped (M, T, N, F)."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -189,13 +201,13 @@ def batched_predictions(model, dataset):
     return np.concatenate(preds, axis=0)
 
 
-def evaluate(model, dataset, mape_threshold=1.0):
+def evaluate(model, dataset, mape_threshold=TrainSettings.mape_threshold):
     """Eval-mode metrics in original units; deterministic and repeatable."""
     preds = batched_predictions(model, dataset)
     return compute_metrics(preds, dataset.targets, mape_threshold)
 
 
-def baseline_ha(dataset, mape_threshold=1.0):
+def baseline_ha(dataset, mape_threshold=TrainSettings.mape_threshold):
     """Historical average: every horizon predicts the input-window mean."""
     if len(dataset) == 0:
         raise DataError("baseline_ha: empty dataset")
@@ -238,6 +250,7 @@ def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
     training after that epoch. The model is left holding the
     best-on-validation parameters.
     """
+    settings.check_fields()
     if len(train_ds) == 0:
         raise DataError("train: empty training split")
     if len(val_ds) == 0:

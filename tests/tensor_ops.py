@@ -94,6 +94,12 @@ def concat(tensors, axis=-1):
     return Tensor._from_op(out_data, tuple(tensors), bwd)
 
 
+def reshape(x, shape):
+    """x.data reshaped to ``shape``; the gradient is reshaped back."""
+    a = dc._ensure_tensor(x)
+    return Tensor._from_op(a.data.reshape(shape), (a,), lambda g: a._acc(g.reshape(a.shape)))
+
+
 def stack(tensors, axis=0):
     """np.stack of equally shaped tensors along a new ``axis``; each input's gradient is a view."""
     tensors = [dc._ensure_tensor(t) for t in tensors]

@@ -5,12 +5,17 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from tglrn import data as dmod
 from tglrn import trainer
 from tglrn.cli import main
+from tglrn.config import RunConfig
+from tglrn.errors import ConfigError
+from tglrn.model import ModelConfig
 
 
 def run(args):
@@ -71,6 +76,49 @@ def command_args(command, data_dir, out_dir):
     return args
 
 
+# The keys whose checks belong to a library entry point: synth_generate, train, make_windows.
+LIBRARY_KEYS = {f.name for spec in (dmod.SynthSettings, trainer.TrainSettings) for f in fields(spec)}
+LIBRARY_KEYS |= {"train_frac", "val_frac", "test_frac"}
+# One bad value each; the config rejects every one with exit 2 before any work.
+BAD_SETTINGS = [
+    "tau=0",
+    "tau=-1",
+    "tau=inf",
+    "batch_size=0",
+    "levels=0",
+    "diff_steps=0",
+    "kernel_size=0",
+    "embed_dim=0",
+    "hop_dim=0",
+    "hidden_dim=-4",
+    "hidden_dim=1",
+    "n_blocks=0",
+    "max_epochs=0",
+    "patience=-1",
+    "learning_rate=-1",
+    "learning_rate=0",
+    "learning_rate=inf",
+    "alpha=nan",
+    "alpha=-1",
+    "alpha=0",
+    "alpha=inf",
+    "mape_threshold=nan",
+    "mape_threshold=-1",
+    "synth_noise_std=-1",
+    "synth_amplitude=inf",
+    "synth_offset=nan",
+    "synth_coupling_a=-inf",
+    "synth_regime_period=0",
+    "synth_period=0",
+    "synth_steps=0",
+    "synth_topology=star",
+    "synth_nodes=2",
+    "synth_topology=grid",
+    "seed=-1",
+    "train_frac=nan",
+]
+
+
 class TestSynth:
     def test_writes_three_csvs_with_headers(self, tmp_path):
         out = tmp_path / "synthout"
@@ -83,10 +131,8 @@ class TestSynth:
     def test_flow_roundtrips_through_loader(self, tmp_path):
         out = tmp_path / "s"
         run(synth_args(out))
-        from tglrn.data import load_flows, synth_generate
-
-        series = load_flows(out / "flow.csv", 8)
-        _, direct, _ = synth_generate(8, 160, topology="chain", seed=0)
+        series = dmod.load_flows(out / "flow.csv", 8)
+        _, direct, _ = dmod.synth_generate(dmod.SynthSettings(synth_nodes=8, synth_steps=160), 0)
         np.testing.assert_allclose(series.values, direct.values, atol=1e-15)
 
 
@@ -312,7 +358,6 @@ def test_inspect_graph_on_a_wide_model_matches_the_whole_chunk_plan(tmp_path, mo
     # 4-window chunks; window 6 lies in the second one. Both CSVs must equal those
     # of one 12-window build, the plan below the width.
     from tglrn.data import fit_scaler, load_flows
-    from tglrn.model import ModelConfig
 
     data_dir = tmp_path / "d"
     assert run(["synth", "--nodes", "64", "--steps", "200", "--out", data_dir]) == 0
@@ -388,44 +433,7 @@ class TestErrors:
     def test_gamma_out_of_range_exits_2(self, capsys):
         assert run(["gradcheck", "--quick", "--set", "gamma=1.5"]) == 2
 
-    @pytest.mark.parametrize(
-        "setting",
-        [
-            "tau=0",
-            "tau=-1",
-            "tau=inf",
-            "batch_size=0",
-            "levels=0",
-            "diff_steps=0",
-            "kernel_size=0",
-            "embed_dim=0",
-            "hop_dim=0",
-            "hidden_dim=-4",
-            "hidden_dim=1",
-            "n_blocks=0",
-            "max_epochs=0",
-            "patience=-1",
-            "learning_rate=-1",
-            "learning_rate=0",
-            "learning_rate=inf",
-            "alpha=nan",
-            "alpha=-1",
-            "alpha=0",
-            "alpha=inf",
-            "mape_threshold=nan",
-            "mape_threshold=-1",
-            "synth_noise_std=-1",
-            "synth_amplitude=inf",
-            "synth_offset=nan",
-            "synth_coupling_a=-inf",
-            "synth_regime_period=0",
-            "synth_topology=star",
-            "synth_nodes=2",
-            "synth_topology=grid",
-            "seed=-1",
-            "train_frac=nan",
-        ],
-    )
+    @pytest.mark.parametrize("setting", BAD_SETTINGS)
     def test_bad_setting_exits_2_with_one_line(self, tmp_path, capsys, setting):
         data_dir = tmp_path / "d"
         run(synth_args(data_dir))
@@ -435,6 +443,25 @@ class TestErrors:
         assert err.startswith("ERROR:2:") and len(err.splitlines()) == 1, err
         assert setting.split("=")[0] in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("setting", [s for s in BAD_SETTINGS if s.split("=")[0] in LIBRARY_KEYS])
+    def test_bad_setting_raises_config_error_from_the_library(self, setting):
+        # The check the config runs is the one the library entry point runs.
+        key, raw = setting.split("=")
+        value = type(getattr(RunConfig(), key))(raw)
+        series = dmod.FlowSeries(values=np.random.default_rng(0).uniform(1.0, 9.0, (40, 4, 1)))
+        if key.startswith("synth_"):
+            call = lambda: dmod.synth_generate(dmod.SynthSettings(**{key: value}), 0)
+        elif key.endswith("_frac"):
+            ratios = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2, key: value}
+            call = lambda: dmod.make_windows(series, 4, 2, tuple(ratios.values()))
+        else:
+            train_ds, val_ds, _ = dmod.make_windows(series, 4, 2)
+            cfg = ModelConfig(num_nodes=4, t_in=4, t_out=2, embed_dim=2, hop_dim=2, hidden_dim=4, levels=2, n_blocks=1)
+            model = trainer.build_model(cfg, [(0, 1), (1, 2), (2, 3)], dmod.fit_scaler(series.values), 0)
+            call = lambda: trainer.train(model, train_ds, val_ds, trainer.TrainSettings(**{key: value}), 0)
+        with pytest.raises(ConfigError, match=key):
+            call()
 
     @pytest.mark.parametrize(
         "setting",
@@ -648,6 +675,23 @@ def test_overflowing_learning_rate_prints_only_the_error_line(tmp_path):
     assert proc.returncode == 4, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR:4: "), proc.stderr
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    from tglrn import cli as cli_mod
+
+    data_dir = tmp_path / "d"
+    run(synth_args(data_dir))
+    capsys.readouterr()
+
+    def starved_train(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2, 2**62)")
+
+    monkeypatch.setattr(cli_mod.trainer, "train", starved_train)
+    assert run(train_args(data_dir, tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR:2: out of memory: Unable to allocate") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 def test_numeric_failure_exits_4(tmp_path, monkeypatch, capsys):

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from tglrn import model as model_mod
 from tglrn import trainer
 from tglrn.config import RunConfig, load_config, section
-from tglrn.data import Scaler
+from tglrn.data import Scaler, SynthSettings
 from tglrn.errors import ConfigError
 from tglrn.model import ModelConfig
 
 
-@pytest.mark.parametrize("spec", [ModelConfig, trainer.TrainSettings])
+@pytest.mark.parametrize("spec", [ModelConfig, trainer.TrainSettings, SynthSettings])
 def test_shared_fields_have_the_same_default(spec):
     run = RunConfig()
     shared = [f for f in fields(spec) if hasattr(run, f.name) and f.default is not MISSING]
@@ -107,4 +107,5 @@ def test_overrides_load_or_raise_config_error(pairs):
         spec.validate()  # cross-field shape checks run when train starts
     except ConfigError:
         pass
-    section(cfg, trainer.TrainSettings)
+    section(cfg, trainer.TrainSettings).check_fields()
+    section(cfg, SynthSettings).check_fields()

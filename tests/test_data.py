@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglrn import data as dmod
-from tglrn.errors import DataError
+from tglrn.errors import ConfigError, DataError
 
 
 def oracle_load_flows(path, num_nodes, impute=True):
@@ -309,7 +309,7 @@ class TestWindows:
         assert sum(len(s) for s in splits) == 17856 - 23
 
     def test_bad_ratios(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError, match="train_frac"):
             dmod.make_windows(self._series(100), 12, 12, ratios=(0.5, 0.2, 0.2))
 
     def test_too_short(self):
@@ -392,15 +392,17 @@ class TestWindows:
 
 class TestSynth:
     def test_deterministic(self):
-        a = dmod.synth_generate(8, 100, seed=42)
-        b = dmod.synth_generate(8, 100, seed=42)
+        settings = dmod.SynthSettings(synth_nodes=8, synth_steps=100)
+        a = dmod.synth_generate(settings, 42)
+        b = dmod.synth_generate(settings, 42)
         np.testing.assert_array_equal(a[1].values, b[1].values)
 
     def test_pure_sinusoid_when_quiet(self):
-        net, series, planted = dmod.synth_generate(
-            6, 400, noise_std=0.0, coupling_a=0.0, coupling_b=0.0, seed=1
+        settings = dmod.SynthSettings(
+            synth_nodes=6, synth_steps=400, synth_noise_std=0.0, synth_coupling_a=0.0, synth_coupling_b=0.0
         )
-        assert planted.active_pairs() == []
+        net, series, planted = dmod.synth_generate(settings, 1)
+        assert not np.any(planted.coeff_by_step != 0.0)  # no pair carries coupling at any step
         # reconstructable as offset + amp*sin: check exact periodicity
         np.testing.assert_allclose(series.values[0:50], series.values[288 : 288 + 50], atol=1e-9)
 
@@ -408,25 +410,27 @@ class TestSynth:
         # sampling aligned with the period makes each quiet sensor constant
         from tglrn.trainer import baseline_ha
 
-        _, series, _ = dmod.synth_generate(
-            4, 600, noise_std=0.0, coupling_a=0.0, coupling_b=0.0, seed=3, period=1
+        settings = dmod.SynthSettings(
+            synth_nodes=4, synth_steps=600, synth_period=1,
+            synth_noise_std=0.0, synth_coupling_a=0.0, synth_coupling_b=0.0,
         )
+        _, series, _ = dmod.synth_generate(settings, 3)
         splits = dmod.make_windows(series, 12, 12)
         report = baseline_ha(splits[0])
         assert report.mae < 1e-9
 
     def test_regime_correlation_gap(self):
         # flat base + strong coupling: neighbor lag-1 correlation differs across regimes
-        net, series, planted = dmod.synth_generate(
-            8,
-            2000,
-            noise_std=1.0,
-            coupling_a=0.8,
-            coupling_b=0.0,
-            regime_switch_period=100,
-            amplitude=0.0,
-            seed=7,
+        settings = dmod.SynthSettings(
+            synth_nodes=8,
+            synth_steps=2000,
+            synth_noise_std=1.0,
+            synth_coupling_a=0.8,
+            synth_coupling_b=0.0,
+            synth_regime_period=100,
+            synth_amplitude=0.0,
         )
+        net, series, planted = dmod.synth_generate(settings, 7)
         flows = series.values[:, :, 0]
         regime = planted.coeff_by_step
         corr_a, corr_b = [], []
@@ -440,7 +444,7 @@ class TestSynth:
         assert gap > 0.3, f"regime correlation gap {gap:.3f}"
 
     def test_planted_records_format(self):
-        _, _, planted = dmod.synth_generate(4, 10, regime_switch_period=5, seed=0)
+        _, _, planted = dmod.synth_generate(dmod.SynthSettings(synth_nodes=4, synth_steps=10, synth_regime_period=5), 0)
         rows = planted.records()
         assert all(len(r) == 4 for r in rows)
         ts = {r[0] for r in rows}
@@ -448,12 +452,13 @@ class TestSynth:
 
     def test_topologies(self):
         for topo, n in (("chain", 8), ("ring", 8), ("grid", 9)):
-            net, series, planted = dmod.synth_generate(n, 50, topology=topo, seed=0)
+            settings = dmod.SynthSettings(synth_topology=topo, synth_nodes=n, synth_steps=50)
+            net, series, planted = dmod.synth_generate(settings, 0)
             assert series.values.shape == (50, n, 1)
             assert len(planted.pairs) >= n - 1 - (1 if topo == "chain" else 0)
-        with pytest.raises(DataError):
-            dmod.synth_generate(8, 50, topology="grid")  # 8 is not square
+        with pytest.raises(ConfigError, match="synth_topology grid"):  # 8 is not square
+            dmod.synth_generate(dmod.SynthSettings(synth_topology="grid", synth_nodes=8, synth_steps=50), 0)
 
     def test_minimum_nodes(self):
-        with pytest.raises(DataError):
-            dmod.synth_generate(3, 50)
+        with pytest.raises(ConfigError, match="synth_nodes"):
+            dmod.synth_generate(dmod.SynthSettings(synth_nodes=3, synth_steps=50), 0)

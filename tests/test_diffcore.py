@@ -12,8 +12,8 @@ from tglrn.errors import ConfigError, StateError
 from tglrn.gradcheck import GradCheckReport, finite_diff_check, max_relative_error
 
 from tensor_ops import (
-    broadcast_to, concat, div, einsum2, exp, neg, power, relu, rsqrt_or_zero, rsub, safe_recip,
-    sqrt, stack, transpose,
+    broadcast_to, concat, div, einsum2, exp, neg, power, relu, reshape, rsqrt_or_zero, rsub,
+    safe_recip, sqrt, stack, transpose,
 )
 
 
@@ -149,7 +149,7 @@ def test_composite_graph_matches_finite_differences(seed):
         lambda x: rsqrt_or_zero(x * x + 0.1),
         lambda x: broadcast_to(x, (3,) + x.shape).sum(axis=0),
         lambda x: transpose(x, (1, 0)),
-        lambda x: x.reshape(x.size, 1),
+        lambda x: reshape(x, (x.size, 1)),
         lambda x: x[1:, :],
         lambda x: power(x, 3),
         lambda x: div(1.0, x * x + 1.0),
@@ -190,7 +190,7 @@ def test_stack_then_reshape_is_the_channel_concat():
     vals = [rng.standard_normal((2, 3, 4)) for _ in range(3)]
     r = rng.standard_normal((2, 3, 12))
     results = []
-    stacked = lambda ts: stack(ts, axis=-2).reshape(2, 3, -1)
+    stacked = lambda ts: reshape(stack(ts, axis=-2), (2, 3, -1))
     for join in (stacked, lambda ts: concat(ts, axis=-1)):
         ps = [Parameter(v.copy()) for v in vals]
         out = join(ps)

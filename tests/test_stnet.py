@@ -10,7 +10,7 @@ from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 
-from tensor_ops import power, relu, safe_recip, stack, transpose
+from tensor_ops import power, relu, reshape, safe_recip, stack, transpose
 
 
 def naive_diffusion(x, a, theta, k_steps):
@@ -106,7 +106,7 @@ def scattered(values, pattern):
     onto = np.zeros((pattern.nnz, n * n))
     onto[np.arange(pattern.nnz), pattern.flat] = 1.0
     b = values.shape[0]
-    return [(values[:, t] @ Tensor(onto)).reshape(b, n, n) for t in range(values.shape[1])]
+    return [reshape(values[:, t] @ Tensor(onto), (b, n, n)) for t in range(values.shape[1])]
 
 
 def oracle_spl(x, graphs, theta, num_steps):

@@ -23,14 +23,15 @@ from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import CheckpointError, ConfigError, DataError, NumericError
 from tglrn.model import TGLRN, ModelConfig, PredictionHead
 
-from tensor_ops import einsum2, stack
+from tensor_ops import einsum2, reshape, stack
 from test_acceptance import overfit_setup
 
 
 def quick_setup(seed=0, n=6, t_total=140, t_in=6, t_out=3, noise=0.5, **model_kw):
-    net, series, planted = dmod.synth_generate(
-        n, t_total, noise_std=noise, seed=seed, period=48, regime_switch_period=40
+    synth = dmod.SynthSettings(
+        synth_nodes=n, synth_steps=t_total, synth_noise_std=noise, synth_period=48, synth_regime_period=40
     )
+    net, series, planted = dmod.synth_generate(synth, seed)
     splits = dmod.make_windows(series, t_in, t_out)
     b1, _ = dmod.split_boundaries(t_total)
     scaler = dmod.fit_scaler(series.values[:b1])
@@ -102,21 +103,32 @@ class TestForwardContract:
             TGLRN(cfg, np.ones(shape), scaler, np.random.default_rng(0))
 
 
+@pytest.fixture()
+def zero_lr_adam(monkeypatch):
+    """``train``'s optimizer runs every step at learning rate 0, which TrainSettings rejects."""
+
+    class ZeroLrAdam(trainer.Adam):
+        def __init__(self, named_params, lr):
+            super().__init__(named_params, 0.0)
+
+    monkeypatch.setattr(trainer, "Adam", ZeroLrAdam)
+
+
 class TestTrainLoop:
-    def test_zero_learning_rate_freezes_parameters(self):
+    def test_zero_learning_rate_freezes_parameters(self, zero_lr_adam):
         model, (train_ds, val_ds, _), _, _ = quick_setup()
         before = model.state_arrays()
-        trainer.train(model, train_ds, val_ds, settings(learning_rate=0.0, max_epochs=1), seed=0)
+        trainer.train(model, train_ds, val_ds, settings(max_epochs=1), seed=0)
         after = model.state_arrays()
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
 
-    def test_epoch_hook_sees_every_recorded_epoch(self):
+    def test_epoch_hook_sees_every_recorded_epoch(self, zero_lr_adam):
         # Frozen weights keep validation MAE flat, so patience 0 stops after epoch 1.
         model, (train_ds, val_ds, _), _, _ = quick_setup()
         seen = []
         history, _ = trainer.train(
-            model, train_ds, val_ds, settings(learning_rate=0.0, patience=0, max_epochs=4),
+            model, train_ds, val_ds, settings(patience=0, max_epochs=4),
             seed=0, epoch_hook=lambda rec: seen.append(rec),
         )
         assert [r.epoch for r in history] == [0, 1]
@@ -178,7 +190,7 @@ class TestTrainLoop:
 import hashlib
 from tglrn import data as dmod, trainer
 from tglrn.model import ModelConfig
-net, series, _ = dmod.synth_generate(8, 372, noise_std=0.05, seed=0)
+net, series, _ = dmod.synth_generate(dmod.SynthSettings(synth_nodes=8, synth_steps=372), 0)
 train_ds, val_ds, _ = dmod.make_windows(series, 12, 12)
 b1, _ = dmod.split_boundaries(372)
 cfg = ModelConfig(num_nodes=8, embed_dim=8, hop_dim=8, hidden_dim=16, levels=3, n_blocks=2, dropout_rate=0.05)
@@ -208,7 +220,7 @@ print(digest.hexdigest())
         # chain of 8 sensors, 200 training windows, five epochs, ten seeds
         good = 0
         for seed in range(10):
-            net, series, _ = dmod.synth_generate(8, 372, noise_std=0.05, seed=seed)
+            net, series, _ = dmod.synth_generate(dmod.SynthSettings(synth_nodes=8, synth_steps=372), seed)
             train_ds, val_ds, _ = dmod.make_windows(series, 12, 12)
             b1, _ = dmod.split_boundaries(372)
             scaler = dmod.fit_scaler(series.values[:b1])
@@ -341,9 +353,9 @@ def test_acceptance_shape_train_step_records_few_op_nodes():
 def head_composition(head, outputs):
     """The prediction head as the stack, reshape, einsum2 and add nodes it replaced."""
     b, n = outputs[0].shape[:2]
-    feats = stack(outputs, axis=-2).reshape(b, n, -1)
+    feats = reshape(stack(outputs, axis=-2), (b, n, -1))
     t_out, f = head.b.shape
-    return einsum2("bic,ctf->btif", feats, head.w) + head.b.reshape(1, t_out, 1, f)
+    return einsum2("bic,ctf->btif", feats, head.w) + reshape(head.b, (1, t_out, 1, f))
 
 
 @pytest.mark.parametrize(
@@ -395,7 +407,8 @@ def test_eval_peak_memory_holds_no_dense_adjacency_per_step():
 
 def pems_like_setup(seed=0):
     """A small PeMS08-like model: 36-sensor grid, T_in = T_out = 12, Ks = 6, 1 block, L = 10."""
-    net, series, _ = dmod.synth_generate(36, 300, topology="grid", noise_std=0.5, seed=seed)
+    synth = dmod.SynthSettings(synth_topology="grid", synth_nodes=36, synth_steps=300, synth_noise_std=0.5)
+    net, series, _ = dmod.synth_generate(synth, seed)
     splits = dmod.make_windows(series, 12, 12)
     b1, _ = dmod.split_boundaries(300)
     cfg = ModelConfig(
