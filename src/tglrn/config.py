@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
-from .data import SPLIT_RATIOS, Scaler, SynthSettings, check_split_ratios
+from .data import SPLIT_RATIOS, Scaler, SynthSettings, check_scaler_scope, check_split_ratios
 from .errors import ConfigError
 from .model import ModelConfig
 from .trainer import TrainSettings
@@ -130,8 +130,7 @@ def _validate(cfg):
     replace(section(cfg, ModelConfig), num_nodes=max(cfg.num_nodes, 1)).check_fields()
     section(cfg, TrainSettings).check_fields()
     section(cfg, SynthSettings).check_fields()
-    if cfg.scaler_scope not in ("per_sensor", "global"):
-        raise ConfigError(f"scaler_scope must be per_sensor or global, got {cfg.scaler_scope!r}")
+    check_scaler_scope(cfg.scaler_scope)
     check_split_ratios((cfg.train_frac, cfg.val_frac, cfg.test_frac))
 
 

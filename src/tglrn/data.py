@@ -35,6 +35,7 @@ __all__ = [
 
 STD_FLOOR = 1e-8
 SPLIT_RATIOS = (0.6, 0.2, 0.2)  # default chronological train, validation and test shares
+SCALER_SCOPES = ("per_sensor", "global")  # z-score statistics per sensor, or one pair for all
 
 
 @dataclass
@@ -247,16 +248,21 @@ def _is_number(s):
         return False
 
 
+def check_scaler_scope(scope):
+    """Raise ConfigError unless ``scope`` is one of SCALER_SCOPES."""
+    if scope not in SCALER_SCOPES:
+        raise ConfigError(f"scaler_scope must be {' or '.join(SCALER_SCOPES)}, got {scope!r}")
+
+
 def fit_scaler(train_values, scope=Scaler.scope):
     """Population-moment z-score statistics from the train portion only."""
+    check_scaler_scope(scope)
     if scope == "per_sensor":
         mean = train_values.mean(axis=0, keepdims=False)  # (N, F)
         std = train_values.std(axis=0, keepdims=False)
-    elif scope == "global":
+    else:
         mean = np.full((1, 1), train_values.mean())
         std = np.full((1, 1), train_values.std())
-    else:
-        raise DataError(f"fit_scaler: unknown scope {scope!r}")
     if np.any(std <= STD_FLOOR):
         warnings.warn("fit_scaler: zero-variance sensor column, flooring std at 1e-8")
         std = np.maximum(std, STD_FLOOR)
@@ -289,6 +295,9 @@ def make_windows(series, t_in, t_out, ratios=SPLIT_RATIOS):
     ``series.values``: no window is copied, and indexing a batch out of
     them yields a contiguous copy.
     """
+    for key, value in (("t_in", t_in), ("t_out", t_out)):
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
     values = series.values
     t_total = values.shape[0]
     width = t_in + t_out

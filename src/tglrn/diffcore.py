@@ -16,7 +16,8 @@ the call, and a second ``backward()`` through a consumed node raises
 the first gradient it receives by reference, and later contributions
 accumulate out of place, so an array handed to several parents is never
 written. Only a :class:`Parameter` accumulates in place, into its own
-buffer.
+buffer, or inside a :class:`grad_lane` into that lane's buffer for it, so
+backward passes on several threads never write one array.
 
 Everything is computed in 64-bit floats so that central finite
 differences with step 1e-5 resolve analytic gradients to relative
@@ -37,6 +38,7 @@ __all__ = [
     "Parameter",
     "Linear",
     "no_grad",
+    "grad_lane",
     "recording",
     "softmax",
     "rsqrt_or_zero_array",
@@ -67,6 +69,41 @@ class no_grad:
     def __exit__(self, *exc):
         _GRAD_MODE.enabled = self._prev
         return False
+
+
+class _Lane(threading.local):
+    """The calling thread's lane buffers, {Parameter: gradient}, or None: accumulate into ``grad``."""
+
+    grads = None
+
+
+_LANE = _Lane()
+
+
+class grad_lane:
+    """Context manager: in the calling thread, Parameters accumulate gradients into this lane's buffers.
+
+    A Parameter's ``grad`` is one buffer that every backward adds into, so two
+    backward passes on two threads would race on it. Inside a lane a Parameter
+    adds into ``grads[parameter]`` instead, a buffer made at its first gradient;
+    ``merge`` adds them into the parameters' ``grad`` once the lane is done.
+    """
+
+    def __init__(self):
+        self.grads = {}
+
+    def __enter__(self):
+        self._prev = _LANE.grads
+        _LANE.grads = self.grads
+        return self
+
+    def __exit__(self, *exc):
+        _LANE.grads = self._prev
+        return False
+
+    def merge(self):
+        for p, g in self.grads.items():
+            p.grad += g
 
 
 def recording(parents):
@@ -379,7 +416,14 @@ class Parameter(Tensor):
         self.name = name
 
     def _acc(self, g):
-        self.grad += g
+        lane = _LANE.grads
+        if lane is None:
+            self.grad += g
+            return
+        buf = lane.get(self)
+        if buf is None:
+            buf = lane[self] = np.zeros_like(self.data)
+        buf += g
 
     def zero_grad(self):
         self.grad.fill(0.0)

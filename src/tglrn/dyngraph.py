@@ -5,7 +5,8 @@ the input window (start-of-edge, end-of-edge, and hop-selection
 embeddings); each chain is one tape node per window. Only the chains are
 recurrent: gating by per-step base embeddings, edge scoring, hop
 selection and the adjacency itself then run once per window over
-(B, T_in, ...) arrays, with every random draw made first, in step order. Per step, the scores are normalized to mean
+(B, T_in, ...) arrays, on random draws made beforehand in step order
+(``GraphConstruction.draw``). Per step, the scores are normalized to mean
 0 / std alpha, squashed by a sigmoid, relaxed with logistic-Gumbel noise
 (training only), randomly thinned with keep probability gamma (training
 only), and finally masked so that node i only keeps weights toward nodes
@@ -447,38 +448,42 @@ class GraphConstruction:
         self.hop_l1 = Linear(m, m, rng)
         self.hop_l2 = Linear(m, masks.shape[0], rng)
 
-    def build(self, window, mode, rng=None, hop_mode="hard", want_diag=False):
+    def draw(self, rng, batch):
+        """The graph draws of a train step over ``batch`` windows: (noise, keep, uniforms).
+
+        Each graph step draws delta, then rho, then its hop uniforms, as a
+        step-by-step pass does, so every stream stays the same. delta and rho
+        are full (B, N, N) draws gathered on the pattern: ``noise`` holds
+        logistic_noise(delta) and ``keep`` the thinning decisions, both
+        (B, T_in, nnz); ``uniforms`` is (B, T_in, N, L). Row i belongs to window i.
+        """
+        n, pattern = self.num_nodes, self.pattern
+        noise, keep, uniforms = [], [], []
+        for _ in range(self.t_in):
+            noise.append(logistic_noise(pattern.gather(rng.uniform(size=(batch, n, n)))))
+            keep.append(keep_pattern(pattern.gather(rng.uniform(size=(batch, n, n))), self.gamma))
+            uniforms.append(rng.uniform(size=(batch, n, pattern.levels)))
+        return tuple(np.stack(x, axis=1) for x in (noise, keep, uniforms))
+
+    def build(self, window, mode, draws=None, hop_mode="hard", want_diag=False):
         """Compose the per-step pipeline over the whole input window.
 
-        ``mode`` is "train" or "eval". Training draws the relaxation noise,
-        the edge thinning and the hop uniforms from ``rng``; evaluation
-        draws nothing and needs no ``rng``. ``hop_mode="soft"`` replaces the
+        ``mode`` is "train" or "eval". Training relaxes, thins and samples
+        hops with ``draws``, the window's rows of ``draw``'s arrays;
+        evaluation uses none. ``hop_mode="soft"`` replaces the
         straight-through hard hop mask with its relaxed value, which makes
         the full path exactly differentiable for gradient checking.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"unknown mode {mode!r}")
         training = mode == "train"
-        if training and rng is None:
-            raise ConfigError("stochastic graph construction requires a random generator")
+        if training and draws is None:
+            raise ConfigError("train-mode graph construction requires the step's draws")
 
         emb_st = self.chain_st.run(window)
         emb_ed = self.chain_ed.run(window)
         emb_h = self.chain_h.run(window)
-
-        b, n, t_in = window.shape[0], self.num_nodes, self.t_in
         pattern = self.pattern
-        draws = None
-        if training:
-            # Each step draws delta, rho, then its hop uniforms, as a step-by-step pass does,
-            # so every stream stays the same. Full (B, N, N) draws, gathered on the pattern.
-            noise, keep, uniforms = [], [], []
-            for _ in range(t_in):
-                noise.append(logistic_noise(pattern.gather(rng.uniform(size=(b, n, n)))))
-                keep.append(keep_pattern(pattern.gather(rng.uniform(size=(b, n, n))), self.gamma))
-                uniforms.append(rng.uniform(size=(b, n, pattern.levels)))
-            noise, keep, uniforms = (np.stack(x, axis=1) for x in (noise, keep, uniforms))
-            draws = noise, keep
 
         # Only the chains are recurrent: the rest runs once over (B, T_in, ...) arrays.
         e_st = gate(emb_st, self.base_st, self.gate_st)
@@ -486,11 +491,11 @@ class GraphConstruction:
         u, v = edge_logits(e_st, e_ed, self.edge_w)
         probs = hop_probs(emb_h, self.hop_l1, self.hop_l2)
         if training:
-            h, mixing = select_hops(probs, self.tau, "train", uniforms, hop_mode == "hard")
+            h, mixing = select_hops(probs, self.tau, "train", draws[2], hop_mode == "hard")
         else:
             h, _ = select_hops(probs, self.tau, "eval")
             mixing = Tensor(_one_hot(h, pattern.levels))
-        values = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, draws)
+        values = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, draws[:2] if training else None)
         seq = GraphSequence(values=values, pattern=pattern, hop_choices=h + 1)
         if not want_diag:
             return seq

@@ -31,7 +31,7 @@ from .dyngraph import (
 from .model import ModelConfig, PredictionHead
 from .roadnet import build_asp, hop_distances, structure_group
 from .stnet import OutputLayer, diffusion_conv, gtu_conv, spl, tpl
-from .trainer import build_model, mae_loss
+from .trainer import build_model, lane_backward, mae_loss
 
 __all__ = ["GradCheckReport", "finite_diff_check", "max_relative_error"]
 
@@ -217,9 +217,10 @@ def _check_graph_build(seed):
     # One (B, N, N) weight per step, as (T, B, N, N), read on the pattern.
     r = block.pattern.gather(rng.standard_normal((2, 2, 3, 3)).swapaxes(0, 1))
 
+    draws = block.draw(np.random.default_rng([seed, 19]), 2)  # frozen: the same every call
+
     def build():
-        draws = np.random.default_rng([seed, 19])  # frozen draws: same stream every call
-        seq = block.build(window, "train", rng=draws, hop_mode="soft")
+        seq = block.build(window, "train", draws, hop_mode="soft")
         return _weighted_sum(seq.values, r)
 
     return finite_diff_check(build, [("window", window)] + block.params())
@@ -340,18 +341,28 @@ def toy_model(seed=0):
 
 
 def _check_end_to_end(seed):
+    # The train step's path at B=2: the analytic gradient summed over one-window shards
+    # on two lanes, each in its own gradient buffers, against differences of the batch.
     model = toy_model(seed)
     data_rng = np.random.default_rng([seed, 13])
-    window = data_rng.normal(5.0, 2.0, size=(1, 6, 4, 1))
-    target = data_rng.normal(5.0, 2.0, size=(1, 2, 4, 1))
+    window = data_rng.normal(5.0, 2.0, size=(2, 6, 4, 1))
+    target = data_rng.normal(5.0, 2.0, size=(2, 2, 4, 1))
+    draws = model.draw(np.random.default_rng([seed, 14]), 2)  # frozen: the same every call
+    std, mean = model.scaler.std, model.scaler.mean
 
-    def build():
-        noise = np.random.default_rng([seed, 14])  # frozen draws: same stream every call
-        pred = model.forward(window, mode="train", rng=noise, hop_mode="soft")
-        pred_raw = pred * model.scaler.std + model.scaler.mean
-        return mae_loss(pred_raw, target)
+    def loss(part):
+        pred = model.forward(window[part], mode="train", hop_mode="soft", draws=draws.rows(part))
+        return mae_loss(pred * std + mean, target[part], target.size)
 
-    return finite_diff_check(build, model.parameters())
+    named = model.parameters()
+    for _, p in named:
+        p.zero_grad()
+    lane_backward(loss, [[slice(0, 1)], [slice(1, 2)]])
+    batch = slice(0, 2)
+    return [
+        GradCheckReport(name, max_relative_error(p.grad, _numeric_grad(lambda: loss(batch), p)))
+        for name, p in named
+    ]
 
 
 _SUITE = [

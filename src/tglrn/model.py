@@ -22,7 +22,7 @@ from .dyngraph import GraphConstruction
 from .errors import ConfigError
 from .stnet import TPL_PER_BLOCK, SpatioTemporalBlock, block_schedule
 
-__all__ = ["ModelConfig", "PredictionHead", "TGLRN"]
+__all__ = ["ModelConfig", "PredictionHead", "StepDraws", "TGLRN"]
 
 
 def _physical_memory():
@@ -170,6 +170,20 @@ class PredictionHead:
         return [("w", self.w), ("b", self.b)]
 
 
+@dataclass
+class StepDraws:
+    """Every random draw of one train step; row i of each array belongs to window i."""
+
+    graph: tuple  # GraphConstruction.draw's (noise, keep, uniforms)
+    dropout: list  # per temporal conv, block by block: boolean keep pattern, or None at rate 0
+
+    def rows(self, part):
+        """The draws of the windows ``part`` (a slice) selects."""
+        return StepDraws(
+            tuple(x[part] for x in self.graph), [None if k is None else k[part] for k in self.dropout]
+        )
+
+
 class TGLRN:
     """Traffic forecaster over learned per-step graphs."""
 
@@ -210,22 +224,45 @@ class TGLRN:
         """Ordered (name, Parameter) pairs; names are unique paths."""
         return list(self._named)
 
-    def forward(self, window_raw, mode="eval", rng=None, hop_mode="hard"):
-        """Raw input window (B, T_in, N, F) to normalized predictions (B, T_out, N, F)."""
+    def draw(self, rng, batch):
+        """Every random draw of a train step over ``batch`` windows, up front, in the order
+        the step uses them: each graph step's relaxation noise, thinning draw and hop
+        uniforms, then each temporal conv's dropout pattern."""
+        cfg = self.cfg
+        graph = self.graph_block.draw(rng, batch)
+        dropout = []
+        for k in range(cfg.n_blocks * TPL_PER_BLOCK):
+            shape = (batch, cfg.t_in - (k + 1) * (cfg.kernel_size - 1), cfg.num_nodes, cfg.hidden_dim)
+            dropout.append(rng.uniform(size=shape) >= cfg.dropout_rate if cfg.dropout_rate > 0.0 else None)
+        return StepDraws(graph, dropout)
+
+    def forward(self, window_raw, mode="eval", rng=None, hop_mode="hard", draws=None):
+        """Raw input window (B, T_in, N, F) to normalized predictions (B, T_out, N, F).
+
+        Train mode uses ``draws``, these windows' ``StepDraws``, or else draws
+        them from ``rng``; eval mode uses neither.
+        """
         cfg = self.cfg
         x = np.asarray(window_raw, dtype=np.float64)
         if x.ndim != 4 or x.shape[1] != cfg.t_in or x.shape[2] != cfg.num_nodes:
             raise ConfigError(
                 f"forward: expected window of shape (B, {cfg.t_in}, {cfg.num_nodes}, {cfg.in_features}), got {x.shape}"
             )
+        if mode != "train":
+            draws = None
+        elif draws is None:
+            if rng is None:
+                raise ConfigError("train-mode forward requires a random generator or the step's draws")
+            draws = self.draw(rng, x.shape[0])
         window = Tensor(self.scaler.apply(x))
-        seq = self.graph_block.build(window, mode, rng=rng, hop_mode=hop_mode)
+        graph_draws = None if draws is None else draws.graph
+        seq = self.graph_block.build(window, mode, draws=graph_draws, hop_mode=hop_mode)
 
         stream = self.input_layer(window)
-        dropout = (cfg.dropout_rate, rng) if mode == "train" else None
         outputs = []
-        for block in self.blocks:
-            stream, block_out = block.forward(stream, seq, dropout=dropout)
+        for i, block in enumerate(self.blocks):
+            keeps = None if draws is None else draws.dropout[i * TPL_PER_BLOCK : (i + 1) * TPL_PER_BLOCK]
+            stream, block_out = block.forward(stream, seq, keeps, cfg.dropout_rate)
             outputs.append(block_out)
         return self.head(outputs)
 

@@ -86,12 +86,14 @@ def _diffuse_grad(g, x, a, theta, num_steps):
         ys.append((y_fwd, y_rev))
         zs.append((y_fwd * inv_out, y_rev * inv_in))
 
-    lead = tuple(range(g.ndim - 1))
+    # Each dtheta entry is z^T g over every leading index: one product of (rows, D) views.
+    d = x.shape[-1]
+    g_rows = g.reshape(-1, g.shape[-1])
     dtheta = np.zeros_like(theta)
-    dtheta[0] = np.tensordot(x, g, axes=(lead, lead))  # both directions: zs[0] is (x, x)
+    dtheta[0] = x.reshape(-1, d).T @ g_rows  # both directions: zs[0] is (x, x)
     for k, (z_fwd, z_rev) in enumerate(zs[1:], 1):
-        dtheta[k, 0] = np.tensordot(z_fwd, g, axes=(lead, lead))
-        dtheta[k, 1] = np.tensordot(z_rev, g, axes=(lead, lead))
+        dtheta[k, 0] = z_fwd.reshape(-1, d).T @ g_rows
+        dtheta[k, 1] = z_rev.reshape(-1, d).T @ g_rows
 
     da = np.zeros(a.shape)
     d_inv_out = np.zeros_like(inv_out)
@@ -447,20 +449,17 @@ class SpatioTemporalBlock:
         self.ln_shifts = [Parameter(np.zeros(width)) for _ in range(TPL_PER_BLOCK)]
         self.output = OutputLayer(t_out, width, rng)
 
-    def forward(self, stream, graphs, dropout=None):
+    def forward(self, stream, graphs, keeps=None, rate=0.0):
         """Returns (next stream, block output).
 
-        ``graphs`` is the window's ``GraphSequence``. ``dropout`` is None at
-        eval, or a (rate, generator) pair; an inverted dropout pattern over
-        each temporal conv's output is drawn before that conv runs.
+        ``graphs`` is the window's ``GraphSequence``. ``keeps`` is None at
+        eval, or one inverted-dropout keep pattern per temporal conv, each
+        shaped like that conv's output (None where nothing is dropped), for
+        the drop probability ``rate``.
         """
-        rate, rng = dropout if dropout is not None else (0.0, None)
-        for theta, lam, scale, shift in zip(self.thetas, self.lams, self.ln_scales, self.ln_shifts):
+        layers = zip(self.thetas, self.lams, self.ln_scales, self.ln_shifts, keeps or (None,) * TPL_PER_BLOCK)
+        for theta, lam, scale, shift, keep in layers:
             stream = spl(stream, graphs, theta, self.diff_steps)
-            keep = None
-            if rate > 0.0:
-                t_next = stream.shape[1] - self.ks + 1
-                keep = rng.uniform(size=stream.shape[:1] + (t_next,) + stream.shape[2:]) >= rate
             stream = tpl(stream, lam, self.ks, scale, shift, keep, rate)
         return stream, self.output(stream)
 

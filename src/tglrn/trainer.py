@@ -47,22 +47,36 @@ CHECKPOINT_MAGIC = b"TGLRN\x01"
 # one thread or several, equal one whole-split call bitwise.
 EVAL_BATCH = 16
 # num_nodes * hidden_dim from which eval_chunks cuts EVAL_BATCH // 4 windows per
-# call, run on up to four threads. numpy releases the GIL in BLAS products and
-# ufunc loops, which dominate a large window's forward; below this width the
-# per-op Python work dominates and threads only contend for the GIL. Two threads'
-# time over one thread's for 48 windows (74 at N=8), median of 6-12 alternating
-# calls, on 2 CPUs with one BLAS thread; D=16 except at N=169:
+# call, run on up to four threads, and train_lanes cuts a train step into
+# one-window shards on TRAIN_LANES lanes. numpy releases the GIL in BLAS products
+# and ufunc loops, which dominate a large window's forward and backward; below this
+# width the per-op Python work dominates and threads only contend for the GIL. Two
+# threads' time over one thread's for 48 eval windows (74 at N=8), median of 6-12
+# alternating calls, on 2 CPUs with one BLAS thread; D=16 except at N=169:
 #   num_nodes * hidden_dim   128 (N=8)  400   576        784        1,024  1,600  10,816 (D=64)
 #   time ratio               1.40       1.24  1.02-1.13  0.91-0.96  0.66   0.61   0.47
+# A narrow train step stays one call: at N=8, D=16 and B=32, a step's forward and
+# backward took 1.1-1.2x the whole batch's time as two 16-window shards one after the
+# other, 1.4x as two on two threads, and 7.6-8.8x as one-window shards.
 PARALLEL_EVAL_WIDTH = 768
+# Lanes of a wide model's train step. Each lane runs its shards one after the other
+# with its own gradient buffers, so a step holds at most one shard's tape per lane
+# in flight. At the PeMS08 shape (N=170, D=64), on 2 CPUs, a step peaked 44 MB above
+# the resident set at B=4 and 114 MB at B=64, against 62 and 951 MB for the whole
+# batch in one call, and B=4 training ran 1.14-1.65x as many windows a second
+# (10 alternating runs each). More lanes were not measured.
+TRAIN_LANES = 2
 
 
-def mae_loss(pred, target):
-    """Mean absolute difference over every element."""
+def mae_loss(pred, target, count=None):
+    """Sum of absolute differences over ``count``; by default every element, which is their mean.
+
+    A shard of a batch passes the batch's element count, so its shards' losses add up to the batch's.
+    """
     target = target if isinstance(target, dc.Tensor) else dc.Tensor(target)
     if pred.shape != target.shape:
         raise DataError(f"mae_loss: shape mismatch {pred.shape} vs {target.shape}")
-    return (pred - target).abs().mean()
+    return (pred - target).abs().sum() * (1.0 / (pred.size if count is None else count))
 
 
 class Adam:
@@ -112,8 +126,12 @@ class TrainSettings:
             raise ConfigError(f"patience must be at least 0, got {self.patience}")
         if not 0.0 < self.learning_rate < float("inf"):
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 <= self.mape_threshold < float("inf"):
-            raise ConfigError(f"mape_threshold must be non-negative and finite, got {self.mape_threshold}")
+        _check_mape_threshold(self.mape_threshold)
+
+
+def _check_mape_threshold(value):
+    if not 0.0 <= value < float("inf"):
+        raise ConfigError(f"mape_threshold must be non-negative and finite, got {value}")
 
 
 @dataclass
@@ -142,6 +160,7 @@ def _metric_triple(pred, target, mape_threshold):
 
 def compute_metrics(pred, target, mape_threshold=TrainSettings.mape_threshold):
     """MetricsReport from prediction/target arrays shaped (M, T, N, F)."""
+    _check_mape_threshold(mape_threshold)
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
@@ -163,10 +182,42 @@ def _blas_threads(cpus):
     return cpus
 
 
+def _wide(model):
+    return model.cfg.num_nodes * model.cfg.hidden_dim >= PARALLEL_EVAL_WIDTH
+
+
+def _workers(cap):
+    """Threads for ``cap`` tasks that may run at once: no more than the CPUs BLAS leaves free."""
+    if cap <= 1:
+        return cap
+    # sched_getaffinity (Linux) counts only the CPUs this process may use.
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return min(cap, cpus // _blas_threads(cpus))
+
+
+def _map(fn, tasks, workers):
+    """``[fn(task) for task in tasks]``, on ``workers`` threads when more than one.
+
+    The pool lives only for this call.
+    """
+    if workers <= 1:
+        return [fn(task) for task in tasks]
+    # Imported here: the module adds ~0.7 MB of resident memory, which runs
+    # that never start a pool should not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        return list(pool.map(fn, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def eval_chunks(model, windows):
     """Slices of evaluation's predict_raw calls over ``windows`` windows, in order: EVAL_BATCH
     windows each, or EVAL_BATCH // 4 from PARALLEL_EVAL_WIDTH up. Nothing else sets them."""
-    size = EVAL_BATCH // 4 if model.cfg.num_nodes * model.cfg.hidden_dim >= PARALLEL_EVAL_WIDTH else EVAL_BATCH
+    size = EVAL_BATCH // 4 if _wide(model) else EVAL_BATCH
     return [slice(lo, min(lo + size, windows)) for lo in range(0, windows, size)]
 
 
@@ -175,34 +226,78 @@ def batched_predictions(model, dataset):
 
     Chunks under EVAL_BATCH windows (a wide model's) run on as many threads as keep
     EVAL_BATCH in flight, capped by the chunk count and the CPUs BLAS leaves free.
-    The pool lives only for this call.
     """
     if len(dataset) == 0:
         raise DataError(f"split {dataset.split!r} holds no windows")
     chunks = [dataset.inputs[part] for part in eval_chunks(model, len(dataset))]
-    workers = min(EVAL_BATCH // len(chunks[0]), len(chunks))
-    if workers > 1:
-        # sched_getaffinity (Linux) counts only the CPUs this process may use.
-        affinity = getattr(os, "sched_getaffinity", None)
-        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-        workers = min(workers, cpus // _blas_threads(cpus))
-    if workers <= 1:
-        preds = [model.predict_raw(chunk) for chunk in chunks]
-    else:
-        # Imported here: the module adds ~0.7 MB of resident memory, which runs
-        # that never start a pool should not pay.
-        from concurrent.futures import ThreadPoolExecutor
+    workers = _workers(min(EVAL_BATCH // len(chunks[0]), len(chunks)))
+    return np.concatenate(_map(model.predict_raw, chunks, workers), axis=0)
 
-        pool = ThreadPoolExecutor(workers)
-        try:
-            preds = list(pool.map(model.predict_raw, chunks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return np.concatenate(preds, axis=0)
+
+def train_lanes(model, windows):
+    """The shards of a train step over ``windows`` windows, as lanes of slices.
+
+    Below PARALLEL_EVAL_WIDTH the step is one shard of the whole batch. From
+    it up every window is its own shard, dealt round-robin to
+    min(TRAIN_LANES, windows) lanes. Nothing else sets them.
+    """
+    if not _wide(model):
+        return [[slice(0, windows)]]
+    shards = [slice(i, i + 1) for i in range(windows)]
+    return [shards[lane::TRAIN_LANES] for lane in range(min(TRAIN_LANES, windows))]
+
+
+def lane_backward(loss_of, lanes):
+    """Backward of the sum of ``loss_of(shard)`` over every shard of ``lanes``; returns its value.
+
+    One lane runs in the calling thread, into the parameters' ``grad``.
+    Several run on as many threads as the CPUs BLAS leaves free allow, each
+    in its own ``grad_lane``, shard after shard; after the join the lanes'
+    gradients and losses are added in lane order, so neither depends on
+    the thread count.
+    """
+
+    def run(lane):
+        total = 0.0
+        for part in lane:
+            loss = loss_of(part)
+            loss.backward()
+            total += loss.item()
+        return total
+
+    if len(lanes) == 1:
+        return run(lanes[0])
+
+    def run_own(lane):
+        with dc.grad_lane() as own:
+            return run(lane), own
+
+    total = 0.0
+    for value, own in _map(run_own, lanes, _workers(len(lanes))):
+        own.merge()
+        total += value
+    return total
+
+
+def train_step(model, window, target, draws):
+    """Gradients of one step's loss, added into the parameters' ``grad``; returns the loss.
+
+    The loss is the mean absolute error in original units of the raw
+    ``window`` batch's predictions against ``target``, computed as
+    train_lanes' shards plan it; ``draws`` is the batch's ``StepDraws``.
+    """
+    scaler, count = model.scaler, target.size
+
+    def loss_of(part):
+        pred = model.forward(window[part], mode="train", draws=draws.rows(part))
+        return mae_loss(pred * scaler.std + scaler.mean, target[part], count)
+
+    return lane_backward(loss_of, train_lanes(model, len(window)))
 
 
 def evaluate(model, dataset, mape_threshold=TrainSettings.mape_threshold):
     """Eval-mode metrics in original units; deterministic and repeatable."""
+    _check_mape_threshold(mape_threshold)
     preds = batched_predictions(model, dataset)
     return compute_metrics(preds, dataset.targets, mape_threshold)
 
@@ -259,7 +354,6 @@ def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
     shuffle_rng, noise_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
 
     opt = Adam(model.parameters(), lr=settings.learning_rate)
-    scaler = model.scaler
 
     history = []
     best_val = np.inf
@@ -272,17 +366,13 @@ def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
         total_count = 0
         for lo in range(0, len(order), settings.batch_size):
             idx = order[lo : lo + settings.batch_size]
-            window = train_ds.inputs[idx]
-            target = train_ds.targets[idx]
-
             opt.zero_grad()
-            pred = model.forward(window, mode="train", rng=noise_rng)
-            loss = mae_loss(pred * scaler.std + scaler.mean, target)
-            loss.backward()
-            _check_finite(loss.item(), model)
+            draws = model.draw(noise_rng, len(idx))
+            loss = train_step(model, train_ds.inputs[idx], train_ds.targets[idx], draws)
+            _check_finite(loss, model)
             opt.step()
 
-            total_abs += loss.item() * len(idx)
+            total_abs += loss * len(idx)
             total_count += len(idx)
 
         train_loss = total_abs / total_count

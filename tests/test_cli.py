@@ -76,9 +76,10 @@ def command_args(command, data_dir, out_dir):
     return args
 
 
-# The keys whose checks belong to a library entry point: synth_generate, train, make_windows.
+# The keys whose checks belong to a library entry point: synth_generate, train,
+# make_windows, fit_scaler.
 LIBRARY_KEYS = {f.name for spec in (dmod.SynthSettings, trainer.TrainSettings) for f in fields(spec)}
-LIBRARY_KEYS |= {"train_frac", "val_frac", "test_frac"}
+LIBRARY_KEYS |= {"train_frac", "val_frac", "test_frac", "scaler_scope"}
 # One bad value each; the config rejects every one with exit 2 before any work.
 BAD_SETTINGS = [
     "tau=0",
@@ -116,6 +117,7 @@ BAD_SETTINGS = [
     "synth_topology=grid",
     "seed=-1",
     "train_frac=nan",
+    "scaler_scope=median",
 ]
 
 
@@ -455,6 +457,8 @@ class TestErrors:
         elif key.endswith("_frac"):
             ratios = {"train_frac": 0.6, "val_frac": 0.2, "test_frac": 0.2, key: value}
             call = lambda: dmod.make_windows(series, 4, 2, tuple(ratios.values()))
+        elif key == "scaler_scope":
+            call = lambda: dmod.fit_scaler(series.values, value)
         else:
             train_ds, val_ds, _ = dmod.make_windows(series, 4, 2)
             cfg = ModelConfig(num_nodes=4, t_in=4, t_out=2, embed_dim=2, hop_dim=2, hidden_dim=4, levels=2, n_blocks=1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tglrn import data as dmod
+from tglrn.config import load_config
 from tglrn.errors import ConfigError, DataError
 
 
@@ -288,6 +289,15 @@ class TestScaler:
             scaler = dmod.fit_scaler(values)
         assert scaler.std[0, 0] == dmod.STD_FLOOR
 
+    def test_unknown_scope_is_the_config_error(self):
+        values = np.random.default_rng(4).uniform(0, 10, size=(30, 4, 1))
+        with pytest.raises(ConfigError) as from_config:
+            load_config(overrides=["scaler_scope=median"])
+        with pytest.raises(ConfigError) as from_library:
+            dmod.fit_scaler(values, scope="median")
+        assert str(from_library.value) == str(from_config.value)
+        assert "per_sensor or global" in str(from_config.value)
+
     def test_global_scope(self):
         rng = np.random.default_rng(3)
         values = rng.uniform(0, 10, size=(30, 4, 1))
@@ -315,6 +325,14 @@ class TestWindows:
     def test_too_short(self):
         with pytest.raises(DataError):
             dmod.make_windows(self._series(20), 12, 12)
+
+    @pytest.mark.parametrize(
+        "t_in, t_out, key", [(-1, 3, "t_in"), (0, 2, "t_in"), (3, 0, "t_out"), (3, -2, "t_out")]
+    )
+    def test_lengths_below_one_rejected(self, t_in, t_out, key):
+        # (-1, 3) would otherwise give 1-step inputs that overlap their own targets.
+        with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
+            dmod.make_windows(self._series(40), t_in, t_out)
 
     def test_chronological_and_leak_free(self):
         t_total = 200

@@ -1,7 +1,9 @@
 """Engine-level checks: op correctness, gradient exactness, determinism."""
 
+import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -113,6 +115,52 @@ class TestBackwardBasics:
             "a_saw_b_enter": True, "b_saw_a_enter": True, "b_saw_a_exit": True, "b_recording": False
         }
         assert dc.recording([p])
+
+
+class TestGradLanes:
+    def test_lane_keeps_gradients_out_of_grad_until_merged(self):
+        w = Parameter(np.array([1.0, -2.0, 3.0]))
+        untouched = Parameter(np.ones(2))
+        x = np.array([0.5, 0.25, -1.0])
+        (w * Tensor(x)).sum().backward()
+        with dc.grad_lane() as lane:
+            (w * Tensor(x)).sum().backward()
+            (w * Tensor(2.0 * x)).sum().backward()
+        np.testing.assert_array_equal(w.grad, x)
+        assert set(lane.grads) == {w}  # only parameters that got a gradient have a buffer
+        np.testing.assert_array_equal(lane.grads[w], 3.0 * x)
+        lane.merge()
+        np.testing.assert_array_equal(w.grad, 4.0 * x)
+        np.testing.assert_array_equal(untouched.grad, np.zeros(2))
+        (w * Tensor(x)).sum().backward()  # outside the lane again: straight into grad
+        np.testing.assert_array_equal(w.grad, 5.0 * x)
+
+    def test_concurrent_lanes_lose_no_update(self):
+        # More threads than CPUs, switching as often as the interpreter allows, all
+        # adding into one shared parameter: each lane must hold exactly its own sum.
+        w = Parameter(np.zeros(50_000))
+        ones = Tensor(np.ones(50_000))
+        threads, passes = 8, 40
+
+        def run(k):
+            with dc.grad_lane() as lane:
+                for _ in range(passes):
+                    (w * (ones * float(k + 1))).sum().backward()
+            return lane
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(run, k) for k in range(threads)]
+                lanes = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(w.grad, 0.0)
+        for k, lane in enumerate(lanes):
+            np.testing.assert_array_equal(lane.grads[w], passes * (k + 1.0))
+            lane.merge()
+        np.testing.assert_array_equal(w.grad, passes * threads * (threads + 1) / 2)
 
 
 def _random_graph_loss(rng, params):

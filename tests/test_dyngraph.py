@@ -535,11 +535,16 @@ def build_block(n=4, t_in=3, levels=2, gamma=0.5, seed=0, edges=None):
     return dg.GraphConstruction(cfg, make_masks(edges, n, levels), np.random.default_rng(seed))
 
 
+def drawn(block, window, seed):
+    """The graph draws of a train step over ``window``'s batch, from generator ``seed``."""
+    return block.draw(np.random.default_rng(seed), window.shape[0])
+
+
 class TestBuildGraphSequence:
     def test_trivial_composition(self):
         block = build_block(t_in=1, levels=1, gamma=1.0)
         window = Tensor(np.random.default_rng(0).standard_normal((1, 1, 4, 1)))
-        seq = block.build(window, "train", rng=np.random.default_rng(1))
+        seq = block.build(window, "train", draws=drawn(block, window, 1))
         assert len(seq.adjacencies) == 1
         support = seq.adjacencies[0].data[0] != 0
         assert np.all(block.masks[0][support] == 1.0)
@@ -557,15 +562,15 @@ class TestBuildGraphSequence:
     def test_train_reproducible_for_fixed_seed(self):
         block = build_block()
         window = Tensor(np.random.default_rng(3).standard_normal((2, 3, 4, 1)))
-        a = block.build(window, "train", rng=np.random.default_rng(42))
-        b = block.build(window, "train", rng=np.random.default_rng(42))
+        a = block.build(window, "train", draws=drawn(block, window, 42))
+        b = block.build(window, "train", draws=drawn(block, window, 42))
         for x, y in zip(a.adjacencies, b.adjacencies):
             np.testing.assert_array_equal(x.data, y.data)
 
     def test_support_range_and_moment_invariants(self):
         block = build_block(n=5, t_in=4, levels=3, gamma=0.7, seed=9)
         window = Tensor(np.random.default_rng(4).standard_normal((3, 4, 5, 1)))
-        seq, diag = block.build(window, "train", rng=np.random.default_rng(5), want_diag=True)
+        seq, diag = block.build(window, "train", draws=drawn(block, window, 5), want_diag=True)
         for t, adj in enumerate(seq.adjacencies):
             a = adj.data
             assert a.min() >= 0.0 and a.max() <= 1.0
@@ -580,13 +585,10 @@ class TestBuildGraphSequence:
         block = build_block(gamma=0.2)
         window = Tensor(np.random.default_rng(6).standard_normal((1, 3, 4, 1)))
         plain = block.build(window, "eval")
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        given = block.build(window, "eval", rng=rng)
-        assert rng.bit_generator.state == state
+        given = block.build(window, "eval", draws=drawn(block, window, 7))
         np.testing.assert_array_equal(given.values.data, plain.values.data)
         np.testing.assert_array_equal(given.hop_choices, plain.hop_choices)
-        with pytest.raises(ConfigError, match="random generator"):
+        with pytest.raises(ConfigError, match="the step's draws"):
             block.build(window, "train")
 
 
@@ -599,9 +601,10 @@ class TestGradientFlow:
 
         on_pattern = Tensor(block.pattern.gather(np.stack(weights, axis=1)))
 
+        draws = drawn(block, window, 123)
+
         def build_loss():
-            noise = np.random.default_rng(123)
-            seq = block.build(window, "train", rng=noise)
+            seq = block.build(window, "train", draws=draws)
             return (seq.values * on_pattern).sum()
 
         params = [
@@ -731,7 +734,8 @@ class TestEdgeOp:
         weights = data.standard_normal((3, 4, 5, 5))  # (B, T, N, N)
         training = mode == "train"
         rngs = [np.random.default_rng(13) if training else None for _ in range(2)]
-        seq = block.build(window, mode, rng=rngs[0], hop_mode=hop_mode)
+        draws = block.draw(rngs[0], window.shape[0]) if training else None
+        seq = block.build(window, mode, draws=draws, hop_mode=hop_mode)
         pattern = block.pattern
         got = grads_after(block, seq.values, pattern.gather(weights))
         adjs, hops = oracle_build(block, window, mode, rng=rngs[1], hop_mode=hop_mode)
@@ -833,7 +837,7 @@ def test_train_build_tape_holds_few_nn_arrays_per_step():
     n, t_in = 6, 3
     block = build_block(n=n, t_in=t_in, levels=2, gamma=0.5, seed=17)
     window = Tensor(np.random.default_rng(18).standard_normal((2, t_in, n, 1)))
-    seq = block.build(window, "train", rng=np.random.default_rng(19))
+    seq = block.build(window, "train", draws=drawn(block, window, 19))
     seen, stack = {}, [seq.values]
     while stack:
         t = stack.pop()
@@ -850,7 +854,7 @@ def test_graph_nodes_keep_only_pattern_sized_arrays():
     nnz = block.pattern.nnz
     assert nnz < n * n
     window = Tensor(np.random.default_rng(21).standard_normal((b, t_in, n, 1)))
-    seq = block.build(window, "train", rng=np.random.default_rng(22))
+    seq = block.build(window, "train", draws=drawn(block, window, 22))
     node = seq.values
     assert node.shape == (b, t_in, nnz)
     held = closure_arrays(node)

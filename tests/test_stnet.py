@@ -148,6 +148,22 @@ def oracle_output(layer, x):
     return acc + layer.bias
 
 
+def block_keeps(block, stream, dropout):
+    """(keeps, rate) for ``block.forward`` from a (rate, generator) pair, or (None, 0) for None.
+
+    One keep pattern per temporal conv, drawn in conv order, as oracle_block_forward draws them.
+    """
+    if dropout is None:
+        return None, 0.0
+    rate, rng = dropout
+    b, t, n, d = stream.shape
+    keeps = []
+    for _ in range(stnet.TPL_PER_BLOCK):
+        t -= block.ks - 1
+        keeps.append(rng.uniform(size=(b, t, n, d)) >= rate)
+    return keeps, rate
+
+
 def oracle_block_forward(block, stream, seq, dropout=None):
     """SpatioTemporalBlock.forward from per-op nodes, drawing the dropout masks in the same order.
 
@@ -545,7 +561,8 @@ class TestBlock:
         stream = Tensor(rng.standard_normal((1, 4, 3, 4)))
         graphs = self._graphs(4, 3, rng, batch=1)
         plain, _ = block.forward(stream, graphs)
-        dropped, _ = block.forward(stream, graphs, dropout=(0.5, np.random.default_rng(1)))
+        keeps, rate = block_keeps(block, stream, (0.5, np.random.default_rng(1)))
+        dropped, _ = block.forward(stream, graphs, keeps, rate)
         assert not np.array_equal(plain.data, dropped.data)
 
 
@@ -657,7 +674,10 @@ class TestFusedBlock:
         rng = np.random.default_rng(32)
         stream = rng.standard_normal((2, 5, 6, 4))
         graphs = [rng.uniform(size=(2, 6, 6)) * (rng.uniform(size=(2, 6, 6)) < 0.5) for _ in range(5)]
-        fused = self._run(lambda b, *args: b.forward(*args), stream, graphs, dropout_seed)
+        def fused_forward(block, stream, seq, dropout):
+            return block.forward(stream, seq, *block_keeps(block, stream, dropout))
+
+        fused = self._run(fused_forward, stream, graphs, dropout_seed)
         oracle = self._run(oracle_block_forward, stream, graphs, dropout_seed)
         assert_within(fused[0], oracle[0])
         assert_within(fused[1], oracle[1])
@@ -670,7 +690,7 @@ class TestFusedBlock:
         stream = Parameter(rng.standard_normal((2, 5, 3, 4)))
         graphs = full_sequence(*[rng.uniform(size=(2, 3, 3)) for _ in range(5)])
         graphs.values = Parameter(graphs.values.data)
-        out_stream, block_out = block.forward(stream, graphs, dropout=(0.3, rng))
+        out_stream, block_out = block.forward(stream, graphs, *block_keeps(block, stream, (0.3, rng)))
         inputs = {id(t) for t in [stream, graphs.values] + [p for _, p in block.params()]}
         seen, todo = {}, [out_stream, block_out]
         while todo:
@@ -686,7 +706,7 @@ class TestFusedBlock:
         stream = Parameter(rng.standard_normal((2, 5, 3, 4)))
         graphs = full_sequence(*[rng.uniform(size=(2, 3, 3)) for _ in range(5)])
         graphs.values = Parameter(graphs.values.data)
-        out_stream, block_out = block.forward(stream, graphs, dropout=(0.3, rng))
+        out_stream, block_out = block.forward(stream, graphs, *block_keeps(block, stream, (0.3, rng)))
         node, checked = out_stream, 0
         while node is not stream:
             own = {id(node.data)} | {id(p.data) for p in node._parents}

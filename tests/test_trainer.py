@@ -440,7 +440,7 @@ def threaded_setup(hidden=16):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Sets the CPU count batched_predictions sees, with one BLAS thread; returns its pools' sizes."""
+    """Sets the CPU count the eval and train thread pools see, with one BLAS thread; returns their sizes."""
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -602,6 +602,134 @@ def test_threaded_eval_peak_memory_does_not_grow_with_the_split(cpus):
     assert pools == [2]
 
 
+# -- train steps as sums of shards ----------------------------------------------------
+
+
+def whole_batch_step(model, window, target, draws):
+    """The oracle of trainer.train_step: one forward, loss and backward over the whole batch."""
+    scaler = model.scaler
+    pred = model.forward(window, mode="train", draws=draws)
+    loss = trainer.mae_loss(pred * scaler.std + scaler.mean, target)
+    loss.backward()
+    return loss.item()
+
+
+def step_gradients(model, step, window, target, draws):
+    """(loss, every parameter gradient) of ``step`` from zeroed gradients."""
+    for _, p in model.parameters():
+        p.zero_grad()
+    loss = step(model, window, target, draws)
+    return loss, {name: p.grad.copy() for name, p in model.parameters()}
+
+
+def test_train_lanes_depend_only_on_width_and_batch_size():
+    wide, _, _, _ = threaded_setup()
+    narrow, _, _, _ = quick_setup(n=64, t_total=500, t_in=12, t_out=3, hidden_dim=2)
+
+    def plan(model, windows):
+        return [[(part.start, part.stop) for part in lane] for lane in trainer.train_lanes(model, windows)]
+
+    assert plan(narrow, 37) == [[(0, 37)]]
+    assert plan(wide, 5) == [[(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4)]]
+    assert plan(wide, 1) == [[(0, 1)]]
+    assert trainer.TRAIN_LANES == 2
+
+
+@pytest.mark.parametrize("count, pool", [(1, None), (2, 2), (8, 2)])
+def test_sharded_step_matches_the_whole_batch_oracle(cpus, count, pool):
+    model, (train_ds, _, _), _, _ = threaded_setup()
+    window, target = train_ds.inputs[:5], train_ds.targets[:5]
+    draws = model.draw(np.random.default_rng(3), 5)
+    pools = cpus(count)
+    before = threading.active_count()
+    loss, grads = step_gradients(model, trainer.train_step, window, target, draws)
+    assert threading.active_count() == before
+    assert pools == ([] if pool is None else [pool])
+    want_loss, want = step_gradients(model, whole_batch_step, window, target, draws)
+    assert abs(loss - want_loss) <= 1e-12 * want_loss
+    for name, g in want.items():
+        scale = np.abs(g).max()
+        assert scale > 0.0, name
+        assert np.abs(grads[name] - g).max() <= 1e-12 * scale, name
+
+
+def test_narrow_step_is_the_whole_batch_oracle_bitwise():
+    model, (train_ds, _, _) = overfit_setup(seed=0)
+    window, target = train_ds.inputs[:32], train_ds.targets[:32]
+    draws = model.draw(np.random.default_rng(4), 32)
+    loss, grads = step_gradients(model, trainer.train_step, window, target, draws)
+    want_loss, want = step_gradients(model, whole_batch_step, window, target, draws)
+    assert loss == want_loss
+    for name, g in want.items():
+        np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+
+def test_wide_training_does_not_depend_on_the_cpu_count(cpus):
+    runs = []
+    for count in (1, 2, 8):
+        model, (train_ds, val_ds, _), _, _ = threaded_setup()
+        pools = cpus(count)
+        # 12 windows in steps of 5, 5 and 2: both lanes, unequal ones, and a short last step.
+        history, best = trainer.train(
+            model, first_windows(train_ds, 12), first_windows(val_ds, 8),
+            settings(batch_size=5, max_epochs=2), seed=7,
+        )
+        runs.append(([r.csv_row() for r in history], best))
+    # 1 CPU starts no pool; each of the others starts a two-thread pool per step and per eval.
+    assert pools == [2] * 2 * (6 + 2)
+    for rows, best in runs[1:]:
+        assert rows == runs[0][0]
+        for name, arr in best.items():
+            np.testing.assert_array_equal(arr, runs[0][1][name], err_msg=name)
+
+
+def test_lane_failure_leaves_no_thread_and_raises(cpus, monkeypatch):
+    model, (train_ds, _, _), _, _ = threaded_setup()
+    draws = model.draw(np.random.default_rng(5), 4)
+    pools = cpus(2)
+    forward = TGLRN.forward
+
+    def failing_forward(self, window, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericError("planted")
+        return forward(self, window, *args, **kwargs)
+
+    monkeypatch.setattr(TGLRN, "forward", failing_forward)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match="planted"):
+        trainer.train_step(model, train_ds.inputs[:4], train_ds.targets[:4], draws)
+    assert threading.active_count() == before
+    assert pools == [2]
+
+
+# Shards a wide step may hold in flight on two CPUs: one per lane. The tracemalloc
+# peak of a 16-window step may exceed that many one-window steps only by the batch's
+# draws and a margin for the lanes' gradient buffers and allocator noise. Measured at
+# the threaded_setup shape (N=64, D=16), where the 16 windows' draws take 0.87 MB: a
+# one-window step peaks at 1.62 MB, a 16-window sharded step at 3.25-3.35 MB, and the
+# 16-window batch in one call at 24 MB.
+SHARD_MARGIN_BYTES = 500_000
+
+
+def test_wide_step_peak_memory_is_bounded_by_the_shards_in_flight(cpus):
+    model, (train_ds, _, _), _, _ = threaded_setup()
+    pools = cpus(2)
+    one = model.draw(np.random.default_rng(6), 1)
+    many = model.draw(np.random.default_rng(6), 16)
+    batch = sum(x.nbytes for x in many.graph) + sum(k.nbytes for k in many.dropout if k is not None)
+
+    def step(draws):
+        windows = len(draws.graph[0])
+        return lambda: trainer.train_step(model, train_ds.inputs[:windows], train_ds.targets[:windows], draws)
+
+    one_shard = traced_peak(step(one))
+    peak = traced_peak(step(many))
+    assert pools == [2]
+    whole = traced_peak(lambda: whole_batch_step(model, train_ds.inputs[:16], train_ds.targets[:16], many))
+    assert whole > 2 * peak  # non-vacuity: the whole batch in one call holds far more
+    assert peak < 2 * one_shard + batch + SHARD_MARGIN_BYTES, (peak, one_shard, batch)
+
+
 class TestMetrics:
     def test_perfect_prediction(self):
         target = np.random.default_rng(0).uniform(10, 50, size=(4, 3, 2, 1))
@@ -618,6 +746,21 @@ class TestMetrics:
         pred = target + 1.0
         report = trainer.compute_metrics(pred, target, mape_threshold=1.0)
         assert report.mape == pytest.approx(1.0, rel=1e-9)  # only the 100.0 counts
+
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0, np.inf])
+    @pytest.mark.parametrize("call", ["compute_metrics", "evaluate", "baseline_ha"])
+    def test_bad_mape_threshold_rejected(self, monkeypatch, call, threshold):
+        # NaN would exclude every target and read a MAPE of 0.0.
+        model, (_, _, test_ds), _, _ = quick_setup()
+        calls = {
+            "compute_metrics": lambda: trainer.compute_metrics(test_ds.targets, test_ds.targets, threshold),
+            "evaluate": lambda: trainer.evaluate(model, test_ds, threshold),
+            "baseline_ha": lambda: trainer.baseline_ha(test_ds, threshold),
+        }
+        # evaluate checks before it predicts anything.
+        monkeypatch.setattr(trainer, "batched_predictions", lambda *a: pytest.fail("predicted"))
+        with pytest.raises(ConfigError, match="mape_threshold must be non-negative and finite"):
+            calls[call]()
 
     def test_eval_idempotent(self):
         model, (_, _, test_ds), _, _ = quick_setup()
