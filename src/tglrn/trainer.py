@@ -47,18 +47,30 @@ CHECKPOINT_MAGIC = b"TGLRN\x01"
 # one thread or several, equal one whole-split call bitwise.
 EVAL_BATCH = 16
 # num_nodes * hidden_dim from which eval_chunks cuts EVAL_BATCH // 4 windows per
-# call, run on up to four threads, and train_lanes cuts a train step into
-# one-window shards on TRAIN_LANES lanes. numpy releases the GIL in BLAS products
-# and ufunc loops, which dominate a large window's forward and backward; below this
+# call, run on up to four threads. numpy releases the GIL in BLAS products and
+# ufunc loops, which dominate a large window's forward and backward; below this
 # width the per-op Python work dominates and threads only contend for the GIL. Two
 # threads' time over one thread's for 48 eval windows (74 at N=8), median of 6-12
 # alternating calls, on 2 CPUs with one BLAS thread; D=16 except at N=169:
 #   num_nodes * hidden_dim   128 (N=8)  400   576        784        1,024  1,600  10,816 (D=64)
 #   time ratio               1.40       1.24  1.02-1.13  0.91-0.96  0.66   0.61   0.47
-# A narrow train step stays one call: at N=8, D=16 and B=32, a step's forward and
-# backward took 1.1-1.2x the whole batch's time as two 16-window shards one after the
-# other, 1.4x as two on two threads, and 7.6-8.8x as one-window shards.
 PARALLEL_EVAL_WIDTH = 768
+# num_nodes * hidden_dim from which train_lanes cuts a train step into one-window
+# shards on TRAIN_LANES lanes. A shard's forward and backward carry the per-op
+# Python work of a whole batch, so training needs far wider models than eval to gain.
+# One-window shards' step time over the whole batch's in one call, median of 4-8
+# alternating steps on 2 CPUs, T=12. The "small" model has L=3, Ks=2, two blocks
+# and embeddings of 8, at D=16 and 64, B=32 up to 1,600 and B=4-16 above; the
+# "PeMS08" model L=10, Ks=6, one block, embeddings of 16, D=64 and B=4-16:
+#   num_nodes * hidden_dim           400-1,600  2,704-3,200  4,096      5,120  6,400      8,192      10,880
+#   small, one BLAS thread           1.65-4.36  0.94-0.98    0.53-0.88  -      0.65       -          0.57
+#   PeMS08, one BLAS thread          2.17       1.27         1.21-1.23  1.06   0.80-0.86  0.69-0.70  0.47-0.61
+#   PeMS08, BLAS threads unset       1.85       1.25         1.11-1.17  1.07   1.01-1.03  0.90-1.03  1.02-1.04
+# With one BLAS thread the lanes run on two threads. With BLAS threads unset,
+# OpenBLAS takes both CPUs, _workers leaves one for the lanes and the shards run one
+# after the other: from this width up that costs 0.90-1.04x the whole batch's time,
+# at a fraction of its memory (see TRAIN_LANES), so the plan does not depend on it.
+PARALLEL_TRAIN_WIDTH = 6400
 # Lanes of a wide model's train step. Each lane runs its shards one after the other
 # with its own gradient buffers, so a step holds at most one shard's tape per lane
 # in flight. At the PeMS08 shape (N=170, D=64), on 2 CPUs, a step peaked 44 MB above
@@ -182,8 +194,8 @@ def _blas_threads(cpus):
     return cpus
 
 
-def _wide(model):
-    return model.cfg.num_nodes * model.cfg.hidden_dim >= PARALLEL_EVAL_WIDTH
+def _width(model):
+    return model.cfg.num_nodes * model.cfg.hidden_dim
 
 
 def _workers(cap):
@@ -217,7 +229,7 @@ def _map(fn, tasks, workers):
 def eval_chunks(model, windows):
     """Slices of evaluation's predict_raw calls over ``windows`` windows, in order: EVAL_BATCH
     windows each, or EVAL_BATCH // 4 from PARALLEL_EVAL_WIDTH up. Nothing else sets them."""
-    size = EVAL_BATCH // 4 if _wide(model) else EVAL_BATCH
+    size = EVAL_BATCH // 4 if _width(model) >= PARALLEL_EVAL_WIDTH else EVAL_BATCH
     return [slice(lo, min(lo + size, windows)) for lo in range(0, windows, size)]
 
 
@@ -237,11 +249,11 @@ def batched_predictions(model, dataset):
 def train_lanes(model, windows):
     """The shards of a train step over ``windows`` windows, as lanes of slices.
 
-    Below PARALLEL_EVAL_WIDTH the step is one shard of the whole batch. From
+    Below PARALLEL_TRAIN_WIDTH the step is one shard of the whole batch. From
     it up every window is its own shard, dealt round-robin to
     min(TRAIN_LANES, windows) lanes. Nothing else sets them.
     """
-    if not _wide(model):
+    if _width(model) < PARALLEL_TRAIN_WIDTH:
         return [[slice(0, windows)]]
     shards = [slice(i, i + 1) for i in range(windows)]
     return [shards[lane::TRAIN_LANES] for lane in range(min(TRAIN_LANES, windows))]

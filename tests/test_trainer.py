@@ -622,21 +622,33 @@ def step_gradients(model, step, window, target, draws):
     return loss, {name: p.grad.copy() for name, p in model.parameters()}
 
 
+@pytest.fixture
+def sharded(monkeypatch):
+    """Lowers PARALLEL_TRAIN_WIDTH to PARALLEL_EVAL_WIDTH, so threaded_setup's cheap model trains in shards."""
+    monkeypatch.setattr(trainer, "PARALLEL_TRAIN_WIDTH", trainer.PARALLEL_EVAL_WIDTH)
+
+
 def test_train_lanes_depend_only_on_width_and_batch_size():
-    wide, _, _, _ = threaded_setup()
-    narrow, _, _, _ = quick_setup(n=64, t_total=500, t_in=12, t_out=3, hidden_dim=2)
+    def model(n, hidden):
+        edges = [(i, i + 1) for i in range(n - 1)]
+        cfg = ModelConfig(num_nodes=n, t_in=12, t_out=3, embed_dim=2, hop_dim=2, hidden_dim=hidden, levels=2)
+        scaler = dmod.Scaler(mean=np.zeros((n, 1)), std=np.ones((n, 1)))
+        return trainer.build_model(cfg, edges, scaler, 0)
 
     def plan(model, windows):
         return [[(part.start, part.stop) for part in lane] for lane in trainer.train_lanes(model, windows)]
 
-    assert plan(narrow, 37) == [[(0, 37)]]
-    assert plan(wide, 5) == [[(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4)]]
-    assert plan(wide, 1) == [[(0, 1)]]
-    assert trainer.TRAIN_LANES == 2
+    assert trainer.PARALLEL_TRAIN_WIDTH == 6400 and trainer.TRAIN_LANES == 2
+    # Wide enough for eval's threads, not for training's shards.
+    assert plan(threaded_setup()[0], 37) == [[(0, 37)]]
+    assert plan(model(99, 64), 37) == [[(0, 37)]]
+    for wide in (model(100, 64), model(400, 16)):
+        assert plan(wide, 5) == [[(0, 1), (2, 3), (4, 5)], [(1, 2), (3, 4)]]
+        assert plan(wide, 1) == [[(0, 1)]]
 
 
 @pytest.mark.parametrize("count, pool", [(1, None), (2, 2), (8, 2)])
-def test_sharded_step_matches_the_whole_batch_oracle(cpus, count, pool):
+def test_sharded_step_matches_the_whole_batch_oracle(cpus, sharded, count, pool):
     model, (train_ds, _, _), _, _ = threaded_setup()
     window, target = train_ds.inputs[:5], train_ds.targets[:5]
     draws = model.draw(np.random.default_rng(3), 5)
@@ -664,7 +676,7 @@ def test_narrow_step_is_the_whole_batch_oracle_bitwise():
         np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
 
-def test_wide_training_does_not_depend_on_the_cpu_count(cpus):
+def test_wide_training_does_not_depend_on_the_cpu_count(cpus, sharded):
     runs = []
     for count in (1, 2, 8):
         model, (train_ds, val_ds, _), _, _ = threaded_setup()
@@ -683,7 +695,7 @@ def test_wide_training_does_not_depend_on_the_cpu_count(cpus):
             np.testing.assert_array_equal(arr, runs[0][1][name], err_msg=name)
 
 
-def test_lane_failure_leaves_no_thread_and_raises(cpus, monkeypatch):
+def test_lane_failure_leaves_no_thread_and_raises(cpus, sharded, monkeypatch):
     model, (train_ds, _, _), _, _ = threaded_setup()
     draws = model.draw(np.random.default_rng(5), 4)
     pools = cpus(2)
@@ -711,7 +723,7 @@ def test_lane_failure_leaves_no_thread_and_raises(cpus, monkeypatch):
 SHARD_MARGIN_BYTES = 500_000
 
 
-def test_wide_step_peak_memory_is_bounded_by_the_shards_in_flight(cpus):
+def test_wide_step_peak_memory_is_bounded_by_the_shards_in_flight(cpus, sharded):
     model, (train_ds, _, _), _, _ = threaded_setup()
     pools = cpus(2)
     one = model.draw(np.random.default_rng(6), 1)
