@@ -38,12 +38,16 @@ def _ensure_out_dir(cfg, *required):
 
 
 def _checkpoint_target(cfg):
-    """The path ``train`` saves to; a directory, or a path under no directory, is rejected."""
+    """The path ``train`` saves to; a directory, a path under no directory, or one that
+    cannot be written is rejected before any training."""
     path = cfg.checkpoint_path or os.path.join(cfg.out_dir, "model.ckpt")
     if os.path.isdir(path):
         raise ConfigError(f"checkpoint_path {path!r} is a directory")
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
         raise ConfigError(f"checkpoint_path {path!r} is not inside an existing directory")
+    if not os.access(parent, os.W_OK | os.X_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ConfigError(f"checkpoint_path {path!r} cannot be written")
     return path
 
 

@@ -180,6 +180,30 @@ class Tensor:
             out._track = True
         return out
 
+    @staticmethod
+    def _from_op_parts(data, parts, parents, bwd):
+        """One op with several outputs: a tensor per array of ``parts``, views into ``data``.
+
+        ``bwd`` gets the parts' gradients as its arguments, None for a part that
+        no gradient reached, so no zero-filled buffer of the whole is made per
+        part. The parts hang from one node that holds ``data`` and runs ``bwd``:
+        each part is a consumer of that node, so backward reaches it after every
+        part has handed over its gradient, and it has no gradient of its own.
+        A single part is that node itself.
+        """
+        if len(parts) == 1:
+            return (Tensor._from_op(parts[0], parents, bwd),)
+        grads = [None] * len(parts)
+        node = Tensor._from_op(data, parents, lambda _: bwd(*grads))
+
+        def part(i):
+            def collect(g):
+                grads[i] = g if grads[i] is None else grads[i] + g
+
+            return Tensor._from_op(parts[i], (node,), collect)
+
+        return tuple(part(i) for i in range(len(parts)))
+
     def _acc(self, g):
         if not self._track:
             return
@@ -438,17 +462,16 @@ class Parameter(Tensor):
 def sigmoid_array(x):
     """Logistic function on a plain array, stable for large |x| (forward of ``Tensor.sigmoid``).
 
-    1 / (1 + z) where x >= 0 and z / (1 + z) elsewhere, with z = exp(-|x|); the
-    two quotients are written over 1 + z and z, so no more than three x-sized
-    arrays exist at once.
+    With z = exp(-|x|) it is 1 / (1 + z) where x >= 0 and z / (1 + z) elsewhere:
+    one divide of the two numerators by the shared denominator.
     """
     z = np.abs(x, out=np.empty(np.shape(x)))
     np.negative(z, out=z)
     np.exp(z, out=z)
-    d = np.add(z, 1.0, out=np.empty_like(z))
-    np.divide(z, d, out=z)
-    np.divide(1.0, d, out=d)
-    return np.where(x < 0, z, d)
+    s = np.where(x < 0, z, 1.0)
+    z += 1.0
+    s /= z
+    return s
 
 
 def softmax(x, axis=-1):

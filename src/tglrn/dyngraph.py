@@ -2,8 +2,8 @@
 
 Recurrent chains evolve three node-embedding streams backwards through
 the input window (start-of-edge, end-of-edge, and hop-selection
-embeddings); each chain is one tape node per window. Only the chains are
-recurrent: gating by per-step base embeddings, edge scoring, hop
+embeddings); the chains of one width are one tape node per window. Only
+the chains are recurrent: gating by per-step base embeddings, edge scoring, hop
 selection and the adjacency itself then run once per window over
 (B, T_in, ...) arrays, on random draws made beforehand in step order
 (``GraphConstruction.draw``). Per step, the scores are normalized to mean
@@ -63,12 +63,15 @@ class EmbeddingChain:
     input]; the candidate is a tanh of a linear map over [r * embedding ;
     projected input]; the new embedding is (1 - z) * candidate + z * embedding.
 
-    ``run`` is one tape node per window. Its forward writes every step into
-    one (B, T_in, N, d) output and gets z and r from one product with the
-    column-stacked [W_z | W_r] (Appleyard et al., arXiv 1604.01946). When the
-    node is recorded it keeps its output and each step's z, r and candidate;
-    backward recomputes the projection and both concatenations (Chen et al.,
-    arXiv 1604.06174).
+    ``run`` evolves several chains of one width as one tape node per window, one
+    recurrence over their weights stacked on a leading axis (Appleyard et al.,
+    arXiv 1604.01946). The projection u = x P + b feeds only linear maps, so
+    [e ; u] W = e W_e + x (P W_u) + b W_u: every step's input term is one product
+    per run, and a step only multiplies the embedding, by the column-stacked
+    [W_z | W_r] and then by W_g. When the node is recorded it keeps every
+    position's embedding and each step's gates and candidate; backward
+    recomputes the rest (Chen et al., arXiv 1604.06174) and adds each
+    parameter's gradient, summed over the steps, once.
     """
 
     def __init__(self, num_nodes, embed_dim, in_features, proj_dim, rng):
@@ -78,100 +81,158 @@ class EmbeddingChain:
         self.f_r = Linear(embed_dim + proj_dim, embed_dim, rng)
         self.g = Linear(embed_dim + proj_dim, embed_dim, rng)
 
-    def run(self, window):
+    @property
+    def width(self):
+        """d, the embedding width."""
+        return self.e_init.shape[1]
+
+    def _shapes(self):
+        """(N, d), F and the projection width: what chains run together must share."""
+        return self.e_init.shape, self.proj.in_dim, self.proj.out_dim
+
+    def run(self, window, *more):
         """The (B, T_in, N, d) embeddings of every window position, in window order.
 
-        ``window`` is (B, T_in, N, F); position T_in-1 holds the initial
-        embedding, and position j is one recurrence step from position j+1
-        consuming the flow reading at position j.
+        Runs this chain and the chains ``more``, which must have its shapes,
+        as one node: returns this chain's embeddings alone, or with ``more`` a
+        tuple of every chain's, this one first. ``window`` is (B, T_in, N, F);
+        position T_in-1 holds the initial embedding, and position j is one
+        recurrence step from position j+1 consuming the flow reading at
+        position j.
         """
-        e_init, proj, f_z, f_r, g_lin = self.e_init, self.proj, self.f_z, self.f_r, self.g
-        (n, d), f = e_init.shape, proj.in_dim
+        chains = (self,) + more
+        (n, d), f, _ = self._shapes()
+        if any(c._shapes() != self._shapes() for c in more):
+            raise ConfigError("embedding chain: chains run together must share their shapes")
         if window.ndim != 4 or window.shape[1] < 1 or window.shape[2:] != (n, f):
             raise ConfigError(f"embedding chain: window {window.shape} does not fit N={n}, F={f}")
         b, t_in = window.shape[:2]
-        parents = (window,) + tuple(p for _, p in self.params())
+        k, rows, steps = len(chains), b * n, t_in - 1
+        parents = (window,) + tuple(p for c in chains for _, p in c.params())
         keep = dc.recording(parents)
 
-        def stacked_zr():
-            return np.concatenate([f_z.w.data, f_r.w.data], axis=1)
-
-        w_zr = stacked_zr()
-        out = np.empty((b, t_in, n, d))
-        out[:, -1] = e_init.data
-        e2 = out[:, -1].reshape(-1, d)
-        gates = [None] * (t_in - 1)  # step j's z, r and candidate, kept only on the tape
-        for j in range(t_in - 2, -1, -1):
-            u = window.data[:, j].reshape(-1, f) @ proj.w.data + proj.b.data
-            a_zr = np.concatenate([e2, u], axis=1) @ w_zr
-            z = dc.sigmoid_array(a_zr[:, :d] + f_z.b.data)
-            r = dc.sigmoid_array(a_zr[:, d:] + f_r.b.data)
+        w_e, w_u, m_in, c_in = _stacked_gru(chains)
+        # Each step's input term x_j (P W_u) + (b W_u + biases), step-major: (k, steps, B*N, 3d).
+        x_rows = np.swapaxes(window.data[:, :-1], 0, 1).reshape(-1, f)
+        inputs = x_rows @ m_in
+        inputs += c_in
+        inputs = inputs.reshape(k, steps, rows, 3 * d)
+        w_zr, w_g = np.ascontiguousarray(w_e[..., : 2 * d]), np.ascontiguousarray(w_e[..., 2 * d :])
+        # Every position's embedding, step-major: each step reads and writes contiguous rows.
+        states = np.empty((k, t_in, rows, d))
+        e_init = np.stack([c.e_init.data for c in chains])[:, None]
+        states[:, -1] = np.broadcast_to(e_init, (k, b, n, d)).reshape(k, rows, d)
+        gates = [None] * steps  # step j's stacked [z | r] and candidate, kept only on the tape
+        for j in range(steps - 1, -1, -1):
+            e = states[:, j + 1]
+            a_zr = e @ w_zr
+            a_zr += inputs[:, j, :, : 2 * d]
+            zr = dc.sigmoid_array(a_zr)
             del a_zr
-            cand = np.tanh(np.concatenate([r * e2, u], axis=1) @ g_lin.w.data + g_lin.b.data)
-            del u
-            step = np.subtract(1.0, z)
-            step *= cand
-            step += z * e2
-            out[:, j] = step.reshape(b, n, d)
-            e2 = step
+            cand = (zr[..., d:] * e) @ w_g
+            cand += inputs[:, j, :, 2 * d :]
+            np.tanh(cand, out=cand)
+            z = zr[..., :d]
+            new = np.subtract(1.0, z, out=states[:, j])
+            new *= cand
+            new += z * e
             if keep:
-                gates[j] = (z, r, cand)
+                gates[j] = (zr, cand)
+        del inputs
 
-        def bwd(grad):
-            w_zr = stacked_zr()
-            dwindow = np.zeros(window.shape) if window._track else None
-            de = None
-            for j, (z, r, cand) in enumerate(gates):
+        def bwd(*grads):
+            w_e, w_u, m_in, _ = _stacked_gru(chains)
+            w_zr_t = np.ascontiguousarray(np.swapaxes(w_e[..., : 2 * d], -1, -2))
+            w_g_t = np.ascontiguousarray(np.swapaxes(w_e[..., 2 * d :], -1, -2))
+            # The chains' output gradients, step-major like ``states``.
+            grad = np.empty((k, t_in, b, n, d))
+            for i, g in enumerate(grads):
+                grad[i] = 0.0 if g is None else np.swapaxes(g, 0, 1)
+            grad = grad.reshape(k, t_in, rows, d)
+            d_in = np.empty((k, steps, rows, 3 * d))  # each step's [dz | dr | dg] pre-activation gradients
+            re = np.empty((k, steps, rows, d))  # each step's r * e
+            for j, (zr, cand) in enumerate(gates):
                 # Step j's output gets the node's own gradient plus step j-1's through it.
-                g = grad[:, j] if de is None else grad[:, j] + de
-                g = g.reshape(-1, d)
-                e2 = out[:, j + 1].reshape(-1, d)
-                x2 = window.data[:, j].reshape(-1, f)
-                u = x2 @ proj.w.data + proj.b.data
-                de = g * z
-                # Both gates' pre-activation gradients side by side, as forward stacked them.
-                da_zr = np.empty((g.shape[0], 2 * d))
-                dz = np.subtract(e2, cand, out=da_zr[:, :d])
+                g = grad[:, j]
+                if j:
+                    g += de
+                e, z, r = states[:, j + 1], zr[..., :d], zr[..., d:]
+                da = d_in[:, j]
+                dsig = np.subtract(1.0, zr)
+                dsig *= zr
+                dz = np.subtract(e, cand, out=da[..., :d])
                 dz *= g
-                dz *= z * (1.0 - z)
-                da_g = g * (1.0 - z)
-                da_g *= 1.0 - cand * cand
-                del g
-                g_lin.w._acc(np.concatenate([r * e2, u], axis=1).T @ da_g)
-                g_lin.b._acc(da_g.sum(axis=0))
-                d_reu = da_g @ g_lin.w.data.T
-                del da_g
-                dre = d_reu[:, :d]
-                dr = np.multiply(dre, e2, out=da_zr[:, d:])
-                dr *= r * (1.0 - r)
-                de += dre * r
-                dw_zr = np.concatenate([e2, u], axis=1).T @ da_zr
-                del u
-                f_z.w._acc(dw_zr[:, :d])
-                f_r.w._acc(dw_zr[:, d:])
-                db_zr = da_zr.sum(axis=0)
-                f_z.b._acc(db_zr[:d])
-                f_r.b._acc(db_zr[d:])
-                d_eu = da_zr @ w_zr.T
-                de += d_eu[:, :d]
-                du = d_reu[:, d:] + d_eu[:, d:]
-                proj.w._acc(x2.T @ du)
-                proj.b._acc(du.sum(axis=0))
-                if dwindow is not None:
-                    dwindow[:, j] = (du @ proj.w.data.T).reshape(b, n, f)
-                de = de.reshape(b, n, d)
-            g = grad[:, -1] if de is None else grad[:, -1] + de
-            e_init._acc(g.sum(axis=0))
-            if dwindow is not None:
+                dz *= dsig[..., :d]
+                dg = np.subtract(1.0, z, out=da[..., 2 * d :])
+                dg *= g
+                cand2 = np.multiply(cand, cand)
+                np.subtract(1.0, cand2, out=cand2)
+                dg *= cand2
+                dre = dg @ w_g_t
+                dr = np.multiply(dre, e, out=da[..., d : 2 * d])
+                dr *= dsig[..., d:]
+                np.multiply(r, e, out=re[:, j])
+                de = g * z
+                dre *= r
+                de += dre
+                de += da[..., : 2 * d] @ w_zr_t
+            g_init = grad[:, -1]
+            if steps:
+                g_init += de
+            d_init = g_init.reshape(k, b, n, d).sum(axis=1)
+
+            # Every parameter's gradient summed over the steps, in one product each.
+            d_rows = d_in.reshape(k, -1, 3 * d)
+            dw_e = np.concatenate(
+                [
+                    np.swapaxes(states[:, 1:].reshape(k, -1, d), -1, -2) @ d_rows[..., : 2 * d],
+                    np.swapaxes(re.reshape(k, -1, d), -1, -2) @ d_rows[..., 2 * d :],
+                ],
+                axis=-1,
+            )
+            x_rows = np.swapaxes(window.data[:, :-1], 0, 1).reshape(-1, f)
+            dm = x_rows.T @ d_rows  # (k, F, 3d): of the input map P W_u
+            dc_in = d_rows.sum(axis=1)  # (k, 3d): of the input bias b W_u + biases
+            w_u_t = np.swapaxes(w_u, -1, -2)
+            for i, c in enumerate(chains):
+                dw = np.concatenate([dw_e[i], c.proj.w.data.T @ dm[i] + np.outer(c.proj.b.data, dc_in[i])])
+                c.e_init._acc(d_init[i])
+                c.proj.w._acc(dm[i] @ w_u_t[i])
+                c.proj.b._acc(w_u[i] @ dc_in[i])
+                for lin, lo in ((c.f_z, 0), (c.f_r, d), (c.g, 2 * d)):
+                    lin.w._acc(dw[:, lo : lo + d])
+                    lin.b._acc(dc_in[i, lo : lo + d])
+            if window._track:
+                dx = (d_rows @ np.swapaxes(m_in, -1, -2)).sum(axis=0)
+                dwindow = np.zeros(window.shape)
+                dwindow[:, :-1] = np.swapaxes(dx.reshape(steps, b, n, f), 0, 1)
                 window._acc(dwindow)
 
-        return Tensor._from_op(out, parents, bwd)
+        parts = [np.swapaxes(s.reshape(t_in, b, n, d), 0, 1) for s in states]
+        outs = Tensor._from_op_parts(states, parts, parents, bwd)
+        return outs if more else outs[0]
 
     def params(self):
         out = [("e_init", self.e_init)]
         for label in ("proj", "f_z", "f_r", "g"):
             out.extend((f"gru.{label}.{k}", p) for k, p in getattr(self, label).params())
         return out
+
+
+def _stacked_gru(chains):
+    """The GRU weights of ``chains`` stacked on a leading axis, with the projection folded in.
+
+    Returns (W_e, W_u, M, c): the (k, d, 3d) and (k, H, 3d) embedding and
+    projected-input rows of [W_z | W_r | W_g], the (k, F, 3d) input map
+    M = P W_u and the (k, 1, 3d) input bias c = b W_u + [b_z | b_r | b_g].
+    """
+    d = chains[0].width
+    w = np.stack([np.concatenate([c.f_z.w.data, c.f_r.w.data, c.g.w.data], axis=1) for c in chains])
+    bias = np.stack([np.concatenate([c.f_z.b.data, c.f_r.b.data, c.g.b.data]) for c in chains])
+    w_e, w_u = w[:, :d], w[:, d:]
+    m_in = np.stack([c.proj.w.data for c in chains]) @ w_u
+    c_in = np.stack([c.proj.b.data for c in chains])[:, None] @ w_u + bias[:, None]
+    return w_e, w_u, m_in, c_in
 
 
 def gate(e, e_base, gate_linear):
@@ -276,6 +337,14 @@ class SupportPattern:
         out = np.zeros(values.shape[:-1] + (self.n * self.n,))
         out[..., self.flat] = values
         return out.reshape(values.shape[:-1] + (self.n, self.n))
+
+    def degrees(self, values):
+        """The (..., N) out- and in-degrees of the adjacencies whose (..., nnz) ``values`` lie on the pattern.
+
+        Each is a segment sum over the pattern, in its row-major order: no dense row or column is read.
+        """
+        lead, flat = values.shape[:-1], values.reshape(-1, self.nnz)
+        return tuple(_slot_sums(flat, ends, self.n).reshape(lead + (self.n,)) for ends in (self.rows, self.cols))
 
     def hop_mask(self, mixing):
         """sum_l mixing[..., i, l] * S^l[i, j] on the pattern, for (..., N, L) radius weights.
@@ -438,6 +507,11 @@ class GraphConstruction:
         self.chain_st = EmbeddingChain(n, d, cfg.in_features, cfg.hidden_dim, rng)
         self.chain_ed = EmbeddingChain(n, d, cfg.in_features, cfg.hidden_dim, rng)
         self.chain_h = EmbeddingChain(n, m, cfg.in_features, cfg.hidden_dim, rng)
+        # Chains of one width run as one recurrence: chain_h joins when hop_dim == embed_dim.
+        widths = {}
+        for chain in (self.chain_st, self.chain_ed, self.chain_h):
+            widths.setdefault(chain.width, []).append(chain)
+        self.chain_groups = list(widths.values())
         scale = 1.0 / np.sqrt(d)
         self.base_st = Parameter(rng.standard_normal((cfg.t_in, n, d)) * scale)
         self.base_ed = Parameter(rng.standard_normal((cfg.t_in, n, d)) * scale)
@@ -456,14 +530,19 @@ class GraphConstruction:
         are full (B, N, N) draws gathered on the pattern: ``noise`` holds
         logistic_noise(delta) and ``keep`` the thinning decisions, both
         (B, T_in, nnz); ``uniforms`` is (B, T_in, N, L). Row i belongs to window i.
+        Each step is written into the preallocated results, and both full draws
+        fill one reused (B, N, N) scratch.
         """
-        n, pattern = self.num_nodes, self.pattern
-        noise, keep, uniforms = [], [], []
-        for _ in range(self.t_in):
-            noise.append(logistic_noise(pattern.gather(rng.uniform(size=(batch, n, n)))))
-            keep.append(keep_pattern(pattern.gather(rng.uniform(size=(batch, n, n))), self.gamma))
-            uniforms.append(rng.uniform(size=(batch, n, pattern.levels)))
-        return tuple(np.stack(x, axis=1) for x in (noise, keep, uniforms))
+        n, pattern, t_in = self.num_nodes, self.pattern, self.t_in
+        noise = np.empty((batch, t_in, pattern.nnz))
+        keep = np.empty((batch, t_in, pattern.nnz), dtype=bool)
+        uniforms = np.empty((batch, t_in, n, pattern.levels))
+        full = np.empty((batch, n, n))  # rng.random(out=) draws what rng.uniform(size=) does
+        for t in range(t_in):
+            noise[:, t] = logistic_noise(pattern.gather(rng.random(out=full)))
+            keep[:, t] = keep_pattern(pattern.gather(rng.random(out=full)), self.gamma)
+            uniforms[:, t] = rng.uniform(size=(batch, n, pattern.levels))
+        return noise, keep, uniforms
 
     def build(self, window, mode, draws=None, hop_mode="hard", want_diag=False):
         """Compose the per-step pipeline over the whole input window.
@@ -480,9 +559,11 @@ class GraphConstruction:
         if training and draws is None:
             raise ConfigError("train-mode graph construction requires the step's draws")
 
-        emb_st = self.chain_st.run(window)
-        emb_ed = self.chain_ed.run(window)
-        emb_h = self.chain_h.run(window)
+        embs = {}
+        for first, *rest in self.chain_groups:
+            outs = first.run(window, *rest)
+            embs.update(zip([first, *rest], outs if rest else [outs]))
+        emb_st, emb_ed, emb_h = (embs[c] for c in (self.chain_st, self.chain_ed, self.chain_h))
         pattern = self.pattern
 
         # Only the chains are recurrent: the rest runs once over (B, T_in, ...) arrays.

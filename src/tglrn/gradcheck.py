@@ -131,15 +131,21 @@ def _check_linear_input_layer(seed):
 
 
 def _check_gru_step(seed):
-    # One chain node over three window positions (two GRU steps) and a batch of two,
-    # with a two-feature window whose gradient is checked too.
+    # Two chains run as one node over three window positions (two GRU steps) and a
+    # batch of two, with a two-feature window whose gradient is checked too.
     rng = np.random.default_rng([seed, 17])
-    chain = EmbeddingChain(num_nodes=3, embed_dim=3, in_features=2, proj_dim=4, rng=rng)
+    chains = [EmbeddingChain(num_nodes=3, embed_dim=3, in_features=2, proj_dim=4, rng=rng) for _ in "ab"]
     window = Parameter(rng.standard_normal((2, 3, 3, 2)), "window")
-    r = rng.standard_normal((3, 2, 3, 3)).swapaxes(0, 1)
-    return finite_diff_check(
-        lambda: _weighted_sum(chain.run(window), r), [("window", window)] + chain.params()
-    )
+    r = [rng.standard_normal((3, 2, 3, 3)).swapaxes(0, 1) for _ in chains]
+
+    def loss():
+        a, b = chains[0].run(window, chains[1])
+        return _weighted_sum(a, r[0]) + _weighted_sum(b, r[1])
+
+    params = [("window", window)]
+    for label, chain in zip("ab", chains):
+        params += [(f"{label}.{k}", p) for k, p in chain.params()]
+    return finite_diff_check(loss, params)
 
 
 def _check_gating(seed):

@@ -170,6 +170,26 @@ class PredictionHead:
         return [("w", self.w), ("b", self.b)]
 
 
+# Uniforms a dropout pattern is drawn in at once (2 MiB of float64): a few windows a slab at
+# the PeMS08 shape, a whole batch at N=8.
+DROPOUT_SLAB_VALUES = 1 << 18
+
+
+def _keep_pattern(rng, shape, rate):
+    """An inverted-dropout keep pattern: the boolean ``uniform(size=shape) >= rate``.
+
+    Drawn in slabs of whole windows into one boolean array, so no float array of
+    the whole exists; the draws along the leading axis are the same for any slab.
+    """
+    keep = np.empty(shape, dtype=bool)
+    slab = max(1, DROPOUT_SLAB_VALUES // math.prod(shape[1:]))
+    scratch = np.empty((min(slab, shape[0]),) + tuple(shape[1:]))
+    for lo in range(0, shape[0], slab):
+        part = keep[lo : lo + slab]
+        np.greater_equal(rng.random(out=scratch[: len(part)]), rate, out=part)
+    return keep
+
+
 @dataclass
 class StepDraws:
     """Every random draw of one train step; row i of each array belongs to window i."""
@@ -233,7 +253,7 @@ class TGLRN:
         dropout = []
         for k in range(cfg.n_blocks * TPL_PER_BLOCK):
             shape = (batch, cfg.t_in - (k + 1) * (cfg.kernel_size - 1), cfg.num_nodes, cfg.hidden_dim)
-            dropout.append(rng.uniform(size=shape) >= cfg.dropout_rate if cfg.dropout_rate > 0.0 else None)
+            dropout.append(_keep_pattern(rng, shape, cfg.dropout_rate) if cfg.dropout_rate > 0.0 else None)
         return StepDraws(graph, dropout)
 
     def forward(self, window_raw, mode="eval", rng=None, hop_mode="hard", draws=None):

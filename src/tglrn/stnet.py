@@ -53,19 +53,24 @@ def _check_diffusion(op, x_shape, a_shape, theta_shape, num_steps):
         raise ConfigError(f"{op}: adjacency {tuple(a_shape)} does not match features {tuple(x_shape)}")
 
 
+def _inverse(degree):
+    """1 / degree, and 0 where the degree is 0."""
+    return np.divide(1.0, degree, out=np.zeros_like(degree), where=degree != 0)
+
+
 def _degrees(a):
-    """The reverse adjacency view and the inverse out- and in-degrees (0 where a degree is 0)."""
-    a_rev = np.swapaxes(a, -1, -2)
+    """The inverse out- and in-degrees of the (..., N, N) adjacency ``a``, as (..., N, 1) columns."""
     out_deg = a.sum(axis=-1, keepdims=True)
-    in_deg = a_rev.sum(axis=-1, keepdims=True)
-    inv_out = np.divide(1.0, out_deg, out=np.zeros_like(out_deg), where=out_deg != 0)
-    inv_in = np.divide(1.0, in_deg, out=np.zeros_like(in_deg), where=in_deg != 0)
-    return a_rev, inv_out, inv_in
+    in_deg = np.swapaxes(a, -1, -2).sum(axis=-1, keepdims=True)
+    return _inverse(out_deg), _inverse(in_deg)
 
 
-def _diffuse(x, a, theta, num_steps):
-    """sum_k (P_fwd^k x) theta[k, 0] + (P_rev^k x) theta[k, 1] for k < num_steps."""
-    a_rev, inv_out, inv_in = _degrees(a)
+def _diffuse(x, a, inv_out, inv_in, theta, num_steps):
+    """sum_k (P_fwd^k x) theta[k, 0] + (P_rev^k x) theta[k, 1] for k < num_steps.
+
+    ``inv_out`` and ``inv_in`` are ``a``'s inverse degrees, as ``_degrees`` gives them.
+    """
+    a_rev = np.swapaxes(a, -1, -2)
     z_fwd, z_rev = x, x
     out = x @ theta[0, 0] + x @ theta[0, 1]
     for k in range(1, num_steps):
@@ -76,9 +81,15 @@ def _diffuse(x, a, theta, num_steps):
     return out
 
 
-def _diffuse_grad(g, x, a, theta, num_steps):
-    """(dx, da, dtheta) of ``_diffuse`` for output gradient ``g``; recomputes every power."""
-    a_rev, inv_out, inv_in = _degrees(a)
+def _diffuse_grad(g, x, a, inv_out, inv_in, theta, theta_t, num_steps):
+    """(dx, da, dtheta, d_out, d_in) of ``_diffuse`` for output gradient ``g``; recomputes every power.
+
+    ``theta_t`` is ``_transposed(theta)``, made once per call of a layer. ``da`` is the gradient through the
+    products alone; ``d_out`` and ``d_in`` are the (..., N) gradients of the
+    out- and in-degrees, which add to every entry of a's rows and columns
+    respectively.
+    """
+    a_rev = np.swapaxes(a, -1, -2)
     # zs[k] = (P_fwd^k x, P_rev^k x); ys[k] the same before the degree scaling.
     zs, ys = [(x, x)], [None]
     for k in range(1, num_steps):
@@ -96,24 +107,29 @@ def _diffuse_grad(g, x, a, theta, num_steps):
         dtheta[k, 1] = z_rev.reshape(-1, d).T @ g_rows
 
     da = np.zeros(a.shape)
-    d_inv_out = np.zeros_like(inv_out)
-    d_inv_in = np.zeros_like(inv_in)
-    dz_fwd = g @ theta[num_steps - 1, 0].T
-    dz_rev = g @ theta[num_steps - 1, 1].T
+    d_out = np.zeros(inv_out.shape[:-1])
+    d_in = np.zeros(inv_in.shape[:-1])
+    dz_fwd = g @ theta_t[num_steps - 1, 0]
+    dz_rev = g @ theta_t[num_steps - 1, 1]
     for k in range(num_steps - 1, 0, -1):
         (y_fwd, y_rev), (z_fwd, z_rev) = ys[k], zs[k - 1]
         dy_fwd = dz_fwd * inv_out
         dy_rev = dz_rev * inv_in
-        d_inv_out += (dz_fwd * y_fwd).sum(axis=-1, keepdims=True)
-        d_inv_in += (dz_rev * y_rev).sum(axis=-1, keepdims=True)
+        d_out -= np.einsum("...nd,...nd->...n", dz_fwd, y_fwd)
+        d_in -= np.einsum("...nd,...nd->...n", dz_rev, y_rev)
         da += dy_fwd @ np.swapaxes(z_fwd, -1, -2)
         da += z_rev @ np.swapaxes(dy_rev, -1, -2)
-        dz_fwd = a_rev @ dy_fwd + g @ theta[k - 1, 0].T
-        dz_rev = a @ dy_rev + g @ theta[k - 1, 1].T
+        dz_fwd = a_rev @ dy_fwd + g @ theta_t[k - 1, 0]
+        dz_rev = a @ dy_rev + g @ theta_t[k - 1, 1]
     # inv = 1 / degree where the degree is nonzero: d degree = -d inv * inv^2.
-    da -= d_inv_out * inv_out * inv_out
-    da -= np.swapaxes(d_inv_in * inv_in * inv_in, -1, -2)
-    return dz_fwd + dz_rev, da, dtheta
+    d_out *= inv_out[..., 0] ** 2
+    d_in *= inv_in[..., 0] ** 2
+    return dz_fwd + dz_rev, da, dtheta, d_out, d_in
+
+
+def _transposed(theta):
+    """``theta`` with its last two axes swapped, as one contiguous array: ``_diffuse_grad``'s operand."""
+    return np.ascontiguousarray(np.swapaxes(theta, -1, -2))
 
 
 def diffusion_conv(x, a, theta, num_steps):
@@ -134,10 +150,15 @@ def diffusion_conv(x, a, theta, num_steps):
     a = a if isinstance(a, Tensor) else Tensor(a)
     x = x if isinstance(x, Tensor) else Tensor(x)
     _check_diffusion("diffusion_conv", x.shape, a.shape, theta.shape, num_steps)
-    out = _diffuse(x.data, a.data, theta.data, num_steps)
+    out = _diffuse(x.data, a.data, *_degrees(a.data), theta.data, num_steps)
 
     def bwd(g):
-        dx, da, dtheta = _diffuse_grad(g, x.data, a.data, theta.data, num_steps)
+        inv = _degrees(a.data)
+        dx, da, dtheta, d_out, d_in = _diffuse_grad(
+            g, x.data, a.data, *inv, theta.data, _transposed(theta.data), num_steps
+        )
+        da += d_out[..., :, None]
+        da += d_in[..., None, :]
         x._acc(dx)
         a._acc(da)
         theta._acc(dtheta)
@@ -189,23 +210,39 @@ def spl(x, graphs, theta, num_steps):
             scratch[:, pattern.flat] = values.data[:, first + t]
             yield t, a
 
+    def inverse_degrees():
+        """The (B, T, N, 1) inverse out- and in-degrees of every slice, from sums on the pattern."""
+        return tuple(_inverse(deg)[..., None] for deg in pattern.degrees(values.data[:, first:]))
+
+    inv_out, inv_in = inverse_degrees()
     out = np.empty(x.shape)
     for t, a in dense_steps():
-        pre = _diffuse(x.data[:, t], a, theta.data, num_steps)
+        pre = _diffuse(x.data[:, t], a, inv_out[:, t], inv_in[:, t], theta.data, num_steps)
         pre += x.data[:, t]
         np.maximum(pre, 0.0, out=out[:, t])
+    del inv_out, inv_in
 
     def bwd(g):
         g = np.where(out > 0, g, 0.0)
+        inv_out, inv_in = inverse_degrees()
+        theta_t = _transposed(theta.data)
         dtheta = np.zeros_like(theta.data)
         dvalues = np.zeros(values.shape) if values._track else None
+        d_out = np.empty((b, t_len, n))
+        d_in = np.empty((b, t_len, n))
         for t, a in dense_steps():
-            dx_t, da, dth = _diffuse_grad(g[:, t], x.data[:, t], a, theta.data, num_steps)
+            dx_t, da, dth, d_out[:, t], d_in[:, t] = _diffuse_grad(
+                g[:, t], x.data[:, t], a, inv_out[:, t], inv_in[:, t], theta.data, theta_t, num_steps
+            )
             dx_t += g[:, t]
             g[:, t] = dx_t  # slice t of g is spent: it now holds slice t of dx
             if dvalues is not None:
                 dvalues[:, first + t] = pattern.gather(da)
             dtheta += dth
+        if dvalues is not None:
+            # The degree terms, on the pattern: pair (i, j) gets row i's and column j's.
+            dvalues[:, first:] += d_out[..., pattern.rows]
+            dvalues[:, first:] += d_in[..., pattern.cols]
         x._acc(g)
         theta._acc(dtheta)
         values._acc(dvalues)

@@ -600,6 +600,30 @@ class TestErrors:
         assert steps == []
         assert not (tmp_path / "o" / "history.csv").exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "file"])
+    def test_unwritable_checkpoint_path_exits_2_before_training(self, tmp_path, capsys, monkeypatch, kind):
+        # Root writes whatever the mode bits say, so os.access is told that the
+        # directory, or the checkpoint file already in it, cannot be written.
+        from tglrn import cli as cli_mod
+
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        ckpt = tmp_path / "locked" / "model.ckpt"
+        ckpt.parent.mkdir()
+        if kind == "file":
+            ckpt.write_bytes(b"")
+        locked = str(ckpt.parent if kind == "directory" else ckpt)
+        access = os.access
+        monkeypatch.setattr(cli_mod.os, "access", lambda p, mode: os.fspath(p) != locked and access(p, mode))
+        capsys.readouterr()
+        steps = []
+        monkeypatch.setattr(cli_mod.trainer.Adam, "step", lambda self: steps.append(self.t))
+        assert run(train_args(data_dir, tmp_path / "o", extra=[f"checkpoint_path={ckpt}"])) == 2
+        err = capsys.readouterr().err
+        assert err == f"ERROR:2: checkpoint_path {str(ckpt)!r} cannot be written\n", err
+        assert steps == []
+        assert not (tmp_path / "o" / "history.csv").exists()
+
     @pytest.mark.parametrize("command", ["synth", "train", "eval", "predict", "inspect-graph"])
     def test_out_dir_under_a_regular_file_exits_2(self, tmp_path, capsys, command):
         (tmp_path / "afile").write_text("")

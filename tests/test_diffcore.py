@@ -461,3 +461,14 @@ def test_second_backward_is_state_error():
     with pytest.raises(StateError, match="consumed"):
         (h + 1.0).sum().backward()  # a new graph over an already consumed node
     np.testing.assert_array_equal(p.grad, first)
+
+
+def test_sigmoid_array_is_bitwise_the_two_divide_form():
+    # The form this one replaced: z / (1 + z) where x < 0 and 1 / (1 + z) elsewhere, z = exp(-|x|).
+    x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 30.0, -30.0, 710.0, -710.0, np.inf, -np.inf])
+    x = np.concatenate([x, np.random.default_rng(0).standard_normal(200) * 40])
+    z = np.exp(-np.abs(x))
+    want = np.where(x < 0, z / (1.0 + z), 1.0 / (1.0 + z))
+    assert dc.sigmoid_array(x).tobytes() == want.tobytes()
+    for v, w in zip(x[:12], want[:12]):
+        assert np.asarray(dc.sigmoid_array(v)).tobytes() == w.tobytes()

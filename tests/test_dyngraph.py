@@ -32,7 +32,7 @@ def gru_step(chain, e, x):
     """One GRU step of ``chain`` as one tape node: the per-step node that ``run`` replaced.
 
     Maps the (..., N, d) embedding ``e`` and the (..., N, F) input ``x`` to the
-    next embedding, with the arithmetic of ``EmbeddingChain.run``'s forward.
+    next embedding, with the arithmetic of ``chain_node``'s forward.
     The node keeps its output, z, r and the candidate.
     """
     proj, f_z, f_r, g_lin = chain.proj, chain.f_z, chain.f_r, chain.g
@@ -100,6 +100,94 @@ def oracle_chain(chain, window):
     return stack(embeddings[::-1], axis=1)
 
 
+def chain_node(chain, window):
+    """One chain as one tape node with the projection inside the step: the node ``run`` replaced.
+
+    Per step it projects the input, concatenates [e ; u] and [r * e ; u] and
+    multiplies them by the full gate weights; backward recomputes those and adds
+    every parameter's gradient once per step.
+    """
+    e_init, proj, f_z, f_r, g_lin = chain.e_init, chain.proj, chain.f_z, chain.f_r, chain.g
+    (n, d), f = e_init.shape, proj.in_dim
+    b, t_in = window.shape[:2]
+    parents = (window,) + tuple(p for _, p in chain.params())
+    keep = dc.recording(parents)
+
+    def stacked_zr():
+        return np.concatenate([f_z.w.data, f_r.w.data], axis=1)
+
+    w_zr = stacked_zr()
+    out = np.empty((b, t_in, n, d))
+    out[:, -1] = e_init.data
+    e2 = out[:, -1].reshape(-1, d)
+    gates = [None] * (t_in - 1)  # step j's z, r and candidate, kept only on the tape
+    for j in range(t_in - 2, -1, -1):
+        u = window.data[:, j].reshape(-1, f) @ proj.w.data + proj.b.data
+        a_zr = np.concatenate([e2, u], axis=1) @ w_zr
+        z = dc.sigmoid_array(a_zr[:, :d] + f_z.b.data)
+        r = dc.sigmoid_array(a_zr[:, d:] + f_r.b.data)
+        del a_zr
+        cand = np.tanh(np.concatenate([r * e2, u], axis=1) @ g_lin.w.data + g_lin.b.data)
+        del u
+        step = np.subtract(1.0, z)
+        step *= cand
+        step += z * e2
+        out[:, j] = step.reshape(b, n, d)
+        e2 = step
+        if keep:
+            gates[j] = (z, r, cand)
+
+    def bwd(grad):
+        w_zr = stacked_zr()
+        dwindow = np.zeros(window.shape) if window._track else None
+        de = None
+        for j, (z, r, cand) in enumerate(gates):
+            # Step j's output gets the node's own gradient plus step j-1's through it.
+            g = grad[:, j] if de is None else grad[:, j] + de
+            g = g.reshape(-1, d)
+            e2 = out[:, j + 1].reshape(-1, d)
+            x2 = window.data[:, j].reshape(-1, f)
+            u = x2 @ proj.w.data + proj.b.data
+            de = g * z
+            # Both gates' pre-activation gradients side by side, as forward stacked them.
+            da_zr = np.empty((g.shape[0], 2 * d))
+            dz = np.subtract(e2, cand, out=da_zr[:, :d])
+            dz *= g
+            dz *= z * (1.0 - z)
+            da_g = g * (1.0 - z)
+            da_g *= 1.0 - cand * cand
+            del g
+            g_lin.w._acc(np.concatenate([r * e2, u], axis=1).T @ da_g)
+            g_lin.b._acc(da_g.sum(axis=0))
+            d_reu = da_g @ g_lin.w.data.T
+            del da_g
+            dre = d_reu[:, :d]
+            dr = np.multiply(dre, e2, out=da_zr[:, d:])
+            dr *= r * (1.0 - r)
+            de += dre * r
+            dw_zr = np.concatenate([e2, u], axis=1).T @ da_zr
+            del u
+            f_z.w._acc(dw_zr[:, :d])
+            f_r.w._acc(dw_zr[:, d:])
+            db_zr = da_zr.sum(axis=0)
+            f_z.b._acc(db_zr[:d])
+            f_r.b._acc(db_zr[d:])
+            d_eu = da_zr @ w_zr.T
+            de += d_eu[:, :d]
+            du = d_reu[:, d:] + d_eu[:, d:]
+            proj.w._acc(x2.T @ du)
+            proj.b._acc(du.sum(axis=0))
+            if dwindow is not None:
+                dwindow[:, j] = (du @ proj.w.data.T).reshape(b, n, f)
+            de = de.reshape(b, n, d)
+        g = grad[:, -1] if de is None else grad[:, -1] + de
+        e_init._acc(g.sum(axis=0))
+        if dwindow is not None:
+            window._acc(dwindow)
+
+    return Tensor._from_op(out, parents, bwd)
+
+
 class TestGruCell:
     """The GRU step's semantics, through two-step chains: position 0 is one step from e_init."""
 
@@ -158,6 +246,8 @@ SATURATING_BIASES = {
 
 @pytest.mark.parametrize("biases", list(SATURATING_BIASES))
 def test_fused_gru_matches_composition(biases):
+    # The input term is folded into the gate maps, so forward matches the per-step
+    # composition to rounding, not bitwise; train and no_grad forwards agree bitwise.
     for t_in in (1, 2, 5):
         rng = np.random.default_rng(40)
         chain = dg.EmbeddingChain(5, 4, in_features=2, proj_dim=3, rng=rng)
@@ -166,8 +256,8 @@ def test_fused_gru_matches_composition(biases):
         window, r = rng.standard_normal((2, t_in, 5, 2)), rng.standard_normal((2, t_in, 5, 4))
         got, got_grads, got_eval = chain_run(dg.EmbeddingChain.run, chain, window, r)
         want, want_grads, want_eval = chain_run(oracle_chain, chain, window, r)
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_eval, want_eval)
+        assert_within(got, want)
+        assert_within(got_eval, want_eval)
         np.testing.assert_array_equal(got, got_eval)
         # the window, e_init and the eight GRU parameters
         assert len(got_grads) == 10
@@ -175,10 +265,72 @@ def test_fused_gru_matches_composition(biases):
             assert_within(g, w)
 
 
-# Embedding-sized temporaries one unrecorded chain run may hold above its output.
-# Measured with tracemalloc at B=16, N=64, d=F_proj=8, T_in=12: 11.2 above the
-# output; keeping every step's z, r and candidate while unrecorded, as the tape
-# does when recorded, gave 39.3.
+def group_run(chains, window_val, rs, fused):
+    """Train forward and backward of a chain group over a fresh window leaf, plus a no_grad forward.
+
+    ``fused`` runs the chains as one ``run``; otherwise each runs as its own ``chain_node``.
+    """
+
+    def run(window):
+        if not fused:
+            return tuple(chain_node(c, window) for c in chains)
+        return chains[0].run(window, *chains[1:]) if len(chains) > 1 else (chains[0].run(window),)
+
+    for c in chains:
+        for _, p in c.params():
+            p.zero_grad()
+    window = Parameter(window_val.copy())
+    outs = run(window)
+    loss = Tensor(np.zeros(()))
+    for out, r in zip(outs, rs):
+        loss = loss + (out * Tensor(r)).sum()
+    loss.backward()
+    with dc.no_grad():
+        evals = run(Tensor(window_val))
+    grads = [window.grad] + [p.grad.copy() for c in chains for _, p in c.params()]
+    return [o.data for o in outs], grads, [o.data for o in evals]
+
+
+@pytest.mark.parametrize("features", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fused_group_matches_per_chain_oracle(k, features):
+    # k chains of one width as one node against k per-chain nodes, at T_in 1, 2 and 5,
+    # in train and no_grad modes: outputs and every gradient within 1e-12 of the largest entry.
+    for t_in in (1, 2, 5):
+        rng = np.random.default_rng([k, features, t_in])
+        chains = [dg.EmbeddingChain(5, 4, in_features=features, proj_dim=3, rng=rng) for _ in range(k)]
+        chains[-1].f_z.b.data[:] = 3.0  # one chain leans on its update gate
+        window = rng.standard_normal((2, t_in, 5, features))
+        rs = [rng.standard_normal((2, t_in, 5, 4)) for _ in chains]
+        got, got_grads, got_eval = group_run(chains, window, rs, fused=True)
+        want, want_grads, want_eval = group_run(chains, window, rs, fused=False)
+        assert len(got) == k and len(got_grads) == 1 + 9 * k
+        for g, w in zip(got + got_eval, want + want_eval):
+            assert_within(g, w)
+        for g, w in zip(got, got_eval):
+            np.testing.assert_array_equal(g, w)
+        for g, w in zip(got_grads, want_grads):
+            assert_within(g, w)
+
+
+def test_group_of_unequal_chains_rejected():
+    rng = np.random.default_rng(50)
+    chain = dg.EmbeddingChain(5, 4, in_features=1, proj_dim=3, rng=rng)
+    window = Tensor(np.zeros((2, 3, 5, 1)))
+    for other in (
+        dg.EmbeddingChain(5, 3, in_features=1, proj_dim=3, rng=rng),
+        dg.EmbeddingChain(5, 4, in_features=1, proj_dim=2, rng=rng),
+        dg.EmbeddingChain(4, 4, in_features=1, proj_dim=3, rng=rng),
+    ):
+        with pytest.raises(ConfigError, match="embedding chain"):
+            chain.run(window, other)
+
+
+# Embedding-sized temporaries one unrecorded chain run may hold above its output and
+# its input terms (three embedding-sized arrays per step). Measured with tracemalloc
+# at B=16, N=64, d=F_proj=8, T_in=12: 10.9 above the output and the input terms;
+# keeping every step's [z | r] and candidate while unrecorded, as the tape does
+# when recorded, would add 33 more.
 NO_GRAD_CHAIN_STEP_TEMPS = 20
 
 
@@ -197,16 +349,20 @@ class TestGruStepNode:
         assert chain.params()[0] == ("e_init", chain.e_init)
 
     def test_node_keeps_only_output_and_gates(self):
+        # The node keeps every position's embedding, step-major, which its output
+        # views, and each step's stacked [z | r] and candidate.
         chain = self._chain()
         t_in = 4
         window = Tensor(np.random.default_rng(45).standard_normal((2, t_in, 5, 1)))
         out = chain.run(window)
-        own = {id(out.data)} | {id(p.data) for p in out._parents}
-        assert id(out.data) in {id(v) for v in closure_arrays(out)}
+        own = {id(p.data) for p in out._parents}
         extra = [v for v in closure_arrays(out) if id(v) not in own]
-        # z, r and the candidate of each of the T_in - 1 steps, one step's embedding each
-        assert len(extra) == 3 * (t_in - 1), [v.shape for v in extra]
-        assert all(v.size == out.size // t_in and v.shape[-1] == 4 for v in extra)
+        (states,) = [v for v in extra if v.size == out.size]
+        assert np.shares_memory(states, out.data)
+        gates = [v for v in extra if v is not states]
+        assert len(gates) == 2 * (t_in - 1), [v.shape for v in gates]
+        step = out.size // t_in
+        assert sorted(v.size for v in gates) == [step] * (t_in - 1) + [2 * step] * (t_in - 1)
 
     def test_chain_records_one_node_per_run(self):
         chain = self._chain(seed=46)
@@ -228,9 +384,10 @@ class TestGruStepNode:
                 chain.run(Tensor(np.zeros(shape)))
 
     def test_no_grad_run_keeps_no_gates(self):
-        # Unrecorded, a step's z, r and candidate die with the step: the peak is the
-        # output plus one step's temporaries. Keeping all 3 * (T_in - 1) of them, as
-        # the tape needs, would add 33 embedding-sized arrays at T_in = 12.
+        # Unrecorded, a step's gates and candidate die with the step: the peak is the
+        # output, the run's input terms and one step's temporaries. Keeping all
+        # 3 * (T_in - 1) embedding-sized gate arrays, as the tape needs, would add 33
+        # at T_in = 12.
         chain = dg.EmbeddingChain(64, 8, in_features=1, proj_dim=8, rng=np.random.default_rng(48))
         window = Tensor(np.random.default_rng(49).standard_normal((16, 12, 64, 1)))
         step_bytes = 16 * 64 * 8 * 8
@@ -244,7 +401,8 @@ class TestGruStepNode:
         finally:
             tracemalloc.stop()
         assert out.data.nbytes == 12 * step_bytes
-        assert peak - base < out.data.nbytes + NO_GRAD_CHAIN_STEP_TEMPS * step_bytes, peak - base
+        inputs = 3 * 11 * step_bytes
+        assert peak - base < out.data.nbytes + inputs + NO_GRAD_CHAIN_STEP_TEMPS * step_bytes, peak - base
 
 
 class TestEmbeddingChain:
@@ -276,7 +434,7 @@ class TestEmbeddingChain:
         e2 = broadcast_to(chain.e_init, (2, 3, 4))
         e1 = gru_step(chain, e2, window[:, 1])
         e0 = gru_step(chain, e1, window[:, 0])
-        np.testing.assert_array_equal(embs.data, np.stack([e0.data, e1.data, e2.data], axis=1))
+        assert_within(embs.data, np.stack([e0.data, e1.data, e2.data], axis=1))
 
 
 class TestGate:
@@ -901,3 +1059,35 @@ class TestSupportPattern:
         masks = chain_masks(4, 2)[::-1]
         with pytest.raises(ConfigError):
             dg.SupportPattern(masks)
+
+
+class TestChainGroups:
+    """Chains of one width run as one recurrence; chain_h joins only when hop_dim == embed_dim."""
+
+    def _block(self, hop_dim):
+        cfg = ModelConfig(num_nodes=4, t_in=3, embed_dim=4, hop_dim=hop_dim, hidden_dim=5, levels=2)
+        return dg.GraphConstruction(cfg, chain_masks(4, 2), np.random.default_rng(0))
+
+    def test_equal_widths_form_one_group(self):
+        block = self._block(4)
+        assert block.chain_groups == [[block.chain_st, block.chain_ed, block.chain_h]]
+
+    def test_hop_width_apart_forms_two_groups(self):
+        block = self._block(3)
+        assert block.chain_groups == [[block.chain_st, block.chain_ed], [block.chain_h]]
+
+    @pytest.mark.parametrize("hop_dim", [4, 3])
+    def test_grouped_build_matches_chains_run_alone(self, hop_dim):
+        results = []
+        for alone in (False, True):
+            block = self._block(hop_dim)
+            if alone:
+                block.chain_groups = [[c] for c in (block.chain_st, block.chain_ed, block.chain_h)]
+            window = Tensor(np.random.default_rng(1).standard_normal((2, 3, 4, 1)))
+            seq = block.build(window, "train", draws=drawn(block, window, 2), hop_mode="soft")
+            (seq.values * Tensor(np.random.default_rng(3).standard_normal(seq.values.shape))).sum().backward()
+            results.append((seq.values.data, [p.grad.copy() for _, p in block.params()]))
+        (got, got_grads), (want, want_grads) = results
+        assert_within(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert_within(g, w)

@@ -60,15 +60,25 @@ def oracle_diffusion_conv(x, a, theta, num_steps):
     return out
 
 
+def dense_grad(g, x, a, theta, num_steps):
+    """``_diffuse_grad`` with a's degrees taken densely and their terms added to the dense da."""
+    inv = stnet._degrees(a)
+    dx, da, dtheta, d_out, d_in = stnet._diffuse_grad(
+        g, x, a, *inv, theta, stnet._transposed(theta), num_steps
+    )
+    return dx, da + d_out[..., :, None] + d_in[..., None, :], dtheta
+
+
 def dense_spl(x, graphs, theta, num_steps):
     """spl over T dense (B, N, N) adjacency tensors, one parent each: the node spl replaced.
 
-    It runs the same kernels on the same dense arrays, so spl matches it bitwise forward.
+    It runs the same kernels on the same dense arrays, so spl matches it bitwise
+    forward wherever a row sum adds its entries one by one, as numpy does below 8.
     """
     graphs = tuple(graphs)
     out = np.empty(x.shape)
     for t, a in enumerate(graphs):
-        pre = stnet._diffuse(x.data[:, t], a.data, theta.data, num_steps)
+        pre = stnet._diffuse(x.data[:, t], a.data, *stnet._degrees(a.data), theta.data, num_steps)
         pre += x.data[:, t]
         np.maximum(pre, 0.0, out=out[:, t])
 
@@ -76,7 +86,7 @@ def dense_spl(x, graphs, theta, num_steps):
         g = np.where(out > 0, g, 0.0)
         dtheta = np.zeros_like(theta.data)
         for t, a in enumerate(graphs):
-            dx_t, da, dth = stnet._diffuse_grad(g[:, t], x.data[:, t], a.data, theta.data, num_steps)
+            dx_t, da, dth = dense_grad(g[:, t], x.data[:, t], a.data, theta.data, num_steps)
             dx_t += g[:, t]
             g[:, t] = dx_t
             a._acc(da)
@@ -85,6 +95,43 @@ def dense_spl(x, graphs, theta, num_steps):
         theta._acc(dtheta)
 
     return Tensor._from_op(out, (x, theta) + graphs, bwd)
+
+
+def dense_degree_spl(x, graphs, theta, num_steps):
+    """spl as one node that takes each slice's degrees from its dense scratch: the spl that
+    summed dense rows and columns per slice and added the degree terms to the dense gradient."""
+    values, pattern = graphs.values, graphs.pattern
+    b, t_len, n = x.shape[:3]
+    first = values.shape[1] - t_len
+
+    def dense_steps():
+        scratch = np.zeros((b, n * n))
+        a = scratch.reshape(b, n, n)
+        for t in range(t_len):
+            scratch[:, pattern.flat] = values.data[:, first + t]
+            yield t, a
+
+    out = np.empty(x.shape)
+    for t, a in dense_steps():
+        pre = stnet._diffuse(x.data[:, t], a, *stnet._degrees(a), theta.data, num_steps)
+        pre += x.data[:, t]
+        np.maximum(pre, 0.0, out=out[:, t])
+
+    def bwd(g):
+        g = np.where(out > 0, g, 0.0)
+        dtheta = np.zeros_like(theta.data)
+        dvalues = np.zeros(values.shape)
+        for t, a in dense_steps():
+            dx_t, da, dth = dense_grad(g[:, t], x.data[:, t], a, theta.data, num_steps)
+            dx_t += g[:, t]
+            g[:, t] = dx_t
+            dvalues[:, first + t] = pattern.gather(da)
+            dtheta += dth
+        x._acc(g)
+        theta._acc(dtheta)
+        values._acc(dvalues)
+
+    return Tensor._from_op(out, (x, theta, values), bwd)
 
 
 def on_pattern(graphs):
@@ -395,6 +442,32 @@ class TestSpl:
         want_dv = np.zeros(v_vals.shape)
         want_dv[:, lead:] = pattern.gather(np.stack([a.grad for a in dense], axis=1))
         assert_within(values.grad, want_dv)
+
+
+@pytest.mark.parametrize("b, t_in, t_len, n", [(3, 5, 3, 5), (2, 4, 2, 9), (2, 3, 3, 8), (1, 2, 1, 6)])
+def test_spl_matches_dense_degree_oracle(b, t_in, t_len, n):
+    # Degrees from sums on the pattern against dense row and column sums per slice,
+    # with a zero-degree row and column, an all-zero slice, B > 1 and T < T_in.
+    rng = np.random.default_rng([b, t_in, n])
+    keep = rng.uniform(size=(n, n)) < 0.5
+    keep[1, :] = False
+    keep[:, 3] = False
+    pattern = dg.SupportPattern(keep[None].astype(np.float64))
+    x_vals = rng.standard_normal((b, t_len, n, 3))
+    v_vals = rng.uniform(size=(b, t_in, pattern.nnz))
+    v_vals[0, -1] = 0.0
+    theta_vals = rng.standard_normal((2, 2, 3, 3)) * 0.5
+
+    def build(fn):
+        return lambda x, v, th: fn(x, sequence(v, pattern), th, 2)
+
+    got, got_grads, got_eval = forward_backward(build(stnet.spl), [x_vals, v_vals, theta_vals], 7)
+    want, want_grads, want_eval = forward_backward(build(dense_degree_spl), [x_vals, v_vals, theta_vals], 7)
+    assert_within(got, want)
+    assert_within(got_eval, want_eval)
+    np.testing.assert_array_equal(got, got_eval)
+    for g, w in zip(got_grads, want_grads):
+        assert_within(g, w)
 
 
 class TestGtuConv:

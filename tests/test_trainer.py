@@ -9,7 +9,7 @@ import threading
 import tracemalloc
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -18,10 +18,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tglrn import data as dmod
+from tglrn import dyngraph as dg
+from tglrn import model as model_mod
 from tglrn import trainer
 from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import CheckpointError, ConfigError, DataError, NumericError
 from tglrn.model import TGLRN, ModelConfig, PredictionHead
+from tglrn.stnet import TPL_PER_BLOCK
 
 from tensor_ops import einsum2, reshape, stack
 from test_acceptance import overfit_setup
@@ -310,9 +313,10 @@ def test_backward_peak_memory_stays_small_next_to_tape():
 
 
 # Op nodes one train step may record at the acceptance shape (the 8-node model of
-# criterion 5, T_in = 12, B = 32). Each embedding chain is one node, and the gate,
-# edge projection, hop selection and the adjacency run once per window; the
-# prediction head is one node (50 nodes). A per-step pass records about 420.
+# criterion 5, T_in = 12, B = 32). The three embedding chains are one node plus a
+# part node each, and the gate, edge projection, hop selection and the adjacency
+# run once per window; the prediction head is one node (51 nodes). A per-step
+# pass records about 420.
 TRAIN_STEP_OP_NODES = 56
 
 
@@ -330,10 +334,16 @@ def test_acceptance_shape_train_step_records_few_op_nodes():
     ops = [t for t in seen.values() if t._bwd is not None]
     assert len(ops) <= TRAIN_STEP_OP_NODES, len(ops)
     kinds = [t._bwd.__qualname__.split(".<locals>")[0] for t in ops]
-    # One node per embedding chain, fed only leaves: no per-step GRU or broadcast node.
-    chains = [t for t, kind in zip(ops, kinds) if kind == "EmbeddingChain.run"]
-    assert len(chains) == 3, len(chains)
-    assert all(p._bwd is None for t in chains for p in t._parents)
+    # The three chains share one width, so they are one node fed only the window and
+    # their parameters, plus one part node per chain fed only it: no per-step GRU or
+    # broadcast node.
+    gb = model.graph_block
+    leaves = [p for c in (gb.chain_st, gb.chain_ed, gb.chain_h) for _, p in c.params()]
+    (chains,) = [t for t in ops if any(p is gb.chain_st.e_init for p in t._parents)]
+    assert chains._parents[1:] == tuple(leaves)
+    assert all(p._bwd is None for p in chains._parents)
+    parts = [t for t in ops if chains in t._parents]
+    assert len(parts) == 3 and all(t._parents == (chains,) for t in parts)
     assert not [k for k in kinds if "broadcast" in k or "Gru" in k or "step" in k], kinds
     # One head node, fed every block output plus head.w and head.b.
     (head,) = [t for t, kind in zip(ops, kinds) if kind == "PredictionHead.__call__"]
@@ -348,6 +358,23 @@ def test_acceptance_shape_train_step_records_few_op_nodes():
     sliced = [t for t in ops if t._bwd.__qualname__.startswith("Tensor.__getitem__.")
               and any(id(p) in inputs for p in t._parents)]
     assert not sliced, [t.shape for t in sliced]
+
+
+@pytest.mark.parametrize("hop_dim, groups", [(8, [3]), (6, [2, 1])])
+def test_train_forward_runs_each_chain_width_once(monkeypatch, hop_dim, groups):
+    # One EmbeddingChain.run call per width group, so a span around it covers every chain.
+    base, (train_ds, _, _) = overfit_setup(seed=0)
+    cfg = replace(base.cfg, hop_dim=hop_dim)
+    model = TGLRN(cfg, base.graph_block.masks, base.scaler, np.random.default_rng(0))
+    calls, run = [], dg.EmbeddingChain.run
+
+    def counted(chain, window, *more):
+        calls.append(1 + len(more))
+        return run(chain, window, *more)
+
+    monkeypatch.setattr(dg.EmbeddingChain, "run", counted)
+    model.forward(train_ds.inputs[:4], mode="train", rng=np.random.default_rng(0))
+    assert calls == groups
 
 
 def head_composition(head, outputs):
@@ -740,6 +767,56 @@ def test_wide_step_peak_memory_is_bounded_by_the_shards_in_flight(cpus, sharded)
     whole = traced_peak(lambda: whole_batch_step(model, train_ds.inputs[:16], train_ds.targets[:16], many))
     assert whole > 2 * peak  # non-vacuity: the whole batch in one call holds far more
     assert peak < 2 * one_shard + batch + SHARD_MARGIN_BYTES, (peak, one_shard, batch)
+
+
+def stacked_draw(model, rng, batch):
+    """TGLRN.draw as it was: per-step lists stacked at the end, each dropout pattern one float draw."""
+    gb, cfg = model.graph_block, model.cfg
+    n, pattern = gb.num_nodes, gb.pattern
+    noise, keep, uniforms = [], [], []
+    for _ in range(gb.t_in):
+        noise.append(dg.logistic_noise(pattern.gather(rng.uniform(size=(batch, n, n)))))
+        keep.append(dg.keep_pattern(pattern.gather(rng.uniform(size=(batch, n, n))), gb.gamma))
+        uniforms.append(rng.uniform(size=(batch, n, pattern.levels)))
+    graph = tuple(np.stack(x, axis=1) for x in (noise, keep, uniforms))
+    dropout = []
+    for k in range(cfg.n_blocks * TPL_PER_BLOCK):
+        shape = (batch, cfg.t_in - (k + 1) * (cfg.kernel_size - 1), cfg.num_nodes, cfg.hidden_dim)
+        dropout.append(rng.uniform(size=shape) >= cfg.dropout_rate if cfg.dropout_rate > 0.0 else None)
+    return graph, dropout
+
+
+@pytest.mark.parametrize("slab_windows", [None, 1, 3])
+def test_draw_is_the_stacked_draw_oracle_bitwise(monkeypatch, slab_windows):
+    # With the default slab a whole N=8 batch is one draw; one and three windows of
+    # the first conv's pattern split it into slabs, with a short last one at B=7.
+    model, _ = overfit_setup(seed=0)
+    if slab_windows is not None:
+        monkeypatch.setattr(model_mod, "DROPOUT_SLAB_VALUES", slab_windows * 11 * 8 * 16)
+    for batch in (1, 7, 32):
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = model.draw(got_rng, batch)
+        graph, dropout = stacked_draw(model, want_rng, batch)
+        for g, w in zip(got.graph + tuple(got.dropout), graph + tuple(dropout)):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert got_rng.random() == want_rng.random()  # the stream goes on from the same point
+
+
+# A train step's draws at the acceptance shape and B=64 keep 0.64 MB. Drawing each
+# dropout pattern as one float array first peaked 0.53 MB above them; in one-window
+# slabs the peak is 0.012 MB above them, set by one graph step's (B, N, N) scratch
+# and its gathered temporaries.
+DRAW_PEAK_ABOVE_RESULT_BYTES = 100_000
+
+
+def test_draw_holds_one_slab_of_floats(monkeypatch):
+    model, _ = overfit_setup(seed=0)
+    monkeypatch.setattr(model_mod, "DROPOUT_SLAB_VALUES", 11 * 8 * 16)
+    kept = []
+    peak = traced_peak(lambda: kept.append(model.draw(np.random.default_rng(10), 64)))
+    (draws,) = kept
+    result = sum(x.nbytes for x in draws.graph) + sum(k.nbytes for k in draws.dropout)
+    assert peak - result < DRAW_PEAK_ABOVE_RESULT_BYTES, (peak, result)
 
 
 class TestMetrics:
