@@ -67,8 +67,8 @@ class EmbeddingChain:
     recurrence over their weights stacked on a leading axis (Appleyard et al.,
     arXiv 1604.01946). The projection u = x P + b feeds only linear maps, so
     [e ; u] W = e W_e + x (P W_u) + b W_u: every step's input term is one product
-    per run, and a step only multiplies the embedding, by the column-stacked
-    [W_z | W_r] and then by W_g. When the node is recorded it keeps every
+    per run, and a step only multiplies the embedding, by W_z and W_r in one
+    batched product and then by W_g. When the node is recorded it keeps every
     position's embedding and each step's gates and candidate; backward
     recomputes the rest (Chen et al., arXiv 1604.06174) and adds each
     parameter's gradient, summed over the steps, once.
@@ -111,28 +111,27 @@ class EmbeddingChain:
         parents = (window,) + tuple(p for c in chains for _, p in c.params())
         keep = dc.recording(parents)
 
-        w_e, w_u, m_in, c_in = _stacked_gru(chains)
-        # Each step's input term x_j (P W_u) + (b W_u + biases), step-major: (k, steps, B*N, 3d).
-        x_rows = np.swapaxes(window.data[:, :-1], 0, 1).reshape(-1, f)
-        inputs = x_rows @ m_in
+        # Arrays hold the gates z, r, g in blocks on axis 1, each block (..., B*N, d) rows
+        # in window-row order, so every elementwise op runs over whole contiguous blocks.
+        w_e, _, m_in, c_in = _stacked_gru(chains)
+        inputs = _step_rows(window) @ m_in  # every step's input term: (k, 3, steps * B*N, d)
         inputs += c_in
-        inputs = inputs.reshape(k, steps, rows, 3 * d)
-        w_zr, w_g = np.ascontiguousarray(w_e[..., : 2 * d]), np.ascontiguousarray(w_e[..., 2 * d :])
+        inputs = inputs.reshape(k, 3, steps, rows, d)
+        w_zr, w_g = w_e[:, :2], w_e[:, 2]
         # Every position's embedding, step-major: each step reads and writes contiguous rows.
         states = np.empty((k, t_in, rows, d))
         e_init = np.stack([c.e_init.data for c in chains])[:, None]
         states[:, -1] = np.broadcast_to(e_init, (k, b, n, d)).reshape(k, rows, d)
-        gates = [None] * steps  # step j's stacked [z | r] and candidate, kept only on the tape
+        gates = [None] * steps  # step j's (k, 2, B*N, d) [z ; r] and candidate, kept only on the tape
         for j in range(steps - 1, -1, -1):
             e = states[:, j + 1]
-            a_zr = e @ w_zr
-            a_zr += inputs[:, j, :, : 2 * d]
-            zr = dc.sigmoid_array(a_zr)
-            del a_zr
-            cand = (zr[..., d:] * e) @ w_g
-            cand += inputs[:, j, :, 2 * d :]
+            zr = e[:, None] @ w_zr
+            zr += inputs[:, :2, j]
+            zr = dc.sigmoid_array(zr)
+            z, r = zr[:, 0], zr[:, 1]
+            cand = (r * e) @ w_g
+            cand += inputs[:, 2, j]
             np.tanh(cand, out=cand)
-            z = zr[..., :d]
             new = np.subtract(1.0, z, out=states[:, j])
             new *= cand
             new += z * e
@@ -142,68 +141,65 @@ class EmbeddingChain:
 
         def bwd(*grads):
             w_e, w_u, m_in, _ = _stacked_gru(chains)
-            w_zr_t = np.ascontiguousarray(np.swapaxes(w_e[..., : 2 * d], -1, -2))
-            w_g_t = np.ascontiguousarray(np.swapaxes(w_e[..., 2 * d :], -1, -2))
+            w_zr_t, w_g_t = np.swapaxes(w_e[:, :2], -1, -2), np.swapaxes(w_e[:, 2], -1, -2)
             # The chains' output gradients, step-major like ``states``.
             grad = np.empty((k, t_in, b, n, d))
             for i, g in enumerate(grads):
                 grad[i] = 0.0 if g is None else np.swapaxes(g, 0, 1)
             grad = grad.reshape(k, t_in, rows, d)
-            d_in = np.empty((k, steps, rows, 3 * d))  # each step's [dz | dr | dg] pre-activation gradients
+            d_in = np.empty((k, 3, steps, rows, d))  # each step's dz, dr and dg before the squashing
             re = np.empty((k, steps, rows, d))  # each step's r * e
             for j, (zr, cand) in enumerate(gates):
                 # Step j's output gets the node's own gradient plus step j-1's through it.
                 g = grad[:, j]
                 if j:
                     g += de
-                e, z, r = states[:, j + 1], zr[..., :d], zr[..., d:]
-                da = d_in[:, j]
+                e, z, r = states[:, j + 1], zr[:, 0], zr[:, 1]
+                dz, dr, dg = d_in[:, 0, j], d_in[:, 1, j], d_in[:, 2, j]
                 dsig = np.subtract(1.0, zr)
                 dsig *= zr
-                dz = np.subtract(e, cand, out=da[..., :d])
+                np.subtract(e, cand, out=dz)
                 dz *= g
-                dz *= dsig[..., :d]
-                dg = np.subtract(1.0, z, out=da[..., 2 * d :])
+                dz *= dsig[:, 0]
+                np.subtract(1.0, z, out=dg)
                 dg *= g
                 cand2 = np.multiply(cand, cand)
                 np.subtract(1.0, cand2, out=cand2)
                 dg *= cand2
                 dre = dg @ w_g_t
-                dr = np.multiply(dre, e, out=da[..., d : 2 * d])
-                dr *= dsig[..., d:]
+                np.multiply(dre, e, out=dr)
+                dr *= dsig[:, 1]
                 np.multiply(r, e, out=re[:, j])
                 de = g * z
                 dre *= r
                 de += dre
-                de += da[..., : 2 * d] @ w_zr_t
+                de += (d_in[:, :2, j] @ w_zr_t).sum(axis=1)
             g_init = grad[:, -1]
             if steps:
                 g_init += de
             d_init = g_init.reshape(k, b, n, d).sum(axis=1)
 
             # Every parameter's gradient summed over the steps, in one product each.
-            d_rows = d_in.reshape(k, -1, 3 * d)
-            dw_e = np.concatenate(
-                [
-                    np.swapaxes(states[:, 1:].reshape(k, -1, d), -1, -2) @ d_rows[..., : 2 * d],
-                    np.swapaxes(re.reshape(k, -1, d), -1, -2) @ d_rows[..., 2 * d :],
-                ],
-                axis=-1,
-            )
-            x_rows = np.swapaxes(window.data[:, :-1], 0, 1).reshape(-1, f)
-            dm = x_rows.T @ d_rows  # (k, F, 3d): of the input map P W_u
-            dc_in = d_rows.sum(axis=1)  # (k, 3d): of the input bias b W_u + biases
-            w_u_t = np.swapaxes(w_u, -1, -2)
+            d_rows = d_in.reshape(k, 3, -1, d)
+            dw_e = np.empty((k, 3, d, d))  # of W_e: e^T dz, e^T dr and (r * e)^T dg
+            dw_e[:, :2] = np.swapaxes(states[:, 1:].reshape(k, 1, -1, d), -1, -2) @ d_rows[:, :2]
+            dw_e[:, 2] = np.swapaxes(re.reshape(k, -1, d), -1, -2) @ d_rows[:, 2]
+            dm = _step_rows(window).T @ d_rows  # (k, 3, F, d): of the input maps M = P W_u
+            dc_in = d_rows.sum(axis=2, keepdims=True)  # (k, 3, 1, d): of the input biases c
+            proj_w = np.stack([c.proj.w.data for c in chains])[:, None]  # (k, 1, F, H)
+            proj_b = np.stack([c.proj.b.data for c in chains])[:, None, :, None]  # (k, 1, H, 1)
+            dw = np.concatenate([dw_e, np.swapaxes(proj_w, -1, -2) @ dm + proj_b * dc_in], axis=2)
+            d_proj_w = (dm @ np.swapaxes(w_u, -1, -2)).sum(axis=1)
+            d_proj_b = (dc_in @ np.swapaxes(w_u, -1, -2)).sum(axis=1)
             for i, c in enumerate(chains):
-                dw = np.concatenate([dw_e[i], c.proj.w.data.T @ dm[i] + np.outer(c.proj.b.data, dc_in[i])])
                 c.e_init._acc(d_init[i])
-                c.proj.w._acc(dm[i] @ w_u_t[i])
-                c.proj.b._acc(w_u[i] @ dc_in[i])
-                for lin, lo in ((c.f_z, 0), (c.f_r, d), (c.g, 2 * d)):
-                    lin.w._acc(dw[:, lo : lo + d])
-                    lin.b._acc(dc_in[i, lo : lo + d])
+                c.proj.w._acc(d_proj_w[i])
+                c.proj.b._acc(d_proj_b[i, 0])
+                for q, lin in enumerate((c.f_z, c.f_r, c.g)):
+                    lin.w._acc(dw[i, q])
+                    lin.b._acc(dc_in[i, q, 0])
             if window._track:
-                dx = (d_rows @ np.swapaxes(m_in, -1, -2)).sum(axis=0)
+                dx = (d_rows @ np.swapaxes(m_in, -1, -2)).sum(axis=(0, 1))
                 dwindow = np.zeros(window.shape)
                 dwindow[:, :-1] = np.swapaxes(dx.reshape(steps, b, n, f), 0, 1)
                 window._acc(dwindow)
@@ -219,19 +215,24 @@ class EmbeddingChain:
         return out
 
 
-def _stacked_gru(chains):
-    """The GRU weights of ``chains`` stacked on a leading axis, with the projection folded in.
+def _step_rows(window):
+    """The (steps * B*N, F) inputs of the recurrence steps, step-major, as its arrays hold them."""
+    return np.swapaxes(window.data[:, :-1], 0, 1).reshape(-1, window.shape[-1])
 
-    Returns (W_e, W_u, M, c): the (k, d, 3d) and (k, H, 3d) embedding and
-    projected-input rows of [W_z | W_r | W_g], the (k, F, 3d) input map
-    M = P W_u and the (k, 1, 3d) input bias c = b W_u + [b_z | b_r | b_g].
+
+def _stacked_gru(chains):
+    """The GRU weights of ``chains``, stacked on a leading axis gate by gate, the projection folded in.
+
+    Returns (W_e, W_u, M, c): the (k, 3, d, d) and (k, 3, H, d) embedding and
+    projected-input rows of W_z, W_r and W_g, the (k, 3, F, d) input maps
+    M = P W_u and the (k, 3, 1, d) input biases c = b W_u + b_gate.
     """
     d = chains[0].width
-    w = np.stack([np.concatenate([c.f_z.w.data, c.f_r.w.data, c.g.w.data], axis=1) for c in chains])
-    bias = np.stack([np.concatenate([c.f_z.b.data, c.f_r.b.data, c.g.b.data]) for c in chains])
-    w_e, w_u = w[:, :d], w[:, d:]
-    m_in = np.stack([c.proj.w.data for c in chains]) @ w_u
-    c_in = np.stack([c.proj.b.data for c in chains])[:, None] @ w_u + bias[:, None]
+    w = np.stack([[c.f_z.w.data, c.f_r.w.data, c.g.w.data] for c in chains])
+    bias = np.stack([[c.f_z.b.data, c.f_r.b.data, c.g.b.data] for c in chains])[:, :, None]
+    w_e, w_u = w[:, :, :d], w[:, :, d:]
+    m_in = np.stack([c.proj.w.data for c in chains])[:, None] @ w_u
+    c_in = np.stack([c.proj.b.data for c in chains])[:, None, None] @ w_u + bias
     return w_e, w_u, m_in, c_in
 
 
@@ -341,10 +342,10 @@ class SupportPattern:
     def degrees(self, values):
         """The (..., N) out- and in-degrees of the adjacencies whose (..., nnz) ``values`` lie on the pattern.
 
-        Each is a segment sum over the pattern, in its row-major order: no dense row or column is read.
+        Each is a segment sum over the pattern in its row-major order: no dense row or column is read.
         """
-        lead, flat = values.shape[:-1], values.reshape(-1, self.nnz)
-        return tuple(_slot_sums(flat, ends, self.n).reshape(lead + (self.n,)) for ends in (self.rows, self.cols))
+        shape, flat = values.shape[:-1] + (self.n,), values.reshape(-1, self.nnz)
+        return tuple(_slot_sums(flat, ends, self.n).reshape(shape) for ends in (self.rows, self.cols))
 
     def hop_mask(self, mixing):
         """sum_l mixing[..., i, l] * S^l[i, j] on the pattern, for (..., N, L) radius weights.

@@ -175,7 +175,7 @@ class PredictionHead:
 DROPOUT_SLAB_VALUES = 1 << 18
 
 
-def _keep_pattern(rng, shape, rate):
+def _dropout_keep(rng, shape, rate):
     """An inverted-dropout keep pattern: the boolean ``uniform(size=shape) >= rate``.
 
     Drawn in slabs of whole windows into one boolean array, so no float array of
@@ -253,7 +253,7 @@ class TGLRN:
         dropout = []
         for k in range(cfg.n_blocks * TPL_PER_BLOCK):
             shape = (batch, cfg.t_in - (k + 1) * (cfg.kernel_size - 1), cfg.num_nodes, cfg.hidden_dim)
-            dropout.append(_keep_pattern(rng, shape, cfg.dropout_rate) if cfg.dropout_rate > 0.0 else None)
+            dropout.append(_dropout_keep(rng, shape, cfg.dropout_rate) if cfg.dropout_rate > 0.0 else None)
         return StepDraws(graph, dropout)
 
     def forward(self, window_raw, mode="eval", rng=None, hop_mode="hard", draws=None):

@@ -84,10 +84,10 @@ def _diffuse(x, a, inv_out, inv_in, theta, num_steps):
 def _diffuse_grad(g, x, a, inv_out, inv_in, theta, theta_t, num_steps):
     """(dx, da, dtheta, d_out, d_in) of ``_diffuse`` for output gradient ``g``; recomputes every power.
 
-    ``theta_t`` is ``_transposed(theta)``, made once per call of a layer. ``da`` is the gradient through the
-    products alone; ``d_out`` and ``d_in`` are the (..., N) gradients of the
-    out- and in-degrees, which add to every entry of a's rows and columns
-    respectively.
+    ``theta_t`` is ``_transposed(theta)``, made once per layer call. ``da`` is
+    the gradient through the products alone; ``d_out`` and ``d_in`` are the
+    (..., N) gradients of the out- and in-degrees, which add to every entry of
+    a's rows and columns respectively.
     """
     a_rev = np.swapaxes(a, -1, -2)
     # zs[k] = (P_fwd^k x, P_rev^k x); ys[k] the same before the degree scaling.
@@ -177,8 +177,11 @@ def spl(x, graphs, theta, num_steps):
     ``x``, ``theta`` and the values: each slice's weights are written into
     one reused dense (B, N, N) scratch, whose entries off the pattern stay 0,
     because dense products beat products on the pattern at every measured
-    shape. Backward recomputes the diffusion powers slice by slice and
-    gathers each slice's adjacency gradient back onto the pattern.
+    shape. Every slice's inverse degrees come at once from sums of the
+    values on the pattern, not from dense rows and columns. Backward
+    recomputes the degrees and the diffusion powers, gathers each slice's
+    adjacency gradient back onto the pattern, and adds the degree terms
+    there, row i's and column j's to pair (i, j).
     """
     if theta.shape[-2] != theta.shape[-1]:
         raise ConfigError(
