@@ -463,12 +463,15 @@ def sigmoid_array(x):
     """Logistic function on a plain array, stable for large |x| (forward of ``Tensor.sigmoid``).
 
     With z = exp(-|x|) it is 1 / (1 + z) where x >= 0 and z / (1 + z) elsewhere:
-    one divide of the two numerators by the shared denominator.
+    one divide of the two numerators by the shared denominator. The numerator
+    is max(x >= 0, z), as 1.0 or 0.0 against z in [0, 1]: the value of
+    ``np.where(x < 0, z, 1.0)`` without a branch per entry on the sign.
     """
     z = np.abs(x, out=np.empty(np.shape(x)))
     np.negative(z, out=z)
     np.exp(z, out=z)
-    s = np.where(x < 0, z, 1.0)
+    s = np.greater_equal(x, 0.0, out=np.empty(np.shape(x)))
+    np.maximum(s, z, out=s)
     z += 1.0
     s /= z
     return s

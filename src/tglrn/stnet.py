@@ -226,7 +226,7 @@ def spl(x, graphs, theta, num_steps):
     del inv_out, inv_in
 
     def bwd(g):
-        g = np.where(out > 0, g, 0.0)
+        g = g * (out > 0)
         inv_out, inv_in = inverse_degrees()
         theta_t = _transposed(theta.data)
         dtheta = np.zeros_like(theta.data)
