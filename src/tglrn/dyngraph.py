@@ -81,12 +81,7 @@ class EmbeddingChain:
         self.f_r = Linear(embed_dim + proj_dim, embed_dim, rng)
         self.g = Linear(embed_dim + proj_dim, embed_dim, rng)
 
-    @property
-    def width(self):
-        """d, the embedding width."""
-        return self.e_init.shape[1]
-
-    def _shapes(self):
+    def shapes(self):
         """(N, d), F and the projection width: what chains run together must share."""
         return self.e_init.shape, self.proj.in_dim, self.proj.out_dim
 
@@ -101,8 +96,8 @@ class EmbeddingChain:
         position j.
         """
         chains = (self,) + more
-        (n, d), f, _ = self._shapes()
-        if any(c._shapes() != self._shapes() for c in more):
+        (n, d), f, _ = self.shapes()
+        if any(c.shapes() != self.shapes() for c in more):
             raise ConfigError("embedding chain: chains run together must share their shapes")
         if window.ndim != 4 or window.shape[1] < 1 or window.shape[2:] != (n, f):
             raise ConfigError(f"embedding chain: window {window.shape} does not fit N={n}, F={f}")
@@ -227,7 +222,7 @@ def _stacked_gru(chains):
     projected-input rows of W_z, W_r and W_g, the (k, 3, F, d) input maps
     M = P W_u and the (k, 3, 1, d) input biases c = b W_u + b_gate.
     """
-    d = chains[0].width
+    d = chains[0].e_init.shape[1]
     w = np.stack([[c.f_z.w.data, c.f_r.w.data, c.g.w.data] for c in chains])
     bias = np.stack([[c.f_z.b.data, c.f_r.b.data, c.g.b.data] for c in chains])[:, :, None]
     w_e, w_u = w[:, :, :d], w[:, :, d:]
@@ -509,10 +504,10 @@ class GraphConstruction:
         self.chain_ed = EmbeddingChain(n, d, cfg.in_features, cfg.hidden_dim, rng)
         self.chain_h = EmbeddingChain(n, m, cfg.in_features, cfg.hidden_dim, rng)
         # Chains of one width run as one recurrence: chain_h joins when hop_dim == embed_dim.
-        widths = {}
+        groups = {}
         for chain in (self.chain_st, self.chain_ed, self.chain_h):
-            widths.setdefault(chain.width, []).append(chain)
-        self.chain_groups = list(widths.values())
+            groups.setdefault(chain.shapes(), []).append(chain)
+        self.chain_groups = list(groups.values())
         scale = 1.0 / np.sqrt(d)
         self.base_st = Parameter(rng.standard_normal((cfg.t_in, n, d)) * scale)
         self.base_ed = Parameter(rng.standard_normal((cfg.t_in, n, d)) * scale)

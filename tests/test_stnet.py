@@ -73,7 +73,8 @@ def dense_spl(x, graphs, theta, num_steps):
     """spl over T dense (B, N, N) adjacency tensors, one parent each: the node spl replaced.
 
     It runs the same kernels on the same dense arrays, so spl matches it bitwise
-    forward wherever a row sum adds its entries one by one, as numpy does below 8.
+    forward while N < 8: numpy then sums a row one entry at a time, in the
+    order the sums on the pattern take.
     """
     graphs = tuple(graphs)
     out = np.empty(x.shape)
