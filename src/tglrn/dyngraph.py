@@ -3,8 +3,8 @@
 Recurrent chains evolve three node-embedding streams backwards through
 the input window (start-of-edge, end-of-edge, and hop-selection
 embeddings); the chains of one width are one tape node per window. Only
-the chains are recurrent: gating by per-step base embeddings, edge scoring, hop
-selection and the adjacency itself then run once per window over
+the chains are recurrent: gating by per-step base embeddings, edge
+scoring, hop selection and the adjacency itself then run once per window over
 (B, T_in, ...) arrays, on random draws made beforehand in step order
 (``GraphConstruction.draw``). Per step, the scores are normalized to mean
 0 / std alpha, squashed by a sigmoid, relaxed with logistic-Gumbel noise
