@@ -232,10 +232,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, track={self._track})"
 
-    def detach(self):
-        """A view of the same values with no tape attached."""
-        return Tensor(self.data)
-
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):

@@ -21,6 +21,8 @@ backward recomputes the stages it does not store.
 
 Hard decisions (hop argmax) use a straight-through estimator: forward
 sees the hard one-hot, backward sees the relaxed softmax gradient.
+Below ``build`` the draws are the only train/eval switch: without them
+the hop choice and the adjacency record nothing, as evaluation needs.
 """
 
 from __future__ import annotations
@@ -374,23 +376,24 @@ def edge_adjacency(u, v, mixing, pattern, alpha, tau, draws=None):
     where w_hat is ``normalize_logits``' result and mask the hop mask; outside
     the pattern the adjacency is 0 (``SupportPattern.scatter`` forms it).
     ``draws`` is the training pair ``(noise, keep)`` of (..., nnz) arrays on the
-    pattern; without it both the relaxation and the thinning are skipped, as in
-    evaluation. The node keeps its parents, ``noise`` and the boolean ``keep``:
-    its backward recomputes every other stage, trading compute for memory
-    (Chen et al., arXiv 1604.06174).
+    pattern. Without it both the relaxation and the thinning are skipped, as in
+    evaluation, and the result is an untracked tensor: evaluation records
+    nothing. The training node keeps its parents, ``noise`` and the boolean
+    ``keep``: its backward recomputes every other stage, trading compute for
+    memory (Chen et al., arXiv 1604.06174).
     """
     lead, n = u.shape[:-2], u.shape[-2]
     u2, v2 = u.data.reshape(-1, n), v.data.reshape(-1, n)
     m = u2.shape[0]
     mix = mixing.data.reshape(m, n, -1)
-    if draws is not None:
-        noise, keep = (x.reshape(m, -1) for x in draws)
     rows, cols = pattern.rows, pattern.cols
 
     u_hat, v_hat = normalize_logits(u2, v2, alpha)
     p = bernoulli_means(u_hat[:, rows] + v_hat[:, cols])
-    if draws is not None:
-        p = edge_sample(gumbel_relax(p, tau, noise), keep)
+    if draws is None:
+        return Tensor((p * pattern.hop_mask(mix)).reshape(lead + (pattern.nnz,)))
+    noise, keep = (x.reshape(m, -1) for x in draws)
+    p = edge_sample(gumbel_relax(p, tau, noise), keep)
     out = (p * pattern.hop_mask(mix)).reshape(lead + (pattern.nnz,))
 
     def bwd(g):
@@ -398,16 +401,11 @@ def edge_adjacency(u, v, mixing, pattern, alpha, tau, draws=None):
         a, e, rstd, scale = _normalize(u2, v2, alpha)
         c = rstd * scale
         w_bar = bernoulli_means((a * c)[:, rows] + (e * c)[:, cols])
-        p = w_bar if draws is None else gumbel_relax(w_bar, tau, noise)
-        if mixing._track:
-            kept = p if draws is None else edge_sample(p, keep)
-            mixing._acc(pattern.hop_mask_grad(g * kept).reshape(mixing.shape))
-        if not (u._track or v._track):
-            return
+        p = gumbel_relax(w_bar, tau, noise)
+        mixing._acc(pattern.hop_mask_grad(g * edge_sample(p, keep)).reshape(mixing.shape))
         g = g * pattern.hop_mask(mix)
-        if draws is not None:
-            g = g * keep * p * (1.0 - p) * (1.0 / tau)
-            g = g / w_bar + g / (1.0 - w_bar)
+        g = g * keep * p * (1.0 - p) * (1.0 / tau)
+        g = g / w_bar + g / (1.0 - w_bar)
         del p
         # Inside the clamp w_bar is the sigmoid itself; outside it the gradient is zero.
         inside = (w_bar > OMEGA_CLAMP) & (w_bar < 1.0 - OMEGA_CLAMP)
@@ -429,28 +427,29 @@ def hop_probs(e_h, lin1, lin2):
     return dc.softmax(lin2(lin1(e_h).tanh()), axis=-1)
 
 
-def select_hops(p, tau, mode, uniforms=None, straight_through=True):
+def select_hops(p, tau, uniforms=None, straight_through=True):
     """Choose a hop radius per node; returns (0-based indices, mixing tensor).
 
-    Eval mode takes the plain argmax (ties break toward the smaller
-    radius) and returns no mixing tensor. Train mode perturbs
-    log-probabilities with Gumbel noise made from ``uniforms``, U(0, 1)
-    draws shaped like ``p``, which samples the categorical exactly; the
-    mixing tensor is straight-through (hard one-hot forward, relaxed
-    softmax gradient) unless ``straight_through`` is False, in which case
-    the relaxed softmax itself is returned.
+    Without ``uniforms`` (evaluation) it takes the plain argmax, ties toward
+    the smaller radius, and returns its one-hot mixing untracked. Training
+    perturbs log-probabilities with Gumbel noise made from ``uniforms``,
+    U(0, 1) draws shaped like ``p``, which samples the categorical exactly;
+    the mixing is one straight-through node (hard one-hot forward, backward
+    handed to the relaxed softmax) unless ``straight_through`` is False, in
+    which case the relaxed softmax itself is returned.
     """
-    if mode == "eval":
-        return np.argmax(p.data, axis=-1), None
-    if uniforms is None or np.shape(uniforms) != p.shape:
-        raise ConfigError(f"select_hops: train mode requires uniform draws of shape {p.shape}")
+    if uniforms is None:
+        h = np.argmax(p.data, axis=-1)
+        return h, Tensor(_one_hot(h, p.shape[-1]))
+    if np.shape(uniforms) != p.shape:
+        raise ConfigError(f"select_hops: uniform draws of shape {np.shape(uniforms)}, need {p.shape}")
     u = np.clip(uniforms, 1e-12, 1.0 - 1e-12)
     gumbel = -np.log(-np.log(u))
     y = dc.softmax((p.clamp(1e-300, 2.0).log() + gumbel) * (1.0 / tau), axis=-1)
     h = np.argmax(y.data, axis=-1)
     if not straight_through:
         return h, y
-    return h, y - y.detach() + Tensor(_one_hot(h, p.shape[-1]))
+    return h, Tensor._from_op(_one_hot(h, p.shape[-1]), (y,), lambda g: y._acc(g))
 
 
 def _one_hot(hop_choices, levels):
@@ -545,14 +544,16 @@ class GraphConstruction:
 
         ``mode`` is "train" or "eval". Training relaxes, thins and samples
         hops with ``draws``, the window's rows of ``draw``'s arrays;
-        evaluation uses none. ``hop_mode="soft"`` replaces the
-        straight-through hard hop mask with its relaxed value, which makes
-        the full path exactly differentiable for gradient checking.
+        evaluation uses none, and its hop mixing and adjacency record nothing.
+        ``hop_mode="soft"`` replaces the straight-through hard hop mask with
+        its relaxed value, which makes the full path exactly differentiable
+        for gradient checking; "hard" is the default.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"unknown mode {mode!r}")
-        training = mode == "train"
-        if training and draws is None:
+        if hop_mode not in ("hard", "soft"):
+            raise ConfigError(f"unknown hop_mode {hop_mode!r}: use 'hard' or 'soft'")
+        if mode == "train" and draws is None:
             raise ConfigError("train-mode graph construction requires the step's draws")
 
         embs = {}
@@ -567,12 +568,9 @@ class GraphConstruction:
         e_ed = gate(emb_ed, self.base_ed, self.gate_ed)
         u, v = edge_logits(e_st, e_ed, self.edge_w)
         probs = hop_probs(emb_h, self.hop_l1, self.hop_l2)
-        if training:
-            h, mixing = select_hops(probs, self.tau, "train", draws[2], hop_mode == "hard")
-        else:
-            h, _ = select_hops(probs, self.tau, "eval")
-            mixing = Tensor(_one_hot(h, pattern.levels))
-        values = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, draws[:2] if training else None)
+        edge_draws, uniforms = (draws[:2], draws[2]) if mode == "train" else (None, None)
+        h, mixing = select_hops(probs, self.tau, uniforms, hop_mode == "hard")
+        values = edge_adjacency(u, v, mixing, pattern, self.alpha, self.tau, edge_draws)
         seq = GraphSequence(values=values, pattern=pattern, hop_choices=h + 1)
         if not want_diag:
             return seq

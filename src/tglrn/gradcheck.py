@@ -167,10 +167,11 @@ def _check_edge_logits(seed):
     pattern = SupportPattern(np.ones((1, 3, 3)))
     r = pattern.gather(rng.standard_normal((3, 3)))
     mixing = Tensor(np.ones((3, 1)))
+    draws = np.zeros(pattern.nnz), np.ones(pattern.nnz, dtype=bool)  # no noise, nothing thinned
 
     def build():
         u, v = edge_logits(e_st, e_ed, w)
-        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0), r)
+        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, draws), r)
 
     return finite_diff_check(build, [("e_st", e_st), ("e_ed", e_ed), ("w", w)])
 
@@ -182,9 +183,10 @@ def _check_normalize_sigmoid(seed):
     pattern = SupportPattern(np.ones((1, 4, 4)))
     r = pattern.gather(rng.standard_normal((4, 4)))
     mixing = Tensor(np.ones((4, 1)))
+    draws = np.zeros(pattern.nnz), np.ones(pattern.nnz, dtype=bool)  # no noise, nothing thinned
 
     def build():
-        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0), r)
+        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, draws), r)
 
     return finite_diff_check(build, [("u", u), ("v", v)])
 

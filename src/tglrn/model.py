@@ -264,7 +264,7 @@ class TGLRN:
         """
         cfg = self.cfg
         x = np.asarray(window_raw, dtype=np.float64)
-        if x.ndim != 4 or x.shape[1] != cfg.t_in or x.shape[2] != cfg.num_nodes:
+        if x.ndim != 4 or x.shape[1:] != (cfg.t_in, cfg.num_nodes, cfg.in_features):
             raise ConfigError(
                 f"forward: expected window of shape (B, {cfg.t_in}, {cfg.num_nodes}, {cfg.in_features}), got {x.shape}"
             )

@@ -230,7 +230,7 @@ def spl(x, graphs, theta, num_steps):
         inv_out, inv_in = inverse_degrees()
         theta_t = _transposed(theta.data)
         dtheta = np.zeros_like(theta.data)
-        dvalues = np.zeros(values.shape) if values._track else None
+        dvalues = np.zeros(values.shape)
         d_out = np.empty((b, t_len, n))
         d_in = np.empty((b, t_len, n))
         for t, a in dense_steps():
@@ -239,13 +239,11 @@ def spl(x, graphs, theta, num_steps):
             )
             dx_t += g[:, t]
             g[:, t] = dx_t  # slice t of g is spent: it now holds slice t of dx
-            if dvalues is not None:
-                dvalues[:, first + t] = pattern.gather(da)
+            dvalues[:, first + t] = pattern.gather(da)
             dtheta += dth
-        if dvalues is not None:
-            # The degree terms, on the pattern: pair (i, j) gets row i's and column j's.
-            dvalues[:, first:] += d_out[..., pattern.rows]
-            dvalues[:, first:] += d_in[..., pattern.cols]
+        # The degree terms, on the pattern: pair (i, j) gets row i's and column j's.
+        dvalues[:, first:] += d_out[..., pattern.rows]
+        dvalues[:, first:] += d_in[..., pattern.cols]
         x._acc(g)
         theta._acc(dtheta)
         values._acc(dvalues)
@@ -283,12 +281,12 @@ def _conv(x, kernel, ks):
 def _conv_grad(douts, x, kernel, ks, dx):
     """dkernel of ``_conv``, given the output gradient as consecutive channel blocks ``douts``.
 
-    Also adds the input gradient into ``dx`` unless it is None.
+    Also adds the input gradient into ``dx``.
     """
     dkernel = np.empty_like(kernel)
     # dx is added to one (T, N, D) block per leading index: contiguous memory, where
     # numpy needs no iteration buffers.
-    dx_blocks = None if dx is None else dx.reshape((-1,) + dx.shape[-3:])
+    dx_blocks = dx.reshape((-1,) + dx.shape[-3:])
     lo = 0
     for dout in douts:
         hi = lo + dout.shape[-1]
@@ -299,10 +297,9 @@ def _conv_grad(douts, x, kernel, ks, dx):
             window = x[..., s : s + t_out, :, :]
             # window_rows^T @ rows summed over the leading axes: the window is not copied
             dkernel[s, :, lo:hi] = (np.swapaxes(_rows(window), -1, -2) @ rows).sum(axis=lead)
-            if dx is not None:
-                part = (rows @ kernel[s, :, lo:hi].T).reshape((-1, t_out) + dx.shape[-2:])
-                for block, add in zip(dx_blocks, part):
-                    block[s : s + t_out] += add
+            part = (rows @ kernel[s, :, lo:hi].T).reshape((-1, t_out) + dx.shape[-2:])
+            for block, add in zip(dx_blocks, part):
+                block[s : s + t_out] += add
         lo = hi
     return dkernel
 
@@ -344,7 +341,7 @@ def gtu_conv(x, kernel, ks):
 
     def bwd(g):
         douts = _glu_grad(g, *_gates(x.data, kernel.data, ks))
-        dx = np.zeros(x.shape) if x._track else None
+        dx = np.zeros(x.shape)
         kernel._acc(_conv_grad(douts, x.data, kernel.data, ks, dx))
         x._acc(dx)
 
@@ -409,10 +406,8 @@ def tpl(x, kernel, ks, scale, shift, keep=None, rate=0.0):
         dy -= dy.mean(axis=-1, keepdims=True)
         douts = _glu_grad(dy, th, sg)
         del th, sg
-        dx = None
-        if x._track:
-            dx = np.zeros(x.shape)
-            dx[..., ks - 1 :, :, :] = dy
+        dx = np.zeros(x.shape)
+        dx[..., ks - 1 :, :, :] = dy
         del dy
         kernel._acc(_conv_grad(douts, x.data, kernel.data, ks, dx))
         x._acc(dx)

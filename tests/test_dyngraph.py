@@ -616,26 +616,30 @@ class TestHopSelector:
         np.testing.assert_allclose(probs.data.sum(axis=-1), np.ones(7), atol=1e-12)
 
     def test_eval_argmax(self):
-        p = Tensor(np.array([[0.1, 0.9]]))
-        h, mix = dg.select_hops(p, 1.0, "eval")
-        assert h[0] == 1 and mix is None  # 0-based index of level 2
+        p = Parameter(np.array([[0.1, 0.9]]))
+        h, mix = dg.select_hops(p, 1.0)
+        assert h[0] == 1  # 0-based index of level 2
+        # the plain one-hot of the choice, recorded on no tape
+        np.testing.assert_array_equal(mix.data, [[0.0, 1.0]])
+        assert not mix._track
 
     def test_train_requires_draws_shaped_like_probs(self):
         p = Tensor(np.full((3, 2), 0.5))
-        for draws in (None, np.full((3, 3), 0.5)):
+        for draws in (np.full((3, 3), 0.5), np.full((2,), 0.5)):
             with pytest.raises(ConfigError):
-                dg.select_hops(p, 1.0, "train", draws)
+                dg.select_hops(p, 1.0, draws)
 
     def test_eval_tie_breaks_low(self):
-        p = Tensor(np.full((1, 4), 0.25))
-        h, _ = dg.select_hops(p, 1.0, "eval")
-        assert h[0] == 0
+        p = Tensor(np.full((2, 4), 0.25))
+        h, mix = dg.select_hops(p, 1.0)
+        np.testing.assert_array_equal(h, [0, 0])
+        np.testing.assert_array_equal(mix.data, [[1.0, 0.0, 0.0, 0.0]] * 2)
 
     def test_train_selection_frequencies(self):
         rng = np.random.default_rng(3)
         n = 10_000
         p = Tensor(np.tile([0.3, 0.7], (n, 1)))
-        h, mix = dg.select_hops(p, 1.0, "train", rng.uniform(size=p.shape))
+        h, mix = dg.select_hops(p, 1.0, rng.uniform(size=p.shape))
         freq = np.bincount(h, minlength=2) / n
         for target, got in zip((0.3, 0.7), freq):
             sigma = np.sqrt(target * (1 - target) / n)
@@ -749,6 +753,14 @@ class TestBuildGraphSequence:
         with pytest.raises(ConfigError, match="the step's draws"):
             block.build(window, "train")
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_unknown_hop_mode_rejected(self, mode):
+        block = build_block()
+        window = Tensor(np.random.default_rng(8).standard_normal((1, 3, 4, 1)))
+        for hop_mode in ("Hard", "relaxed"):
+            with pytest.raises(ConfigError, match=f"hop_mode '{hop_mode}'"):
+                block.build(window, mode, draws=drawn(block, window, 9), hop_mode=hop_mode)
+
 
 class TestGradientFlow:
     def test_init_embeddings_reach_adjacency(self):
@@ -839,15 +851,46 @@ def oracle_build(block, window, mode, rng=None, hop_mode="hard"):
         probs = dg.hop_probs(emb_h[:, j], block.hop_l1, block.hop_l2)
         if training:
             uniforms = rng.uniform(size=probs.shape)
-            straight = hop_mode == "hard"
-            h, mixing = dg.select_hops(probs, block.tau, "train", uniforms, straight_through=straight)
+            h, mixing = straight_through_hops(probs, block.tau, uniforms, hop_mode == "hard")
             mask = einsum2("bnl,lnj->bnj", mixing, Tensor(block.masks))
         else:
-            h, _ = dg.select_hops(probs, block.tau, "eval")
+            h = np.argmax(probs.data, axis=-1)
             mask = Tensor(rows_from_choices(block.masks, h))
         adjacencies.append(oracle_edge_op(w, mask, block.alpha, block.tau, delta, block.gamma, rho))
         hops.append(h + 1)
     return adjacencies, np.stack(hops, axis=1)
+
+
+def straight_through_hops(p, tau, uniforms, straight_through=True):
+    """select_hops in training, its straight-through mixing composed as before it was one node.
+
+    The hard one-hot is added to y - y, whose subtrahend is the relaxed softmax y's values off
+    the tape: forward sees the one-hot, backward hands y the gradient through two nodes.
+    """
+    h, y = dg.select_hops(p, tau, uniforms, straight_through=False)
+    if not straight_through:
+        return h, y
+    return h, y - Tensor(y.data) + Tensor(dg._one_hot(h, p.shape[-1]))
+
+
+def test_straight_through_node_matches_composition():
+    rng = np.random.default_rng(31)
+    logits = rng.standard_normal((3, 5, 4)) * 2.0
+    uniforms = rng.uniform(size=logits.shape)
+    r = rng.standard_normal(logits.shape)
+    results = []
+    for select in (dg.select_hops, straight_through_hops):
+        x = Parameter(logits.copy())
+        h, mixing = select(dc.softmax(x, axis=-1), 0.7, uniforms)
+        if select is dg.select_hops:  # one node, fed only the relaxed softmax
+            (y,) = mixing._parents
+            assert y._bwd.__qualname__.startswith("softmax.")
+        (mixing * Tensor(r)).sum().backward()
+        results.append((h, mixing.data, x.grad))
+    (h, mixing, grad), (want_h, want_mixing, want_grad) = results
+    np.testing.assert_array_equal(h, want_h)
+    assert mixing.tobytes() == want_mixing.tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
 
 
 def per_step_edge_adjacency(u, v, mixing, pattern, alpha, tau, draws=None):
@@ -895,7 +938,6 @@ class TestEdgeOp:
         draws = block.draw(rngs[0], window.shape[0]) if training else None
         seq = block.build(window, mode, draws=draws, hop_mode=hop_mode)
         pattern = block.pattern
-        got = grads_after(block, seq.values, pattern.gather(weights))
         adjs, hops = oracle_build(block, window, mode, rng=rngs[1], hop_mode=hop_mode)
         if training:
             # both consumed the same number of draws: the streams continue alike
@@ -904,7 +946,11 @@ class TestEdgeOp:
         adjs = stack(adjs, axis=1)
         # Closed-form moments round differently from the dense sums: ulps, not bits.
         np.testing.assert_allclose(pattern.scatter(seq.values.data), adjs.data, rtol=1e-12, atol=0.0)
-        assert_grads_close(got, grads_after(block, adjs, weights))
+        if training:
+            got = grads_after(block, seq.values, pattern.gather(weights))
+            assert_grads_close(got, grads_after(block, adjs, weights))
+        else:
+            assert not seq.values._track  # evaluation records nothing
 
     def test_degenerate_and_saturated_steps_match_oracle(self):
         rng = np.random.default_rng(14)
@@ -956,7 +1002,10 @@ class TestEdgeOp:
         for fn in (dg.edge_adjacency, per_step_edge_adjacency):
             u, v, mixing = (Parameter(x.copy()) for x in (u_vals, v_vals, mix_vals))
             out = fn(u, v, mixing, pattern, 1.3, 0.7, draws)
-            (out * Tensor(r)).sum().backward()
+            if drawn:
+                (out * Tensor(r)).sum().backward()
+            else:
+                assert not out._track  # evaluation records nothing: no gradient to compare
             results.append((out.data, [u.grad, v.grad, mixing.grad]))
         (got, got_grads), (want, want_grads) = results
         np.testing.assert_array_equal(got, want)
@@ -970,7 +1019,8 @@ class TestEdgeOp:
         u = Parameter(rng.standard_normal((2, 4, 1)), "u")
         v = Parameter(rng.standard_normal((2, 4, 1)), "v")
         mixing = Parameter(rng.uniform(size=(2, 4, 2)), "mixing")
-        draws = None
+        # Undrawn, the training form is differenced with neutral draws: no noise, nothing thinned.
+        draws = np.zeros((2, pattern.nnz)), np.ones((2, pattern.nnz), dtype=bool)
         if drawn:
             noise = dg.logistic_noise(pattern.gather(rng.uniform(size=(2, 4, 4))))
             draws = noise, dg.keep_pattern(pattern.gather(rng.uniform(size=(2, 4, 4))), 0.6)
@@ -980,6 +1030,14 @@ class TestEdgeOp:
             [("u", u), ("v", v), ("mixing", mixing)],
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
+
+    def test_without_draws_records_nothing(self):
+        rng = np.random.default_rng(25)
+        pattern = dg.SupportPattern(chain_masks(4, 2))
+        u, v = (Parameter(rng.standard_normal((2, 4, 1))) for _ in "uv")
+        mixing = Parameter(rng.uniform(size=(2, 4, 2)))
+        out = dg.edge_adjacency(u, v, mixing, pattern, 1.0, 1.0)  # grad mode is on
+        assert not out._track and out._parents == () and out._bwd is None
 
     def test_keeps_thinning_pattern_as_bool(self):
         keep = dg.keep_pattern(np.random.default_rng(16).uniform(size=(2, 3, 3)), 0.5)

@@ -728,6 +728,21 @@ def test_fused_node_matches_composition(name):
         assert_within(g, w)
 
 
+@pytest.mark.parametrize("name", ["spl", "gtu_conv", "tpl", "tpl_dropout"])
+def test_untracked_parent_leaves_the_tracked_gradients(name):
+    # Backward computes every parent's gradient; an untracked parent's is dropped unread.
+    fused, _, values = fused_cases()[name]
+    _, want, _ = forward_backward(fused, values, 42)
+    for skip in range(len(values)):
+        leaves = [Tensor(v.copy()) if i == skip else Parameter(v.copy()) for i, v in enumerate(values)]
+        out = fused(*leaves)
+        (out * Tensor(np.random.default_rng(42).standard_normal(out.shape))).sum().backward()
+        assert leaves[skip].grad is None
+        for i, (leaf, w) in enumerate(zip(leaves, want)):
+            if i != skip:
+                assert leaf.grad.tobytes() == w.tobytes(), (skip, i)
+
+
 class TestFusedBlock:
     def _run(self, forward, stream, graphs, dropout_seed):
         rng = np.random.default_rng(30)

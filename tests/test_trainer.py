@@ -98,6 +98,13 @@ class TestForwardContract:
         expected = np.broadcast_to(model.head.b.data[None, :, None, :], (4, 3, 6, 1))
         np.testing.assert_array_equal(pred.data, expected)
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_unknown_hop_mode_rejected(self, mode):
+        model, (train_ds, _, _), _, _ = quick_setup()
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match="hop_mode 'Hard'"):
+            model.forward(train_ds.inputs[:2], mode=mode, rng=rng, hop_mode="Hard")
+
     @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 5, 5), (2, 4, 5), (4, 4)])
     def test_hop_masks_of_another_shape_rejected(self, shape):
         cfg = ModelConfig(num_nodes=4, levels=2)
@@ -315,7 +322,7 @@ def test_backward_peak_memory_stays_small_next_to_tape():
 # Op nodes one train step may record at the acceptance shape (the 8-node model of
 # criterion 5, T_in = 12, B = 32). The three embedding chains are one node plus a
 # part node each, and the gate, edge projection, hop selection and the adjacency
-# run once per window; the prediction head is one node (51 nodes). A per-step
+# run once per window; the prediction head is one node (50 nodes). A per-step
 # pass records about 420.
 TRAIN_STEP_OP_NODES = 56
 
@@ -584,13 +591,15 @@ def test_eval_threads_leave_room_for_blas_threads(cpus, monkeypatch, env, pool):
 def test_threaded_predictions_raise_config_error_for_a_malformed_window(cpus):
     model, (_, _, test_ds), _, _ = threaded_setup()
     ds = first_windows(test_ds, 2 * trainer.EVAL_BATCH)
-    bad = dmod.WindowedDataset(ds.inputs[:, :, 1:], ds.targets, ds.anchors, ds.split)
     pools = cpus(2)
     before = threading.active_count()
-    with pytest.raises(ConfigError, match="expected window of shape"):
-        trainer.batched_predictions(model, bad)
-    assert threading.active_count() == before
-    assert pools == [2]
+    # A node too few, and a feature too many on an F=1 model.
+    for inputs in (ds.inputs[:, :, 1:], np.concatenate([ds.inputs, ds.inputs], axis=-1)):
+        bad = dmod.WindowedDataset(inputs, ds.targets, ds.anchors, ds.split)
+        with pytest.raises(ConfigError, match="expected window of shape"):
+            trainer.batched_predictions(model, bad)
+        assert threading.active_count() == before
+    assert pools == [2, 2]
 
 
 # Windows of the one predict_raw call whose tracemalloc peak bounds evaluate's over
