@@ -92,18 +92,18 @@ def load_config(path=None, overrides=()):
     cfg_dict = {}
     if path:
         try:
-            fh = open(path)
-        except OSError as e:
+            with open(path, encoding="utf-8-sig") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot open config file {path}: {e}") from None
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = line.split("=", 1)
-                _apply(cfg_dict, key.strip(), raw, f"{path}:{lineno}")
+        for lineno, line in enumerate(lines, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = line.split("=", 1)
+            _apply(cfg_dict, key.strip(), raw, f"{path}:{lineno}")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")

@@ -131,20 +131,41 @@ class SynthSettings:
 
 
 def _interpolate_missing(values):
-    """Linear per-sensor interpolation of NaN/zero sentinel cells, in place."""
-    t_total, n, _ = values.shape
-    idx = np.arange(t_total)
-    for s in range(n):
-        col = values[:, s, 0]
-        bad = ~np.isfinite(col) | (col == 0.0)
-        if not bad.any():
-            continue
-        good = ~bad
-        if good.sum() == 0:
-            warnings.warn(f"sensor {s}: no valid samples, filled with zeros")
-            col[:] = 0.0
-            continue
-        col[bad] = np.interp(idx[bad], idx[good], col[good])
+    """Linear per-sensor interpolation of NaN/inf/zero sentinel cells, in place, for all sensors at once.
+
+    Each bad cell takes ``np.interp``'s value, bitwise, from the nearest good
+    steps before and after it, or from the one good step beside a gap at either
+    end. A sensor without a good step is filled with zeros, with a warning.
+    """
+    col = values[..., 0]  # (T, N), a view
+    bad = ~np.isfinite(col) | (col == 0.0)
+    for s in np.flatnonzero(bad.all(axis=0)):
+        warnings.warn(f"sensor {s}: no valid samples, filled with zeros")
+        col[:, s] = 0.0
+        bad[:, s] = False
+    s, t = np.divmod(np.flatnonzero(bad.T), col.shape[0])  # sensor by sensor, each in step order
+    if not t.size:
+        return values
+    # A gap is a run of consecutive bad steps of one sensor; its cells share the good steps
+    # around it, lo before and hi after, or -1 and T where the series ends first.
+    starts = np.ones(t.size, dtype=bool)
+    starts[1:] = (s[1:] != s[:-1]) | (t[1:] != t[:-1] + 1)
+    first = np.flatnonzero(starts)
+    gap = np.cumsum(starts) - 1
+    lo = t[first][gap] - 1
+    hi = t[np.append(first[1:], t.size) - 1][gap] + 1
+    has_lo, has_hi = lo >= 0, hi < col.shape[0]
+    y_lo = col[np.where(has_lo, lo, hi), s]  # a gap at either end takes its one good neighbour
+    y_hi = col[np.where(has_hi, hi, lo), s]
+    # Huge values overflow to inf and nan here, as inside np.interp; its fallbacks follow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (y_hi - y_lo) / (hi - lo)
+        est = slope * (t - lo) + y_lo
+        retry = np.isnan(est)  # as np.interp: from the right end, then the left value if both agree
+        est[retry] = slope[retry] * (t - hi)[retry] + y_hi[retry]
+        level = retry & np.isnan(est) & (y_lo == y_hi)
+        est[level] = y_lo[level]
+    col[t, s] = np.where(has_lo & has_hi, est, y_lo)
     return values
 
 
@@ -157,7 +178,8 @@ def load_flows(path, num_nodes, impute=True):
     DataError naming its line (cells may be quoted, but not span lines).
     """
     try:
-        with open(path) as fh:  # universal newlines: \r\n and \r end a row, as for the csv module
+        # Universal newlines: \r\n and \r end a row, as for the csv module; a UTF-8 BOM is dropped.
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"load_flows: cannot open {path}: {e}") from None

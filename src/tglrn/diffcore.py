@@ -40,9 +40,10 @@ __all__ = [
     "no_grad",
     "grad_lane",
     "recording",
-    "softmax",
     "rsqrt_or_zero_array",
     "sigmoid_array",
+    "softmax_array",
+    "softmax_grad",
 ]
 
 
@@ -130,18 +131,6 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
-
-
-def _is_basic_index(idx):
-    """True for indices made only of ints, slices, Ellipsis and None (no copies, no repeats)."""
-    items = idx if isinstance(idx, tuple) else (idx,)
-    return all(
-        i is None
-        or i is Ellipsis
-        or isinstance(i, slice)
-        or (isinstance(i, (int, np.integer)) and not isinstance(i, (bool, np.bool_)))
-        for i in items
-    )
 
 
 def _consumed(g):
@@ -277,40 +266,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        other = _ensure_tensor(other)
-        a, b = self, other
-        if a.ndim < 2 or b.ndim < 2:
-            raise ConfigError("matmul: operands must have at least 2 dimensions")
-        if a.shape[-1] != b.shape[-2]:
-            raise ConfigError(f"matmul: inner dimensions {a.shape} @ {b.shape} do not match")
-        _check_broadcast("matmul", a.shape[:-2], b.shape[:-2])
-
-        def bwd(g):
-            if a._track:
-                a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-            if b._track:
-                b._acc(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-        return Tensor._from_op(a.data @ b.data, (a, b), bwd)
-
-    # -- shape ops ------------------------------------------------------------
-
-    def __getitem__(self, idx):
-        a = self
-        out_data = a.data[idx]
-        basic = _is_basic_index(idx)
-
-        def bwd(g):
-            buf = np.zeros_like(a.data)
-            if basic:
-                buf[idx] += g  # each element is hit at most once: equals np.add.at bitwise
-            else:
-                np.add.at(buf, idx, g)
-            a._acc(buf)
-
-        return Tensor._from_op(out_data, (a,), bwd)
-
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
@@ -327,16 +282,6 @@ class Tensor:
 
         return Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
 
-    def mean(self, axis=None, keepdims=False):
-        if axis is None:
-            n = self.size
-        else:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            n = 1
-            for i in ax:
-                n *= self.shape[i]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
     # -- elementwise nonlinearities --------------------------------------------
 
     def sigmoid(self):
@@ -348,23 +293,6 @@ class Tensor:
 
         return Tensor._from_op(out_data, (a,), bwd)
 
-    def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-
-        def bwd(g):
-            a._acc(g * (1.0 - out_data * out_data))
-
-        return Tensor._from_op(out_data, (a,), bwd)
-
-    def log(self):
-        a = self
-
-        def bwd(g):
-            a._acc(g / a.data)
-
-        return Tensor._from_op(np.log(a.data), (a,), bwd)
-
     def abs(self):
         a = self
 
@@ -372,15 +300,6 @@ class Tensor:
             a._acc(g * np.sign(a.data))
 
         return Tensor._from_op(np.abs(a.data), (a,), bwd)
-
-    def clamp(self, lo, hi):
-        a = self
-        inside = (a.data > lo) & (a.data < hi)
-
-        def bwd(g):
-            a._acc(g * inside)
-
-        return Tensor._from_op(np.clip(a.data, lo, hi), (a,), bwd)
 
     # -- backward pass ----------------------------------------------------------
 
@@ -473,17 +392,15 @@ def sigmoid_array(x):
     return s
 
 
-def softmax(x, axis=-1):
-    a = _ensure_tensor(x)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+def softmax_array(x):
+    """Softmax over the last axis of a plain array, shifted by the row maximum."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
-    def bwd(g):
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
-        a._acc(out_data * (g - inner))
 
-    return Tensor._from_op(out_data, (a,), bwd)
+def softmax_grad(y, g):
+    """The gradient at the input of a last-axis softmax whose output is ``y`` and output gradient ``g``."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def rsqrt_or_zero_array(x):
@@ -493,7 +410,12 @@ def rsqrt_or_zero_array(x):
 
 
 class Linear:
-    """Affine map on the last axis: x @ w + b, Glorot-uniform initialized."""
+    """Affine map on the last axis: x @ w + b, Glorot-uniform initialized.
+
+    A call is one tape node that keeps only its parents. ``apply`` and
+    ``acc_grads`` are its forward and parameter gradients over plain arrays,
+    for the fused nodes that hold a Linear inside them.
+    """
 
     def __init__(self, in_dim, out_dim, rng):
         limit = np.sqrt(6.0 / (in_dim + out_dim))
@@ -504,11 +426,30 @@ class Linear:
 
     def __call__(self, x):
         x = _ensure_tensor(x)
+        w = self.w
+
+        def bwd(g):
+            self.acc_grads(x.data, g)
+            if x._track:
+                x._acc(g @ w.data.T)
+
+        return Tensor._from_op(self.apply(x.data), (x, w, self.b), bwd)
+
+    def apply(self, x):
+        """x @ w + b for a plain (..., in_dim) array."""
         if x.shape[-1] != self.in_dim:
             raise ConfigError(
                 f"linear: input feature size {x.shape[-1]} does not match weight {self.in_dim}"
             )
-        return x @ self.w + self.b
+        out = x @ self.w.data
+        out += self.b.data
+        return out
+
+    def acc_grads(self, x, g):
+        """Add w's and b's gradients of ``apply(x)``, given its gradient ``g``, summed over the rows."""
+        rows = g.reshape(-1, self.out_dim)
+        self.b._acc(rows.sum(axis=0))
+        self.w._acc(x.reshape(-1, self.in_dim).T @ rows)
 
     def params(self):
         return [("w", self.w), ("b", self.b)]

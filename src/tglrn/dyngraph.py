@@ -5,7 +5,8 @@ the input window (start-of-edge, end-of-edge, and hop-selection
 embeddings); the chains of one width are one tape node per window. Only
 the chains are recurrent: gating by per-step base embeddings, edge
 scoring, hop selection and the adjacency itself then run once per window over
-(B, T_in, ...) arrays, on random draws made beforehand in step order
+(B, T_in, ...) arrays, each stage one tape node that recomputes in backward
+what it does not keep, on random draws made beforehand in step order
 (``GraphConstruction.draw``). Per step, the scores are normalized to mean
 0 / std alpha, squashed by a sigmoid, relaxed with logistic-Gumbel noise
 (training only), randomly thinned with keep probability gamma (training
@@ -234,8 +235,21 @@ def _stacked_gru(chains):
 
 
 def gate(e, e_base, gate_linear):
-    """Elementwise gating: embedding * sigmoid(linear(base embedding))."""
-    return e * gate_linear(e_base).sigmoid()
+    """Elementwise gating: embedding * sigmoid(linear(base embedding)), as one tape node.
+
+    The node's parents are ``e``, ``e_base`` and the Linear's weight and bias;
+    it keeps the batch-free sigmoid, shaped like ``e_base``.
+    """
+    s = dc.sigmoid_array(gate_linear.apply(e_base.data))
+
+    def bwd(g):
+        if e._track:
+            e._acc(dc._unbroadcast(g * s, e.shape))
+        dz = dc._unbroadcast(g * e.data, s.shape) * s * (1.0 - s)
+        gate_linear.acc_grads(e_base.data, dz)
+        e_base._acc(dz @ gate_linear.w.data.T)
+
+    return Tensor._from_op(e.data * s, (e, e_base, gate_linear.w, gate_linear.b), bwd)
 
 
 def edge_logits(e_st, e_ed, weight):
@@ -245,9 +259,26 @@ def edge_logits(e_st, e_ed, weight):
     form splits into w[i, j] = u_i + v_j, so no N^2 concatenation or
     (..., N, N) logit array is ever formed. The head has no bias: one would
     shift every logit of a step alike and cancel under ``normalize_logits``.
+    u and v are the two outputs of one tape node that keeps nothing but its
+    parents: backward recomputes both tanh arrays.
     """
-    d = e_st.shape[-1]
-    return e_st.tanh() @ weight[:d], e_ed.tanh() @ weight[d:]
+    halves = ((e_st, slice(None, e_st.shape[-1])), (e_ed, slice(e_st.shape[-1], None)))
+    uv = np.stack([np.tanh(e.data) @ weight.data[rows] for e, rows in halves])
+
+    def bwd(*grads):
+        dw = np.zeros(weight.shape)
+        for (e, rows), g in zip(halves, grads):
+            if g is None:
+                continue
+            t = np.tanh(e.data)
+            dw[rows] = t.reshape(-1, t.shape[-1]).T @ g.reshape(-1, 1)
+            if e._track:
+                de = g @ weight.data[rows].T
+                de *= 1.0 - t * t
+                e._acc(de)
+        weight._acc(dw)
+
+    return Tensor._from_op_parts(uv, list(uv), (e_st, e_ed, weight), bwd)
 
 
 def normalize_logits(u, v, alpha):
@@ -423,8 +454,23 @@ def edge_adjacency(u, v, mixing, pattern, alpha, tau, draws=None):
 
 
 def hop_probs(e_h, lin1, lin2):
-    """Per-node hop-radius distribution: softmax(lin2(tanh(lin1(e_h))))."""
-    return dc.softmax(lin2(lin1(e_h).tanh()), axis=-1)
+    """Per-node hop-radius distribution: softmax(lin2(tanh(lin1(e_h)))).
+
+    One tape node that keeps only its output; backward recomputes the hidden tanh layer.
+    """
+    p = dc.softmax_array(lin2.apply(np.tanh(lin1.apply(e_h.data))))
+
+    def bwd(g):
+        h = np.tanh(lin1.apply(e_h.data))
+        dz = dc.softmax_grad(p, g)
+        lin2.acc_grads(h, dz)
+        dh = dz @ lin2.w.data.T
+        dh *= 1.0 - h * h
+        lin1.acc_grads(e_h.data, dh)
+        if e_h._track:
+            e_h._acc(dh @ lin1.w.data.T)
+
+    return Tensor._from_op(p, (e_h, lin1.w, lin1.b, lin2.w, lin2.b), bwd)
 
 
 def select_hops(p, tau, uniforms=None, straight_through=True):
@@ -433,10 +479,10 @@ def select_hops(p, tau, uniforms=None, straight_through=True):
     Without ``uniforms`` (evaluation) it takes the plain argmax, ties toward
     the smaller radius, and returns its one-hot mixing untracked. Training
     perturbs log-probabilities with Gumbel noise made from ``uniforms``,
-    U(0, 1) draws shaped like ``p``, which samples the categorical exactly;
-    the mixing is one straight-through node (hard one-hot forward, backward
-    handed to the relaxed softmax) unless ``straight_through`` is False, in
-    which case the relaxed softmax itself is returned.
+    U(0, 1) draws shaped like ``p``, which samples the categorical exactly.
+    Its mixing is one tape node from ``p``: the relaxed softmax y, or with
+    ``straight_through`` the hard one-hot of y's argmax; either way backward
+    goes through y, the one array the node keeps.
     """
     if uniforms is None:
         h = np.argmax(p.data, axis=-1)
@@ -445,11 +491,15 @@ def select_hops(p, tau, uniforms=None, straight_through=True):
         raise ConfigError(f"select_hops: uniform draws of shape {np.shape(uniforms)}, need {p.shape}")
     u = np.clip(uniforms, 1e-12, 1.0 - 1e-12)
     gumbel = -np.log(-np.log(u))
-    y = dc.softmax((p.clamp(1e-300, 2.0).log() + gumbel) * (1.0 / tau), axis=-1)
-    h = np.argmax(y.data, axis=-1)
-    if not straight_through:
-        return h, y
-    return h, Tensor._from_op(_one_hot(h, p.shape[-1]), (y,), lambda g: y._acc(g))
+    y = dc.softmax_array((np.log(np.clip(p.data, 1e-300, 2.0)) + gumbel) * (1.0 / tau))
+    h = np.argmax(y, axis=-1)
+
+    def bwd(g):
+        # Back through the softmax, the 1/tau scale, the log and the clamp, in that order.
+        q = p.data
+        p._acc(dc.softmax_grad(y, g) * (1.0 / tau) / np.clip(q, 1e-300, 2.0) * ((q > 1e-300) & (q < 2.0)))
+
+    return h, Tensor._from_op(_one_hot(h, p.shape[-1]) if straight_through else y, (p,), bwd)
 
 
 def _one_hot(hop_choices, levels):

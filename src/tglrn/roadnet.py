@@ -109,24 +109,31 @@ def load_edges(path):
     """Read a directed edge list CSV with header ``from,to``.
 
     Extra columns (distances, costs) are ignored. Returns 0-based id pairs.
+    An id must be a finite whole number: ``3.0`` reads as 3, ``1.5`` or ``inf`` fails.
     """
-    edges = []
     try:
-        fh = open(path, newline="")
-    except OSError as e:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"load_edges: cannot open {path}: {e}") from None
-    with fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or not row[0].strip():
-                continue
-            first = row[0].strip().lower()
-            if lineno == 1 and first in ("from", "source", "src"):
-                continue
-            if len(row) < 2:
-                raise DataError(f"load_edges: line {lineno}: expected at least 2 columns")
-            try:
-                edges.append((int(float(row[0])), int(float(row[1]))))
-            except ValueError:
-                raise DataError(f"load_edges: line {lineno}: non-integer node id") from None
+    edges = []
+    for lineno, row in enumerate(rows, start=1):
+        if not row or not row[0].strip():
+            continue
+        first = row[0].strip().lower()
+        if lineno == 1 and first in ("from", "source", "src"):
+            continue
+        if len(row) < 2:
+            raise DataError(f"load_edges: line {lineno}: expected at least 2 columns")
+        edges.append((_node_id(row[0], lineno), _node_id(row[1], lineno)))
     return edges
+
+
+def _node_id(cell, lineno):
+    try:
+        value = float(cell)
+    except ValueError:
+        value = None
+    if value is None or not value.is_integer():  # False for inf and nan too
+        raise DataError(f"load_edges: line {lineno}: node id {cell.strip()!r} is not a finite whole number")
+    return int(value)

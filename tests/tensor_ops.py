@@ -2,7 +2,8 @@
 
 The model path never calls them, so they are not part of ``diffcore``; each
 records an ordinary tape node through ``Tensor._from_op`` and is checked by
-finite differences in ``test_diffcore``.
+finite differences in ``test_diffcore``. Several are the stages of the fused
+graph and Linear nodes, which the per-op oracles compose one node at a time.
 """
 
 import numpy as np
@@ -170,3 +171,90 @@ def safe_recip(x):
         a._acc(-g * out_data * out_data)
 
     return Tensor._from_op(out_data, (a,), bwd)
+
+
+def matmul(x, y):
+    """x @ y over the last two axes, with broadcasting over the leading ones."""
+    a, b = dc._ensure_tensor(x), dc._ensure_tensor(y)
+    if a.ndim < 2 or b.ndim < 2:
+        raise ConfigError("matmul: operands must have at least 2 dimensions")
+    if a.shape[-1] != b.shape[-2]:
+        raise ConfigError(f"matmul: inner dimensions {a.shape} @ {b.shape} do not match")
+    dc._check_broadcast("matmul", a.shape[:-2], b.shape[:-2])
+
+    def bwd(g):
+        if a._track:
+            a._acc(dc._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b._track:
+            b._acc(dc._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+
+    return Tensor._from_op(a.data @ b.data, (a, b), bwd)
+
+
+def is_basic_index(idx):
+    """True for indices made only of ints, slices, Ellipsis and None (no copies, no repeats)."""
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(
+        i is None
+        or i is Ellipsis
+        or isinstance(i, slice)
+        or (isinstance(i, (int, np.integer)) and not isinstance(i, (bool, np.bool_)))
+        for i in items
+    )
+
+
+def getitem(x, idx):
+    """x.data[idx]; the gradient lands on the indexed entries, repeats accumulating."""
+    a = dc._ensure_tensor(x)
+    basic = is_basic_index(idx)
+
+    def bwd(g):
+        buf = np.zeros_like(a.data)
+        if basic:
+            buf[idx] += g  # each element is hit at most once: equals np.add.at bitwise
+        else:
+            np.add.at(buf, idx, g)
+        a._acc(buf)
+
+    return Tensor._from_op(a.data[idx], (a,), bwd)
+
+
+def mean(x, axis=None, keepdims=False):
+    a = dc._ensure_tensor(x)
+    if axis is None:
+        n = a.size
+    else:
+        n = 1
+        for i in axis if isinstance(axis, tuple) else (axis,):
+            n *= a.shape[i]
+    return a.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+
+def tanh(x):
+    a = dc._ensure_tensor(x)
+    out_data = np.tanh(a.data)
+    return Tensor._from_op(out_data, (a,), lambda g: a._acc(g * (1.0 - out_data * out_data)))
+
+
+def log(x):
+    a = dc._ensure_tensor(x)
+    return Tensor._from_op(np.log(a.data), (a,), lambda g: a._acc(g / a.data))
+
+
+def clamp(x, lo, hi):
+    """x clipped to [lo, hi]; the gradient passes strictly inside the interval only."""
+    a = dc._ensure_tensor(x)
+    inside = (a.data > lo) & (a.data < hi)
+    return Tensor._from_op(np.clip(a.data, lo, hi), (a,), lambda g: a._acc(g * inside))
+
+
+def softmax(x):
+    """Softmax over the last axis."""
+    a = dc._ensure_tensor(x)
+    out_data = dc.softmax_array(a.data)
+    return Tensor._from_op(out_data, (a,), lambda g: a._acc(dc.softmax_grad(out_data, g)))
+
+
+def linear(lin, x):
+    """A ``Linear`` call composed as before it was one node: x @ w, then + b."""
+    return matmul(x, lin.w) + lin.b

@@ -412,6 +412,20 @@ class TestErrors:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_edge_id_that_is_not_a_finite_whole_number_exits_3(self, tmp_path):
+        data_dir = tmp_path / "d"
+        run(synth_args(data_dir))
+        edges = (data_dir / "edges.csv").read_text().splitlines()
+        for cell in ("inf", "1e400", "nan", "1.5"):
+            bad = tmp_path / f"edges_{cell}.csv"
+            bad.write_text("\n".join(edges[:2] + [f"{cell},1"] + edges[2:]) + "\n")
+            args = train_args(data_dir, tmp_path / "o", extra=[f"edges_path={bad}"])
+            proc = run_cli(args)
+            assert proc.returncode == 3, (cell, proc.stderr)
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("ERROR:3:"), (cell, proc.stderr)
+            assert "line 3" in lines[0] and "Traceback" not in proc.stderr, cell
+
     def test_missing_flow_file_exits_3(self, tmp_path, capsys):
         args = ["train"]
         for s in (

@@ -109,3 +109,17 @@ def test_overrides_load_or_raise_config_error(pairs):
         pass
     section(cfg, trainer.TrainSettings).check_fields()
     section(cfg, SynthSettings).check_fields()
+
+
+def test_config_file_with_a_bom_loads(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("\ufeffseed = 7\nnum_nodes = 5\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.seed == 7 and cfg.num_nodes == 5
+
+
+def test_undecodable_config_file_is_config_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"seed = 7\n\xff\xfe = 1\n")
+    with pytest.raises(ConfigError, match="cannot open config file"):
+        load_config(path)

@@ -2,6 +2,7 @@
 
 import csv
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tglrn.errors import ConfigError, DataError
 def oracle_load_flows(path, num_nodes, impute=True):
     """The csv-module parser: one ``float()`` per cell."""
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         width = None
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or not any(cell.strip() for cell in row):
@@ -44,8 +45,26 @@ def oracle_load_flows(path, num_nodes, impute=True):
         )
     values = arr[:, :, None]
     if impute:
-        values = dmod._interpolate_missing(values)
+        values = oracle_interpolate_missing(values)
     return dmod.FlowSeries(values=values)
+
+
+def oracle_interpolate_missing(values):
+    """The per-sensor loop: one ``np.interp`` call over each sensor's strided column."""
+    t_total, n, _ = values.shape
+    idx = np.arange(t_total)
+    for s in range(n):
+        col = values[:, s, 0]
+        bad = ~np.isfinite(col) | (col == 0.0)
+        if not bad.any():
+            continue
+        good = ~bad
+        if good.sum() == 0:
+            warnings.warn(f"sensor {s}: no valid samples, filled with zeros")
+            col[:] = 0.0
+            continue
+        col[bad] = np.interp(idx[bad], idx[good], col[good])
+    return values
 
 
 def oracle_make_windows(series, t_in, t_out, ratios=(0.6, 0.2, 0.2)):
@@ -131,6 +150,7 @@ def flow_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(SPARE_LINES)))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    text = ("\ufeff" if draw(st.booleans()) else "") + text  # a UTF-8 byte-order mark, or none
     return text, max(1, n + draw(st.sampled_from([0, 0, 0, 1, -1])))
 
 
@@ -187,6 +207,12 @@ class TestLoadFlows:
         path.write_text("t,s0,s1\n0,1.0,oops\n")
         with pytest.raises(DataError, match="line 2"):
             dmod.load_flows(path, 2)
+
+    def test_bom_headerless_file_keeps_its_first_step(self, tmp_path):
+        path = tmp_path / "flow.csv"
+        path.write_text("\ufeff0.5,1.0\n2.0,3.0\n", encoding="utf-8")
+        series = dmod.load_flows(path, 2)
+        np.testing.assert_array_equal(series.values[:, :, 0], [[0.5, 1.0], [2.0, 3.0]])
 
     def test_zero_sentinels_interpolated(self, tmp_path):
         path = tmp_path / "flow.csv"
@@ -245,6 +271,42 @@ class TestLoadFlows:
         np.testing.assert_array_equal(
             series.values[:, :, 0], [[1.5, np.nan], [2.0, np.nan], [np.nan, 4.0], [5.0, np.nan]]
         )
+
+
+SENTINELS = [np.nan, np.inf, -np.inf, 0.0, -0.0]
+
+
+@st.composite
+def gappy_series(draw):
+    """(T, N, 1) flows with sentinel cells, leading and trailing gaps, dead sensors and huge values."""
+    t_total, n = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1.0, 1e5, 1e100, 1e300, 1e307]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal((t_total, n, 1)) * scale
+    missing = rng.uniform(size=values.shape) < draw(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]))
+    values[missing] = rng.choice(SENTINELS, size=missing.sum())
+    return values
+
+
+class TestInterpolateMissing:
+    @settings(max_examples=300, deadline=None)
+    @given(gappy_series())
+    def test_matches_per_sensor_interp_oracle(self, values):
+        results = []
+        for fill in (dmod._interpolate_missing, oracle_interpolate_missing):
+            arr = values.copy()
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                out = fill(arr)
+            assert out is arr
+            results.append((arr, [(w.category, str(w.message)) for w in seen]))
+        (got, got_warned), (want, want_warned) = results
+        assert_bitwise(got, want)
+        assert got_warned == want_warned  # one per dead sensor, in sensor order, and nothing else
+
+    def test_gaps_at_both_ends_and_between(self):
+        values = np.array([np.nan, 2.0, 0.0, 0.0, 8.0, np.inf])[:, None, None]
+        np.testing.assert_array_equal(dmod._interpolate_missing(values)[:, 0, 0], [2, 2, 4, 6, 8, 8])
 
 
 class TestScaler:

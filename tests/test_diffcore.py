@@ -14,8 +14,8 @@ from tglrn.errors import ConfigError, StateError
 from tglrn.gradcheck import GradCheckReport, finite_diff_check, max_relative_error
 
 from tensor_ops import (
-    broadcast_to, concat, div, einsum2, exp, neg, power, relu, reshape, rsqrt_or_zero, rsub,
-    safe_recip, sqrt, stack, transpose,
+    broadcast_to, clamp, concat, div, einsum2, exp, getitem, is_basic_index, linear, log, matmul, mean,
+    neg, power, relu, reshape, rsqrt_or_zero, rsub, safe_recip, softmax, sqrt, stack, tanh, transpose,
 )
 
 
@@ -30,7 +30,7 @@ class TestForwardBasics:
     def test_gtu_style_zero_input(self):
         # tanh(0) * sigmoid(0) == 0
         z = Tensor(0.0)
-        assert (z.tanh() * z.sigmoid()).item() == 0.0
+        assert (tanh(z) * z.sigmoid()).item() == 0.0
 
     def test_everything_float64(self):
         t = Tensor(np.arange(3, dtype=np.float32))
@@ -41,12 +41,12 @@ class TestForwardBasics:
         with pytest.raises(ConfigError, match="add"):
             Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5)))
         with pytest.raises(ConfigError, match="matmul"):
-            Tensor(np.ones((2, 3))) @ Tensor(np.ones((4, 5)))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 5))
-        f = lambda: ((Tensor(x).tanh() @ Tensor(x)).sigmoid().sum()).item()
+        f = lambda: (matmul(tanh(Tensor(x)), Tensor(x)).sigmoid().sum()).item()
         assert f() == f()
 
 
@@ -166,12 +166,12 @@ class TestGradLanes:
 def _random_graph_loss(rng, params):
     """A composite op graph touching most primitives."""
     a, b = params  # both (n, m)
-    m = concat([a.tanh(), b.sigmoid()], axis=-1)  # (n, 2m)
-    m = m @ Tensor(rng.standard_normal((m.shape[-1], 4)))
+    m = concat([tanh(a), b.sigmoid()], axis=-1)  # (n, 2m)
+    m = matmul(m, Tensor(rng.standard_normal((m.shape[-1], 4))))
     bt = transpose(b, (1, 0))
-    m = dc.softmax(m, axis=-1) + relu(a @ bt).mean(axis=-1, keepdims=True)
+    m = softmax(m) + mean(relu(matmul(a, bt)), axis=-1, keepdims=True)
     m = stack([m, m * 2.0], axis=0).sum(axis=0)
-    v = power(m - m.mean(axis=-1, keepdims=True), 2).mean()
+    v = mean(power(m - mean(m, axis=-1, keepdims=True), 2))
     return (m.abs().sum() + sqrt(v + 1e-3) + safe_recip(v + 1.0).sum()) * 0.5
 
 
@@ -191,14 +191,14 @@ def test_composite_graph_matches_finite_differences(seed):
     "op",
     [
         lambda x: exp(x),
-        lambda x: (x * x + 1.0).log(),
+        lambda x: log(x * x + 1.0),
         lambda x: sqrt(x * x + 0.5),
-        lambda x: x.clamp(-0.5, 0.5),
+        lambda x: clamp(x, -0.5, 0.5),
         lambda x: rsqrt_or_zero(x * x + 0.1),
         lambda x: broadcast_to(x, (3,) + x.shape).sum(axis=0),
         lambda x: transpose(x, (1, 0)),
         lambda x: reshape(x, (x.size, 1)),
-        lambda x: x[1:, :],
+        lambda x: getitem(x, (slice(1, None), slice(None))),
         lambda x: power(x, 3),
         lambda x: div(1.0, x * x + 1.0),
         lambda x: neg(x),
@@ -276,7 +276,7 @@ def test_untracked_operand_gets_no_contraction(monkeypatch, tracked):
         for name, vals in (("a", a_vals), ("b", b_vals), ("m", m_vals)):
             keep = track_both or name == tracked or (name == "m" and tracked == "b")
             leaves[name] = Parameter(vals.copy()) if keep else Tensor(vals)
-        out = einsum2("inl,lnj->inj", leaves["a"], leaves["b"]) + leaves["a"] @ leaves["m"]
+        out = einsum2("inl,lnj->inj", leaves["a"], leaves["b"]) + matmul(leaves["a"], leaves["m"])
         (out * Tensor(r)).sum().backward()
         return leaves
 
@@ -355,6 +355,37 @@ def test_linear_validates_width():
         lin(Tensor(np.ones((4, 5))))
 
 
+def test_linear_node_matches_composition():
+    # One node, x @ w + b: forward bitwise the two-node composition, gradients within 1e-12.
+    rng = np.random.default_rng(7)
+    lin = Linear(3, 5, rng)
+    lin.b.data[:] = rng.standard_normal(5)
+    x_vals, r = rng.standard_normal((2, 4, 6, 3)), rng.standard_normal((2, 4, 6, 5))
+    results = []
+    for call in (lin, lambda x: linear(lin, x)):
+        for p in (lin.w, lin.b):
+            p.zero_grad()
+        x = Parameter(x_vals.copy())
+        out = call(x)
+        (out * Tensor(r)).sum().backward()
+        results.append((out.data, [x.grad, lin.w.grad.copy(), lin.b.grad.copy()]))
+    (got, got_grads), (want, want_grads) = results
+    assert got.tobytes() == want.tobytes()
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_linear_node_keeps_only_its_parents():
+    lin = Linear(3, 5, np.random.default_rng(8))
+    x = Tensor(np.random.default_rng(9).standard_normal((2, 4, 6, 3)))
+    out = lin(x)
+    assert out._parents == (x, lin.w, lin.b)
+    cells = [c.cell_contents for c in out._bwd.__closure__]
+    arrays = [v for v in cells if isinstance(v, np.ndarray)]
+    tensors = [v for v in cells if isinstance(v, Tensor)]
+    assert arrays == [] and all(any(t is p for p in out._parents) for t in tensors)
+
+
 def test_max_relative_error_floor():
     assert max_relative_error(np.array([1e-9]), np.array([2e-9])) < 1e-4
     assert max_relative_error(np.array([1.0]), np.array([1.0 + 2e-4])) > 1e-4
@@ -391,7 +422,7 @@ def _slice_grad(idx, seed):
     x._track = True
     r = rng.standard_normal(x.data[idx].shape)
     r.flat[0] = -0.0  # signed zeros must come through exactly as np.add.at gives them
-    (x[idx] * Tensor(r)).sum().backward()
+    (getitem(x, idx) * Tensor(r)).sum().backward()
     oracle = np.zeros_like(x.data)
     np.add.at(oracle, idx, r)
     return x.grad, oracle
@@ -399,7 +430,7 @@ def _slice_grad(idx, seed):
 
 @pytest.mark.parametrize("idx", BASIC_INDICES, ids=repr)
 def test_basic_slice_backward_matches_add_at_bitwise(idx):
-    assert dc._is_basic_index(idx)
+    assert is_basic_index(idx)
     grad, oracle = _slice_grad(idx, 11)
     assert grad.tobytes() == oracle.tobytes()
 
@@ -410,14 +441,14 @@ def test_basic_slice_backward_matches_add_at_bitwise(idx):
     ids=repr,
 )
 def test_advanced_index_backward_accumulates_duplicates(idx):
-    assert not dc._is_basic_index(idx)
+    assert not is_basic_index(idx)
     grad, oracle = _slice_grad(idx, 12)
     assert grad.tobytes() == oracle.tobytes()
 
 
 def test_boolean_scalar_index_is_not_basic():
-    assert not dc._is_basic_index(True)
-    assert not dc._is_basic_index((slice(None), np.bool_(False)))
+    assert not is_basic_index(True)
+    assert not is_basic_index((slice(None), np.bool_(False)))
 
 
 def test_shared_gradient_array_is_never_written():
@@ -439,7 +470,7 @@ def test_shared_gradient_array_is_never_written():
 def test_backward_frees_interior_nodes_and_keeps_parameter_grads():
     rng = np.random.default_rng(14)
     p = Parameter(rng.standard_normal((3, 3)))
-    h = (p * 2.0).tanh()
+    h = tanh(p * 2.0)
     h_data = weakref.ref(h.data)
     loss = (h * h).sum()
     expected = 2.0 * h.data * (1.0 - h.data**2) * 2.0

@@ -15,7 +15,10 @@ from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 from tglrn.model import ModelConfig
 
-from tensor_ops import broadcast_to, einsum2, power, rsqrt_or_zero, rsub, stack, transpose
+from tensor_ops import (
+    broadcast_to, clamp, einsum2, getitem, linear, log, matmul, mean, power, rsqrt_or_zero, rsub,
+    softmax, stack, tanh, transpose,
+)
 from test_stnet import assert_within, closure_arrays
 
 
@@ -95,7 +98,7 @@ def oracle_chain(chain, window):
     e = broadcast_to(chain.e_init, (window.shape[0],) + chain.e_init.shape)
     embeddings = [e]
     for j in range(window.shape[1] - 2, -1, -1):
-        e = gru_step(chain, e, window[:, j])
+        e = gru_step(chain, e, getitem(window, (slice(None), j)))
         embeddings.append(e)
     return stack(embeddings[::-1], axis=1)
 
@@ -432,8 +435,8 @@ class TestEmbeddingChain:
         window = Tensor(rng.standard_normal((2, 3, 3, 1)))
         embs = chain.run(window)
         e2 = broadcast_to(chain.e_init, (2, 3, 4))
-        e1 = gru_step(chain, e2, window[:, 1])
-        e0 = gru_step(chain, e1, window[:, 0])
+        e1 = gru_step(chain, e2, getitem(window, (slice(None), 1)))
+        e0 = gru_step(chain, e1, getitem(window, (slice(None), 0)))
         assert_within(embs.data, np.stack([e0.data, e1.data, e2.data], axis=1))
 
 
@@ -798,21 +801,21 @@ class TestGradientFlow:
 
 
 def oracle_normalize_logits(w, alpha):
-    mu = w.mean(axis=(-2, -1), keepdims=True)
-    var = power(w - mu, 2).mean(axis=(-2, -1), keepdims=True)
+    mu = mean(w, axis=(-2, -1), keepdims=True)
+    var = mean(power(w - mu, 2), axis=(-2, -1), keepdims=True)
     spread = w.data.max(axis=(-2, -1), keepdims=True) - w.data.min(axis=(-2, -1), keepdims=True)
     live = (spread > 0).astype(np.float64)
     return (w - mu) * rsqrt_or_zero(var) * (alpha * live)
 
 
 def oracle_bernoulli_means(w_hat):
-    return w_hat.sigmoid().clamp(dg.OMEGA_CLAMP, 1.0 - dg.OMEGA_CLAMP)
+    return clamp(w_hat.sigmoid(), dg.OMEGA_CLAMP, 1.0 - dg.OMEGA_CLAMP)
 
 
 def oracle_gumbel_relax(w_bar, tau, delta):
     delta = np.clip(delta, 1e-12, 1.0 - 1e-12)
     noise = np.log(delta) - np.log1p(-delta)
-    logits = w_bar.log() - rsub(1.0, w_bar).log()
+    logits = log(w_bar) - log(rsub(1.0, w_bar))
     return ((logits + noise) * (1.0 / tau)).sigmoid()
 
 
@@ -842,13 +845,14 @@ def oracle_build(block, window, mode, rng=None, hop_mode="hard"):
     b, n = window.shape[0], block.num_nodes
     adjacencies, hops = [], []
     for j in range(block.t_in):
-        e_st = dg.gate(emb_st[:, j], block.base_st[j], block.gate_st)
-        e_ed = dg.gate(emb_ed[:, j], block.base_ed[j], block.gate_ed)
-        u, v = dg.edge_logits(e_st, e_ed, block.edge_w)
+        step = (slice(None), j)
+        e_st = oracle_gate(getitem(emb_st, step), getitem(block.base_st, j), block.gate_st)
+        e_ed = oracle_gate(getitem(emb_ed, step), getitem(block.base_ed, j), block.gate_ed)
+        u, v = oracle_edge_logits(e_st, e_ed, block.edge_w)
         w = u + transpose(v, (0, 2, 1))
         delta = rng.uniform(size=(b, n, n)) if training else None
         rho = rng.uniform(size=(b, n, n)) if training else None
-        probs = dg.hop_probs(emb_h[:, j], block.hop_l1, block.hop_l2)
+        probs = oracle_hop_probs(getitem(emb_h, step), block.hop_l1, block.hop_l2)
         if training:
             uniforms = rng.uniform(size=probs.shape)
             h, mixing = straight_through_hops(probs, block.tau, uniforms, hop_mode == "hard")
@@ -862,15 +866,35 @@ def oracle_build(block, window, mode, rng=None, hop_mode="hard"):
 
 
 def straight_through_hops(p, tau, uniforms, straight_through=True):
-    """select_hops in training, its straight-through mixing composed as before it was one node.
+    """select_hops in training, composed one op per node as before it was one node.
 
-    The hard one-hot is added to y - y, whose subtrahend is the relaxed softmax y's values off
+    The relaxed softmax y is a clamp, a log, the Gumbel shift, the 1/tau scale and a
+    softmax. The hard one-hot is added to y - y, whose subtrahend is y's values off
     the tape: forward sees the one-hot, backward hands y the gradient through two nodes.
     """
-    h, y = dg.select_hops(p, tau, uniforms, straight_through=False)
+    gumbel = -np.log(-np.log(np.clip(uniforms, 1e-12, 1.0 - 1e-12)))
+    y = softmax((log(clamp(p, 1e-300, 2.0)) + gumbel) * (1.0 / tau))
+    h = np.argmax(y.data, axis=-1)
     if not straight_through:
         return h, y
     return h, y - Tensor(y.data) + Tensor(dg._one_hot(h, p.shape[-1]))
+
+
+def oracle_gate(e, e_base, lin):
+    """gate as four nodes: the Linear's product and bias, the sigmoid and the product with e."""
+    return e * linear(lin, e_base).sigmoid()
+
+
+def oracle_edge_logits(e_st, e_ed, weight):
+    """edge_logits as six nodes: per half a tanh, a slice of the head and a product."""
+    d = e_st.shape[-1]
+    halves = ((e_st, slice(None, d)), (e_ed, slice(d, None)))
+    return tuple(matmul(tanh(e), getitem(weight, rows)) for e, rows in halves)
+
+
+def oracle_hop_probs(e_h, lin1, lin2):
+    """hop_probs as six nodes: two Linears of two nodes each, the tanh between them and the softmax."""
+    return softmax(linear(lin2, tanh(linear(lin1, e_h))))
 
 
 def test_straight_through_node_matches_composition():
@@ -881,16 +905,152 @@ def test_straight_through_node_matches_composition():
     results = []
     for select in (dg.select_hops, straight_through_hops):
         x = Parameter(logits.copy())
-        h, mixing = select(dc.softmax(x, axis=-1), 0.7, uniforms)
-        if select is dg.select_hops:  # one node, fed only the relaxed softmax
-            (y,) = mixing._parents
-            assert y._bwd.__qualname__.startswith("softmax.")
+        p = softmax(x)
+        h, mixing = select(p, 0.7, uniforms)
+        if select is dg.select_hops:  # one node, fed only the probabilities
+            assert mixing._parents == (p,)
         (mixing * Tensor(r)).sum().backward()
         results.append((h, mixing.data, x.grad))
     (h, mixing, grad), (want_h, want_mixing, want_grad) = results
     np.testing.assert_array_equal(h, want_h)
     assert mixing.tobytes() == want_mixing.tobytes()
     assert grad.tobytes() == want_grad.tobytes()
+
+
+# The graph stages at B=2, T_in=3, N=4, d=m=5 and L=3: no two of these sizes are equal.
+STAGE_B, STAGE_T, STAGE_N, STAGE_D, STAGE_L = 2, 3, 4, 5, 3
+
+
+def stage_case(name, seed=32):
+    """(fused, oracle, leaf values, parameters) of one graph stage; both map leaves to outputs."""
+    rng = np.random.default_rng(seed)
+    lead = (STAGE_B, STAGE_T, STAGE_N)
+    emb = lambda: rng.standard_normal(lead + (STAGE_D,)) * 1.5
+    if name == "gate":
+        lin = Linear(STAGE_D, STAGE_D, rng)
+        values = [emb(), rng.standard_normal((STAGE_T, STAGE_N, STAGE_D))]
+        fused = lambda e, base: (dg.gate(e, base, lin),)
+        return fused, lambda e, base: (oracle_gate(e, base, lin),), values, lin.params()
+    if name == "edge_logits":
+        values = [emb(), emb(), rng.standard_normal((2 * STAGE_D, 1))]
+        return dg.edge_logits, oracle_edge_logits, values, []
+    if name == "hop_probs":
+        lin1, lin2 = Linear(STAGE_D, STAGE_D, rng), Linear(STAGE_D, STAGE_L, rng)
+        params = [(f"l1.{k}", p) for k, p in lin1.params()] + [(f"l2.{k}", p) for k, p in lin2.params()]
+        fused = lambda e: (dg.hop_probs(e, lin1, lin2),)
+        return fused, lambda e: (oracle_hop_probs(e, lin1, lin2),), [emb()], params
+    straight_through = name == "select_hops-hard"
+    uniforms = rng.uniform(size=lead + (STAGE_L,))
+    probs = rng.dirichlet(np.ones(STAGE_L), size=lead)
+    probs[0, 0, 0] = [1.0, 0.0, 0.0]  # a zero probability: the clamp holds its gradient back
+    return (
+        lambda p: dg.select_hops(p, 0.7, uniforms, straight_through)[1:],
+        lambda p: straight_through_hops(p, 0.7, uniforms, straight_through)[1:],
+        [probs],
+        [],
+    )
+
+
+STAGES = ["gate", "edge_logits", "hop_probs", "select_hops-hard", "select_hops-soft"]
+
+
+@pytest.mark.parametrize("name", STAGES)
+def test_graph_stage_node_matches_composition(name):
+    # Forward bitwise the per-op composition, in training and under no_grad; every
+    # gradient within 1e-12 of its largest entry.
+    results = []
+    fused, oracle, values, params = stage_case(name)
+    for build in (fused, oracle):
+        leaves = [Parameter(v.copy()) for v in values]
+        for _, p in params:
+            p.zero_grad()
+        outs = build(*leaves)
+        r = np.random.default_rng(33)
+        loss = Tensor(np.zeros(()))
+        for out in outs:
+            loss = loss + (out * Tensor(r.standard_normal(out.shape))).sum()
+        loss.backward()
+        with dc.no_grad():
+            evals = build(*(Tensor(v) for v in values))
+        grads = {f"leaf{i}": leaf.grad for i, leaf in enumerate(leaves)}
+        grads.update((k, p.grad.copy()) for k, p in params)
+        results.append(([o.data for o in outs], [o.data for o in evals], grads))
+    (outs, evals, grads), (want_outs, _, want_grads) = results
+    for got, train, want in zip(evals, outs, want_outs):
+        assert train.tobytes() == want.tobytes() and got.tobytes() == want.tobytes()
+    assert all(np.abs(g).max() > 0 for g in want_grads.values())
+    assert_grads_close(grads, want_grads)
+
+
+def held_arrays(node):
+    """Every ndarray a tape node's backward holds, looking into Tensors, tuples and inner functions."""
+    found, todo = [], [node._bwd]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, np.ndarray):
+            found.append(v)
+        elif isinstance(v, Tensor):
+            found.append(v.data)
+        elif isinstance(v, (tuple, list)):
+            todo.extend(v)
+        elif callable(v) and getattr(v, "__closure__", None):
+            todo.extend(c.cell_contents for c in v.__closure__)
+    return found
+
+
+def kept_beyond_parents(node):
+    """The arrays a node keeps besides its parents' values, by identity."""
+    own = [p.data for p in node._parents]
+    return [v for v in held_arrays(node) if not any(v is a for a in own)]
+
+
+class TestGraphStageNodes:
+    """Each graph stage is one node that keeps its parents and at most one small array."""
+
+    def _node(self, name):
+        fused, _, values, params = stage_case(name)
+        leaves = [Parameter(v) for v in values]
+        outs = fused(*leaves)
+        return leaves, [p for _, p in params], outs
+
+    def test_gate_keeps_only_the_batch_free_sigmoid(self):
+        (e, base), (w, b), (out,) = self._node("gate")
+        assert out._parents == (e, base, w, b)
+        (kept,) = kept_beyond_parents(out)
+        assert kept.shape == base.shape == (STAGE_T, STAGE_N, STAGE_D)
+
+    def test_edge_logits_is_one_node_that_keeps_nothing(self):
+        (e_st, e_ed, w), _, (u, v) = self._node("edge_logits")
+        (node,) = u._parents
+        assert v._parents == (node,) and node._parents == (e_st, e_ed, w)
+        assert kept_beyond_parents(node) == []
+        assert u.shape == v.shape == (STAGE_B, STAGE_T, STAGE_N, 1)
+
+    def test_hop_probs_keeps_only_its_output(self):
+        (e_h,), params, (probs,) = self._node("hop_probs")
+        assert probs._parents == (e_h, *params)
+        (kept,) = kept_beyond_parents(probs)
+        assert kept is probs.data
+
+    @pytest.mark.parametrize("hop_mode", ["hard", "soft"])
+    def test_select_hops_keeps_only_the_relaxed_softmax(self, hop_mode):
+        (p,), _, (mixing,) = self._node(f"select_hops-{hop_mode}")
+        assert mixing._parents == (p,)
+        (kept,) = kept_beyond_parents(mixing)
+        assert kept.shape == p.shape == (STAGE_B, STAGE_T, STAGE_N, STAGE_L)
+        if hop_mode == "soft":
+            assert kept is mixing.data
+        else:
+            assert set(np.unique(mixing.data)) == {0.0, 1.0}
+            np.testing.assert_array_equal(np.argmax(kept, axis=-1), np.argmax(mixing.data, axis=-1))
+
+    def test_no_kept_array_is_embedding_sized(self):
+        # Beyond the parents, no (B, T_in, N, d) array: backward recomputes each of them.
+        emb = (STAGE_B, STAGE_T, STAGE_N, STAGE_D)
+        for name in STAGES:
+            _, _, outs = self._node(name)
+            for node in [n for o in outs for n in (o, *o._parents) if n._bwd is not None]:
+                assert [v.shape for v in kept_beyond_parents(node) if v.shape == emb] == [], name
 
 
 def per_step_edge_adjacency(u, v, mixing, pattern, alpha, tau, draws=None):
@@ -900,7 +1060,8 @@ def per_step_edge_adjacency(u, v, mixing, pattern, alpha, tau, draws=None):
     """
     steps = [
         dg.edge_adjacency(
-            u[:, j], v[:, j], mixing[:, j], pattern, alpha, tau,
+            getitem(u, (slice(None), j)), getitem(v, (slice(None), j)), getitem(mixing, (slice(None), j)),
+            pattern, alpha, tau,
             None if draws is None else tuple(x[:, j] for x in draws),
         )
         for j in range(u.shape[1])

@@ -184,6 +184,29 @@ class TestEdgeCsv:
         with pytest.raises(DataError, match="line 2"):
             roadnet.load_edges(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "1e400", "nan", "1.5", "-inf"])
+    def test_id_that_is_not_a_finite_whole_number_names_its_line(self, tmp_path, cell):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"from,to\n0,1\n1,{cell}\n")
+        with pytest.raises(DataError, match=f"line 3: node id '{cell}'"):
+            roadnet.load_edges(path)
+
+    def test_whole_float_id_is_read(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("3.0,1\n")
+        assert roadnet.load_edges(path) == [(3, 1)]
+
+    def test_bom_before_the_header(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("\ufefffrom,to\n0,1\n", encoding="utf-8")
+        assert roadnet.load_edges(path) == [(0, 1)]
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"from,to\n0,1\n\xff,2\n")
+        with pytest.raises(DataError, match="cannot open"):
+            roadnet.load_edges(path)
+
     def test_missing_file(self):
         with pytest.raises(DataError):
             roadnet.load_edges("/nonexistent/edges.csv")

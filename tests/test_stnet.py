@@ -10,7 +10,7 @@ from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 
-from tensor_ops import power, relu, reshape, safe_recip, stack, transpose
+from tensor_ops import getitem, matmul, mean, power, relu, reshape, safe_recip, stack, tanh, transpose
 
 
 def naive_diffusion(x, a, theta, k_steps):
@@ -52,11 +52,11 @@ def oracle_diffusion_conv(x, a, theta, num_steps):
     inv_out = safe_recip(a.sum(axis=-1, keepdims=True))
     inv_in = safe_recip(a_rev.sum(axis=-1, keepdims=True))
     z_fwd, z_rev = x, x
-    out = z_fwd @ theta[0, 0] + z_rev @ theta[0, 1]
+    out = matmul(z_fwd, getitem(theta, (0, 0))) + matmul(z_rev, getitem(theta, (0, 1)))
     for k in range(1, num_steps):
-        z_fwd = (a @ z_fwd) * inv_out
-        z_rev = (a_rev @ z_rev) * inv_in
-        out = out + z_fwd @ theta[k, 0] + z_rev @ theta[k, 1]
+        z_fwd = matmul(a, z_fwd) * inv_out
+        z_rev = matmul(a_rev, z_rev) * inv_in
+        out = out + matmul(z_fwd, getitem(theta, (k, 0))) + matmul(z_rev, getitem(theta, (k, 1)))
     return out
 
 
@@ -154,15 +154,16 @@ def scattered(values, pattern):
     onto = np.zeros((pattern.nnz, n * n))
     onto[np.arange(pattern.nnz), pattern.flat] = 1.0
     b = values.shape[0]
-    return [reshape(values[:, t] @ Tensor(onto), (b, n, n)) for t in range(values.shape[1])]
+    steps = [getitem(values, (slice(None), t)) for t in range(values.shape[1])]
+    return [reshape(matmul(step, Tensor(onto)), (b, n, n)) for step in steps]
 
 
 def oracle_spl(x, graphs, theta, num_steps):
     """spl as one residual ReLU per time slice, stacked along time."""
-    slices = [
-        relu(oracle_diffusion_conv(x[:, t], a, theta, num_steps) + x[:, t])
-        for t, a in enumerate(graphs)
-    ]
+    slices = []
+    for t, a in enumerate(graphs):
+        x_t = getitem(x, (slice(None), t))
+        slices.append(relu(oracle_diffusion_conv(x_t, a, theta, num_steps) + x_t))
     return stack(slices, axis=1)
 
 
@@ -170,28 +171,30 @@ def oracle_gtu_conv(x, kernel, ks):
     t_out = x.shape[-3] - ks + 1
     acc = None
     for s in range(ks):
-        term = x[..., s : s + t_out, :, :] @ kernel[s]
+        window = getitem(x, (Ellipsis, slice(s, s + t_out), slice(None), slice(None)))
+        term = matmul(window, getitem(kernel, s))
         acc = term if acc is None else acc + term
     d = x.shape[-1]
-    return acc[..., :d].tanh() * acc[..., d:].sigmoid()
+    return tanh(getitem(acc, (Ellipsis, slice(None, d)))) * getitem(acc, (Ellipsis, slice(d, None))).sigmoid()
 
 
 def oracle_layer_norm(x, scale, shift):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = power(x - mu, 2).mean(axis=-1, keepdims=True)
+    mu = mean(x, axis=-1, keepdims=True)
+    var = mean(power(x - mu, 2), axis=-1, keepdims=True)
     return (x - mu) * power(var + stnet.LN_EPS, -0.5) * scale + shift
 
 
 def oracle_tpl(x, kernel, ks, scale, shift, keep=None, rate=0.0):
     """tpl plus the separate inverted-dropout node the block used to apply."""
-    out = oracle_layer_norm(oracle_gtu_conv(x, kernel, ks) + x[..., ks - 1 :, :, :], scale, shift)
+    residual = getitem(x, (Ellipsis, slice(ks - 1, None), slice(None), slice(None)))
+    out = oracle_layer_norm(oracle_gtu_conv(x, kernel, ks) + residual, scale, shift)
     return out if keep is None else out * Tensor(keep / (1.0 - rate))
 
 
 def oracle_output(layer, x):
     acc = None
     for s in range(layer.t_in):
-        term = x[..., s, :, :] @ layer.kernel[s]
+        term = matmul(getitem(x, (Ellipsis, s, slice(None), slice(None))), getitem(layer.kernel, s))
         acc = term if acc is None else acc + term
     return acc + layer.bias
 
@@ -288,11 +291,11 @@ def transition_diffusion(x, a, theta, k_steps):
     p_fwd = a * safe_recip(a.sum(axis=-1, keepdims=True))
     p_rev = a_rev * safe_recip(a_rev.sum(axis=-1, keepdims=True))
     z_fwd, z_rev = x, x
-    out = x @ theta[0, 0] + x @ theta[0, 1]
+    out = matmul(x, getitem(theta, (0, 0))) + matmul(x, getitem(theta, (0, 1)))
     for k in range(1, k_steps):
-        z_fwd = p_fwd @ z_fwd
-        z_rev = p_rev @ z_rev
-        out = out + z_fwd @ theta[k, 0] + z_rev @ theta[k, 1]
+        z_fwd = matmul(p_fwd, z_fwd)
+        z_rev = matmul(p_rev, z_rev)
+        out = out + matmul(z_fwd, getitem(theta, (k, 0))) + matmul(z_rev, getitem(theta, (k, 1)))
     return out
 
 
