@@ -137,6 +137,12 @@ def _consumed(g):
     raise StateError("backward through a tape node that an earlier backward() consumed")
 
 
+def _take_grad(node):
+    """``node``'s gradient, unlinked from it: the backward it is passed to holds the only reference."""
+    g, node.grad = node.grad, None
+    return g
+
+
 def _check_broadcast(op, a_shape, b_shape):
     if a_shape == b_shape:
         return a_shape
@@ -337,8 +343,8 @@ class Tensor:
         while topo:
             node = topo.pop()
             if node._bwd is not None:
-                node._bwd(node.grad)
-                node.grad = None
+                # A closure that rebinds its gradient frees the one it was handed.
+                node._bwd(_take_grad(node))
                 node._bwd = _consumed
                 node._parents = ()
 
