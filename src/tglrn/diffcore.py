@@ -244,19 +244,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _ensure_tensor(other)
-        _check_broadcast("sub", self.shape, other.shape)
-        a, b = self, other
-
-        def bwd(g):
-            if a._track:
-                a._acc(_unbroadcast(g, a.shape))
-            if b._track:
-                b._acc(-_unbroadcast(g, b.shape))
-
-        return Tensor._from_op(a.data - b.data, (a, b), bwd)
-
     def __mul__(self, other):
         other = _ensure_tensor(other)
         _check_broadcast("mul", self.shape, other.shape)
@@ -271,41 +258,6 @@ class Tensor:
         return Tensor._from_op(a.data * b.data, (a, b), bwd)
 
     __rmul__ = __mul__
-
-    # -- reductions -----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        a = self
-
-        def bwd(g):
-            if axis is None:
-                a._acc(np.broadcast_to(g, a.shape).copy())
-                return
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._acc(np.broadcast_to(gg, a.shape).copy())
-
-        return Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
-
-    # -- elementwise nonlinearities --------------------------------------------
-
-    def sigmoid(self):
-        a = self
-        out_data = sigmoid_array(a.data)
-
-        def bwd(g):
-            a._acc(g * out_data * (1.0 - out_data))
-
-        return Tensor._from_op(out_data, (a,), bwd)
-
-    def abs(self):
-        a = self
-
-        def bwd(g):
-            a._acc(g * np.sign(a.data))
-
-        return Tensor._from_op(np.abs(a.data), (a,), bwd)
 
     # -- backward pass ----------------------------------------------------------
 
@@ -381,7 +333,7 @@ class Parameter(Tensor):
 
 
 def sigmoid_array(x):
-    """Logistic function on a plain array, stable for large |x| (forward of ``Tensor.sigmoid``).
+    """Logistic function on a plain array, stable for large |x|.
 
     With z = exp(-|x|) it is 1 / (1 + z) where x >= 0 and z / (1 + z) elsewhere:
     one divide of the two numerators by the shared denominator. The numerator

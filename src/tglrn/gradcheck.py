@@ -28,6 +28,7 @@ from .dyngraph import (
     keep_pattern,
     logistic_noise,
 )
+from .errors import ConfigError
 from .model import ModelConfig, PredictionHead
 from .roadnet import build_asp, hop_distances, structure_group
 from .stnet import OutputLayer, diffusion_conv, gtu_conv, spl, tpl
@@ -117,8 +118,21 @@ def finite_diff_check(build_loss, params):
 # -- layer-by-layer verification suite -------------------------------------------
 
 
-def _weighted_sum(out, weights):
-    return (out * Tensor(weights)).sum()
+def _weighted_sum(*pairs):
+    """The probe a check differentiates: sum(out * weights) over (out, weights) pairs, one tape node.
+
+    Each ``out`` is a Tensor and its ``weights`` an array of its shape, which is its gradient.
+    """
+    for out, weights in pairs:
+        if out.shape != weights.shape:
+            raise ConfigError(f"gradcheck probe: weights {weights.shape} for an output of shape {out.shape}")
+    total = sum((out.data * weights).sum() for out, weights in pairs)
+
+    def bwd(g):
+        for out, weights in pairs:
+            out._acc(g * weights)
+
+    return Tensor._from_op(total, [out for out, _ in pairs], bwd)
 
 
 def _check_linear_input_layer(seed):
@@ -127,7 +141,7 @@ def _check_linear_input_layer(seed):
     x = Parameter(rng.standard_normal((4, 1)), "x")
     r = rng.standard_normal((4, 8))
     params = [("w", lin.w), ("b", lin.b), ("x", x)]
-    return finite_diff_check(lambda: _weighted_sum(lin(x), r), params)
+    return finite_diff_check(lambda: _weighted_sum((lin(x), r)), params)
 
 
 def _check_gru_step(seed):
@@ -140,7 +154,7 @@ def _check_gru_step(seed):
 
     def loss():
         a, b = chains[0].run(window, chains[1])
-        return _weighted_sum(a, r[0]) + _weighted_sum(b, r[1])
+        return _weighted_sum((a, r[0]), (b, r[1]))
 
     params = [("window", window)]
     for label, chain in zip("ab", chains):
@@ -155,7 +169,7 @@ def _check_gating(seed):
     base = Parameter(rng.standard_normal((3, 4)), "base")
     r = rng.standard_normal((3, 4))
     params = [("e", e), ("base", base)] + lin.params()
-    return finite_diff_check(lambda: _weighted_sum(gate(e, base, lin), r), params)
+    return finite_diff_check(lambda: _weighted_sum((gate(e, base, lin), r)), params)
 
 
 def _check_edge_logits(seed):
@@ -171,7 +185,7 @@ def _check_edge_logits(seed):
 
     def build():
         u, v = edge_logits(e_st, e_ed, w)
-        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, draws), r)
+        return _weighted_sum((edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, draws), r))
 
     return finite_diff_check(build, [("e_st", e_st), ("e_ed", e_ed), ("w", w)])
 
@@ -186,7 +200,7 @@ def _check_normalize_sigmoid(seed):
     draws = np.zeros(pattern.nnz), np.ones(pattern.nnz, dtype=bool)  # no noise, nothing thinned
 
     def build():
-        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, draws), r)
+        return _weighted_sum((edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, draws), r))
 
     return finite_diff_check(build, [("u", u), ("v", v)])
 
@@ -209,7 +223,7 @@ def _check_gumbel_path(seed):
     r = pattern.gather(rng.standard_normal((2, 4, 4)))
 
     def build():
-        return _weighted_sum(edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, (noise, keep)), r)
+        return _weighted_sum((edge_adjacency(u, v, mixing, pattern, 1.0, 1.0, (noise, keep)), r))
 
     return finite_diff_check(build, [("u", u), ("v", v), ("mixing", mixing)])
 
@@ -229,7 +243,7 @@ def _check_graph_build(seed):
 
     def build():
         seq = block.build(window, "train", draws, hop_mode="soft")
-        return _weighted_sum(seq.values, r)
+        return _weighted_sum((seq.values, r))
 
     return finite_diff_check(build, [("window", window)] + block.params())
 
@@ -243,20 +257,20 @@ def _check_hop_selector(seed):
     params = [("e_h", e)] + [(f"l1.{k}", p) for k, p in lin1.params()] + [
         (f"l2.{k}", p) for k, p in lin2.params()
     ]
-    return finite_diff_check(lambda: _weighted_sum(hop_probs(e, lin1, lin2), r), params)
+    return finite_diff_check(lambda: _weighted_sum((hop_probs(e, lin1, lin2), r)), params)
 
 
 def _check_diffusion_conv(seed):
     rng = np.random.default_rng([seed, 8])
     x = Parameter(rng.standard_normal((5, 4)), "x")
-    a_raw = Parameter(rng.standard_normal((5, 5)), "a_raw")
+    a = Parameter(rng.uniform(0.1, 1.0, size=(5, 5)), "a")  # positive edge weights
     theta = Parameter(rng.standard_normal((2, 2, 4, 4)) * 0.3, "theta")
     r = rng.standard_normal((5, 4))
 
     def build():
-        return _weighted_sum(diffusion_conv(x, a_raw.sigmoid(), theta, 2), r)
+        return _weighted_sum((diffusion_conv(x, a, theta, 2), r))
 
-    return finite_diff_check(build, [("x", x), ("a_raw", a_raw), ("theta", theta)])
+    return finite_diff_check(build, [("x", x), ("a", a), ("theta", theta)])
 
 
 def _check_spl(seed):
@@ -267,16 +281,16 @@ def _check_spl(seed):
     support[:, 1, :] = 0.0
     support[:, :, 3] = 0.0
     pattern = SupportPattern(support)
-    a_raw = Parameter(rng.standard_normal((1, 3, pattern.nnz)), "a_raw")
+    a = Parameter(rng.uniform(0.1, 1.0, size=(1, 3, pattern.nnz)), "a")  # positive edge weights
     theta = Parameter(rng.standard_normal((2, 2, 3, 3)) * 0.4, "theta")
     r = rng.standard_normal((1, 3, 5, 3))
     hops = np.ones((1, 3, 5), dtype=int)
 
     def build():
-        graphs = GraphSequence(a_raw.sigmoid(), pattern, hops)
-        return _weighted_sum(spl(x, graphs, theta, 2), r)
+        graphs = GraphSequence(a, pattern, hops)
+        return _weighted_sum((spl(x, graphs, theta, 2), r))
 
-    return finite_diff_check(build, [("x", x), ("theta", theta), ("a_raw", a_raw)])
+    return finite_diff_check(build, [("x", x), ("theta", theta), ("a", a)])
 
 
 def _check_gtu(seed):
@@ -284,7 +298,7 @@ def _check_gtu(seed):
     x = Parameter(rng.standard_normal((4, 3, 2)), "x")
     lam = Parameter(rng.standard_normal((2, 2, 4)) * 0.5, "lam")
     r = rng.standard_normal((3, 3, 2))
-    return finite_diff_check(lambda: _weighted_sum(gtu_conv(x, lam, 2), r), [("x", x), ("lam", lam)])
+    return finite_diff_check(lambda: _weighted_sum((gtu_conv(x, lam, 2), r)), [("x", x), ("lam", lam)])
 
 
 def _check_tpl(seed):
@@ -295,7 +309,7 @@ def _check_tpl(seed):
     shift = Parameter(rng.standard_normal(2), "shift")
     r = rng.standard_normal((3, 3, 2))
     params = [("x", x), ("lam", lam), ("ln_scale", scale), ("ln_shift", shift)]
-    return finite_diff_check(lambda: _weighted_sum(tpl(x, lam, 2, scale, shift), r), params)
+    return finite_diff_check(lambda: _weighted_sum((tpl(x, lam, 2, scale, shift), r)), params)
 
 
 def _check_tpl_dropout(seed):
@@ -307,7 +321,7 @@ def _check_tpl_dropout(seed):
     keep = rng.uniform(size=(2, 3, 3, 2)) >= 0.3
     r = rng.standard_normal((2, 3, 3, 2))
     params = [("x", x), ("lam", lam), ("ln_scale", scale), ("ln_shift", shift)]
-    return finite_diff_check(lambda: _weighted_sum(tpl(x, lam, 2, scale, shift, keep, 0.3), r), params)
+    return finite_diff_check(lambda: _weighted_sum((tpl(x, lam, 2, scale, shift, keep, 0.3), r)), params)
 
 
 def _check_output_layer(seed):
@@ -316,7 +330,7 @@ def _check_output_layer(seed):
     x = Parameter(rng.standard_normal((3, 2, 4)), "x")
     r = rng.standard_normal((2, 4))
     params = [("x", x)] + layer.params()
-    return finite_diff_check(lambda: _weighted_sum(layer(x), r), params)
+    return finite_diff_check(lambda: _weighted_sum((layer(x), r)), params)
 
 
 def _check_prediction_head(seed):
@@ -325,7 +339,7 @@ def _check_prediction_head(seed):
     outputs = [Parameter(rng.standard_normal((2, 3, 4)), f"out{i}") for i in range(2)]
     r = rng.standard_normal((2, 2, 3, 1))
     params = [(o.name, o) for o in outputs] + head.params()
-    return finite_diff_check(lambda: _weighted_sum(head(outputs), r), params)
+    return finite_diff_check(lambda: _weighted_sum((head(outputs), r)), params)
 
 
 def toy_model(seed=0):

@@ -84,11 +84,27 @@ def mae_loss(pred, target, count=None):
     """Sum of absolute differences over ``count``; by default every element, which is their mean.
 
     A shard of a batch passes the batch's element count, so its shards' losses add up to the batch's.
+    One tape node from ``pred``: it keeps only the error's sign, and the target gets no gradient.
     """
-    target = target if isinstance(target, dc.Tensor) else dc.Tensor(target)
+    target = np.asarray(target.data if isinstance(target, dc.Tensor) else target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DataError(f"mae_loss: shape mismatch {pred.shape} vs {target.shape}")
-    return (pred - target).abs().sum() * (1.0 / (pred.size if count is None else count))
+    if pred.size == 0:
+        raise DataError(f"mae_loss: empty prediction of shape {pred.shape}")
+    if count is None:
+        count = pred.size
+    elif not count > 0:
+        raise DataError(f"mae_loss: count must be positive, got {count}")
+    c = 1.0 / count
+    err = pred.data - target
+    loss = np.abs(err).sum() * c
+    # A NaN error keeps a NaN sign, so the NaN reaches the parameters' gradients.
+    sign = np.sign(err, out=err)
+
+    def bwd(g):
+        pred._acc(sign * (g * c))
+
+    return dc.Tensor._from_op(loss, (pred,), bwd)
 
 
 class Adam:
@@ -177,6 +193,8 @@ def compute_metrics(pred, target, mape_threshold=TrainSettings.mape_threshold):
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise DataError(f"compute_metrics: shape mismatch {pred.shape} vs {target.shape}")
+    if pred.size == 0:
+        raise DataError(f"compute_metrics: no predictions to score, shape {pred.shape}")
     overall = _metric_triple(pred, target, mape_threshold)
     horizons = [
         _metric_triple(pred[:, h], target[:, h], mape_threshold) for h in range(pred.shape[1])

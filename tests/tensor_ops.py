@@ -3,7 +3,7 @@
 The model path never calls them, so they are not part of ``diffcore``; each
 records an ordinary tape node through ``Tensor._from_op`` and is checked by
 finite differences in ``test_diffcore``. Several are the stages of the fused
-graph and Linear nodes, which the per-op oracles compose one node at a time.
+graph, Linear and loss nodes, which the per-op oracles compose one node at a time.
 """
 
 import numpy as np
@@ -11,6 +11,43 @@ import numpy as np
 from tglrn import diffcore as dc
 from tglrn.diffcore import Tensor
 from tglrn.errors import ConfigError
+
+
+def sub(x, y):
+    """x - y with broadcasting; either operand may be a plain number or array."""
+    a, b = dc._ensure_tensor(x), dc._ensure_tensor(y)
+    dc._check_broadcast("sub", a.shape, b.shape)
+
+    def bwd(g):
+        if a._track:
+            a._acc(dc._unbroadcast(g, a.shape))
+        if b._track:
+            b._acc(-dc._unbroadcast(g, b.shape))
+
+    return Tensor._from_op(a.data - b.data, (a, b), bwd)
+
+
+def reduce_sum(x, axis=None, keepdims=False):
+    """x.data.sum(axis, keepdims); the gradient is broadcast back over the summed axes."""
+    a = dc._ensure_tensor(x)
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._acc(np.broadcast_to(g, a.shape).copy())
+
+    return Tensor._from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), bwd)
+
+
+def absolute(x):
+    a = dc._ensure_tensor(x)
+    return Tensor._from_op(np.abs(a.data), (a,), lambda g: a._acc(g * np.sign(a.data)))
+
+
+def sigmoid(x):
+    a = dc._ensure_tensor(x)
+    out_data = dc.sigmoid_array(a.data)
+    return Tensor._from_op(out_data, (a,), lambda g: a._acc(g * out_data * (1.0 - out_data)))
 
 
 def neg(x):
@@ -43,11 +80,6 @@ def div(x, y):
             b._acc(dc._unbroadcast(-g * out_data / b.data, b.shape))
 
     return Tensor._from_op(out_data, (a, b), bwd)
-
-
-def rsub(c, x):
-    """c - x for a plain number or array c."""
-    return Tensor(c) - x
 
 
 def exp(x):
@@ -227,7 +259,7 @@ def mean(x, axis=None, keepdims=False):
         n = 1
         for i in axis if isinstance(axis, tuple) else (axis,):
             n *= a.shape[i]
-    return a.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    return reduce_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def tanh(x):
@@ -258,3 +290,13 @@ def softmax(x):
 def linear(lin, x):
     """A ``Linear`` call composed as before it was one node: x @ w, then + b."""
     return matmul(x, lin.w) + lin.b
+
+
+def mae_loss(pred, target, count=None):
+    """``trainer.mae_loss`` composed as before it was one node: difference, abs, sum, then scale."""
+    return reduce_sum(absolute(sub(pred, target))) * (1.0 / (pred.size if count is None else count))
+
+
+def weighted_sum(out, weights):
+    """Gradcheck's probe as it was before it was one node: a product, then its sum."""
+    return reduce_sum(out * Tensor(weights))

@@ -37,6 +37,12 @@ def test_criterion_1_gradient_suite():
     elapsed = time.time() - t0
     failures = [r for r in reports if not r.passed]
     worst = max(r.max_rel_err for r in reports)
+    # Every entry reports: none can drop out of the suite unnoticed.
+    assert list(dict.fromkeys(r.name.split("/")[0] for r in reports)) == [
+        "input_layer", "gru_step", "gating", "edge_logits", "normalize_sigmoid", "gumbel_path",
+        "graph_build", "hop_selector", "diffusion_conv", "spl", "gtu", "tpl_layernorm",
+        "tpl_dropout", "output_layer", "prediction_head", "end_to_end",
+    ]
     ok = not failures and elapsed < 120.0
     report(
         1,

@@ -11,11 +11,12 @@ import pytest
 from tglrn import diffcore as dc
 from tglrn.diffcore import Linear, Parameter, Tensor
 from tglrn.errors import ConfigError, StateError
-from tglrn.gradcheck import GradCheckReport, finite_diff_check, max_relative_error
+from tglrn.gradcheck import GradCheckReport, _weighted_sum, finite_diff_check, max_relative_error
 
 from tensor_ops import (
-    broadcast_to, clamp, concat, div, einsum2, exp, getitem, is_basic_index, linear, log, matmul, mean,
-    neg, power, relu, reshape, rsqrt_or_zero, rsub, safe_recip, softmax, sqrt, stack, tanh, transpose,
+    absolute, broadcast_to, clamp, concat, div, einsum2, exp, getitem, is_basic_index, linear, log, matmul,
+    mean, neg, power, reduce_sum, relu, reshape, rsqrt_or_zero, safe_recip, sigmoid, softmax, sqrt,
+    stack, sub, tanh, transpose, weighted_sum,
 )
 
 
@@ -25,12 +26,12 @@ class TestForwardBasics:
         np.testing.assert_array_equal(t.data, [1.0, 2.0, 3.0])
 
     def test_sigmoid_at_zero(self):
-        assert Tensor(0.0).sigmoid().item() == 0.5
+        assert sigmoid(Tensor(0.0)).item() == 0.5
 
     def test_gtu_style_zero_input(self):
         # tanh(0) * sigmoid(0) == 0
         z = Tensor(0.0)
-        assert (tanh(z) * z.sigmoid()).item() == 0.0
+        assert (tanh(z) * sigmoid(z)).item() == 0.0
 
     def test_everything_float64(self):
         t = Tensor(np.arange(3, dtype=np.float32))
@@ -40,13 +41,15 @@ class TestForwardBasics:
     def test_shape_mismatch_names_op(self):
         with pytest.raises(ConfigError, match="add"):
             Tensor(np.ones((2, 3))) + Tensor(np.ones((4, 5)))
+        with pytest.raises(ConfigError, match="sub"):
+            sub(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
         with pytest.raises(ConfigError, match="matmul"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
 
     def test_forward_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 5))
-        f = lambda: (matmul(tanh(Tensor(x)), Tensor(x)).sigmoid().sum()).item()
+        f = lambda: reduce_sum(sigmoid(matmul(tanh(Tensor(x)), Tensor(x)))).item()
         assert f() == f()
 
 
@@ -122,17 +125,17 @@ class TestGradLanes:
         w = Parameter(np.array([1.0, -2.0, 3.0]))
         untouched = Parameter(np.ones(2))
         x = np.array([0.5, 0.25, -1.0])
-        (w * Tensor(x)).sum().backward()
+        weighted_sum(w, x).backward()
         with dc.grad_lane() as lane:
-            (w * Tensor(x)).sum().backward()
-            (w * Tensor(2.0 * x)).sum().backward()
+            weighted_sum(w, x).backward()
+            weighted_sum(w, 2.0 * x).backward()
         np.testing.assert_array_equal(w.grad, x)
         assert set(lane.grads) == {w}  # only parameters that got a gradient have a buffer
         np.testing.assert_array_equal(lane.grads[w], 3.0 * x)
         lane.merge()
         np.testing.assert_array_equal(w.grad, 4.0 * x)
         np.testing.assert_array_equal(untouched.grad, np.zeros(2))
-        (w * Tensor(x)).sum().backward()  # outside the lane again: straight into grad
+        weighted_sum(w, x).backward()  # outside the lane again: straight into grad
         np.testing.assert_array_equal(w.grad, 5.0 * x)
 
     def test_concurrent_lanes_lose_no_update(self):
@@ -145,7 +148,7 @@ class TestGradLanes:
         def run(k):
             with dc.grad_lane() as lane:
                 for _ in range(passes):
-                    (w * (ones * float(k + 1))).sum().backward()
+                    reduce_sum(w * (ones * float(k + 1))).backward()
             return lane
 
         interval = sys.getswitchinterval()
@@ -166,13 +169,13 @@ class TestGradLanes:
 def _random_graph_loss(rng, params):
     """A composite op graph touching most primitives."""
     a, b = params  # both (n, m)
-    m = concat([tanh(a), b.sigmoid()], axis=-1)  # (n, 2m)
+    m = concat([tanh(a), sigmoid(b)], axis=-1)  # (n, 2m)
     m = matmul(m, Tensor(rng.standard_normal((m.shape[-1], 4))))
     bt = transpose(b, (1, 0))
     m = softmax(m) + mean(relu(matmul(a, bt)), axis=-1, keepdims=True)
-    m = stack([m, m * 2.0], axis=0).sum(axis=0)
-    v = mean(power(m - mean(m, axis=-1, keepdims=True), 2))
-    return (m.abs().sum() + sqrt(v + 1e-3) + safe_recip(v + 1.0).sum()) * 0.5
+    m = reduce_sum(stack([m, m * 2.0], axis=0), axis=0)
+    v = mean(power(sub(m, mean(m, axis=-1, keepdims=True)), 2))
+    return (reduce_sum(absolute(m)) + sqrt(v + 1e-3) + reduce_sum(safe_recip(v + 1.0))) * 0.5
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -195,14 +198,19 @@ def test_composite_graph_matches_finite_differences(seed):
         lambda x: sqrt(x * x + 0.5),
         lambda x: clamp(x, -0.5, 0.5),
         lambda x: rsqrt_or_zero(x * x + 0.1),
-        lambda x: broadcast_to(x, (3,) + x.shape).sum(axis=0),
+        lambda x: reduce_sum(broadcast_to(x, (3,) + x.shape), axis=0),
         lambda x: transpose(x, (1, 0)),
         lambda x: reshape(x, (x.size, 1)),
         lambda x: getitem(x, (slice(1, None), slice(None))),
         lambda x: power(x, 3),
         lambda x: div(1.0, x * x + 1.0),
         lambda x: neg(x),
-        lambda x: rsub(2.0, x * x),
+        lambda x: sub(2.0, x * x),
+        lambda x: sigmoid(x),
+        lambda x: absolute(x),
+        lambda x: reduce_sum(x),
+        lambda x: reduce_sum(x, axis=1, keepdims=True),
+        lambda x: sub(reduce_sum(x, axis=0, keepdims=True), x),
     ],
 )
 @pytest.mark.parametrize("seed", [0, 1])
@@ -210,7 +218,7 @@ def test_unary_op_gradients(op, seed):
     rng = np.random.default_rng(seed)
     p = Parameter(rng.standard_normal((4, 3)), "p")
     r = rng.standard_normal(op(Tensor(p.data)).shape)
-    reports = finite_diff_check(lambda: (op(p) * Tensor(r)).sum(), [p])
+    reports = finite_diff_check(lambda: weighted_sum(op(p), r), [p])
     assert reports[0].passed, reports[0].line()
 
 
@@ -222,12 +230,12 @@ def test_stack_gradients(axis):
     want = np.stack([p.data for p in ps], axis=axis)
     assert out.shape == want.shape and out.data.tobytes() == want.tobytes()
     r = rng.standard_normal(want.shape)
-    reports = finite_diff_check(lambda: (stack(ps, axis=axis) * Tensor(r)).sum(), ps)
+    reports = finite_diff_check(lambda: weighted_sum(stack(ps, axis=axis), r), ps)
     assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
     # each input receives exactly its own slice of the output gradient
     for p in ps:
         p.zero_grad()
-    (stack(ps, axis=axis) * Tensor(r)).sum().backward()
+    weighted_sum(stack(ps, axis=axis), r).backward()
     for i, p in enumerate(ps):
         assert p.grad.tobytes() == np.take(r, i, axis=axis).tobytes()
 
@@ -242,7 +250,7 @@ def test_stack_then_reshape_is_the_channel_concat():
     for join in (stacked, lambda ts: concat(ts, axis=-1)):
         ps = [Parameter(v.copy()) for v in vals]
         out = join(ps)
-        (out * Tensor(r)).sum().backward()
+        weighted_sum(out, r).backward()
         results.append([out.data.tobytes()] + [p.grad.tobytes() for p in ps])
     assert results[0] == results[1]
 
@@ -258,7 +266,7 @@ def test_einsum2_gradients():
     b = Parameter(rng.standard_normal((3, 4, 5)), "b")
     r = rng.standard_normal((2, 4, 5))
     reports = finite_diff_check(
-        lambda: (einsum2("bnl,lnj->bnj", a, b) * Tensor(r)).sum(), [a, b]
+        lambda: weighted_sum(einsum2("bnl,lnj->bnj", a, b), r), [a, b]
     )
     assert all(rep.passed for rep in reports)
 
@@ -277,7 +285,7 @@ def test_untracked_operand_gets_no_contraction(monkeypatch, tracked):
             keep = track_both or name == tracked or (name == "m" and tracked == "b")
             leaves[name] = Parameter(vals.copy()) if keep else Tensor(vals)
         out = einsum2("inl,lnj->inj", leaves["a"], leaves["b"]) + matmul(leaves["a"], leaves["m"])
-        (out * Tensor(r)).sum().backward()
+        weighted_sum(out, r).backward()
         return leaves
 
     want = grads(track_both=True)
@@ -314,7 +322,7 @@ def test_finite_differences_perturb_a_non_contiguous_parameter():
     p = Parameter(rng.standard_normal((3, 4)).T, "p")  # a transposed view
     assert not p.data.flags.c_contiguous
     r = rng.standard_normal(p.shape)
-    reports = finite_diff_check(lambda: (p * p * Tensor(r)).sum(), [p])
+    reports = finite_diff_check(lambda: weighted_sum(p * p, r), [p])
     assert reports[0].passed, reports[0].line()
 
 
@@ -325,7 +333,7 @@ def test_corrupted_gradient_fails_check():
         # forward 2x, backward deliberately claims 3x
         return Tensor._from_op(t.data * 2.0, (t,), lambda g: t._acc(g * 3.0))
 
-    reports = finite_diff_check(lambda: wrong_double(p).sum(), [p])
+    reports = finite_diff_check(lambda: reduce_sum(wrong_double(p)), [p])
     assert not reports[0].passed
 
 
@@ -337,14 +345,14 @@ def test_safe_recip_zero_row():
 
 def test_rsqrt_or_zero_at_zero_has_zero_grad():
     p = Parameter(np.array([0.0, 4.0]))
-    rsqrt_or_zero(p).sum().backward()
+    reduce_sum(rsqrt_or_zero(p)).backward()
     np.testing.assert_array_equal(p.grad, [0.0, -0.5 * 4.0 ** -1.5])
 
 
 def test_parameter_gradient_shape_invariant():
     p = Parameter(np.ones((2, 3)))
     assert p.grad.shape == p.data.shape
-    (p.sum() * 2.0).backward()
+    (reduce_sum(p) * 2.0).backward()
     assert p.grad.shape == p.data.shape
     np.testing.assert_array_equal(p.grad, np.full((2, 3), 2.0))
 
@@ -367,7 +375,7 @@ def test_linear_node_matches_composition():
             p.zero_grad()
         x = Parameter(x_vals.copy())
         out = call(x)
-        (out * Tensor(r)).sum().backward()
+        weighted_sum(out, r).backward()
         results.append((out.data, [x.grad, lin.w.grad.copy(), lin.b.grad.copy()]))
     (got, got_grads), (want, want_grads) = results
     assert got.tobytes() == want.tobytes()
@@ -389,6 +397,33 @@ def test_linear_node_keeps_only_its_parents():
 def test_max_relative_error_floor():
     assert max_relative_error(np.array([1e-9]), np.array([2e-9])) < 1e-4
     assert max_relative_error(np.array([1.0]), np.array([1.0 + 2e-4])) > 1e-4
+
+
+def test_probe_node_is_bitwise_the_product_and_sum():
+    # Gradcheck's probe: one node over every (output, weights) pair, against a product
+    # node and a sum node per pair, added.
+    rng = np.random.default_rng(15)
+    vals = [rng.standard_normal((3, 4)), rng.standard_normal((2, 1, 5))]
+    weights = [rng.standard_normal(v.shape) for v in vals]
+    probes = [
+        lambda outs: _weighted_sum(*zip(outs, weights)),
+        lambda outs: sum(weighted_sum(out, w) for out, w in zip(outs, weights)),
+        lambda outs: _weighted_sum((outs[0], weights[0])),
+        lambda outs: weighted_sum(outs[0], weights[0]),
+    ]
+    results = []
+    for probe in probes:
+        ps = [Parameter(v.copy()) for v in vals]
+        outs = [p * 2.0 for p in ps]
+        loss = probe(outs)
+        loss.backward()
+        results.append([loss.data.tobytes()] + [p.grad.tobytes() for p in ps])
+    assert results[0] == results[1] and results[2] == results[3]
+    outs = [Parameter(v) * 2.0 for v in vals]
+    node = _weighted_sum(*zip(outs, weights))
+    assert node._parents == tuple(outs)
+    with pytest.raises(ConfigError, match="probe"):
+        _weighted_sum((outs[0], weights[1]))
 
 
 def test_report_line_format():
@@ -422,7 +457,7 @@ def _slice_grad(idx, seed):
     x._track = True
     r = rng.standard_normal(x.data[idx].shape)
     r.flat[0] = -0.0  # signed zeros must come through exactly as np.add.at gives them
-    (getitem(x, idx) * Tensor(r)).sum().backward()
+    weighted_sum(getitem(x, idx), r).backward()
     oracle = np.zeros_like(x.data)
     np.add.at(oracle, idx, r)
     return x.grad, oracle
@@ -462,7 +497,7 @@ def test_shared_gradient_array_is_never_written():
     a, b = p1 * 1.0, p2 * 1.0
     c = a + b
     d = c + a
-    (d * Tensor(w)).sum().backward()
+    weighted_sum(d, w).backward()
     np.testing.assert_array_equal(p1.grad, 2.0 * w)
     np.testing.assert_array_equal(p2.grad, w)
 
@@ -472,7 +507,7 @@ def test_backward_frees_interior_nodes_and_keeps_parameter_grads():
     p = Parameter(rng.standard_normal((3, 3)))
     h = tanh(p * 2.0)
     h_data = weakref.ref(h.data)
-    loss = (h * h).sum()
+    loss = reduce_sum(h * h)
     expected = 2.0 * h.data * (1.0 - h.data**2) * 2.0
     del h
     loss.backward()
@@ -484,13 +519,13 @@ def test_backward_frees_interior_nodes_and_keeps_parameter_grads():
 def test_second_backward_is_state_error():
     p = Parameter(np.arange(3.0))
     h = p * 2.0
-    loss = (h * h).sum()
+    loss = reduce_sum(h * h)
     loss.backward()
     first = p.grad.copy()
     with pytest.raises(StateError, match="consumed"):
         loss.backward()
     with pytest.raises(StateError, match="consumed"):
-        (h + 1.0).sum().backward()  # a new graph over an already consumed node
+        reduce_sum(h + 1.0).backward()  # a new graph over an already consumed node
     np.testing.assert_array_equal(p.grad, first)
 
 

@@ -16,8 +16,8 @@ from tglrn.gradcheck import finite_diff_check
 from tglrn.model import ModelConfig
 
 from tensor_ops import (
-    broadcast_to, clamp, einsum2, getitem, linear, log, matmul, mean, power, rsqrt_or_zero, rsub,
-    softmax, stack, tanh, transpose,
+    broadcast_to, clamp, einsum2, getitem, linear, log, matmul, mean, power, reduce_sum, rsqrt_or_zero,
+    sigmoid, softmax, stack, sub, tanh, transpose, weighted_sum,
 )
 from test_stnet import assert_within, closure_arrays
 
@@ -222,7 +222,7 @@ class TestGruCell:
         window = Parameter(rng.standard_normal((2, 2, 3, 1)), "window")
         r = rng.standard_normal((2, 2, 3, 4))
         reports = finite_diff_check(
-            lambda: (chain.run(window) * Tensor(r)).sum(), [("window", window)] + chain.params()
+            lambda: weighted_sum(chain.run(window), r), [("window", window)] + chain.params()
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
 
@@ -233,7 +233,7 @@ def chain_run(run, chain, window_val, r):
         p.zero_grad()
     window = Parameter(window_val.copy())
     out = run(chain, window)
-    (out * Tensor(r)).sum().backward()
+    weighted_sum(out, r).backward()
     with dc.no_grad():
         out_eval = run(chain, Tensor(window_val))
     return out.data, [window.grad] + [p.grad.copy() for _, p in chain.params()], out_eval.data
@@ -286,7 +286,7 @@ def group_run(chains, window_val, rs, fused):
     outs = run(window)
     loss = Tensor(np.zeros(()))
     for out, r in zip(outs, rs):
-        loss = loss + (out * Tensor(r)).sum()
+        loss = loss + weighted_sum(out, r)
     loss.backward()
     with dc.no_grad():
         evals = run(Tensor(window_val))
@@ -778,7 +778,7 @@ class TestGradientFlow:
 
         def build_loss():
             seq = block.build(window, "train", draws=draws)
-            return (seq.values * on_pattern).sum()
+            return reduce_sum(seq.values * on_pattern)
 
         params = [
             ("st.e_init", block.chain_st.e_init),
@@ -802,21 +802,21 @@ class TestGradientFlow:
 
 def oracle_normalize_logits(w, alpha):
     mu = mean(w, axis=(-2, -1), keepdims=True)
-    var = mean(power(w - mu, 2), axis=(-2, -1), keepdims=True)
+    var = mean(power(sub(w, mu), 2), axis=(-2, -1), keepdims=True)
     spread = w.data.max(axis=(-2, -1), keepdims=True) - w.data.min(axis=(-2, -1), keepdims=True)
     live = (spread > 0).astype(np.float64)
-    return (w - mu) * rsqrt_or_zero(var) * (alpha * live)
+    return sub(w, mu) * rsqrt_or_zero(var) * (alpha * live)
 
 
 def oracle_bernoulli_means(w_hat):
-    return clamp(w_hat.sigmoid(), dg.OMEGA_CLAMP, 1.0 - dg.OMEGA_CLAMP)
+    return clamp(sigmoid(w_hat), dg.OMEGA_CLAMP, 1.0 - dg.OMEGA_CLAMP)
 
 
 def oracle_gumbel_relax(w_bar, tau, delta):
     delta = np.clip(delta, 1e-12, 1.0 - 1e-12)
     noise = np.log(delta) - np.log1p(-delta)
-    logits = log(w_bar) - log(rsub(1.0, w_bar))
-    return ((logits + noise) * (1.0 / tau)).sigmoid()
+    logits = sub(log(w_bar), log(sub(1.0, w_bar)))
+    return sigmoid((logits + noise) * (1.0 / tau))
 
 
 def oracle_edge_sample(p, gamma, rho):
@@ -877,12 +877,12 @@ def straight_through_hops(p, tau, uniforms, straight_through=True):
     h = np.argmax(y.data, axis=-1)
     if not straight_through:
         return h, y
-    return h, y - Tensor(y.data) + Tensor(dg._one_hot(h, p.shape[-1]))
+    return h, sub(y, y.data) + Tensor(dg._one_hot(h, p.shape[-1]))
 
 
 def oracle_gate(e, e_base, lin):
     """gate as four nodes: the Linear's product and bias, the sigmoid and the product with e."""
-    return e * linear(lin, e_base).sigmoid()
+    return e * sigmoid(linear(lin, e_base))
 
 
 def oracle_edge_logits(e_st, e_ed, weight):
@@ -909,7 +909,7 @@ def test_straight_through_node_matches_composition():
         h, mixing = select(p, 0.7, uniforms)
         if select is dg.select_hops:  # one node, fed only the probabilities
             assert mixing._parents == (p,)
-        (mixing * Tensor(r)).sum().backward()
+        weighted_sum(mixing, r).backward()
         results.append((h, mixing.data, x.grad))
     (h, mixing, grad), (want_h, want_mixing, want_grad) = results
     np.testing.assert_array_equal(h, want_h)
@@ -968,7 +968,7 @@ def test_graph_stage_node_matches_composition(name):
         r = np.random.default_rng(33)
         loss = Tensor(np.zeros(()))
         for out in outs:
-            loss = loss + (out * Tensor(r.standard_normal(out.shape))).sum()
+            loss = loss + weighted_sum(out, r.standard_normal(out.shape))
         loss.backward()
         with dc.no_grad():
             evals = build(*(Tensor(v) for v in values))
@@ -1073,7 +1073,7 @@ def grads_after(block, out, weights):
     """Every parameter gradient of sum(out * weights)."""
     for _, p in block.params():
         p.zero_grad()
-    (out * Tensor(weights)).sum().backward()
+    weighted_sum(out, weights).backward()
     return {name: p.grad.copy() for name, p in block.params()}
 
 
@@ -1132,13 +1132,13 @@ class TestEdgeOp:
                     noise = dg.logistic_noise(pattern.gather(delta))
                     keep = dg.keep_pattern(pattern.gather(rho), 0.7)
                     out = dg.edge_adjacency(u, v, mixing, pattern, alpha, 0.5, (noise, keep))
-                    (out * Tensor(pattern.gather(r))).sum().backward()
+                    weighted_sum(out, pattern.gather(r)).backward()
                     dense = pattern.scatter(out.data)
                 else:
                     mask = einsum2("bnl,lnj->bnj", mixing, Tensor(masks))
                     w = u + transpose(v, (0, 2, 1))
                     out = oracle_edge_op(w, mask, alpha, 0.5, delta, 0.7, rho)
-                    (out * Tensor(r)).sum().backward()
+                    weighted_sum(out, r).backward()
                     dense = out.data
                 results.append((dense, {"u": u.grad, "v": v.grad, "mixing": mixing.grad}))
             (out_f, g_f), (out_o, g_o) = results
@@ -1164,7 +1164,7 @@ class TestEdgeOp:
             u, v, mixing = (Parameter(x.copy()) for x in (u_vals, v_vals, mix_vals))
             out = fn(u, v, mixing, pattern, 1.3, 0.7, draws)
             if drawn:
-                (out * Tensor(r)).sum().backward()
+                weighted_sum(out, r).backward()
             else:
                 assert not out._track  # evaluation records nothing: no gradient to compare
             results.append((out.data, [u.grad, v.grad, mixing.grad]))
@@ -1187,7 +1187,7 @@ class TestEdgeOp:
             draws = noise, dg.keep_pattern(pattern.gather(rng.uniform(size=(2, 4, 4))), 0.6)
         r = pattern.gather(rng.standard_normal((2, 4, 4)))
         reports = finite_diff_check(
-            lambda: (dg.edge_adjacency(u, v, mixing, pattern, 1.5, 0.7, draws) * Tensor(r)).sum(),
+            lambda: weighted_sum(dg.edge_adjacency(u, v, mixing, pattern, 1.5, 0.7, draws), r),
             [("u", u), ("v", v), ("mixing", mixing)],
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
@@ -1304,7 +1304,7 @@ class TestChainGroups:
                 block.chain_groups = [[c] for c in (block.chain_st, block.chain_ed, block.chain_h)]
             window = Tensor(np.random.default_rng(1).standard_normal((2, 3, 4, 1)))
             seq = block.build(window, "train", draws=drawn(block, window, 2), hop_mode="soft")
-            (seq.values * Tensor(np.random.default_rng(3).standard_normal(seq.values.shape))).sum().backward()
+            weighted_sum(seq.values, np.random.default_rng(3).standard_normal(seq.values.shape)).backward()
             results.append((seq.values.data, [p.grad.copy() for _, p in block.params()]))
         (got, got_grads), (want, want_grads) = results
         assert_within(got, want)

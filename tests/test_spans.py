@@ -2,26 +2,35 @@
 and the model's training and evaluation paths still call each of them."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    """Import ``perfbench/spans.py`` without writing a bytecode cache next to it."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def load_perfbench(name):
+    """Import ``perfbench/<name>.py`` without writing a bytecode cache next to it.
+
+    Its siblings are importable while it loads; the search path and any
+    environment variable it sets are restored afterwards.
+    """
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    saved_flag, saved_path, saved_env = sys.dont_write_bytecode, list(sys.path), set(os.environ)
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
     try:
         spec.loader.exec_module(module)
     finally:
-        sys.dont_write_bytecode = saved
+        sys.dont_write_bytecode, sys.path[:] = saved_flag, saved_path
+        for key in set(os.environ) - saved_env:
+            del os.environ[key]
     return module
 
 
 def test_every_span_target_resolves_on_its_owner():
-    targets = load_spans().targets()
+    targets = load_perfbench("spans").targets()
     assert targets
     for owner, attr, layer in targets:
         fn = getattr(owner, attr, None)
@@ -47,7 +56,7 @@ def test_traced_training_and_evaluation_reach_every_layer():
 
     from tglrn import trainer
 
-    spans = load_spans()
+    spans = load_perfbench("spans")
     wrapped = spans.targets()
     spans.targets = lambda: [(owner, attr, (layer, attr)) for owner, attr, layer in wrapped]
     model, (train_ds, val_ds, _), _, _ = quick_setup()

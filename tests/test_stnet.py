@@ -10,7 +10,10 @@ from tglrn.diffcore import Parameter, Tensor
 from tglrn.errors import ConfigError
 from tglrn.gradcheck import finite_diff_check
 
-from tensor_ops import getitem, matmul, mean, power, relu, reshape, safe_recip, stack, tanh, transpose
+from tensor_ops import (
+    getitem, matmul, mean, power, reduce_sum, relu, reshape, safe_recip, sigmoid, stack, sub, tanh, transpose,
+    weighted_sum,
+)
 
 
 def naive_diffusion(x, a, theta, k_steps):
@@ -49,8 +52,8 @@ def naive_gtu(x, kernel, ks):
 def oracle_diffusion_conv(x, a, theta, num_steps):
     """diffusion_conv built from per-op tape nodes."""
     a_rev = transpose(a, (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
-    inv_out = safe_recip(a.sum(axis=-1, keepdims=True))
-    inv_in = safe_recip(a_rev.sum(axis=-1, keepdims=True))
+    inv_out = safe_recip(reduce_sum(a, axis=-1, keepdims=True))
+    inv_in = safe_recip(reduce_sum(a_rev, axis=-1, keepdims=True))
     z_fwd, z_rev = x, x
     out = matmul(z_fwd, getitem(theta, (0, 0))) + matmul(z_rev, getitem(theta, (0, 1)))
     for k in range(1, num_steps):
@@ -175,13 +178,13 @@ def oracle_gtu_conv(x, kernel, ks):
         term = matmul(window, getitem(kernel, s))
         acc = term if acc is None else acc + term
     d = x.shape[-1]
-    return tanh(getitem(acc, (Ellipsis, slice(None, d)))) * getitem(acc, (Ellipsis, slice(d, None))).sigmoid()
+    return tanh(getitem(acc, (Ellipsis, slice(None, d)))) * sigmoid(getitem(acc, (Ellipsis, slice(d, None))))
 
 
 def oracle_layer_norm(x, scale, shift):
     mu = mean(x, axis=-1, keepdims=True)
-    var = mean(power(x - mu, 2), axis=-1, keepdims=True)
-    return (x - mu) * power(var + stnet.LN_EPS, -0.5) * scale + shift
+    var = mean(power(sub(x, mu), 2), axis=-1, keepdims=True)
+    return sub(x, mu) * power(var + stnet.LN_EPS, -0.5) * scale + shift
 
 
 def oracle_tpl(x, kernel, ks, scale, shift, keep=None, rate=0.0):
@@ -288,8 +291,8 @@ class TestDiffusionConv:
 def transition_diffusion(x, a, theta, k_steps):
     """Tensor-level oracle: form both transition matrices, then take their powers."""
     a_rev = transpose(a, (*range(a.ndim - 2), a.ndim - 1, a.ndim - 2))
-    p_fwd = a * safe_recip(a.sum(axis=-1, keepdims=True))
-    p_rev = a_rev * safe_recip(a_rev.sum(axis=-1, keepdims=True))
+    p_fwd = a * safe_recip(reduce_sum(a, axis=-1, keepdims=True))
+    p_rev = a_rev * safe_recip(reduce_sum(a_rev, axis=-1, keepdims=True))
     z_fwd, z_rev = x, x
     out = matmul(x, getitem(theta, (0, 0))) + matmul(x, getitem(theta, (0, 1)))
     for k in range(1, k_steps):
@@ -318,7 +321,7 @@ class TestDiffusionWithoutTransitions:
         for fn in (stnet.diffusion_conv, transition_diffusion):
             x, a, theta = Parameter(x_vals.copy()), Parameter(a_vals.copy()), Parameter(theta_vals.copy())
             out = fn(x, a, theta, 3)
-            (out * Tensor(r)).sum().backward()
+            weighted_sum(out, r).backward()
             results.append((out.data, [x.grad, a.grad, theta.grad]))
         (got, got_g), (want, want_g) = results
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
@@ -333,7 +336,7 @@ class TestDiffusionWithoutTransitions:
         theta = Parameter(rng.standard_normal((3, 2, 3, 3)) * 0.4, "theta")
         r = rng.standard_normal((2, 5, 3))
         reports = finite_diff_check(
-            lambda: (stnet.diffusion_conv(x, a_raw.sigmoid() * Tensor(keep), theta, 3) * Tensor(r)).sum(),
+            lambda: weighted_sum(stnet.diffusion_conv(x, sigmoid(a_raw) * Tensor(keep), theta, 3), r),
             [("x", x), ("a_raw", a_raw), ("theta", theta)],
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
@@ -408,8 +411,8 @@ class TestSpl:
         r = rng.standard_normal((1, 2, 4, 3))
 
         def build():
-            seq = sequence(stack([a.sigmoid() for a in a_raw], axis=1), pattern)
-            return (stnet.spl(x, seq, theta, 2) * Tensor(r)).sum()
+            seq = sequence(stack([sigmoid(a) for a in a_raw], axis=1), pattern)
+            return weighted_sum(stnet.spl(x, seq, theta, 2), r)
 
         reports = finite_diff_check(
             build, [("x", x), ("a_raw0", a_raw[0]), ("a_raw1", a_raw[1]), ("theta", theta)]
@@ -433,12 +436,12 @@ class TestSpl:
 
         x, values, theta = (Parameter(v.copy()) for v in (x_vals, v_vals, theta_vals))
         out = stnet.spl(x, sequence(values, pattern), theta, num_steps)
-        (out * Tensor(r)).sum().backward()
+        weighted_sum(out, r).backward()
 
         ox, otheta = Parameter(x_vals.copy()), Parameter(theta_vals.copy())
         dense = [Parameter(pattern.scatter(v_vals[:, lead + t])) for t in range(t_len)]
         want = dense_spl(ox, dense, otheta, num_steps)
-        (want * Tensor(r)).sum().backward()
+        weighted_sum(want, r).backward()
 
         np.testing.assert_array_equal(out.data, want.data)
         assert_within(x.grad, ox.grad)
@@ -537,7 +540,7 @@ class TestTpl:
         shift = Parameter(rng.standard_normal(3), "shift")
         r = rng.standard_normal((3, 2, 3))
         reports = finite_diff_check(
-            lambda: (stnet.tpl(x, lam, 2, scale, shift) * Tensor(r)).sum(),
+            lambda: weighted_sum(stnet.tpl(x, lam, 2, scale, shift), r),
             [("x", x), ("lam", lam), ("scale", scale), ("shift", shift)],
         )
         assert all(rep.passed for rep in reports), [rep.line() for rep in reports]
@@ -657,7 +660,7 @@ def forward_backward(build, values, seed):
     leaves = [Parameter(v.copy()) for v in values]
     out = build(*leaves)
     r = np.random.default_rng(seed).standard_normal(out.shape)
-    (out * Tensor(r)).sum().backward()
+    weighted_sum(out, r).backward()
     with dc.no_grad():
         eval_out = build(*[Tensor(v) for v in values])
     assert not eval_out._track and eval_out._parents == ()
@@ -739,7 +742,7 @@ def test_untracked_parent_leaves_the_tracked_gradients(name):
     for skip in range(len(values)):
         leaves = [Tensor(v.copy()) if i == skip else Parameter(v.copy()) for i, v in enumerate(values)]
         out = fused(*leaves)
-        (out * Tensor(np.random.default_rng(42).standard_normal(out.shape))).sum().backward()
+        weighted_sum(out, np.random.default_rng(42).standard_normal(out.shape)).backward()
         assert leaves[skip].grad is None
         for i, (leaf, w) in enumerate(zip(leaves, want)):
             if i != skip:
@@ -756,8 +759,8 @@ class TestFusedBlock:
         dropout = None if dropout_seed is None else (0.4, np.random.default_rng(dropout_seed))
         out_stream, block_out = forward(block, stream, sequence(values, pattern), dropout)
         r = np.random.default_rng(31)
-        loss = (out_stream * Tensor(r.standard_normal(out_stream.shape))).sum()
-        (loss + (block_out * Tensor(r.standard_normal(block_out.shape))).sum()).backward()
+        loss = weighted_sum(out_stream, r.standard_normal(out_stream.shape))
+        (loss + weighted_sum(block_out, r.standard_normal(block_out.shape))).backward()
         grads = [stream.grad, values.grad] + [p.grad for _, p in block.params()]
         return out_stream.data, block_out.data, grads
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields, replace
@@ -26,8 +27,10 @@ from tglrn.errors import CheckpointError, ConfigError, DataError, NumericError
 from tglrn.model import TGLRN, ModelConfig, PredictionHead
 from tglrn.stnet import TPL_PER_BLOCK
 
-from tensor_ops import einsum2, reshape, stack
+from tensor_ops import einsum2, reshape, stack, weighted_sum
+from tensor_ops import mae_loss as oracle_mae_loss
 from test_acceptance import overfit_setup
+from test_stnet import closure_arrays
 
 
 def quick_setup(seed=0, n=6, t_total=140, t_in=6, t_out=3, noise=0.5, **model_kw):
@@ -81,6 +84,52 @@ class TestMaeLoss:
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             trainer.mae_loss(Tensor(np.ones((2, 2))), np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "shape, count, match",
+        [
+            ((0, 3), None, r"empty prediction of shape \(0, 3\)"),
+            ((0, 3), 4, r"empty prediction of shape \(0, 3\)"),
+            ((2, 3), 0, "count must be positive, got 0"),
+            ((2, 3), -2, "count must be positive, got -2"),
+        ],
+    )
+    def test_bad_input_is_data_error(self, shape, count, match):
+        with pytest.raises(DataError, match=match):
+            trainer.mae_loss(Tensor(np.ones(shape)), np.zeros(shape), count)
+
+    @pytest.mark.parametrize("count", [None, 96])
+    def test_one_node_is_bitwise_the_four_node_composition(self, count):
+        # As train_step calls it: on the scaled prediction, over the batch's count for a shard.
+        rng = np.random.default_rng(3)
+        vals, target = rng.standard_normal((2, 3, 4, 1)), rng.normal(5.0, 2.0, (2, 3, 4, 1))
+        std, mean = rng.uniform(0.5, 2.0, (4, 1)), rng.normal(5.0, 1.0, (4, 1))
+        results = []
+        for loss_fn in (trainer.mae_loss, oracle_mae_loss):
+            pred = Parameter(vals.copy())
+            loss = loss_fn(pred * std + mean, target, count)
+            loss.backward()
+            results.append((loss.data.tobytes(), pred.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_node_keeps_only_the_sign(self):
+        rng = np.random.default_rng(4)
+        pred = rng.standard_normal((2, 3, 4))
+        scaled = Parameter(pred) * 2.0
+        loss = trainer.mae_loss(scaled, np.zeros_like(pred))
+        assert loss._parents == (scaled,)
+        kept = [a for a in closure_arrays(loss) if a is not scaled.data]
+        assert len(kept) == 1 and kept[0].dtype == np.float64
+        np.testing.assert_array_equal(kept[0], np.sign(pred))
+
+    def test_nan_error_reaches_the_gradient_without_a_warning(self):
+        pred = Parameter(np.array([1.0, np.nan, -2.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = trainer.mae_loss(pred, np.zeros(4))
+            loss.backward()
+        assert np.isnan(loss.item())
+        np.testing.assert_array_equal(pred.grad, [0.25, np.nan, -0.25, 0.0])
 
 
 class TestForwardContract:
@@ -324,16 +373,18 @@ def test_backward_peak_memory_stays_small_next_to_tape():
 # criterion 5, T_in = 12, B = 32). The three embedding chains are one node plus a
 # part node each; each gate, the hop distribution, the hop choice, the adjacency
 # and the input layer are one node, and the edge projections one node plus a part
-# node each, all once per window; the prediction head is one node (30 nodes). A
-# per-step pass records about 420.
-TRAIN_STEP_OP_NODES = 32
+# node each, all once per window; the prediction head is one node, and the loss
+# one node on the prediction's two scaling nodes (27 nodes). A per-step pass
+# records about 420.
+TRAIN_STEP_OP_NODES = 29
 
 
 def test_acceptance_shape_train_step_records_few_op_nodes():
     model, (train_ds, _, _) = overfit_setup(seed=0)
     scaler = model.scaler
     pred = model.forward(train_ds.inputs[:32], mode="train", rng=np.random.default_rng(0))
-    loss = trainer.mae_loss(pred * scaler.std + scaler.mean, train_ds.targets[:32])
+    scaled = pred * scaler.std + scaler.mean
+    loss = trainer.mae_loss(scaled, train_ds.targets[:32])
     seen, todo = {}, [loss]
     while todo:
         t = todo.pop()
@@ -372,6 +423,9 @@ def test_acceptance_shape_train_step_records_few_op_nodes():
     (probs,) = mixing._parents
     assert probs._parents[1:] == (gb.hop_l1.w, gb.hop_l1.b, gb.hop_l2.w, gb.hop_l2.b)
     assert kinds.count("Linear.__call__") == 1  # the input layer
+    # The loss is one node, fed only the scaled prediction.
+    (mae,) = [t for t, kind in zip(ops, kinds) if kind == "mae_loss"]
+    assert mae is loss and loss._parents == (scaled,)
 
 
 @pytest.mark.parametrize("hop_dim, groups", [(8, [3]), (6, [2, 1])])
@@ -410,7 +464,7 @@ def test_prediction_head_node_equals_composition_bitwise(b, n, blocks, d, f):
         head.b.data[...] = rng.standard_normal(head.b.shape)
         outputs = [Parameter(rng.standard_normal((b, n, d))) for _ in range(blocks)]
         pred = build(head, outputs)
-        (pred * Tensor(rng.standard_normal(pred.shape))).sum().backward()
+        weighted_sum(pred, rng.standard_normal(pred.shape)).backward()
         results.append([pred.data] + [p.grad for p in outputs] + [head.w.grad, head.b.grad])
     assert len(results[0]) == blocks + 3
     for got, want in zip(*results):
@@ -883,6 +937,12 @@ class TestMetrics:
         )
         with pytest.raises(DataError):
             trainer.evaluate(model, empty)
+
+    def test_no_windows_to_score_rejected(self):
+        # Not NaN metrics behind a "Mean of empty slice" warning.
+        empty = np.zeros((0, 3, 2, 1))
+        with pytest.raises(DataError, match=r"no predictions to score, shape \(0, 3, 2, 1\)"):
+            trainer.compute_metrics(empty, empty)
 
 
 class TestHistoricalAverage:
