@@ -12,6 +12,7 @@ echoed file reproduces the results.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 from .data import SPLIT_RATIOS, Scaler, SynthSettings, check_scaler_scope, check_split_ratios
@@ -87,6 +88,10 @@ def _apply(cfg_dict, key, raw, origin):
     cfg_dict[key] = _coerce(key, raw)
 
 
+# A comment starts with a # at the line start or after whitespace, so values like runs/#3 survive.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def load_config(path=None, overrides=()):
     """Defaults, then the optional file, then ``key=value`` overrides."""
     cfg_dict = {}
@@ -97,7 +102,7 @@ def load_config(path=None, overrides=()):
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot open config file {path}: {e}") from None
         for lineno, line in enumerate(lines, start=1):
-            line = line.split("#", 1)[0].strip()
+            line = _COMMENT.split(line, 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:

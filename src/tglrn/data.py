@@ -169,8 +169,8 @@ def _interpolate_missing(values):
     return values
 
 
-def load_flows(path, num_nodes, impute=True):
-    """Parse a flow CSV into a FlowSeries of shape (T, N, 1).
+def load_flows(path, num_nodes):
+    """Parse a flow CSV into a FlowSeries of shape (T, N, 1), its missing readings imputed.
 
     Blank and all-empty rows are skipped, a first line whose first cell
     is not a number is a header, and empty cells are NaN. Numbers go
@@ -199,10 +199,7 @@ def load_flows(path, num_nodes, impute=True):
         raise DataError(
             f"load_flows: expected {num_nodes} sensor columns (+1 optional index), got {arr.shape[1]}"
         )
-    values = arr[:, :, None]
-    if impute:
-        values = _interpolate_missing(values)
-    return FlowSeries(values=values)
+    return FlowSeries(values=_interpolate_missing(arr[:, :, None]))
 
 
 _LOADTXT = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
@@ -395,19 +392,13 @@ def synth_generate(settings, seed):
     base = settings.synth_offset + amps[None, :] * wave
 
     noise_std = settings.synth_noise_std
-    noise = rng.normal(0.0, noise_std, size=(t_total, n)) if noise_std > 0 else np.zeros((t_total, n))
-    dev = np.zeros((t_total, n))
-    dev[0] = noise[0]
-    for t in range(1, t_total):
-        dev[t] = noise[t]
-        c = coeff[t]
-        if c != 0.0:
-            for v in range(n):
-                u = upstream[v]
-                if u is not None:
-                    dev[t, v] += c * dev[t - 1, u]
+    dev = rng.normal(0.0, noise_std, size=(t_total, n)) if noise_std > 0 else np.zeros((t_total, n))
+    pairs = [(u, v) for v, u in enumerate(upstream) if u is not None]
+    up, fed = np.array(pairs).T
+    for t in range(1, t_total):  # dev starts as the noise; each step adds the coupling in place
+        if coeff[t] != 0.0:
+            dev[t, fed] += coeff[t] * dev[t - 1, up]
 
     flows = (base + dev)[:, :, None]
-    pairs = [(u, v) for v, u in enumerate(upstream) if u is not None]
     planted = PlantedCoupling(pairs=pairs, coeff_by_step=coeff.astype(np.float64))
     return net, FlowSeries(values=flows), planted

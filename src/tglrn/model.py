@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import diffcore as dc
+from . import roadnet
 from .diffcore import Linear, Parameter, Tensor
 from .dyngraph import GraphConstruction
 from .errors import ConfigError
@@ -207,15 +208,18 @@ class StepDraws:
 class TGLRN:
     """Traffic forecaster over learned per-step graphs."""
 
-    def __init__(self, cfg, masks, scaler, rng):
-        """``cfg`` must have passed ``validate``, as ``trainer.build_model`` ensures.
+    def __init__(self, cfg, edges, scaler, rng, symmetrize_hops=False):
+        """A model over the road graph ``edges``, its parameters drawn from ``rng``.
 
-        ``masks`` holds the nested (levels, N, N) hop masks from ``roadnet.structure_group``.
+        The nested hop masks come from the graph's hop distances, along both
+        directions of each edge when ``symmetrize_hops``.
         """
-        want = (cfg.levels, cfg.num_nodes, cfg.num_nodes)
-        if masks.shape != want:
-            raise ConfigError(f"hop masks have shape {masks.shape}, config wants {want}")
+        cfg.validate()  # before the hop masks, whose cost grows with levels and num_nodes
+        net = roadnet.build_asp(edges, cfg.num_nodes)
+        masks = roadnet.structure_group(roadnet.hop_distances(net, symmetrize=symmetrize_hops), cfg.levels)
         self.cfg = cfg
+        self.edges = net.edges
+        self.symmetrize_hops = symmetrize_hops
         self.scaler = scaler
         self.graph_block = GraphConstruction(cfg, masks, rng)
         self.input_layer = Linear(cfg.in_features, cfg.hidden_dim, rng)

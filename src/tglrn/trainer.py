@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import diffcore as dc
-from . import roadnet
 from .data import Scaler
 from .errors import CheckpointError, ConfigError, DataError, NumericError, open_output
 from .model import ModelConfig, TGLRN
@@ -592,13 +591,6 @@ def checkpoint_load(path, expect_num_nodes=None):
 
 
 def build_model(cfg, edges, scaler, seed, symmetrize_hops=False):
-    """Assemble a model over a road network given by its edge list."""
-    cfg.validate()  # before the hop masks, whose cost grows with levels and num_nodes
-    net = roadnet.build_asp(edges, cfg.num_nodes)
-    dist = roadnet.hop_distances(net, symmetrize=symmetrize_hops)
-    masks = roadnet.structure_group(dist, cfg.levels)
+    """A model over a road network given by its edge list, its parameters drawn from ``seed``."""
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA11CE]))
-    model = TGLRN(cfg, masks, scaler, init_rng)
-    model.edges = list(net.edges)
-    model.symmetrize_hops = symmetrize_hops
-    return model
+    return TGLRN(cfg, edges, scaler, init_rng, symmetrize_hops)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tglrn import model as model_mod
 from tglrn import trainer
-from tglrn.config import RunConfig, load_config, section
+from tglrn.config import RunConfig, config_text, load_config, section
 from tglrn.data import Scaler, SynthSettings
 from tglrn.errors import ConfigError
 from tglrn.model import ModelConfig
@@ -60,11 +60,14 @@ def test_counts_no_machine_can_hold_rejected(counts, monkeypatch):
     cfg = ModelConfig(num_nodes=8, **counts)
     with pytest.raises(ConfigError, match="^parameters would need"):
         cfg.validate()
-    # build_model, which checkpoint_load calls too, checks before it builds the hop masks.
-    monkeypatch.setattr(trainer.roadnet, "structure_group", lambda *a: pytest.fail("hop masks built"))
+    # The constructor, which build_model and checkpoint_load go through, checks before it
+    # builds the hop masks.
+    monkeypatch.setattr(model_mod.roadnet, "structure_group", lambda *a: pytest.fail("hop masks built"))
     scaler = Scaler(mean=np.zeros((8, 1)), std=np.ones((8, 1)))
     with pytest.raises(ConfigError, match="^parameters would need"):
         trainer.build_model(cfg, [(0, 1)], scaler, seed=0)
+    with pytest.raises(ConfigError, match="^parameters would need"):
+        model_mod.TGLRN(cfg, [(0, 1)], scaler, np.random.default_rng(0))
 
 
 def test_hop_masks_count_toward_the_memory_limit(monkeypatch):
@@ -116,6 +119,14 @@ def test_config_file_with_a_bom_loads(tmp_path):
     path.write_text("\ufeffseed = 7\nnum_nodes = 5\n", encoding="utf-8")
     cfg = load_config(path)
     assert cfg.seed == 7 and cfg.num_nodes == 5
+
+
+def test_echoed_config_keeps_values_with_a_hash(tmp_path):
+    cfg = load_config(overrides=["out_dir=runs/#3", "flows_path=data/a#b.csv"])
+    path = tmp_path / "effective_config.cfg"
+    path.write_text(config_text(cfg) + "# closing note\nseed = 3  # note\n\t# indented note\n", encoding="utf-8")
+    again = load_config(path)
+    assert (again.out_dir, again.flows_path, again.seed) == ("runs/#3", "data/a#b.csv", 3)
 
 
 def test_undecodable_config_file_is_config_error(tmp_path):

@@ -1,8 +1,10 @@
 """Ingestion, scaling, windowing, and synthetic-generator contracts."""
 
+import contextlib
 import csv
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -65,6 +67,33 @@ def oracle_interpolate_missing(values):
             continue
         col[bad] = np.interp(idx[bad], idx[good], col[good])
     return values
+
+
+def oracle_synth_generate(settings, seed):
+    """The per-sensor coupling loop: one scalar update per fed sensor and step."""
+    n, t_total = settings.synth_nodes, settings.synth_steps
+    rng = np.random.default_rng(seed)
+    _, upstream = dmod._upstream_map(settings.synth_topology, n)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    amps = settings.synth_amplitude * rng.uniform(0.5, 1.0, size=n)
+    steps = np.arange(t_total)
+    regime_a = (steps // settings.synth_regime_period) % 2 == 0
+    coeff = np.where(regime_a, settings.synth_coupling_a, settings.synth_coupling_b)
+    wave = np.sin(2.0 * np.pi * steps[:, None] / settings.synth_period + phases[None, :])
+    base = settings.synth_offset + amps[None, :] * wave
+    noise_std = settings.synth_noise_std
+    noise = rng.normal(0.0, noise_std, size=(t_total, n)) if noise_std > 0 else np.zeros((t_total, n))
+    dev = np.zeros((t_total, n))
+    dev[0] = noise[0]
+    for t in range(1, t_total):
+        dev[t] = noise[t]
+        c = coeff[t]
+        if c != 0.0:
+            for v in range(n):
+                u = upstream[v]
+                if u is not None:
+                    dev[t, v] += c * dev[t - 1, u]
+    return (base + dev)[:, :, None]
 
 
 def oracle_make_windows(series, t_in, t_out, ratios=(0.6, 0.2, 0.2)):
@@ -154,10 +183,15 @@ def flow_files(draw):
     return text, max(1, n + draw(st.sampled_from([0, 0, 0, 1, -1])))
 
 
-def load_outcome(loader, path, num_nodes, impute):
-    """The loaded values, or the DataError message."""
+def parsed_only():
+    """Context in which ``load_flows`` returns the parsed cells, imputation left out."""
+    return mock.patch.object(dmod, "_interpolate_missing", lambda values: values)
+
+
+def load_outcome(load):
+    """The values ``load()`` returns, or its DataError message."""
     try:
-        return loader(path, num_nodes, impute=impute).values
+        return load().values
     except DataError as e:
         return str(e)
 
@@ -232,9 +266,9 @@ class TestLoadFlows:
         text, num_nodes = case
         path = tmp_path_factory.mktemp("flows") / "flow.csv"
         path.write_bytes(text.encode())
-        got, want = load_outcome(dmod.load_flows, path, num_nodes, impute), load_outcome(
-            oracle_load_flows, path, num_nodes, impute
-        )
+        with contextlib.nullcontext() if impute else parsed_only():
+            got = load_outcome(lambda: dmod.load_flows(path, num_nodes))
+        want = load_outcome(lambda: oracle_load_flows(path, num_nodes, impute))
         if isinstance(want, str):
             assert got == want
         else:
@@ -267,7 +301,8 @@ class TestLoadFlows:
     def test_quoted_blank_and_padded_cells(self, tmp_path):
         path = tmp_path / "flow.csv"
         path.write_bytes(b'"t","s0","s1"\r\n\r\n,\r\n0, 1.5 ,""\r\n1,"2",\t\r\n2, ,4\r\n3,5,')
-        series = dmod.load_flows(path, 2, impute=False)
+        with parsed_only():
+            series = dmod.load_flows(path, 2)
         np.testing.assert_array_equal(
             series.values[:, :, 0], [[1.5, np.nan], [2.0, np.nan], [np.nan, 4.0], [5.0, np.nan]]
         )
@@ -476,6 +511,17 @@ class TestSynth:
         a = dmod.synth_generate(settings, 42)
         b = dmod.synth_generate(settings, 42)
         np.testing.assert_array_equal(a[1].values, b[1].values)
+
+    @pytest.mark.parametrize("topology, nodes", [("chain", 8), ("ring", 8), ("grid", 9)])
+    @pytest.mark.parametrize("coupling_b", [0.0, 0.4])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_coupling_matches_per_sensor_loop(self, topology, nodes, coupling_b, noise):
+        settings = dmod.SynthSettings(
+            synth_topology=topology, synth_nodes=nodes, synth_steps=300, synth_regime_period=20,
+            synth_coupling_b=coupling_b, synth_noise_std=noise,
+        )
+        _, series, _ = dmod.synth_generate(settings, 11)
+        assert np.array_equal(series.values, oracle_synth_generate(settings, 11))
 
     def test_pure_sinusoid_when_quiet(self):
         settings = dmod.SynthSettings(

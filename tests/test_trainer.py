@@ -154,13 +154,6 @@ class TestForwardContract:
         with pytest.raises(ConfigError, match="hop_mode 'Hard'"):
             model.forward(train_ds.inputs[:2], mode=mode, rng=rng, hop_mode="Hard")
 
-    @pytest.mark.parametrize("shape", [(3, 4, 4), (2, 5, 5), (2, 4, 5), (4, 4)])
-    def test_hop_masks_of_another_shape_rejected(self, shape):
-        cfg = ModelConfig(num_nodes=4, levels=2)
-        scaler = dmod.Scaler(mean=np.zeros((4, 1)), std=np.ones((4, 1)))
-        with pytest.raises(ConfigError, match="hop masks"):
-            TGLRN(cfg, np.ones(shape), scaler, np.random.default_rng(0))
-
 
 @pytest.fixture()
 def zero_lr_adam(monkeypatch):
@@ -433,7 +426,7 @@ def test_train_forward_runs_each_chain_width_once(monkeypatch, hop_dim, groups):
     # One EmbeddingChain.run call per width group, so a span around it covers every chain.
     base, (train_ds, _, _) = overfit_setup(seed=0)
     cfg = replace(base.cfg, hop_dim=hop_dim)
-    model = TGLRN(cfg, base.graph_block.masks, base.scaler, np.random.default_rng(0))
+    model = TGLRN(cfg, base.edges, base.scaler, np.random.default_rng(0))
     calls, run = [], dg.EmbeddingChain.run
 
     def counted(chain, window, *more):
@@ -977,6 +970,25 @@ class TestCheckpoint:
         for (na, pa), (nb, pb) in zip(model.parameters(), loaded.parameters()):
             assert na == nb
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    @pytest.mark.parametrize("built_by", ["constructor", "build_model", "checkpoint_load"])
+    def test_every_way_of_building_round_trips(self, tmp_path, built_by):
+        base, (train_ds, _, _), _, _ = quick_setup(seed=3)
+        edges = [(2, 3), *base.edges, (0, 1)]  # out of order, with duplicates
+        if built_by == "constructor":
+            model = TGLRN(base.cfg, edges, base.scaler, np.random.default_rng(5), symmetrize_hops=True)
+        else:
+            model = trainer.build_model(base.cfg, edges, base.scaler, seed=5, symmetrize_hops=True)
+        if built_by == "checkpoint_load":
+            trainer.checkpoint_save(tmp_path / "first.ckpt", model)
+            model, _ = trainer.checkpoint_load(tmp_path / "first.ckpt")
+        assert model.edges == base.edges and model.symmetrize_hops is True
+        trainer.checkpoint_save(tmp_path / "m.ckpt", model)
+        loaded, _ = trainer.checkpoint_load(tmp_path / "m.ckpt")
+        assert loaded.edges == model.edges and loaded.symmetrize_hops is True
+        np.testing.assert_array_equal(loaded.graph_block.masks, model.graph_block.masks)
+        window = train_ds.inputs[:4]
+        assert loaded.predict_raw(window).tobytes() == model.predict_raw(window).tobytes()
 
     def test_truncated_file_rejected(self, tmp_path):
         model, _, _, _ = quick_setup()
