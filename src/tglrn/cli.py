@@ -18,7 +18,7 @@ from . import data as data_mod
 from . import diffcore as dc
 from . import gradcheck, roadnet, trainer
 from .config import config_text, load_config, section
-from .errors import ConfigError, DataError, TglrnError, open_output
+from .errors import ConfigError, DataError, TglrnError, write_csv
 from .model import ModelConfig
 
 GRADCHECK_EXIT = 5
@@ -71,30 +71,17 @@ def _load_dataset(cfg):
 
 
 def _write_metrics(path, report):
-    with open_output(path) as fh:
-        fh.write("horizon,mae,rmse,mape\n")
-        for horizon, mae, rmse, mape in report.rows():
-            fh.write(f"{horizon},{mae!r},{rmse!r},{mape!r}\n")
+    write_csv(path, ("horizon", "mae", "rmse", "mape"), report.rows())
 
 
 def cmd_synth(cfg):
     _ensure_out_dir(cfg)
     edges_path, flow_path, planted_path = _outputs(cfg, "edges.csv", "flow.csv", "planted.csv")
     net, series, planted = data_mod.synth_generate(section(cfg, data_mod.SynthSettings), cfg.seed)
-    with open_output(edges_path) as fh:
-        fh.write("from,to\n")
-        for i, j in net.edges:
-            fh.write(f"{i},{j}\n")
-    n = series.num_nodes
-    with open_output(flow_path) as fh:
-        fh.write("t," + ",".join(f"s{i}" for i in range(n)) + "\n")
-        for t in range(series.num_steps):
-            row = ",".join(repr(float(v)) for v in series.values[t, :, 0])
-            fh.write(f"{t},{row}\n")
-    with open_output(planted_path) as fh:
-        fh.write("t,from,to,coeff\n")
-        for t, u, v, c in planted.records():
-            fh.write(f"{t},{u},{v},{c!r}\n")
+    write_csv(edges_path, ("from", "to"), net.edges)
+    sensors = [f"s{i}" for i in range(series.num_nodes)]
+    write_csv(flow_path, ["t", *sensors], ((t, *row.tolist()) for t, row in enumerate(series.values[:, :, 0])))
+    write_csv(planted_path, ("t", "from", "to", "coeff"), planted.records())
     print(f"wrote {edges_path}, {flow_path}, {planted_path}")
     return 0
 
@@ -149,13 +136,13 @@ def cmd_predict(cfg):
     (path,) = _outputs(cfg, "predictions.csv")
     model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
     preds = trainer.batched_predictions(model, test_ds)
-    with open_output(path) as fh:
-        fh.write("t,horizon,sensor,value\n")
-        for w in range(preds.shape[0]):
-            anchor = int(test_ds.anchors[w])
-            for h in range(preds.shape[1]):
-                for s in range(preds.shape[2]):
-                    fh.write(f"{anchor},{h + 1},{s},{float(preds[w, h, s, 0])!r}\n")
+    rows = (
+        (anchor, h, s, value)
+        for anchor, window in zip(test_ds.anchors.tolist(), preds[..., 0])
+        for h, step in enumerate(window.tolist(), start=1)
+        for s, value in enumerate(step)
+    )
+    write_csv(path, ("t", "horizon", "sensor", "value"), rows)
     print(f"wrote {path}")
     return 0
 
@@ -171,13 +158,14 @@ def cmd_gradcheck(cfg, quick=False):
 
 def _write_edges(path, seq, w):
     """One line per nonzero weight of window ``w`` of ``seq``, step by step, row-major."""
-    with open_output(path) as fh:
-        fh.write("t,i,j,weight,hop_i\n")
-        rows, cols = seq.pattern.rows, seq.pattern.cols  # row-major, as np.nonzero lists pairs
-        for t, weights in enumerate(seq.values.data[w]):
-            hops = seq.hop_choices[w, t]
-            for p in np.flatnonzero(weights):
-                fh.write(f"{t},{rows[p]},{cols[p]},{float(weights[p])!r},{hops[rows[p]]}\n")
+    rows, cols = seq.pattern.rows.tolist(), seq.pattern.cols.tolist()  # row-major, as np.nonzero lists pairs
+    weights, hops = seq.values.data[w], seq.hop_choices[w]
+    steps, pairs = np.nonzero(weights)
+    lines = (
+        (t, rows[p], cols[p], float(weights[t, p]), int(hops[t, rows[p]]))
+        for t, p in zip(steps.tolist(), pairs.tolist())
+    )
+    write_csv(path, ("t", "i", "j", "weight", "hop_i"), lines)
 
 
 def cmd_inspect_graph(cfg):
@@ -205,11 +193,8 @@ def cmd_inspect_graph(cfg):
             _write_edges(edge_path, seq, widx - part.start)
 
     total = counts.sum()
-    with open_output(hist_path) as fh:
-        fh.write("hop,count,fraction\n")
-        for k in range(levels):
-            frac = float(counts[k] / total) if total else 0.0
-            fh.write(f"{k + 1},{counts[k]},{frac!r}\n")
+    rows = ((k, int(c), float(c / total) if total else 0.0) for k, c in enumerate(counts, start=1))
+    write_csv(hist_path, ("hop", "count", "fraction"), rows)
     print(f"wrote {edge_path}, {hist_path}")
     return 0
 

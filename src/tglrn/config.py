@@ -82,14 +82,20 @@ def _coerce(key, raw):
     return raw
 
 
+# A comment starts with a # at the line start or after whitespace, so values like runs/#3 survive.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _apply(cfg_dict, key, raw, origin):
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key {key!r} ({origin})")
+    value = raw.strip()  # config_text echoes it unquoted, on a line of its own
+    if "\n" in value or "\r" in value or _COMMENT.search(value):
+        raise ConfigError(
+            f"config key {key}: {value!r} holds a line break or a # that starts a comment, "
+            f"which effective_config.cfg cannot echo ({origin})"
+        )
     cfg_dict[key] = _coerce(key, raw)
-
-
-# A comment starts with a # at the line start or after whitespace, so values like runs/#3 survive.
-_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def load_config(path=None, overrides=()):

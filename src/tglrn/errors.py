@@ -1,8 +1,9 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the writers of its output files.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2 (a MemoryError too: the settings ask for more than the machine has),
 data/file problems (an OSError too) with 3, numeric failures (NaN/Inf) with 4.
+``open_output`` opens an output file so that its OSError names it; ``write_csv`` writes every CSV.
 """
 
 import contextlib
@@ -18,6 +19,21 @@ def open_output(path, mode="w"):
     except OSError as e:
         e.filename = e.filename or os.fspath(path)
         raise
+
+
+def write_csv(path, header, rows):
+    """The ``header`` line, then one line per row: ``str`` cells as they are, others as ``repr``.
+
+    Pass Python scalars (``tolist()``, ``int()``, ``float()``), whose ``repr`` reads back bitwise;
+    numpy 2 writes ``repr(np.float64(x))`` as ``np.float64(x)``. The first row decides which
+    columns hold ``str`` cells.
+    """
+    with open_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        line = None
+        for row in rows:
+            line = line or ",".join("%s" if isinstance(cell, str) else "%r" for cell in row) + "\n"
+            fh.write(line % tuple(row))
 
 
 class TglrnError(Exception):

@@ -14,13 +14,13 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import diffcore as dc
 from .data import Scaler
-from .errors import CheckpointError, ConfigError, DataError, NumericError, open_output
+from .errors import CheckpointError, ConfigError, DataError, NumericError, open_output, write_csv
 from .model import ModelConfig, TGLRN
 
 __all__ = [
@@ -359,12 +359,6 @@ class EpochRecord:
     val_rmse: float
     val_mape: float
 
-    def csv_row(self):
-        return (
-            f"{self.epoch},{self.train_loss!r},{self.val_mae!r},"
-            f"{self.val_rmse!r},{self.val_mape!r}"
-        )
-
 
 def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
     """Mini-batch Adam with early stopping on validation MAE.
@@ -432,10 +426,7 @@ def train(model, train_ds, val_ds, settings, seed, epoch_hook=None):
 
 
 def write_history(path, history):
-    with open_output(path) as fh:
-        fh.write("epoch,train_loss,val_mae,val_rmse,val_mape\n")
-        for rec in history:
-            fh.write(rec.csv_row() + "\n")
+    write_csv(path, [f.name for f in fields(EpochRecord)], map(astuple, history))
 
 
 # -- checkpointing ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -118,6 +118,11 @@ BAD_SETTINGS = [
     "seed=-1",
     "train_frac=nan",
     "scaler_scope=median",
+    # values that effective_config.cfg would echo as a comment or as a second line
+    "flows_path=#3",
+    "flows_path=data/a #3.csv",
+    "edges_path=data/a\t#3.csv",
+    "flows_path=a.csv\nseed=5",
 ]
 
 
@@ -383,6 +388,72 @@ def test_inspect_graph_on_a_wide_model_matches_the_whole_chunk_plan(tmp_path, mo
     monkeypatch.setattr(trainer, "PARALLEL_EVAL_WIDTH", cfg.num_nodes * cfg.hidden_dim + 1)
     assert inspect(tmp_path / "whole") == chunked
     assert chunked[0].count(b"\n") > 1
+
+
+def float_bits(values):
+    """The float64 bit patterns of ``values``, parsed first where they are CSV cells."""
+    return np.array([float(v) for v in values], dtype=np.float64).view(np.int64).tolist()
+
+
+def test_every_float_cell_reads_back_bitwise(tmp_path, monkeypatch):
+    """synth, train, eval, predict and inspect-graph write each float as the value computed in-process."""
+    returned = []
+    real_train = trainer.train
+
+    def recording_train(*args, **kwargs):
+        returned.append(real_train(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(trainer, "train", recording_train)
+    data_dir, out = tmp_path / "data", tmp_path / "train"
+    assert run(synth_args(data_dir)) == 0
+    assert run(train_args(data_dir, out)) == 0
+    for command in ("eval", "predict", "inspect-graph"):
+        args = [command]
+        for s in (f"checkpoint_path={out}/model.ckpt", f"flows_path={data_dir}/flow.csv", f"out_dir={tmp_path / command}"):
+            args += ["--set", s]
+        assert run(args) == 0, command
+
+    def rows(path):
+        return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+    model, _ = trainer.checkpoint_load(out / "model.ckpt")
+    test_ds = dmod.make_windows(dmod.load_flows(data_dir / "flow.csv", 8), 6, 3)[2]
+
+    preds = trainer.batched_predictions(model, test_ds)
+    got = rows(tmp_path / "predict" / "predictions.csv")
+    _, horizons, sensors, _ = preds.shape
+    keys = [(a, h + 1, s) for a in test_ds.anchors.tolist() for h in range(horizons) for s in range(sensors)]
+    assert [tuple(map(int, row[:3])) for row in got] == keys
+    assert float_bits(row[3] for row in got) == float_bits(preds[..., 0].ravel())
+
+    ((history, _),) = returned
+    got = rows(out / "history.csv")
+    assert [int(row[0]) for row in got] == [rec.epoch for rec in history]
+    assert float_bits(c for row in got for c in row[1:]) == float_bits(
+        v for rec in history for v in astuple(rec)[1:]
+    )
+
+    report = trainer.evaluate(model, test_ds)
+    for path in (out / "metrics.csv", tmp_path / "eval" / "metrics.csv"):
+        got = rows(path)
+        assert [row[0] for row in got] == [row[0] for row in report.rows()], path
+        assert float_bits(c for row in got for c in row[1:]) == float_bits(
+            v for row in report.rows() for v in row[1:]
+        ), path
+
+    _, _, planted = dmod.synth_generate(dmod.SynthSettings(synth_nodes=8, synth_steps=160), 0)
+    got, want = rows(data_dir / "planted.csv"), planted.records()
+    assert [tuple(map(int, row[:3])) for row in got] == [rec[:3] for rec in want]
+    assert float_bits(row[3] for row in got) == float_bits(rec[3] for rec in want)
+
+    emitted = [data_dir / name for name in ("edges.csv", "flow.csv", "planted.csv")] + [
+        out / "history.csv", out / "metrics.csv", tmp_path / "eval" / "metrics.csv",
+        tmp_path / "predict" / "predictions.csv",
+        tmp_path / "inspect-graph" / "graph_edges.csv", tmp_path / "inspect-graph" / "hop_histogram.csv",
+    ]
+    for path in emitted:
+        assert "np." not in path.read_text(), path
 
 
 class TestErrors:

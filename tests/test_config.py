@@ -1,7 +1,9 @@
 """Run configuration: defaults shared with the model and train specs, and load-time checks."""
 
 import math
+import os
 import re
+import tempfile
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -112,6 +114,11 @@ def test_overrides_load_or_raise_config_error(pairs):
         pass
     section(cfg, trainer.TrainSettings).check_fields()
     section(cfg, SynthSettings).check_fields()
+    with tempfile.TemporaryDirectory() as tmp:  # what loads reloads the same from its echo
+        path = os.path.join(tmp, "effective_config.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config_text(cfg))
+        assert load_config(path) == cfg
 
 
 def test_config_file_with_a_bom_loads(tmp_path):
@@ -127,6 +134,21 @@ def test_echoed_config_keeps_values_with_a_hash(tmp_path):
     path.write_text(config_text(cfg) + "# closing note\nseed = 3  # note\n\t# indented note\n", encoding="utf-8")
     again = load_config(path)
     assert (again.out_dir, again.flows_path, again.seed) == ("runs/#3", "data/a#b.csv", 3)
+
+
+# Each would be echoed as a comment or as a second line: #3 reloads as '', runs/a #3 as
+# runs/a, and a\nseed=5 sets seed.
+@pytest.mark.parametrize("value", ["#3", "runs/a #3", "runs/a\t#3", "a\nseed=5", "a\rseed=5"])
+def test_value_the_echo_cannot_write_back_is_rejected(value):
+    with pytest.raises(ConfigError, match="^config key out_dir: .* \\(command line\\)$"):
+        load_config(overrides=[f"out_dir={value}"])
+
+
+def test_file_value_that_would_echo_as_a_comment_is_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 3\nout_dir =#3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config key out_dir: .*run.cfg:2\\)$"):
+        load_config(path)
 
 
 def test_undecodable_config_file_is_config_error(tmp_path):

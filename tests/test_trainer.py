@@ -10,7 +10,7 @@ import tracemalloc
 import warnings
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -210,7 +210,7 @@ class TestTrainLoop:
             history, _ = trainer.train(model, train_ds, val_ds, settings(max_epochs=2), seed=3)
             runs.append((history, model.state_arrays()))
         (h1, s1), (h2, s2) = runs
-        assert [r.csv_row() for r in h1] == [r.csv_row() for r in h2]
+        assert [astuple(r) for r in h1] == [astuple(r) for r in h2]
         for name in s1:
             np.testing.assert_array_equal(s1[name], s2[name])
 
@@ -234,12 +234,13 @@ class TestTrainLoop:
         assert np.all(test_b.targets[:, -1] == 12345.0)
         assert not np.array_equal(test_b.targets, test_ds.targets)
         h_b, _ = trainer.train(model_b, train_b, val_b, settings(max_epochs=2), seed=5)
-        assert [r.csv_row() for r in h_a] == [r.csv_row() for r in h_b]
+        assert [astuple(r) for r in h_a] == [astuple(r) for r in h_b]
 
     def test_history_bitwise_equal_under_one_and_two_blas_threads(self):
         # acceptance shape, two epochs, each run in its own process with its own thread count
         script = """
 import hashlib
+from dataclasses import astuple
 from tglrn import data as dmod, trainer
 from tglrn.model import ModelConfig
 net, series, _ = dmod.synth_generate(dmod.SynthSettings(synth_nodes=8, synth_steps=372), 0)
@@ -252,7 +253,7 @@ history, _ = trainer.train(model, train_ds, val_ds, settings, seed=0)
 digest = hashlib.sha256()
 for name, arr in sorted(model.state_arrays().items()):
     digest.update(name.encode() + arr.tobytes())
-print("\\n".join(r.csv_row() for r in history))
+print("\\n".join(repr(astuple(r)) for r in history))
 print(digest.hexdigest())
 """
         src = os.path.dirname(os.path.dirname(os.path.abspath(trainer.__file__)))
@@ -776,7 +777,7 @@ def test_wide_training_does_not_depend_on_the_cpu_count(cpus, sharded):
             model, first_windows(train_ds, 12), first_windows(val_ds, 8),
             settings(batch_size=5, max_epochs=2), seed=7,
         )
-        runs.append(([r.csv_row() for r in history], best))
+        runs.append(([astuple(r) for r in history], best))
     # 1 CPU starts no pool; each of the others starts a two-thread pool per step and per eval.
     assert pools == [2] * 2 * (6 + 2)
     for rows, best in runs[1:]:
