@@ -94,7 +94,7 @@ def cmd_train(cfg):
     history_path, metrics_path = _outputs(cfg, "history.csv", "metrics.csv")
     edges, series, (train_ds, val_ds, test_ds), scaler = _load_dataset(cfg)
     if len(test_ds) == 0:
-        raise DataError("train: test split holds no windows; raise test_frac or the series length")
+        raise DataError("train: test split holds no windows; raise test_frac")
     model = trainer.build_model(mcfg, edges, scaler, cfg.seed, cfg.symmetrize_hops)
     settings = section(cfg, trainer.TrainSettings)
     history, _ = trainer.train(model, train_ds, val_ds, settings, cfg.seed)
@@ -109,20 +109,23 @@ def cmd_train(cfg):
     return 0
 
 
-def _load_checkpoint_and_data(cfg):
-    """Window the flows with the checkpoint's own shape parameters."""
+def _load_checkpoint_and_data(cfg, command, *outputs):
+    """(model, test split, output paths) of a checkpoint command; the flows are
+    windowed with the checkpoint's own shape parameters."""
+    _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
+    paths = _outputs(cfg, *outputs)
     expect = cfg.num_nodes if cfg.num_nodes > 0 else None
     model, _ = trainer.checkpoint_load(cfg.checkpoint_path, expect_num_nodes=expect)
     series = data_mod.load_flows(cfg.flows_path, model.cfg.num_nodes)
     ratios = (cfg.train_frac, cfg.val_frac, cfg.test_frac)
-    splits = data_mod.make_windows(series, model.cfg.t_in, model.cfg.t_out, ratios)
-    return model, splits
+    _, _, test_ds = data_mod.make_windows(series, model.cfg.t_in, model.cfg.t_out, ratios)
+    if len(test_ds) == 0:
+        raise DataError(f"{command}: test split holds no windows; raise test_frac")
+    return model, test_ds, paths
 
 
 def cmd_eval(cfg):
-    _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
-    (metrics_path,) = _outputs(cfg, "metrics.csv")
-    model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
+    model, test_ds, (metrics_path,) = _load_checkpoint_and_data(cfg, "eval", "metrics.csv")
     report = trainer.evaluate(model, test_ds, cfg.mape_threshold)
     _write_metrics(metrics_path, report)
     print("horizon,mae,rmse,mape")
@@ -132,9 +135,7 @@ def cmd_eval(cfg):
 
 
 def cmd_predict(cfg):
-    _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
-    (path,) = _outputs(cfg, "predictions.csv")
-    model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
+    model, test_ds, (path,) = _load_checkpoint_and_data(cfg, "predict", "predictions.csv")
     preds = trainer.batched_predictions(model, test_ds)
     rows = (
         (anchor, h, s, value)
@@ -169,11 +170,9 @@ def _write_edges(path, seq, w):
 
 
 def cmd_inspect_graph(cfg):
-    _ensure_out_dir(cfg, "checkpoint_path", "flows_path")
-    edge_path, hist_path = _outputs(cfg, "graph_edges.csv", "hop_histogram.csv")
-    model, (_, _, test_ds) = _load_checkpoint_and_data(cfg)
-    if len(test_ds) == 0:
-        raise DataError("inspect-graph: test split holds no windows")
+    model, test_ds, (edge_path, hist_path) = _load_checkpoint_and_data(
+        cfg, "inspect-graph", "graph_edges.csv", "hop_histogram.csv"
+    )
     count = min(cfg.inspect_windows, len(test_ds))
     widx = cfg.inspect_window_index
     if not 0 <= widx < count:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
-from .data import SPLIT_RATIOS, Scaler, SynthSettings, check_scaler_scope, check_split_ratios
+from .data import SCALER_SCOPES, SPLIT_RATIOS, SynthSettings, check_scaler_scope, check_split_ratios
 from .errors import ConfigError
 from .model import ModelConfig
 from .trainer import TrainSettings
@@ -36,7 +36,7 @@ class _RunKeys:
     train_frac: float = SPLIT_RATIOS[0]  # chronological share of steps for training
     val_frac: float = SPLIT_RATIOS[1]  # chronological share for validation
     test_frac: float = SPLIT_RATIOS[2]  # chronological share for testing
-    scaler_scope: str = Scaler.scope  # z-score statistics per_sensor or global
+    scaler_scope: str = SCALER_SCOPES[0]  # z-score statistics per_sensor or global
     symmetrize_hops: bool = False  # treat edges as bidirectional for hop distances
     inspect_windows: int = 8  # test windows aggregated in inspect-graph histograms
     inspect_window_index: int = 0  # test window dumped edge-by-edge

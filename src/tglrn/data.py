@@ -55,16 +55,16 @@ class FlowSeries:
 
 @dataclass
 class Scaler:
-    """Z-score statistics; shapes broadcast against (..., N, F) arrays."""
+    """Z-score statistics, (N, F) per sensor or (1, 1) global; they broadcast against (..., N, F) arrays."""
 
     mean: np.ndarray
     std: np.ndarray
-    scope: str = "per_sensor"
 
     def apply(self, x):
         return (x - self.mean) / self.std
 
     def invert(self, x):
+        """Original units of ``x``, an array or a tape ``Tensor``; the one way back from the z-score."""
         return x * self.std + self.mean
 
 
@@ -89,13 +89,11 @@ class PlantedCoupling:
     coeff_by_step: np.ndarray  # (T_total,) coupling coefficient active at each step
 
     def records(self):
-        """(t, from, to, coeff) rows for every step with active coupling."""
-        rows = []
+        """Yield (t, from, to, coeff) for every step with active coupling."""
         for t, c in enumerate(self.coeff_by_step):
             if c != 0.0:
                 for u, v in self.pairs:
-                    rows.append((t, u, v, float(c)))
-        return rows
+                    yield t, u, v, float(c)
 
 
 @dataclass
@@ -273,7 +271,7 @@ def check_scaler_scope(scope):
         raise ConfigError(f"scaler_scope must be {' or '.join(SCALER_SCOPES)}, got {scope!r}")
 
 
-def fit_scaler(train_values, scope=Scaler.scope):
+def fit_scaler(train_values, scope=SCALER_SCOPES[0]):
     """Population-moment z-score statistics from the train portion only."""
     check_scaler_scope(scope)
     if scope == "per_sensor":
@@ -285,7 +283,7 @@ def fit_scaler(train_values, scope=Scaler.scope):
     if np.any(std <= STD_FLOOR):
         warnings.warn("fit_scaler: zero-variance sensor column, flooring std at 1e-8")
         std = np.maximum(std, STD_FLOOR)
-    return Scaler(mean=mean, std=std, scope=scope)
+    return Scaler(mean=mean, std=std)
 
 
 def check_split_ratios(ratios):

@@ -315,11 +315,9 @@ def train_step(model, window, target, draws):
     ``window`` batch's predictions against ``target``, computed as
     train_lanes' shards plan it; ``draws`` is the batch's ``StepDraws``.
     """
-    scaler, count = model.scaler, target.size
-
     def loss_of(part):
         pred = model.forward(window[part], mode="train", draws=draws.rows(part))
-        return mae_loss(pred * scaler.std + scaler.mean, target[part], count)
+        return mae_loss(model.scaler.invert(pred), target[part], target.size)
 
     return lane_backward(loss_of, train_lanes(model, len(window)))
 
@@ -436,13 +434,7 @@ def checkpoint_save(path, model, extra_config=None):
     """Versioned binary dump: magic, JSON header, then raw float64 payloads."""
     header = {
         "model": asdict(model.cfg),
-        "scaler": {
-            "scope": model.scaler.scope,
-            "mean": model.scaler.mean.tolist(),
-            "std": model.scaler.std.tolist(),
-            "mean_shape": list(model.scaler.mean.shape),
-            "std_shape": list(model.scaler.std.shape),
-        },
+        "scaler": {"mean": model.scaler.mean.tolist(), "std": model.scaler.std.tolist()},
         "edges": [[int(i), int(j)] for i, j in model.edges],
         "symmetrize_hops": model.symmetrize_hops,
         "params": [[name, list(p.data.shape)] for name, p in model.parameters()],
@@ -479,12 +471,9 @@ def _parse_header(header):
         m = dict(header["model"])
         # Headers from while eval-time edge thinning was a key carry it as false; true never evaluated.
         legacy = m.pop("eval_sampling_override", False)
+        # Older headers also carry scope, mean_shape and std_shape; the nested lists' own shapes say it all.
         sc = header["scaler"]
-        scaler = Scaler(
-            mean=np.asarray(sc["mean"], dtype=np.float64).reshape(_shape(sc["mean_shape"])),
-            std=np.asarray(sc["std"], dtype=np.float64).reshape(_shape(sc["std_shape"])),
-            scope=sc["scope"],
-        )
+        scaler = Scaler(mean=np.asarray(sc["mean"], dtype=np.float64), std=np.asarray(sc["std"], dtype=np.float64))
         edges = [(i, j) for i, j in header["edges"]]
         specs = [(str(name), _shape(shape)) for name, shape in header["params"]]
         symmetrize = header.get("symmetrize_hops", False)

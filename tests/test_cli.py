@@ -443,7 +443,7 @@ def test_every_float_cell_reads_back_bitwise(tmp_path, monkeypatch):
         ), path
 
     _, _, planted = dmod.synth_generate(dmod.SynthSettings(synth_nodes=8, synth_steps=160), 0)
-    got, want = rows(data_dir / "planted.csv"), planted.records()
+    got, want = rows(data_dir / "planted.csv"), list(planted.records())
     assert [tuple(map(int, row[:3])) for row in got] == [rec[:3] for rec in want]
     assert float_bits(row[3] for row in got) == float_bits(rec[3] for rec in want)
 
@@ -762,6 +762,23 @@ def test_option_changes_metrics_and_eval_reproduces_them(default_run, tmp_path, 
         args += ["--set", s]
     assert run(args) == 0
     assert (tmp_path / "eval" / "metrics.csv").read_bytes() == metrics
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "inspect-graph"])
+def test_checkpoint_command_without_a_test_window_exits_3(default_run, tmp_path, capsys, command):
+    data_dir, _ = default_run
+    out = tmp_path / "o"
+    args = [command]
+    for s in (
+        f"checkpoint_path={data_dir.parent / 'default' / 'model.ckpt'}", f"flows_path={data_dir}/flow.csv",
+        f"out_dir={out}", "train_frac=0.8", "val_frac=0.2", "test_frac=0",
+    ):
+        args += ["--set", s]
+    capsys.readouterr()
+    assert run(args) == 3
+    err = capsys.readouterr().err
+    assert err == f"ERROR:3: {command}: test split holds no windows; raise test_frac\n", err
+    assert sorted(p.name for p in out.iterdir()) == ["effective_config.cfg"]
 
 
 class TestGradcheckCommand:

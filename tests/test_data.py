@@ -571,7 +571,7 @@ class TestSynth:
 
     def test_planted_records_format(self):
         _, _, planted = dmod.synth_generate(dmod.SynthSettings(synth_nodes=4, synth_steps=10, synth_regime_period=5), 0)
-        rows = planted.records()
+        rows = list(planted.records())
         assert all(len(r) == 4 for r in rows)
         ts = {r[0] for r in rows}
         assert ts == set(range(5))  # regime A active on the first half only

@@ -767,6 +767,20 @@ def test_narrow_step_is_the_whole_batch_oracle_bitwise():
         np.testing.assert_array_equal(grads[name], g, err_msg=name)
 
 
+@pytest.mark.parametrize("in_shards", [False, True], ids=["narrow", "sharded"])
+def test_train_step_leaves_the_z_score_through_the_scaler(cpus, request, monkeypatch, in_shards):
+    # Scaler.invert is the one way back to original units: once a step, or once a one-window shard.
+    if in_shards:
+        request.getfixturevalue("sharded")
+    model, (train_ds, _, _), _, _ = threaded_setup()
+    cpus(2)
+    seen, invert = [], dmod.Scaler.invert
+    monkeypatch.setattr(dmod.Scaler, "invert", lambda self, x: seen.append(type(x)) or invert(self, x))
+    draws = model.draw(np.random.default_rng(3), 5)
+    trainer.train_step(model, train_ds.inputs[:5], train_ds.targets[:5], draws)
+    assert seen == [Tensor] * (5 if in_shards else 1)
+
+
 def test_wide_training_does_not_depend_on_the_cpu_count(cpus, sharded):
     runs = []
     for count in (1, 2, 8):
@@ -1037,7 +1051,7 @@ class TestCheckpoint:
             lambda h: h["model"].pop("num_nodes"),
             lambda h: h.pop("params"),
             lambda h: h.pop("scaler"),
-            lambda h: h["scaler"].pop("std_shape"),
+            lambda h: h["scaler"].pop("std"),  # the statistics carry their own shapes
             lambda h: h["params"].__setitem__(0, 5),
             lambda h: h["params"].__setitem__(0, ["graph.chain_st.e_init", "not a shape"]),
             lambda h: h["params"].__setitem__(0, ["nonexistent", h["params"][0][1]]),
@@ -1051,7 +1065,7 @@ class TestCheckpoint:
             lambda h: h["params"][0].__setitem__(1, [2**32, 2**32]),
             lambda h: h["params"][0].__setitem__(1, [0, 2**70]),
             lambda h: h["scaler"].update(mean=h["scaler"]["mean"][:-1], mean_shape=[5, 1]),
-            lambda h: h["scaler"].update(std=[[2.0]] * 6, std_shape=[1, 6, 1]),
+            lambda h: h["scaler"].update(std=[[[2.0]] * 6]),
             lambda h: h["scaler"]["mean"][0].__setitem__(0, float("nan")),
             lambda h: h["scaler"]["std"][0].__setitem__(0, float("inf")),
             lambda h: h["scaler"]["std"][0].__setitem__(0, 0.0),
@@ -1151,6 +1165,30 @@ class TestCheckpoint:
         assert loaded.cfg == model.cfg
         window = test_ds.inputs[:8]
         np.testing.assert_array_equal(loaded.predict_raw(window), model.predict_raw(window))
+
+    @pytest.mark.parametrize("scope", dmod.SCALER_SCOPES)
+    def test_checkpoint_with_scaler_scope_and_shapes_loads_the_same_model(self, tmp_path, scope):
+        # Older headers also carry the scaler's scope and its statistics' shapes; the
+        # nested lists' own shapes say the same, so the loader ignores those keys.
+        base, (_, _, test_ds), series, _ = quick_setup(seed=6)
+        b1, _ = dmod.split_boundaries(series.num_steps)
+        scaler = dmod.fit_scaler(series.values[:b1], scope)
+        model = trainer.build_model(base.cfg, base.edges, scaler, seed=6)
+        path = tmp_path / "m.ckpt"
+        trainer.checkpoint_save(path, model)
+        header, payload = split_checkpoint(path.read_bytes())
+        assert list(header["scaler"]) == ["mean", "std"]
+        mean, std = header["scaler"]["mean"], header["scaler"]["std"]
+        header["scaler"] = {
+            "scope": scope, "mean": mean, "std": std,
+            "mean_shape": list(scaler.mean.shape), "std_shape": list(scaler.std.shape),
+        }
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(join_checkpoint(header, payload))
+        loaded, _ = trainer.checkpoint_load(old)
+        assert loaded.scaler.mean.shape == loaded.scaler.std.shape == ((1, 1) if scope == "global" else (6, 1))
+        window = test_ds.inputs[:8]
+        assert loaded.predict_raw(window).tobytes() == model.predict_raw(window).tobytes()
 
 
 def split_checkpoint(blob):
